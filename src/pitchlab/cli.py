@@ -19,6 +19,7 @@ from .audio_io import read_wav, write_wav
 from .ensemble import (
     DEFAULT_EXTERNAL_F_MAX,
     DEFAULT_EXTERNAL_F_MIN,
+    DEFAULT_EXTERNAL_TIMEOUT_S,
     EnsembleSpec,
     ExternalEstimator,
     ensemble_estimate,
@@ -71,7 +72,7 @@ def _apply_external_env(spec: EnsembleSpec) -> EnsembleSpec:
         command=command,
         f_min=base.f_min if base else DEFAULT_EXTERNAL_F_MIN,
         f_max=base.f_max if base else DEFAULT_EXTERNAL_F_MAX,
-        timeout_s=base.timeout_s if base else 10.0,
+        timeout_s=base.timeout_s if base else DEFAULT_EXTERNAL_TIMEOUT_S,
     )
     return dataclasses.replace(spec, external=external)
 

@@ -23,6 +23,7 @@ from .estimators import (
     NoteAnalysis,
     PitchEstimate,
     estimate_note_many,
+    parse_config_overrides,
 )
 from .sigproc import AudioBuffer
 
@@ -99,26 +100,29 @@ def load_ensemble_spec(path) -> EnsembleSpec:
     unknown = set(raw) - {"members", "configs", "external"}
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    members = tuple(raw.get("members", DEFAULT_MEMBERS))
-    configs = {}
-    for name, fields_ in (raw.get("configs") or {}).items():
-        base = REGISTRY[name].default_config if name in REGISTRY else None
-        if base is None:
-            raise ValueError(f"{path}: config for unknown estimator {name!r}")
-        configs[name] = EstimatorConfig(
-            f_min=float(fields_.get("f_min", base.f_min)),
-            f_max=float(fields_.get("f_max", base.f_max)),
-            n_harmonics=int(fields_.get("n_harmonics", base.n_harmonics)),
-        )
+    members = raw.get("members", list(DEFAULT_MEMBERS))
+    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+        raise ValueError(f"{path}: \"members\" must be a list of estimator names")
+    configs = parse_config_overrides(raw.get("configs", {}), f"{path}: \"configs\"")
     external = None
     ext_raw = raw.get("external")
     if ext_raw:
-        external = ExternalEstimator(
-            command=ext_raw["command"],
-            f_min=float(ext_raw.get("f_min", DEFAULT_EXTERNAL_F_MIN)),
-            f_max=float(ext_raw.get("f_max", DEFAULT_EXTERNAL_F_MAX)),
-            timeout_s=float(ext_raw.get("timeout_s", DEFAULT_EXTERNAL_TIMEOUT_S)),
-        )
+        if not isinstance(ext_raw, dict):
+            raise ValueError(f"{path}: \"external\" must be an object")
+        unknown = set(ext_raw) - {"command", "f_min", "f_max", "timeout_s"}
+        if unknown:
+            raise ValueError(f"{path}: unknown external keys {sorted(unknown)}")
+        if not isinstance(ext_raw.get("command"), str):
+            raise ValueError(f"{path}: \"external\" needs a \"command\" string")
+        try:
+            external = ExternalEstimator(
+                command=ext_raw["command"],
+                f_min=float(ext_raw.get("f_min", DEFAULT_EXTERNAL_F_MIN)),
+                f_max=float(ext_raw.get("f_max", DEFAULT_EXTERNAL_F_MAX)),
+                timeout_s=float(ext_raw.get("timeout_s", DEFAULT_EXTERNAL_TIMEOUT_S)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad external estimator: {exc}") from None
     return EnsembleSpec(members=members, configs=configs, external=external)
 
 

@@ -25,10 +25,6 @@ class LpcUnstable(PitchlabError):
     """Raised when the linear-prediction recursion breaks down (degenerate input)."""
 
 
-class ProtocolViolation(PitchlabError):
-    """Raised internally when an external estimator sends a malformed reply."""
-
-
 class SampleRateMismatch(PitchlabError):
     """Raised when two buffers that must share a sample rate do not."""
 

@@ -14,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigOutOfRange, LpcUnstable
 from .sigproc import (
@@ -29,8 +29,10 @@ from .sigproc import (
     cmnd_function,
     frame_signal,
     hann_window,
+    magnitude_spectra,
     magnitude_spectrum,
     nsdf_function,
+    _check_magnitudes,
     _overlap_energy,
     _raw_autocorr,
 )
@@ -135,42 +137,45 @@ def default_config(method: str) -> EstimatorConfig:
         raise KeyError(f"unknown estimator {method!r}; known: {sorted(DEFAULT_CONFIGS)}")
 
 
-def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
-    """Read per-method config overrides from a JSON file.
+def parse_config_overrides(raw, source) -> dict[str, EstimatorConfig]:
+    """Validated configs from a {method: {f_min, f_max, n_harmonics}} mapping.
 
-    The file maps method names to partial {f_min, f_max, n_harmonics}
-    objects; unspecified fields keep their defaults.
+    Each override is partial: unspecified fields keep the method's
+    default. Anything malformed raises ValueError naming the source.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object of method overrides")
-    configs = dict(DEFAULT_CONFIGS)
+        raise ValueError(f"{source}: expected a JSON object of method overrides")
+    configs = {}
     for name, fields in raw.items():
         if name not in DEFAULT_CONFIGS:
-            raise ValueError(f"{path}: unknown estimator {name!r}")
+            raise ValueError(f"{source}: unknown estimator {name!r}")
         if not isinstance(fields, dict):
-            raise ValueError(f"{path}: override for {name!r} must be an object")
-        base = configs[name]
-        allowed = {"f_min", "f_max", "n_harmonics"}
-        unknown = set(fields) - allowed
+            raise ValueError(f"{source}: override for {name!r} must be an object")
+        unknown = set(fields) - {"f_min", "f_max", "n_harmonics"}
         if unknown:
-            raise ValueError(f"{path}: unknown fields {sorted(unknown)} for {name!r}")
-        configs[name] = EstimatorConfig(
-            f_min=float(fields.get("f_min", base.f_min)),
-            f_max=float(fields.get("f_max", base.f_max)),
-            n_harmonics=int(fields.get("n_harmonics", base.n_harmonics)),
-        )
+            raise ValueError(f"{source}: unknown fields {sorted(unknown)} for {name!r}")
+        base = DEFAULT_CONFIGS[name]
+        try:
+            configs[name] = EstimatorConfig(
+                f_min=float(fields.get("f_min", base.f_min)),
+                f_max=float(fields.get("f_max", base.f_max)),
+                n_harmonics=int(fields.get("n_harmonics", base.n_harmonics)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source}: bad override for {name!r}: {exc}") from None
     return configs
+
+
+def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
+    """Read per-method config overrides from a JSON file over the defaults."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    return {**DEFAULT_CONFIGS, **parse_config_overrides(raw, path)}
 
 
 # ---------------------------------------------------------------------------
 # shared picking helpers
 # ---------------------------------------------------------------------------
-
-
-def _argmax_first(values: np.ndarray) -> int:
-    return int(np.argmax(values))
 
 
 def _argmax_last(values: np.ndarray) -> int:
@@ -194,25 +199,26 @@ def _clamp(f0: float, cfg: EstimatorConfig) -> float:
     return float(min(max(f0, cfg.f_min), cfg.f_max))
 
 
-def _spectral_band(spectrum: Spectrum, cfg: EstimatorConfig, harmonic_cap: int = 1) -> np.ndarray:
-    """Candidate bin indices for a spectrum under a config.
+def _spectral_band(
+    n_bins: int, bin_hz: float, cfg: EstimatorConfig, harmonic_cap: int = 1
+) -> np.ndarray:
+    """Candidate bin indices for spectra of n_bins bins under a config.
 
     harmonic_cap > 1 keeps every candidate's highest harmonic inside the
     spectrum (needed when all terms of a product must exist).
     """
-    n_bins = len(spectrum)
     top_bin = n_bins - 1
-    nyquist = spectrum.bin_hz * top_bin
+    nyquist = bin_hz * top_bin
     if cfg.f_min >= nyquist:
         raise ConfigOutOfRange(
             f"f_min {cfg.f_min} Hz is at or above the Nyquist frequency {nyquist} Hz"
         )
-    b_lo = max(1, math.ceil(cfg.f_min / spectrum.bin_hz))
-    b_hi = min(math.floor(min(cfg.f_max, nyquist) / spectrum.bin_hz), top_bin // harmonic_cap)
+    b_lo = max(1, math.ceil(cfg.f_min / bin_hz))
+    b_hi = min(math.floor(min(cfg.f_max, nyquist) / bin_hz), top_bin // harmonic_cap)
     if b_lo > b_hi:
         raise ConfigOutOfRange(
             f"no spectral candidates in [{cfg.f_min}, {cfg.f_max}] Hz at bin width "
-            f"{spectrum.bin_hz:.4f} Hz"
+            f"{bin_hz:.4f} Hz"
         )
     return np.arange(b_lo, b_hi + 1)
 
@@ -236,8 +242,167 @@ def _is_silent(rms: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain estimators
+# frequency-domain kernels
+#
+# Each kernel scores a whole (n_frames x n) matrix at once and returns one
+# f0 per row, NaN where the row votes unvoiced; rows not marked live are
+# never voiced. The note-level entries pass a note's frame matrix, and the
+# frame-level functions are one-row calls of the same kernels.
 # ---------------------------------------------------------------------------
+
+
+def _gather(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """mags[:, idx], with 0 wherever idx runs past the last bin."""
+    out = np.zeros((mags.shape[0], idx.size), dtype=np.float64)
+    ok = idx < mags.shape[1]
+    out[:, ok] = mags[:, idx[ok]]
+    return out
+
+
+def _log_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
+    """Harmonic product, as a sum of logs: log|X(k)| + log|X(2k)| + ...
+
+    A relative floor keeps the log finite on empty bins without breaking
+    amplitude invariance.
+    """
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(mags + 1e-12 * mags.max(axis=1, keepdims=True))
+    scores = log_mags[:, bins]
+    for h in range(2, n_harmonics + 1):
+        scores += log_mags[:, bins * h]
+    return scores
+
+
+def _sum_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
+    """Comb sum: |X(k)| + |X(2k)| + ..., harmonics past the last bin add 0."""
+    scores = np.zeros((mags.shape[0], bins.size), dtype=np.float64)
+    for h in range(1, n_harmonics + 1):
+        scores += _gather(mags, bins * h)
+    return scores
+
+
+def _residual_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
+    """E(f) + sum_k [E(k f) - E((k - 1/2) f)] for k = 2..n, at the nearest bins."""
+    scores = _gather(mags, bins)
+    for k in range(2, n_harmonics + 1):
+        scores += _gather(mags, bins * k)
+        scores -= _gather(mags, np.floor((k - 0.5) * bins + 0.5).astype(int))
+    return scores
+
+
+def _comb_f0s(
+    mags: np.ndarray,
+    live: np.ndarray,
+    bin_hz: float,
+    cfg: EstimatorConfig,
+    scorer: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+    harmonic_cap: int = 1,
+) -> np.ndarray:
+    """Per-row f0 of the best-scoring candidate bin, ties to the lowest.
+
+    harmonic_cap is passed to _spectral_band (hps needs every harmonic).
+    """
+    f0s = np.full(mags.shape[0], np.nan)
+    if live.any():
+        bins = _spectral_band(mags.shape[1], bin_hz, cfg, harmonic_cap)
+        best = bins[np.argmax(scorer(mags, bins, cfg.n_harmonics), axis=1)]
+        f0s[live] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)[live]
+    return f0s
+
+
+def _cepstrum_f0s(
+    mags: np.ndarray, live: np.ndarray, sample_rate: int, cfg: EstimatorConfig
+) -> np.ndarray:
+    """Per-row quefrency peak of the log-magnitude spectrum's inverse transform.
+
+    mags holds the un-padded spectra of frames of 2 (n_bins - 1) samples.
+    The search window spans the lags for [f_min, f_max], capped at half
+    the frame; ties go to the longest lag (lowest frequency).
+    """
+    f0s = np.full(mags.shape[0], np.nan)
+    if live.any():
+        frame_len = 2 * (mags.shape[1] - 1)
+        ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=frame_len, axis=1)
+        q_lo, q_hi = _lag_window(sample_rate, frame_len, cfg)
+        best = q_hi - np.argmax(ceps[:, q_lo : q_hi + 1][:, ::-1], axis=1)
+        f0s[live] = np.clip(sample_rate / best, cfg.f_min, cfg.f_max)[live]
+    return f0s
+
+
+def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row linear predictors by the Levinson-Durbin recursion.
+
+    Returns (a, stable): a is (n_frames x order+1) with a[:, 0] = 1, and
+    stable is False on rows that have no energy or whose prediction error
+    stops being positive and finite at any step; their a is meaningless.
+    """
+    n = frames.shape[1]
+    if order >= n:
+        raise ValueError(f"order {order} must be smaller than the frame length {n}")
+    r = np.stack(
+        [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(order + 1)],
+        axis=1,
+    )
+    stable = (r[:, 0] > 0) & np.all(np.isfinite(r), axis=1)
+    a = np.zeros_like(r)
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    with np.errstate(all="ignore"):
+        for i in range(1, order + 1):
+            acc = r[:, i] + np.sum(a[:, 1:i] * r[:, i - 1 : 0 : -1], axis=1)
+            k = -acc / err
+            a[:, 1 : i + 1] = a[:, 1 : i + 1] + k[:, None] * a[:, i - 1 :: -1]
+            err = err * (1.0 - k * k)
+            stable &= (err > 0) & np.isfinite(err)
+    return a, stable
+
+
+def _inverse_filter(a: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """e[t] = sum_k a[k] x[t - k] on each row, from zero initial state."""
+    order = a.shape[1] - 1
+    padded = np.concatenate([np.zeros((frames.shape[0], order)), frames], axis=1)
+    windows = sliding_window_view(padded, order + 1, axis=1)
+    return np.einsum("itk,ik->it", windows, a[:, ::-1])
+
+
+def _srh_f0s(
+    frames: np.ndarray,
+    live: np.ndarray,
+    sample_rate: int,
+    n_fft: int,
+    cfg: EstimatorConfig,
+) -> np.ndarray:
+    """Per-frame residual-harmonics f0 (Drugman & Alwan 2011).
+
+    Each live frame is whitened by its own 12th-order predictor, and its
+    residual's zero-padded magnitude spectrum is scored by _residual_comb.
+    Frames whose recursion breaks down vote unvoiced.
+    """
+    f0s = np.full(frames.shape[0], np.nan)
+    a, stable = _lpc_coefficients(frames, LPC_ORDER)
+    rows = np.flatnonzero(live & stable)
+    if rows.size:
+        pad = max(n_fft, frames.shape[1])
+        residual = _inverse_filter(a[rows], frames[rows])
+        mags = np.abs(np.fft.rfft(residual, n=pad, axis=1))
+        _check_magnitudes(mags)
+        every = np.ones(rows.size, dtype=bool)
+        f0s[rows] = _comb_f0s(mags, every, sample_rate / pad, cfg, _residual_comb)
+    return f0s
+
+
+# ---------------------------------------------------------------------------
+# frequency-domain estimators, frame level
+# ---------------------------------------------------------------------------
+
+
+def _single_estimate(method_id: str, f0s: np.ndarray) -> PitchEstimate:
+    f0 = float(f0s[0])
+    return PitchEstimate(None if math.isnan(f0) else f0, method_id)
+
+
+def _has_energy(mags: np.ndarray) -> np.ndarray:
+    return np.array([np.any(mags > 0)])
 
 
 def hps_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> PitchEstimate:
@@ -251,18 +416,8 @@ def hps_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> Pitc
     """
     cfg = cfg or DEFAULT_CONFIGS["hps"]
     mags = spectrum.magnitudes
-    if not np.any(mags > 0):
-        return PitchEstimate(None, "hps")
-    bins = _spectral_band(spectrum, cfg, harmonic_cap=cfg.n_harmonics)
-    # Relative floor keeps the log finite on empty bins without breaking
-    # amplitude invariance.
-    floor = 1e-12 * float(np.max(mags))
-    log_mags = np.log(mags + floor)
-    score = log_mags[bins].copy()
-    for h in range(2, cfg.n_harmonics + 1):
-        score += log_mags[bins * h]
-    best = bins[_argmax_first(score)]
-    return PitchEstimate(_clamp(best * spectrum.bin_hz, cfg), "hps")
+    f0s = _comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _log_comb, cfg.n_harmonics)
+    return _single_estimate("hps", f0s)
 
 
 def stft_energy_estimate(
@@ -276,58 +431,26 @@ def stft_energy_estimate(
     """
     cfg = cfg or DEFAULT_CONFIGS["stft"]
     energy = spectrogram.summed_magnitudes()
-    if not np.any(energy > 0):
-        return PitchEstimate(None, "stft")
-    ref = spectrogram.spectra[0]
-    bins = _spectral_band(ref, cfg)
-    n_bins = energy.size
-    scores = np.zeros(bins.size, dtype=np.float64)
-    for h in range(1, cfg.n_harmonics + 1):
-        idx = bins * h
-        valid = idx < n_bins
-        scores[valid] += energy[idx[valid]]
-    best = bins[_argmax_first(scores)]
-    return PitchEstimate(_clamp(best * ref.bin_hz, cfg), "stft")
+    f0s = _comb_f0s(energy[None], _has_energy(energy), spectrogram.bin_hz, cfg, _sum_comb)
+    return _single_estimate("stft", f0s)
 
 
 def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> PitchEstimate:
     """Comb matching: score(k) = sum_n |X(n k)|, ties to the lowest candidate."""
     cfg = cfg or DEFAULT_CONFIGS["ml"]
     mags = spectrum.magnitudes
-    if not np.any(mags > 0):
-        return PitchEstimate(None, "ml")
-    bins = _spectral_band(spectrum, cfg)
-    n_bins = mags.size
-    scores = np.zeros(bins.size, dtype=np.float64)
-    for h in range(1, cfg.n_harmonics + 1):
-        idx = bins * h
-        valid = idx < n_bins
-        scores[valid] += mags[idx[valid]]
-    best = bins[_argmax_first(scores)]
-    return PitchEstimate(_clamp(best * spectrum.bin_hz, cfg), "ml")
+    f0s = _comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _sum_comb)
+    return _single_estimate("ml", f0s)
 
 
 def cepstrum_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """Quefrency peak of the log-magnitude spectrum's inverse transform.
-
-    The search window spans the lags for [f_min, f_max], capped at half
-    the frame; ties go to the longest lag (lowest frequency).
-    """
+    """Quefrency peak of the frame's real cepstrum; silent frames are unvoiced."""
     cfg = cfg or DEFAULT_CONFIGS["cepstrum"]
     if _is_silent(frame.rms):
         return PitchEstimate(None, "cepstrum")
-    spectrum = magnitude_spectrum(frame)
-    ceps = np.fft.irfft(np.log(spectrum.magnitudes + _CEPSTRUM_FLOOR), n=len(frame))
-    fs = frame.sample_rate
-    q_lo, q_hi = _lag_window(fs, len(frame), cfg)
-    window = ceps[q_lo : q_hi + 1]
-    best = q_lo + _argmax_last(window)
-    return PitchEstimate(_clamp(fs / best, cfg), "cepstrum")
-
-
-# ---------------------------------------------------------------------------
-# linear prediction and the residual-harmonics estimator
-# ---------------------------------------------------------------------------
+    mags = magnitude_spectrum(frame).magnitudes[None]
+    live = np.ones(1, dtype=bool)
+    return _single_estimate("cepstrum", _cepstrum_f0s(mags, live, frame.sample_rate, cfg))
 
 
 def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
@@ -338,36 +461,23 @@ def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    x = frame.samples
     if order == 0:
         return frame
-    if order >= x.size:
-        raise ValueError(f"order {order} must be smaller than the frame length {x.size}")
-    r = _raw_autocorr(x, order)
-    if r[0] <= 0 or not np.all(np.isfinite(r)):
-        raise LpcUnstable("frame has no energy to predict")
-    a = np.zeros(order + 1, dtype=np.float64)
-    a[0] = 1.0
-    err = r[0]
-    for i in range(1, order + 1):
-        acc = r[i]
-        if i > 1:
-            acc += np.dot(a[1:i], r[1:i][::-1])
-        k = -acc / err
-        a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1][:i]
-        err *= 1.0 - k * k
-        if err <= 0 or not math.isfinite(err):
-            raise LpcUnstable("prediction error collapsed; input is degenerate")
-    residual = lfilter(a, [1.0], x)
+    x = frame.samples[None]
+    a, stable = _lpc_coefficients(x, order)
+    if not stable[0]:
+        raise LpcUnstable("frame has no energy to predict, or the prediction error collapsed")
     return Frame(
-        samples=residual,
+        samples=_inverse_filter(a, x)[0],
         start_index=frame.start_index,
         window_kind=frame.window_kind,
         sample_rate=frame.sample_rate,
     )
 
 
-def srh_scores(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> tuple[CandidateGrid, np.ndarray]:
+def srh_scores(
+    spectrum: Spectrum, cfg: EstimatorConfig | None = None
+) -> tuple[CandidateGrid, np.ndarray]:
     """Residual-harmonics scores over the candidate grid.
 
     score(f) = E(f) + sum_k [E(k f) - E((k - 1/2) f)] for k = 2..n, where
@@ -375,59 +485,16 @@ def srh_scores(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> tuple[
     Returns the grid and one score per candidate.
     """
     cfg = cfg or DEFAULT_CONFIGS["srh"]
-    bins = _spectral_band(spectrum, cfg)
-    mags = spectrum.magnitudes
-    n_bins = mags.size
-
-    def at(idx: np.ndarray) -> np.ndarray:
-        vals = np.zeros(idx.size, dtype=np.float64)
-        ok = idx < n_bins
-        vals[ok] = mags[idx[ok]]
-        return vals
-
-    scores = at(bins)
-    for k in range(2, cfg.n_harmonics + 1):
-        scores += at(bins * k)
-        half = np.floor((k - 0.5) * bins + 0.5).astype(int)
-        scores -= at(half)
+    bins = _spectral_band(len(spectrum), spectrum.bin_hz, cfg)
+    scores = _residual_comb(spectrum.magnitudes[None], bins, cfg.n_harmonics)[0]
     return CandidateGrid(bins * spectrum.bin_hz), scores
 
 
 def srh_pick_spectrum(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> float:
     """Best residual-harmonics candidate for one (residual) spectrum."""
     cfg = cfg or DEFAULT_CONFIGS["srh"]
-    grid, scores = srh_scores(spectrum, cfg)
-    return _clamp(float(grid.frequencies[_argmax_first(scores)]), cfg)
-
-
-def srh_estimate(
-    note_frames: Sequence[Frame],
-    cfg: EstimatorConfig | None = None,
-    n_fft: int = N_FFT,
-) -> PitchEstimate:
-    """Note-level estimate from per-frame LPC residual spectra.
-
-    Each frame is whitened by a 12th-order predictor; its residual's
-    magnitude spectrum is scored with srh_scores and the winner recorded.
-    Silent or degenerate frames vote unvoiced; the note f0 is the median
-    of the voiced votes.
-    """
-    cfg = cfg or DEFAULT_CONFIGS["srh"]
-    votes: list[float | None] = []
-    for frame in note_frames:
-        if _is_silent(frame.rms):
-            votes.append(None)
-            continue
-        try:
-            residual = lpc_residual(frame, LPC_ORDER)
-        except LpcUnstable:
-            votes.append(None)
-            continue
-        pad = max(n_fft, len(frame))
-        mags = np.abs(np.fft.rfft(residual.samples, n=pad))
-        spectrum = Spectrum(mags, frame.sample_rate / pad)
-        votes.append(srh_pick_spectrum(spectrum, cfg))
-    return _median_estimate("srh", votes)
+    mags, live = spectrum.magnitudes[None], np.ones(1, dtype=bool)
+    return float(_comb_f0s(mags, live, spectrum.bin_hz, cfg, _residual_comb)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +586,9 @@ class NoteAnalysis:
     """Shared per-note framing, spectra and correlations.
 
     Built once per note so the estimators (and the ensemble) never repeat
-    FFT work. All properties are lazy.
+    FFT work. Frames and spectra are held as (n_frames x n) matrices that
+    the method kernels score whole; the per-frame Frame and Spectrum lists
+    are views of their rows. All properties are lazy.
     """
 
     def __init__(
@@ -538,28 +607,54 @@ class NoteAnalysis:
     def sample_rate(self) -> int:
         return self.note.sample_rate
 
+    @property
+    def bin_hz(self) -> float:
+        return self.sample_rate / self.n_fft
+
     @cached_property
     def rect_frames(self) -> list[Frame]:
         return frame_signal(self.note, self.frame_len, self.hop, "rectangular")
 
     @cached_property
+    def rect_matrix(self) -> np.ndarray:
+        """The rectangular frames as one (n_frames x frame_len) matrix."""
+        return np.stack([f.samples for f in self.rect_frames])
+
+    @cached_property
     def frame_rms(self) -> np.ndarray:
-        return np.array([f.rms for f in self.rect_frames])
+        return np.sqrt(np.mean(self.rect_matrix**2, axis=1))
+
+    @cached_property
+    def live(self) -> np.ndarray:
+        """True on the frames whose RMS reaches the silence floor."""
+        return self.frame_rms >= SILENCE_RMS
+
+    @cached_property
+    def hann_matrix(self) -> np.ndarray:
+        return self.rect_matrix * hann_window(self.frame_len)
+
+    @cached_property
+    def hann_live(self) -> np.ndarray:
+        """Like live, judged on the Hann-windowed frames (never more live)."""
+        return np.sqrt(np.mean(self.hann_matrix**2, axis=1)) >= SILENCE_RMS
 
     @cached_property
     def hann_frames(self) -> list[Frame]:
-        window = hann_window(self.frame_len)
+        """The rows of hann_matrix as frames (views, not copies)."""
         return [
-            Frame(f.samples * window, f.start_index, "hann", f.sample_rate)
-            for f in self.rect_frames
+            Frame(row, f.start_index, "hann", f.sample_rate)
+            for row, f in zip(self.hann_matrix, self.rect_frames)
         ]
 
     @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """Zero-padded Hann magnitude spectra, (n_frames x n_fft/2+1)."""
+        return np.abs(np.fft.rfft(self.hann_matrix, n=self.n_fft, axis=1))
+
+    @cached_property
     def spectra(self) -> list[Spectrum]:
-        mat = np.stack([f.samples for f in self.hann_frames])
-        mags = np.abs(np.fft.rfft(mat, n=self.n_fft, axis=1))
-        bin_hz = self.sample_rate / self.n_fft
-        return [Spectrum(row, bin_hz) for row in mags]
+        """One validated Spectrum per frame, each a view of a magnitudes row."""
+        return [Spectrum(row, self.bin_hz) for row in self.magnitudes]
 
     @cached_property
     def spectrogram(self) -> Spectrogram:
@@ -568,7 +663,7 @@ class NoteAnalysis:
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, m) matrices over all rectangular frames, lags 0..frame_len/2+1."""
-        mat = np.stack([f.samples for f in self.rect_frames])
+        mat = self.rect_matrix
         max_lag = min(self.frame_len // 2 + 1, self.frame_len - 1)
         size = 1
         while size < 2 * self.frame_len:
@@ -586,38 +681,45 @@ def _median_estimate(method_id: str, votes: list[float | None]) -> PitchEstimate
     return PitchEstimate(float(np.median(voiced)), method_id, per_frame=tuple(votes))
 
 
+def _frame_votes(method_id: str, f0s: np.ndarray) -> PitchEstimate:
+    """Median of per-frame kernel f0s, NaN marking unvoiced frames."""
+    return _median_estimate(method_id, [None if math.isnan(f) else float(f) for f in f0s])
+
+
+def _checked_magnitudes(analysis: NoteAnalysis) -> np.ndarray:
+    """The Hann magnitude matrix, after Spectrum has validated every row."""
+    analysis.spectra
+    return analysis.magnitudes
+
+
 def _note_hps(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    votes = [
-        None if _is_silent(rms) else hps_estimate(spec, cfg).f0
-        for spec, rms in zip(analysis.spectra, analysis.frame_rms)
-    ]
-    return _median_estimate("hps", votes)
+    mags = _checked_magnitudes(analysis)
+    f0s = _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _log_comb, cfg.n_harmonics)
+    return _frame_votes("hps", f0s)
 
 
 def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    votes = [
-        None if _is_silent(rms) else ml_comb_estimate(spec, cfg).f0
-        for spec, rms in zip(analysis.spectra, analysis.frame_rms)
-    ]
-    return _median_estimate("ml", votes)
+    mags = _checked_magnitudes(analysis)
+    return _frame_votes("ml", _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _sum_comb))
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    if all(_is_silent(rms) for rms in analysis.frame_rms):
+    if not analysis.live.any():
         return PitchEstimate(None, "stft")
     return stft_energy_estimate(analysis.spectrogram, cfg)
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    votes = [
-        None if _is_silent(rms) else cepstrum_estimate(frame, cfg).f0
-        for frame, rms in zip(analysis.hann_frames, analysis.frame_rms)
-    ]
-    return _median_estimate("cepstrum", votes)
+    mags = magnitude_spectra(analysis.hann_matrix)
+    f0s = _cepstrum_f0s(mags, analysis.hann_live, analysis.sample_rate, cfg)
+    return _frame_votes("cepstrum", f0s)
 
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    return srh_estimate(analysis.hann_frames, cfg, n_fft=analysis.n_fft)
+    f0s = _srh_f0s(
+        analysis.hann_matrix, analysis.hann_live, analysis.sample_rate, analysis.n_fft, cfg
+    )
+    return _frame_votes("srh", f0s)
 
 
 def _note_lag_method(

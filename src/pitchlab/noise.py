@@ -221,22 +221,6 @@ def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> Noise
 _CORPUS_NAME = re.compile(r"^(\d{2})_(.+)\.wav$")
 
 
-def load_noise_dir(path) -> dict[int, NoiseSource]:
-    """Load a corpus directory of NN_name.wav files keyed by NN."""
-    out: dict[int, NoiseSource] = {}
-    for entry in sorted(Path(path).iterdir()):
-        m = _CORPUS_NAME.match(entry.name)
-        if not m:
-            continue
-        noise_id = int(m.group(1))
-        out[noise_id] = NoiseSource(
-            noise_id=noise_id,
-            buffer=read_wav(entry),
-            origin=f"file:{entry}",
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class NoiseRef:
     """A recipe for obtaining a noise source, cheap to pass to workers.

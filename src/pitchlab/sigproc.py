@@ -85,6 +85,13 @@ class Frame:
         return float(np.sqrt(np.mean(self.samples**2)))
 
 
+def _check_magnitudes(mags: np.ndarray) -> None:
+    """Raise ValueError unless every magnitude is finite and non-negative."""
+    # min and max propagate NaN, so two reductions catch every bad value
+    if mags.size and not (mags.min() >= 0 and mags.max() < np.inf):
+        raise ValueError("magnitudes must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Magnitude spectrum of a single frame (bins 0..N/2, un-normalized)."""
@@ -96,10 +103,7 @@ class Spectrum:
         object.__setattr__(self, "magnitudes", _as_float_vector(self.magnitudes))
         if self.bin_hz <= 0:
             raise ValueError("bin_hz must be positive")
-        if self.magnitudes.size and (
-            not np.all(np.isfinite(self.magnitudes)) or np.any(self.magnitudes < 0)
-        ):
-            raise ValueError("magnitudes must be finite and non-negative")
+        _check_magnitudes(self.magnitudes)
 
     def __len__(self) -> int:
         return self.magnitudes.size
@@ -250,17 +254,21 @@ def frame_signal(
 # ---------------------------------------------------------------------------
 
 
-def magnitude_spectrum(frame: Frame) -> Spectrum:
-    """Un-normalized magnitude spectrum of one frame.
+def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
+    """Un-normalized magnitude spectra of the frames along the last axis.
 
     The frame length must be a power of two no smaller than 64. Magnitudes
     are |DFT| for bins 0..N/2, so a full-scale on-bin cosine peaks at N/2.
     """
-    n = len(frame)
+    n = frames.shape[-1]
     if n < 64 or n & (n - 1):
         raise NonPowerOfTwo(f"frame length {n} is not a power of two >= 64")
-    mags = np.abs(np.fft.rfft(frame.samples))
-    return Spectrum(magnitudes=mags, bin_hz=frame.sample_rate / n)
+    return np.abs(np.fft.rfft(frames, axis=-1))
+
+
+def magnitude_spectrum(frame: Frame) -> Spectrum:
+    """Magnitude spectrum of one frame (see magnitude_spectra)."""
+    return Spectrum(magnitude_spectra(frame.samples), bin_hz=frame.sample_rate / len(frame))
 
 
 def _raw_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:

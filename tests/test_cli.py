@@ -88,6 +88,22 @@ class TestEstimate:
         f0 = float(out.split()[2])
         assert f0 == 0.0 or 300.0 <= f0 <= 500.0
 
+    @pytest.mark.parametrize("spec", [
+        {"external": {"f_min": 50}},
+        {"configs": {"hps": 3}},
+        {"configs": [1]},
+        {"configs": {"hps": {"n_harmonic": 7}}},
+    ])
+    def test_malformed_ensemble_spec_is_exit_2(self, spec, song, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "estimate", song.audio_path,
+                                 song.audio_path.replace(".wav", ".notes"),
+                                 "--method", "ensemble", "--ensemble-spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestMix:
     def test_round_trip_snr_printed(self, song, capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from pitchlab.errors import LpcUnstable
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
+    N_FFT,
     EstimatorConfig,
     NoteAnalysis,
     PitchEstimate,
@@ -25,9 +26,9 @@ from pitchlab.estimators import (
     stft_energy_estimate,
     yin_estimate,
 )
-from pitchlab.sigproc import AudioBuffer, Spectrogram, Spectrum
+from pitchlab.sigproc import SILENCE_RMS, AudioBuffer, Spectrogram, Spectrum
 
-from conftest import rect_frame, saw_buffer, sine, sine_buffer
+from conftest import rect_frame, saw_buffer, sawtooth, sine, sine_buffer
 
 QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0  # about 2.93 percent
 
@@ -280,6 +281,23 @@ def test_lpc_gain_at_least_one_on_noise(rng):
         assert np.var(frame.samples) / np.var(residual.samples) >= 0.99
 
 
+def test_lpc_matches_scalar_levinson_recursion(rng):
+    # textbook Levinson-Durbin, one frame at a time, then a direct-form FIR
+    order = 12
+    for _ in range(5):
+        x = np.convolve(rng.standard_normal(2100), [1.0, 1.5, 0.9, 0.3])[:2048]
+        r = np.array([np.dot(x[: x.size - k], x[k:]) for k in range(order + 1)])
+        a = np.zeros(order + 1)
+        a[0], err = 1.0, r[0]
+        for i in range(1, order + 1):
+            k = -(r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])) / err
+            a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1]
+            err *= 1.0 - k * k
+        expected = np.convolve(x, a)[: x.size]
+        got = lpc_residual(rect_frame(x, 8000), order).samples
+        assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * np.max(np.abs(x)))
+
+
 def test_lpc_rejects_bad_inputs():
     with pytest.raises(ValueError):
         lpc_residual(rect_frame(np.ones(8), 8000), 8)
@@ -356,6 +374,53 @@ def test_estimate_note_many_matches_single_calls():
     combined = estimate_note_many(analysis, wanted)
     for name in ALL_METHODS:
         assert combined[name].f0 == estimate_note(note, name).f0
+
+
+def _srh_frame_vote(frame):
+    if frame.rms < SILENCE_RMS:
+        return None
+    try:
+        residual = lpc_residual(frame)
+    except LpcUnstable:
+        return None
+    mags = np.abs(np.fft.rfft(residual.samples, n=N_FFT))
+    return srh_pick_spectrum(Spectrum(mags, frame.sample_rate / N_FFT))
+
+
+def test_note_kernels_match_frame_level_functions():
+    # sawtooth frames, a silent stretch, and a pure tone whose Hann frames
+    # drive the order-12 recursion to collapse on some frames
+    fs = 44100
+    samples = np.concatenate([
+        sawtooth(220.0, int(0.3 * fs), fs),
+        np.zeros(int(0.15 * fs)),
+        sine(440.0, int(0.3 * fs), fs),
+    ])
+    analysis = NoteAnalysis(AudioBuffer(samples, fs))
+    got = estimate_note_many(analysis, {m: None for m in ("hps", "ml", "srh", "cepstrum")})
+    silent = [rms < SILENCE_RMS for rms in analysis.frame_rms]
+    frames, spectra = analysis.hann_frames, analysis.spectra
+
+    assert got["hps"].per_frame == tuple(
+        None if quiet else hps_estimate(spec).f0 for spec, quiet in zip(spectra, silent)
+    )
+    assert got["ml"].per_frame == tuple(
+        None if quiet else ml_comb_estimate(spec).f0 for spec, quiet in zip(spectra, silent)
+    )
+    assert got["cepstrum"].per_frame == tuple(
+        None if quiet else cepstrum_estimate(frame).f0 for frame, quiet in zip(frames, silent)
+    )
+    assert got["srh"].per_frame == tuple(_srh_frame_vote(frame) for frame in frames)
+
+    unstable = []
+    for frame in frames:
+        try:
+            lpc_residual(frame)
+            unstable.append(False)
+        except LpcUnstable:
+            unstable.append(True)
+    assert any(u and not quiet for u, quiet in zip(unstable, silent))
+    assert [v is None for v in got["srh"].per_frame] == unstable
 
 
 def test_custom_range_clamps_note_estimate():

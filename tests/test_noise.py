@@ -11,7 +11,6 @@ from pitchlab.noise import (
     Scenario,
     default_scenario_grid,
     extend_to_length,
-    load_noise_dir,
     measure_snr,
     mix_at_snr,
     refs_from_dir,
@@ -226,11 +225,8 @@ class TestNoiseRefs:
         write_wav(tmp_path / "readme_not_noise.wav", AudioBuffer(np.ones(10), rate))
         (tmp_path / "notes.txt").write_text("not audio")
 
-        sources = load_noise_dir(tmp_path)
-        assert set(sources) == {1, 7}
-        assert sources[1].buffer.sample_rate == rate
-
         refs = refs_from_dir(tmp_path)
         assert set(refs) == {1, 7}
+        assert refs[1].resolve(rate).buffer.sample_rate == rate
         resolved = refs[7].resolve(rate)
         assert np.allclose(resolved.buffer.samples, 0.25, atol=1e-6)
