@@ -26,7 +26,7 @@ from .ensemble import (
     load_ensemble_spec,
 )
 from .errors import InvalidAnnotation, PitchlabError, SampleRateMismatch
-from .estimators import REGISTRY, estimate_note, load_estimator_configs
+from .estimators import REGISTRY, check_json, estimate_note, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
     hz_to_midi,
@@ -179,16 +179,22 @@ def cmd_mix(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The JSON shape of a benchmark config file.
+BENCH_FIELDS = {
+    "songs": {"annotations": [str], "count": int, "sample_rate": int},
+    "noises": {"dir": str, "seed": int},
+    "methods": [str],
+    "snrs_db": [float],
+    "jobs": int,
+    "seed": int,
+    "out": str,
+}
+
+
 def _bench_config(path: str) -> dict:
+    """The benchmark config at path, every field type-checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("benchmark config must be a JSON object")
-    known = {"songs", "methods", "noises", "snrs_db", "jobs", "seed", "out"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown benchmark config keys: {sorted(unknown)}")
-    return raw
+        return check_json(json.load(fh), BENCH_FIELDS)
 
 
 def cmd_bench(args) -> int:
@@ -197,11 +203,11 @@ def cmd_bench(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read benchmark config {args.config}: {exc}")
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
     out_dir = Path(args.out if args.out is not None else config.get("out", "bench_out"))
 
-    methods = list(config.get("methods", ["hps", "stft", "ml", "srh", ENSEMBLE_METHOD]))
+    methods = config.get("methods", ["hps", "stft", "ml", "srh", ENSEMBLE_METHOD])
     for m in methods:
         if m != ENSEMBLE_METHOD and m not in REGISTRY:
             return _fail(EX_INPUT, f"unknown method {m!r} in benchmark config")
@@ -215,8 +221,8 @@ def cmd_bench(args) -> int:
         except InvalidAnnotation as exc:
             return _fail(EX_ANNOTATION, str(exc))
     else:
-        count = int(songs_cfg.get("count", 5))
-        rate = int(songs_cfg.get("sample_rate", 44100))
+        count = songs_cfg.get("count", 5)
+        rate = songs_cfg.get("sample_rate", 44100)
         songs = materialize_songs(count, seed, out_dir / "songs", rate)
 
     noises_cfg = config.get("noises", {})
@@ -228,9 +234,9 @@ def cmd_bench(args) -> int:
         if not refs:
             return _fail(EX_INPUT, f"no NN_name.wav noises in {noises_cfg['dir']}")
     else:
-        refs = synthetic_noise_refs(seed=int(noises_cfg.get("seed", seed)))
+        refs = synthetic_noise_refs(seed=noises_cfg.get("seed", seed))
 
-    snrs = tuple(float(s) for s in config.get("snrs_db", DEFAULT_SNRS_DB))
+    snrs = tuple(config.get("snrs_db", DEFAULT_SNRS_DB))
     scenarios = scenario_grid(tuple(refs), snrs)
 
     spec = _apply_external_env(EnsembleSpec())

@@ -22,6 +22,7 @@ from .estimators import (
     EstimatorConfig,
     NoteAnalysis,
     PitchEstimate,
+    check_json,
     estimate_note_many,
     parse_config_overrides,
 )
@@ -53,8 +54,8 @@ class ExternalEstimator:
             raise ValueError("external command must be non-empty")
         if not 0 <= self.f_min < self.f_max:
             raise ValueError("need 0 <= f_min < f_max for the external range")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s < np.inf:
+            raise ValueError("timeout_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,14 @@ class EnsembleSpec:
         }
 
 
+# The JSON shape of an ensemble spec file; "configs" is checked as overrides.
+SPEC_FIELDS = {
+    "members": [str],
+    "configs": dict,
+    "external": {"command": str, "f_min": float, "f_max": float, "timeout_s": float},
+}
+
+
 def load_ensemble_spec(path) -> EnsembleSpec:
     """Read an ensemble description from a JSON file.
 
@@ -95,35 +104,20 @@ def load_ensemble_spec(path) -> EnsembleSpec:
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    unknown = set(raw) - {"members", "configs", "external"}
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    members = raw.get("members", list(DEFAULT_MEMBERS))
-    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-        raise ValueError(f"{path}: \"members\" must be a list of estimator names")
+    try:
+        raw = check_json(raw, SPEC_FIELDS)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     configs = parse_config_overrides(raw.get("configs", {}), f"{path}: \"configs\"")
-    external = None
-    ext_raw = raw.get("external")
-    if ext_raw:
-        if not isinstance(ext_raw, dict):
-            raise ValueError(f"{path}: \"external\" must be an object")
-        unknown = set(ext_raw) - {"command", "f_min", "f_max", "timeout_s"}
-        if unknown:
-            raise ValueError(f"{path}: unknown external keys {sorted(unknown)}")
-        if not isinstance(ext_raw.get("command"), str):
+    external = raw.get("external") or None
+    if external is not None:
+        if "command" not in external:
             raise ValueError(f"{path}: \"external\" needs a \"command\" string")
         try:
-            external = ExternalEstimator(
-                command=ext_raw["command"],
-                f_min=float(ext_raw.get("f_min", DEFAULT_EXTERNAL_F_MIN)),
-                f_max=float(ext_raw.get("f_max", DEFAULT_EXTERNAL_F_MAX)),
-                timeout_s=float(ext_raw.get("timeout_s", DEFAULT_EXTERNAL_TIMEOUT_S)),
-            )
-        except (TypeError, ValueError) as exc:
+            external = ExternalEstimator(**external)
+        except ValueError as exc:
             raise ValueError(f"{path}: bad external estimator: {exc}") from None
-    return EnsembleSpec(members=members, configs=configs, external=external)
+    return EnsembleSpec(raw.get("members", DEFAULT_MEMBERS), configs, external)
 
 
 def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstimate:
@@ -193,16 +187,16 @@ def member_votes(
     spec: EnsembleSpec,
     precomputed: dict[str, PitchEstimate] | None = None,
 ) -> dict[str, PitchEstimate]:
-    """Per-member note estimates, reusing any already-computed results."""
-    votes: dict[str, PitchEstimate] = {}
-    wanted: dict[str, EstimatorConfig] = {}
-    for name, cfg in spec.member_configs().items():
-        if precomputed and name in precomputed:
-            votes[name] = precomputed[name]
-        else:
-            wanted[name] = cfg
-    if wanted:
-        votes.update(estimate_note_many(analysis, wanted))
+    """Per-member note estimates in spec order, the external one last.
+
+    Members found in precomputed are reused rather than estimated again.
+    """
+    precomputed = precomputed or {}
+    wanted = {
+        name: cfg for name, cfg in spec.member_configs().items() if name not in precomputed
+    }
+    found = {**precomputed, **estimate_note_many(analysis, wanted)}
+    votes = {name: found[name] for name in spec.members}
     if spec.external is not None:
         votes["external"] = run_external(spec.external, analysis.note)
     return votes
@@ -210,10 +204,5 @@ def member_votes(
 
 def ensemble_estimate(note: AudioBuffer, spec: EnsembleSpec | None = None) -> PitchEstimate:
     """Fused note-level estimate over the spec's members."""
-    spec = spec or EnsembleSpec()
-    analysis = NoteAnalysis(note)
-    votes = member_votes(analysis, spec)
-    ordered = [votes[name].f0 for name in spec.members]
-    if spec.external is not None:
-        ordered.append(votes["external"].f0)
-    return PitchEstimate(fuse_votes(ordered), "ensemble")
+    votes = member_votes(NoteAnalysis(note), spec or EnsembleSpec())
+    return PitchEstimate(fuse_votes([v.f0 for v in votes.values()]), "ensemble")

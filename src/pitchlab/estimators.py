@@ -10,6 +10,7 @@ time-domain methods work on rectangular frames.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -26,15 +27,17 @@ from .sigproc import (
     Frame,
     Spectrogram,
     Spectrum,
+    autocorr_matrix,
     cmnd_function,
+    cmnd_matrix,
     frame_signal,
     hann_window,
     magnitude_spectra,
     magnitude_spectrum,
     nsdf_function,
+    nsdf_matrix,
+    overlap_energy_matrix,
     _check_magnitudes,
-    _overlap_energy,
-    _raw_autocorr,
 )
 
 FRAME_LEN = 2048
@@ -101,9 +104,6 @@ class CandidateGrid:
         if np.any(freqs <= 0) or np.any(np.diff(freqs) <= 0):
             raise ValueError("candidates must be positive and strictly increasing")
 
-    def __len__(self) -> int:
-        return self.frequencies.size
-
 
 # Lowest f0 the spectral comb methods search by default. Below it a 46 ms
 # frame cannot tell a melody comb from a 50 Hz hum line or a 1/f noise
@@ -137,31 +137,59 @@ def default_config(method: str) -> EstimatorConfig:
         raise KeyError(f"unknown estimator {method!r}; known: {sorted(DEFAULT_CONFIGS)}")
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", float: "a number", dict: "a JSON object"}
+
+
+def check_json(value, kind, what: str = ""):
+    """value, if it has the JSON shape kind; else ValueError naming the field.
+
+    kind is str, int, dict (any object) or float (any JSON number, returned
+    as a float), [k] for a list of k, or {key: k} for an object whose keys
+    are all optional. Bools are never numbers. what is the dotted path of
+    value in its document.
+    """
+    name = what or "the top level"
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ValueError(f"unknown keys in {name}: {unknown}")
+        return {k: check_json(v, kind[k], f"{what}.{k}" if what else k) for k, v in value.items()}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return [check_json(v, kind[0], f"{what}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
+# The JSON shape of per-method config overrides.
+CONFIG_OVERRIDES = {
+    name: {"f_min": float, "f_max": float, "n_harmonics": int} for name in DEFAULT_CONFIGS
+}
+
+
 def parse_config_overrides(raw, source) -> dict[str, EstimatorConfig]:
     """Validated configs from a {method: {f_min, f_max, n_harmonics}} mapping.
 
     Each override is partial: unspecified fields keep the method's
-    default. Anything malformed raises ValueError naming the source.
+    default. f_min and f_max must be JSON numbers and n_harmonics a JSON
+    integer. Anything malformed raises ValueError naming the source.
     """
-    if not isinstance(raw, dict):
-        raise ValueError(f"{source}: expected a JSON object of method overrides")
+    try:
+        overrides = check_json(raw, CONFIG_OVERRIDES)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     configs = {}
-    for name, fields in raw.items():
-        if name not in DEFAULT_CONFIGS:
-            raise ValueError(f"{source}: unknown estimator {name!r}")
-        if not isinstance(fields, dict):
-            raise ValueError(f"{source}: override for {name!r} must be an object")
-        unknown = set(fields) - {"f_min", "f_max", "n_harmonics"}
-        if unknown:
-            raise ValueError(f"{source}: unknown fields {sorted(unknown)} for {name!r}")
-        base = DEFAULT_CONFIGS[name]
+    for name, fields in overrides.items():
         try:
-            configs[name] = EstimatorConfig(
-                f_min=float(fields.get("f_min", base.f_min)),
-                f_max=float(fields.get("f_max", base.f_max)),
-                n_harmonics=int(fields.get("n_harmonics", base.n_harmonics)),
-            )
-        except (TypeError, ValueError) as exc:
+            configs[name] = dataclasses.replace(DEFAULT_CONFIGS[name], **fields)
+        except ValueError as exc:
             raise ValueError(f"{source}: bad override for {name!r}: {exc}") from None
     return configs
 
@@ -174,29 +202,8 @@ def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
 
 
 # ---------------------------------------------------------------------------
-# shared picking helpers
+# search ranges
 # ---------------------------------------------------------------------------
-
-
-def _argmax_last(values: np.ndarray) -> int:
-    return values.size - 1 - int(np.argmax(values[::-1]))
-
-
-def _argmin_last(values: np.ndarray) -> int:
-    return values.size - 1 - int(np.argmin(values[::-1]))
-
-
-def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> float:
-    """Vertex offset in [-1, 1] of the parabola through three samples."""
-    denom = y_minus - 2.0 * y_center + y_plus
-    if denom == 0.0 or not math.isfinite(denom):
-        return 0.0
-    offset = 0.5 * (y_minus - y_plus) / denom
-    return offset if abs(offset) <= 1.0 else 0.0
-
-
-def _clamp(f0: float, cfg: EstimatorConfig) -> float:
-    return float(min(max(f0, cfg.f_min), cfg.f_max))
 
 
 def _spectral_band(
@@ -237,8 +244,10 @@ def _lag_window(sample_rate: int, frame_len: int, cfg: EstimatorConfig) -> tuple
     return lo, hi
 
 
-def _is_silent(rms: float) -> bool:
-    return rms < SILENCE_RMS
+def _corr_max_lag(frame_len: int) -> int:
+    """Longest lag any lag window reaches (half the frame), plus the right
+    neighbour that parabolic refinement reads."""
+    return min(frame_len // 2 + 1, frame_len - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +401,85 @@ def _srh_f0s(
 
 
 # ---------------------------------------------------------------------------
+# lag-domain kernels
+#
+# _lag_f0s scores a whole (n_frames x lags) matrix of autocorrelation, NSDF
+# or CMND rows, with the same contract as the frequency-domain kernels.
+# Each picker returns one (possibly fractional) lag per row.
+# ---------------------------------------------------------------------------
+
+
+def _refined(values: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """tau moved to the vertex of the parabola through values at tau-1..tau+1.
+
+    The offset stays 0 where a neighbour is missing, the three samples are
+    collinear, or the vertex lies more than one lag away.
+    """
+    rows = np.arange(values.shape[0])
+    inside = (tau >= 1) & (tau + 1 < values.shape[1])
+    t = np.clip(tau, 1, values.shape[1] - 2)
+    y_minus, y_center, y_plus = values[rows, t - 1], values[rows, t], values[rows, t + 1]
+    with np.errstate(all="ignore"):
+        denom = y_minus - 2.0 * y_center + y_plus
+        offset = 0.5 * (y_minus - y_plus) / denom
+    ok = inside & (denom != 0.0) & np.isfinite(denom) & (np.abs(offset) <= 1.0)
+    return tau + np.where(ok, offset, 0.0)
+
+
+def _acf_lag(r: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Autocorrelation peak in [lo, hi]; ties to the longest lag."""
+    return hi - np.argmax(r[:, lo : hi + 1][:, ::-1], axis=1)
+
+
+def _nsdf_lag(n: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """First local NSDF peak reaching 80% of the window's maximum, refined.
+
+    Rows without such a peak take the window's maximum, ties to the
+    longest lag.
+    """
+    window = n[:, lo : hi + 1]
+    threshold = NSDF_PEAK_FRACTION * window.max(axis=1, keepdims=True)
+    peak = (window >= threshold) & (window > n[:, lo - 1 : hi]) & (window >= n[:, lo + 1 : hi + 2])
+    last_max = hi - np.argmax(window[:, ::-1], axis=1)
+    return _refined(n, np.where(peak.any(axis=1), lo + np.argmax(peak, axis=1), last_max))
+
+
+def _yin_lag(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """First CMND dip under the threshold, followed down to its floor, refined.
+
+    Rows that never dip take the window's minimum, ties to the longest lag.
+    """
+    window = d[:, lo : hi + 1]
+    dip = window < YIN_THRESHOLD
+    first = np.argmax(dip, axis=1)
+    # the descent stops at the window's end or where the next value does not fall
+    floor = np.ones(window.shape, dtype=bool)
+    floor[:, :-1] = ~(window[:, 1:] < window[:, :-1])
+    floor &= np.arange(window.shape[1]) >= first[:, None]
+    last_min = hi - np.argmin(window[:, ::-1], axis=1)
+    return _refined(d, np.where(dip.any(axis=1), lo + np.argmax(floor, axis=1), last_min))
+
+
+def _lag_f0s(
+    values: np.ndarray,
+    live: np.ndarray,
+    sample_rate: int,
+    frame_len: int,
+    cfg: EstimatorConfig,
+    picker: Callable[[np.ndarray, int, int], np.ndarray],
+) -> np.ndarray:
+    """Per-row f0 = sample_rate / lag, the lag picked inside the config's window.
+
+    values holds lags 0.._corr_max_lag(frame_len) of each frame.
+    """
+    f0s = np.full(values.shape[0], np.nan)
+    if live.any():
+        lo, hi = _lag_window(sample_rate, frame_len, cfg)
+        f0s[live] = np.clip(sample_rate / picker(values, lo, hi), cfg.f_min, cfg.f_max)[live]
+    return f0s
+
+
+# ---------------------------------------------------------------------------
 # frequency-domain estimators, frame level
 # ---------------------------------------------------------------------------
 
@@ -403,6 +491,10 @@ def _single_estimate(method_id: str, f0s: np.ndarray) -> PitchEstimate:
 
 def _has_energy(mags: np.ndarray) -> np.ndarray:
     return np.array([np.any(mags > 0)])
+
+
+def _frame_live(frame: Frame) -> np.ndarray:
+    return np.array([frame.rms >= SILENCE_RMS])
 
 
 def hps_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> PitchEstimate:
@@ -446,10 +538,10 @@ def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> 
 def cepstrum_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
     """Quefrency peak of the frame's real cepstrum; silent frames are unvoiced."""
     cfg = cfg or DEFAULT_CONFIGS["cepstrum"]
-    if _is_silent(frame.rms):
+    live = _frame_live(frame)
+    if not live[0]:
         return PitchEstimate(None, "cepstrum")
     mags = magnitude_spectrum(frame).magnitudes[None]
-    live = np.ones(1, dtype=bool)
     return _single_estimate("cepstrum", _cepstrum_f0s(mags, live, frame.sample_rate, cfg))
 
 
@@ -502,35 +594,12 @@ def srh_pick_spectrum(spectrum: Spectrum, cfg: EstimatorConfig | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _acf_pick(r: np.ndarray, sample_rate: int, lo: int, hi: int, cfg: EstimatorConfig) -> float:
-    lag = lo + _argmax_last(r[lo : hi + 1])
-    return _clamp(sample_rate / lag, cfg)
-
-
 def acf_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
     """Autocorrelation peak inside the lag window; ties to the longest lag."""
     cfg = cfg or DEFAULT_CONFIGS["acf"]
-    if _is_silent(frame.rms):
-        return PitchEstimate(None, "acf")
-    lo, hi = _lag_window(frame.sample_rate, len(frame), cfg)
-    r = _raw_autocorr(frame.samples, hi)
-    return PitchEstimate(_acf_pick(r, frame.sample_rate, lo, hi, cfg), "acf")
-
-
-def _nsdf_pick(n: np.ndarray, sample_rate: int, lo: int, hi: int, cfg: EstimatorConfig) -> float:
-    window = n[lo : hi + 1]
-    threshold = NSDF_PEAK_FRACTION * float(np.max(window))
-    tau = None
-    for t in range(lo, hi + 1):
-        if n[t] >= threshold and n[t] > n[t - 1] and n[t] >= n[t + 1]:
-            tau = t
-            break
-    if tau is None:
-        tau = lo + _argmax_last(window)
-    offset = 0.0
-    if tau >= 1 and tau + 1 < n.size:
-        offset = _parabolic_offset(n[tau - 1], n[tau], n[tau + 1])
-    return _clamp(sample_rate / (tau + offset), cfg)
+    r = autocorr_matrix(frame.samples[None], _corr_max_lag(len(frame)))
+    f0s = _lag_f0s(r, _frame_live(frame), frame.sample_rate, len(frame), cfg, _acf_lag)
+    return _single_estimate("acf", f0s)
 
 
 def nsdf_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
@@ -540,27 +609,9 @@ def nsdf_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEsti
     converted to frequency.
     """
     cfg = cfg or DEFAULT_CONFIGS["nsdf"]
-    if _is_silent(frame.rms):
-        return PitchEstimate(None, "nsdf")
-    lo, hi = _lag_window(frame.sample_rate, len(frame), cfg)
-    n = nsdf_function(frame, min(hi + 1, len(frame) - 1)).values
-    return PitchEstimate(_nsdf_pick(n, frame.sample_rate, lo, hi, cfg), "nsdf")
-
-
-def _yin_pick(d: np.ndarray, sample_rate: int, lo: int, hi: int, cfg: EstimatorConfig) -> float:
-    tau = None
-    for t in range(lo, hi + 1):
-        if d[t] < YIN_THRESHOLD:
-            tau = t
-            while tau + 1 <= hi and d[tau + 1] < d[tau]:
-                tau += 1
-            break
-    if tau is None:
-        tau = lo + _argmin_last(d[lo : hi + 1])
-    offset = 0.0
-    if tau >= 1 and tau + 1 < d.size:
-        offset = _parabolic_offset(d[tau - 1], d[tau], d[tau + 1])
-    return _clamp(sample_rate / (tau + offset), cfg)
+    n = nsdf_function(frame, _corr_max_lag(len(frame))).values[None]
+    f0s = _lag_f0s(n, _frame_live(frame), frame.sample_rate, len(frame), cfg, _nsdf_lag)
+    return _single_estimate("nsdf", f0s)
 
 
 def yin_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
@@ -570,11 +621,9 @@ def yin_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstim
     threshold; the chosen lag is refined by parabolic interpolation.
     """
     cfg = cfg or DEFAULT_CONFIGS["yin"]
-    if _is_silent(frame.rms):
-        return PitchEstimate(None, "yin")
-    lo, hi = _lag_window(frame.sample_rate, len(frame), cfg)
-    d = cmnd_function(frame, min(hi + 1, len(frame) - 1)).values
-    return PitchEstimate(_yin_pick(d, frame.sample_rate, lo, hi, cfg), "yin")
+    d = cmnd_function(frame, _corr_max_lag(len(frame))).values[None]
+    f0s = _lag_f0s(d, _frame_live(frame), frame.sample_rate, len(frame), cfg, _yin_lag)
+    return _single_estimate("yin", f0s)
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +711,9 @@ class NoteAnalysis:
 
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r, m) matrices over all rectangular frames, lags 0..frame_len/2+1."""
-        mat = self.rect_matrix
-        max_lag = min(self.frame_len // 2 + 1, self.frame_len - 1)
-        size = 1
-        while size < 2 * self.frame_len:
-            size *= 2
-        spec = np.fft.rfft(mat, n=size, axis=1)
-        r = np.fft.irfft(spec * np.conj(spec), n=size, axis=1)[:, : max_lag + 1]
-        m = np.stack([_overlap_energy(f.samples, max_lag) for f in self.rect_frames])
-        return r, m
+        """Autocorrelation and overlap-energy matrices of the rectangular frames."""
+        mat, max_lag = self.rect_matrix, _corr_max_lag(self.frame_len)
+        return autocorr_matrix(mat, max_lag), overlap_energy_matrix(mat, max_lag)
 
 
 def _median_estimate(method_id: str, votes: list[float | None]) -> PitchEstimate:
@@ -722,48 +764,22 @@ def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     return _frame_votes("srh", f0s)
 
 
-def _note_lag_method(
-    analysis: NoteAnalysis, cfg: EstimatorConfig, method_id: str
-) -> PitchEstimate:
-    lo, hi = _lag_window(analysis.sample_rate, analysis.frame_len, cfg)
-    r_mat, m_mat = analysis.rect_corr
-    fs = analysis.sample_rate
-    votes: list[float | None] = []
-    for i, rms in enumerate(analysis.frame_rms):
-        if _is_silent(rms):
-            votes.append(None)
-            continue
-        r = r_mat[i]
-        if method_id == "acf":
-            votes.append(_acf_pick(r, fs, lo, hi, cfg))
-        elif method_id == "nsdf":
-            m = m_mat[i]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                n = np.where(m > 0, 2.0 * r / m, 0.0)
-            np.clip(n, -1.0, 1.0, out=n)
-            votes.append(_nsdf_pick(n, fs, lo, hi, cfg))
-        else:
-            m = m_mat[i]
-            d = np.clip(m - 2.0 * r, 0.0, None)
-            dprime = np.ones_like(d)
-            running = np.cumsum(d[1:])
-            taus = np.arange(1, d.size, dtype=np.float64)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                dprime[1:] = np.where(running > 0, d[1:] * taus / running, 1.0)
-            votes.append(_yin_pick(dprime, fs, lo, hi, cfg))
-    return _median_estimate(method_id, votes)
-
-
 def _note_acf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    return _note_lag_method(analysis, cfg, "acf")
+    r, _ = analysis.rect_corr
+    f0s = _lag_f0s(r, analysis.live, analysis.sample_rate, analysis.frame_len, cfg, _acf_lag)
+    return _frame_votes("acf", f0s)
 
 
 def _note_nsdf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    return _note_lag_method(analysis, cfg, "nsdf")
+    n = nsdf_matrix(*analysis.rect_corr)
+    f0s = _lag_f0s(n, analysis.live, analysis.sample_rate, analysis.frame_len, cfg, _nsdf_lag)
+    return _frame_votes("nsdf", f0s)
 
 
 def _note_yin(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    return _note_lag_method(analysis, cfg, "yin")
+    d = cmnd_matrix(*analysis.rect_corr)
+    f0s = _lag_f0s(d, analysis.live, analysis.sample_rate, analysis.frame_len, cfg, _yin_lag)
+    return _frame_votes("yin", f0s)
 
 
 @dataclass(frozen=True)
@@ -796,11 +812,7 @@ def estimate_note(
     cfg: EstimatorConfig | None = None,
 ) -> PitchEstimate:
     """Note-level f0 for one method name from the registry."""
-    entry = REGISTRY.get(method)
-    if entry is None:
-        raise KeyError(f"unknown estimator {method!r}; known: {sorted(REGISTRY)}")
-    analysis = NoteAnalysis(note)
-    return entry.note_fn(analysis, cfg or entry.default_config)
+    return estimate_note_many(NoteAnalysis(note), {method: cfg})[method]
 
 
 def estimate_note_many(

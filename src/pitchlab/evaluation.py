@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio_io import read_wav, write_wav
-from .ensemble import EnsembleSpec, fuse_votes, run_external
+from .ensemble import EnsembleSpec, fuse_votes, member_votes
 from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
 from .estimators import (
     REGISTRY,
@@ -304,10 +304,8 @@ def _estimate_song(
         for name in base_methods:
             out[name].append(estimates[name].f0)
         if ensemble_spec is not None:
-            votes = [estimates[m].f0 for m in ensemble_spec.members]
-            if ensemble_spec.external is not None:
-                votes.append(run_external(ensemble_spec.external, audio).f0)
-            out[ENSEMBLE_METHOD].append(fuse_votes(votes))
+            votes = member_votes(analysis, ensemble_spec, precomputed=estimates)
+            out[ENSEMBLE_METHOD].append(fuse_votes([v.f0 for v in votes.values()]))
     return out
 
 

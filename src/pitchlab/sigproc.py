@@ -108,10 +108,6 @@ class Spectrum:
     def __len__(self) -> int:
         return self.magnitudes.size
 
-    @property
-    def n_fft(self) -> int:
-        return 2 * (self.magnitudes.size - 1)
-
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -130,9 +126,6 @@ class Spectrogram:
         for s in self.spectra[1:]:
             if len(s) != len(first) or s.bin_hz != first.bin_hz:
                 raise ValueError("all spectra must share length and bin spacing")
-
-    def __len__(self) -> int:
-        return len(self.spectra)
 
     @property
     def bin_hz(self) -> float:
@@ -169,13 +162,6 @@ class CorrelationFunction:
         if self.kind == "yin-cmnd" and self.values.size:
             if abs(self.values[0] - 1.0) > 1e-12:
                 raise ValueError("cmnd value at lag 0 must be 1")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def max_lag(self) -> int:
-        return self.values.size - 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,72 +257,75 @@ def magnitude_spectrum(frame: Frame) -> Spectrum:
     return Spectrum(magnitude_spectra(frame.samples), bin_hz=frame.sample_rate / len(frame))
 
 
-def _raw_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """r(tau) = sum_t x(t) x(t+tau) for tau = 0..max_lag, via FFT."""
-    n = x.size
-    size = 1
-    while size < 2 * n:
-        size *= 2
-    spec = np.fft.rfft(x, n=size)
-    r = np.fft.irfft(spec * np.conj(spec), n=size)
-    return r[: max_lag + 1]
+def autocorr_matrix(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """r(tau) = sum_t x(t) x(t+tau) of each row, tau = 0..max_lag.
+
+    One rFFT over all rows, zero-padded to a power of two of at least twice
+    the frame length so that no lag wraps around.
+    """
+    size = 1 << (2 * frames.shape[1] - 1).bit_length()
+    spec = np.fft.rfft(frames, n=size, axis=1)
+    return np.fft.irfft(spec * np.conj(spec), n=size, axis=1)[:, : max_lag + 1]
 
 
-def _overlap_energy(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """m(tau) = sum_t (x(t)^2 + x(t+tau)^2) over the overlapping region."""
-    c = np.cumsum(x * x)
-    total = c[-1]
-    n = x.size
+def overlap_energy_matrix(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """m(tau) = sum_t (x(t)^2 + x(t+tau)^2) over each row's overlapping region."""
+    c = np.cumsum(frames * frames, axis=1)
+    n = frames.shape[1]
     taus = np.arange(max_lag + 1)
-    head = c[n - 1 - taus]
-    tail = total - np.concatenate(([0.0], c[: max_lag]))
+    head = c[:, n - 1 - taus]
+    tail = c[:, -1:] - np.concatenate([np.zeros((c.shape[0], 1)), c[:, :max_lag]], axis=1)
     return head + tail
 
 
-def _check_lag(frame: Frame, max_lag: int) -> None:
-    if max_lag < 0 or max_lag >= len(frame):
-        raise LagOutOfRange(
-            f"max_lag {max_lag} outside [0, {len(frame) - 1}] for frame of length {len(frame)}"
-        )
+def nsdf_matrix(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Normalized square difference n(tau) = 2 r(tau) / m(tau), row by row.
 
-
-def autocorrelation(frame: Frame, max_lag: int) -> CorrelationFunction:
-    """Raw autocorrelation r(tau) = sum_t x(t) x(t+tau), tau = 0..max_lag."""
-    _check_lag(frame, max_lag)
-    return CorrelationFunction(_raw_autocorr(frame.samples, max_lag), kind="acf")
-
-
-def nsdf_function(frame: Frame, max_lag: int) -> CorrelationFunction:
-    """Normalized square difference n(tau) = 2 r(tau) / m(tau).
-
-    m(tau) is the summed energy of the two overlapping segments, so values
-    lie in [-1, 1]; lags with an all-zero overlap are reported as 0.
+    Values lie in [-1, 1]; lags with an all-zero overlap are reported as 0.
     """
-    _check_lag(frame, max_lag)
-    r = _raw_autocorr(frame.samples, max_lag)
-    m = _overlap_energy(frame.samples, max_lag)
     with np.errstate(invalid="ignore", divide="ignore"):
         n = np.where(m > 0, 2.0 * r / m, 0.0)
     # FFT round-off can leave |n| a hair above 1 on degenerate overlaps.
     np.clip(n, -1.0, 1.0, out=n)
-    return CorrelationFunction(n, kind="nsdf")
+    return n
+
+
+def cmnd_matrix(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Cumulative-mean normalized difference d'(tau) with d'(0) = 1, row by row.
+
+    d(tau) = m(tau) - 2 r(tau) is the squared difference function; each
+    later value is d(tau) divided by the running mean of d(1..tau).
+    """
+    d = np.clip(m - 2.0 * r, 0.0, None)
+    out = np.ones_like(d)
+    running = np.cumsum(d[:, 1:], axis=1)
+    taus = np.arange(1, d.shape[1], dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[:, 1:] = np.where(running > 0, d[:, 1:] * taus / running, 1.0)
+    return out
+
+
+def _lag_rows(frame: Frame, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, m) of one frame as one-row matrices."""
+    if max_lag < 0 or max_lag >= len(frame):
+        raise LagOutOfRange(
+            f"max_lag {max_lag} outside [0, {len(frame) - 1}] for frame of length {len(frame)}"
+        )
+    x = frame.samples[None]
+    return autocorr_matrix(x, max_lag), overlap_energy_matrix(x, max_lag)
+
+
+def autocorrelation(frame: Frame, max_lag: int) -> CorrelationFunction:
+    """Raw autocorrelation r(tau) = sum_t x(t) x(t+tau), tau = 0..max_lag."""
+    r, _ = _lag_rows(frame, max_lag)
+    return CorrelationFunction(r[0], kind="acf")
+
+
+def nsdf_function(frame: Frame, max_lag: int) -> CorrelationFunction:
+    """Normalized square difference of one frame (see nsdf_matrix)."""
+    return CorrelationFunction(nsdf_matrix(*_lag_rows(frame, max_lag))[0], kind="nsdf")
 
 
 def cmnd_function(frame: Frame, max_lag: int) -> CorrelationFunction:
-    """Cumulative-mean normalized difference d'(tau) with d'(0) = 1.
-
-    d(tau) is the squared difference function; each later value is d(tau)
-    divided by the running mean of d(1..tau).
-    """
-    _check_lag(frame, max_lag)
-    r = _raw_autocorr(frame.samples, max_lag)
-    m = _overlap_energy(frame.samples, max_lag)
-    d = m - 2.0 * r
-    np.clip(d, 0.0, None, out=d)
-    out = np.ones(max_lag + 1, dtype=np.float64)
-    if max_lag >= 1:
-        running = np.cumsum(d[1:])
-        taus = np.arange(1, max_lag + 1, dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[1:] = np.where(running > 0, d[1:] * taus / running, 1.0)
-    return CorrelationFunction(out, kind="yin-cmnd")
+    """Cumulative-mean normalized difference of one frame (see cmnd_matrix)."""
+    return CorrelationFunction(cmnd_matrix(*_lag_rows(frame, max_lag))[0], kind="yin-cmnd")

@@ -25,6 +25,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_line_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 class TestEstimate:
     def test_lines_and_accuracy(self, song, capsys):
         code, out, err = run_cli(capsys, "estimate", song.audio_path,
@@ -93,16 +99,25 @@ class TestEstimate:
         {"configs": {"hps": 3}},
         {"configs": [1]},
         {"configs": {"hps": {"n_harmonic": 7}}},
+        {"configs": {"hps": {"n_harmonics": 2.9}}},
+        {"configs": {"hps": {"n_harmonics": True}}},
+        {"configs": {"hps": {"f_min": "80"}}},
+        {"configs": {"ml": {"f_max": False}}},
+        {"external": {"command": "true", "timeout_s": float("nan")}},
     ])
     def test_malformed_ensemble_spec_is_exit_2(self, spec, song, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        code, out, err = run_cli(capsys, "estimate", song.audio_path,
-                                 song.audio_path.replace(".wav", ".notes"),
-                                 "--method", "ensemble", "--ensemble-spec", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert_one_line_input_error(*run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
+            "--method", "ensemble", "--ensemble-spec", str(path)))
+
+    def test_malformed_config_is_exit_2(self, song, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"yin": {"f_min": "80"}}))
+        assert_one_line_input_error(*run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
+            "--method", "yin", "--config", str(path)))
 
 
 class TestMix:
@@ -189,6 +204,18 @@ class TestBench:
         path = self.bench_config(tmp_path, methods=["vamp"])
         code, _, err = run_cli(capsys, "bench", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"songs": [1]},
+        {"noises": [1]},
+        {"jobs": "x"},
+        {"snrs_db": 5},
+        {"songs": {"count": "two"}},
+        {"seed": None},
+    ])
+    def test_malformed_config_is_exit_2(self, overrides, tmp_path, capsys):
+        path = self.bench_config(tmp_path, **overrides)
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path / "none.json"))

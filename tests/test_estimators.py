@@ -7,6 +7,8 @@ from pitchlab.errors import LpcUnstable
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
     N_FFT,
+    NSDF_PEAK_FRACTION,
+    YIN_THRESHOLD,
     EstimatorConfig,
     NoteAnalysis,
     PitchEstimate,
@@ -26,7 +28,14 @@ from pitchlab.estimators import (
     stft_energy_estimate,
     yin_estimate,
 )
-from pitchlab.sigproc import SILENCE_RMS, AudioBuffer, Spectrogram, Spectrum
+from pitchlab.sigproc import (
+    SILENCE_RMS,
+    AudioBuffer,
+    Spectrogram,
+    Spectrum,
+    cmnd_function,
+    nsdf_function,
+)
 
 from conftest import rect_frame, saw_buffer, sawtooth, sine, sine_buffer
 
@@ -387,17 +396,27 @@ def _srh_frame_vote(frame):
     return srh_pick_spectrum(Spectrum(mags, frame.sample_rate / N_FFT))
 
 
-def test_note_kernels_match_frame_level_functions():
-    # sawtooth frames, a silent stretch, and a pure tone whose Hann frames
-    # drive the order-12 recursion to collapse on some frames
+def _mixed_note():
+    # sawtooth frames, a silent stretch, a pure tone whose Hann frames
+    # drive the order-12 recursion to collapse on some frames, white noise,
+    # on which yin finds no dip, and a random walk, whose NSDF falls from
+    # lag 0 across the whole window so that nsdf finds no peak either
     fs = 44100
-    samples = np.concatenate([
+    rng = np.random.default_rng(7)
+    walk = np.cumsum(rng.standard_normal(int(0.2 * fs)))
+    return AudioBuffer(np.concatenate([
         sawtooth(220.0, int(0.3 * fs), fs),
         np.zeros(int(0.15 * fs)),
         sine(440.0, int(0.3 * fs), fs),
-    ])
-    analysis = NoteAnalysis(AudioBuffer(samples, fs))
-    got = estimate_note_many(analysis, {m: None for m in ("hps", "ml", "srh", "cepstrum")})
+        rng.uniform(-0.3, 0.3, int(0.2 * fs)),
+        0.3 * walk / np.abs(walk).max(),
+    ]), fs)
+
+
+def test_note_kernels_match_frame_level_functions():
+    analysis = NoteAnalysis(_mixed_note())
+    methods = ("hps", "ml", "srh", "cepstrum", "acf", "nsdf", "yin")
+    got = estimate_note_many(analysis, {m: None for m in methods})
     silent = [rms < SILENCE_RMS for rms in analysis.frame_rms]
     frames, spectra = analysis.hann_frames, analysis.spectra
 
@@ -421,6 +440,52 @@ def test_note_kernels_match_frame_level_functions():
             unstable.append(True)
     assert any(u and not quiet for u, quiet in zip(unstable, silent))
     assert [v is None for v in got["srh"].per_frame] == unstable
+
+    # The note path transforms all frames in one batched rFFT, whose last
+    # bits may differ from a one-row transform's.
+    for method, frame_fn in (("acf", acf_estimate), ("nsdf", nsdf_estimate),
+                             ("yin", yin_estimate)):
+        expected = [frame_fn(frame).f0 for frame in analysis.rect_frames]
+        assert [v is None for v in got[method].per_frame] == silent
+        assert [e is None for e in expected] == silent
+        voiced = [v for v in got[method].per_frame if v is not None]
+        assert voiced == pytest.approx([e for e in expected if e is not None], rel=1e-12)
+
+
+def _refined_lag(values, tau):
+    y_minus, y_center, y_plus = values[tau - 1], values[tau], values[tau + 1]
+    denom = y_minus - 2.0 * y_center + y_plus
+    offset = 0.5 * (y_minus - y_plus) / denom if denom != 0.0 else 0.0
+    return tau + (offset if abs(offset) <= 1.0 else 0.0)
+
+
+def test_lag_pickers_match_scalar_reference():
+    # lag window of the default 20-1000 Hz range at 44.1 kHz
+    lo, hi, fs = 45, 1024, 44100
+    lags = range(lo, hi + 1)
+    no_peak = no_dip = 0
+    for frame in NoteAnalysis(_mixed_note()).rect_frames:
+        if frame.rms < SILENCE_RMS:
+            continue
+        n = nsdf_function(frame, hi + 1).values
+        threshold = NSDF_PEAK_FRACTION * n[lo : hi + 1].max()
+        peaks = [t for t in lags if n[t] >= threshold and n[t - 1] < n[t] >= n[t + 1]]
+        # without a peak: the window's maximum, ties to the longest lag
+        tau = peaks[0] if peaks else max(lags, key=lambda t: (n[t], t))
+        no_peak += not peaks
+        assert nsdf_estimate(frame).f0 == min(max(fs / _refined_lag(n, tau), 20.0), 1000.0)
+
+        d = cmnd_function(frame, hi + 1).values
+        dips = [t for t in lags if d[t] < YIN_THRESHOLD]
+        if dips:
+            tau = dips[0]
+            while tau < hi and d[tau + 1] < d[tau]:
+                tau += 1
+        else:
+            tau = min(lags, key=lambda t: (d[t], -t))
+        no_dip += not dips
+        assert yin_estimate(frame).f0 == min(max(fs / _refined_lag(d, tau), 20.0), 1000.0)
+    assert no_peak and no_dip
 
 
 def test_custom_range_clamps_note_estimate():
