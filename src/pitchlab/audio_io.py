@@ -2,8 +2,8 @@
 
 Reads PCM 16-bit and IEEE float WAV files, mono or stereo (stereo is
 downmixed by averaging the channels). No resampling is performed. Files
-are written as 32-bit float so mixes that exceed full scale round-trip
-without quantization.
+are written as 32-bit float, and float samples are read back as written,
+so mixes that exceed full scale round-trip without clipping.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     """Load a WAV file as a mono AudioBuffer.
 
     Supported encodings are 16-bit PCM and 32/64-bit float. Integer
-    samples are scaled to [-1, 1); float samples are taken as-is. Samples
-    beyond full scale (clipped mixes) are kept but clamped to [-1, 1]
-    after a logged warning.
+    samples are scaled to [-1, 1); float samples are taken as-is, and any
+    beyond full scale (hot mixes) are counted in a logged warning but kept.
     """
     rate, data = wavfile.read(str(path))
     if data.dtype == np.int16:
@@ -46,11 +45,10 @@ def read_wav(path: str | Path) -> AudioBuffer:
     over = np.abs(samples) > _RANGE_LIMIT
     if np.any(over):
         logger.warning(
-            "%s: %d samples beyond full scale were clamped on ingestion",
+            "%s: %d samples beyond full scale (kept as read)",
             path,
             int(np.count_nonzero(over)),
         )
-        samples = np.clip(samples, -1.0, 1.0)
     return AudioBuffer(samples, int(rate))
 
 

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -17,9 +18,6 @@ from pathlib import Path
 
 from .audio_io import read_wav, write_wav
 from .ensemble import (
-    DEFAULT_EXTERNAL_F_MAX,
-    DEFAULT_EXTERNAL_F_MIN,
-    DEFAULT_EXTERNAL_TIMEOUT_S,
     EnsembleSpec,
     ExternalEstimator,
     ensemble_estimate,
@@ -67,13 +65,10 @@ def _apply_external_env(spec: EnsembleSpec) -> EnsembleSpec:
     command = os.environ.get(EXTERNAL_ENV_VAR)
     if not command:
         return spec
-    base = spec.external
-    external = ExternalEstimator(
-        command=command,
-        f_min=base.f_min if base else DEFAULT_EXTERNAL_F_MIN,
-        f_max=base.f_max if base else DEFAULT_EXTERNAL_F_MAX,
-        timeout_s=base.timeout_s if base else DEFAULT_EXTERNAL_TIMEOUT_S,
-    )
+    if spec.external is None:
+        external = ExternalEstimator(command)
+    else:
+        external = dataclasses.replace(spec.external, command=command)
     return dataclasses.replace(spec, external=external)
 
 
@@ -191,10 +186,23 @@ BENCH_FIELDS = {
 }
 
 
+# Synthetic songs are rendered at a rate in this range, in Hz.
+BENCH_SAMPLE_RATES = (8000, 192000)
+
+
 def _bench_config(path: str) -> dict:
-    """The benchmark config at path, every field type-checked."""
+    """The benchmark config at path, every field type- and range-checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        return check_json(json.load(fh), BENCH_FIELDS)
+        config = check_json(json.load(fh), BENCH_FIELDS)
+    songs = config.get("songs", {})
+    lo, hi = BENCH_SAMPLE_RATES
+    if not lo <= songs.get("sample_rate", lo) <= hi:
+        raise ValueError(f"songs.sample_rate must be in [{lo}, {hi}] Hz")
+    if min(config.get("seed", 0), config.get("noises", {}).get("seed", 0)) < 0:
+        raise ValueError("seed and noises.seed must be non-negative")
+    if not all(math.isfinite(snr) for snr in config.get("snrs_db", ())):
+        raise ValueError("snrs_db must be finite")
+    return config
 
 
 def cmd_bench(args) -> int:
@@ -202,6 +210,8 @@ def cmd_bench(args) -> int:
         config = _bench_config(args.config)
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read benchmark config {args.config}: {exc}")
+    if args.seed is not None and args.seed < 0:
+        return _fail(EX_INPUT, f"--seed must be non-negative, got {args.seed}")
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)

@@ -1,17 +1,17 @@
 """Accuracy metrics, note annotations, synthetic songs and the benchmark.
 
 The headline error metric for a song is the mean of sqrt(|f_est - f_true|)
-over its notes, with unvoiced estimates scored as 0 Hz. A MIDI-domain
-mean absolute error is provided as a clearly separate alternative; the
-two are never mixed in one report column.
+over its notes, with unvoiced estimates scored as 0 Hz.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import logging
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,7 +27,7 @@ from .estimators import (
     NoteAnalysis,
     estimate_note_many,
 )
-from .noise import NoiseRef, Scenario, mix_at_snr
+from .noise import Scenario, mix_at_snr
 from .sigproc import AudioBuffer
 
 logger = logging.getLogger(__name__)
@@ -77,23 +77,6 @@ def pitch_error(estimates, truths) -> float:
             f"need equally many estimates and truths (>0), got {est.size} and {tru.size}"
         )
     return float(np.mean(np.sqrt(np.abs(est - tru))))
-
-
-def midi_abs_error(estimates, truths) -> float:
-    """Alternative metric: mean |MIDI(est) - MIDI(truth)| over paired notes.
-
-    This is not the headline sqrt-Hz metric; it weights errors equally
-    across registers. Unvoiced estimates are scored as MIDI 0.
-    """
-    est = _as_f0_array(estimates, "estimates")
-    tru = _as_f0_array(truths, "truths")
-    if est.size != tru.size or est.size == 0:
-        raise CountMismatch(
-            f"need equally many estimates and truths (>0), got {est.size} and {tru.size}"
-        )
-    est_midi = np.array([hz_to_midi(v) if v > 0 else 0.0 for v in est])
-    tru_midi = np.array([hz_to_midi(v) for v in tru])
-    return float(np.mean(np.abs(est_midi - tru_midi)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,41 +292,42 @@ def _estimate_song(
     return out
 
 
-def _benchmark_task(args) -> tuple[int, str, dict[str, float] | None, str | None]:
-    """One (song, scenario) evaluation; returns errors or a failure message."""
-    (
-        index,
-        song_id,
-        samples,
-        sample_rate,
-        notes,
-        scenario,
-        noise_ref,
-        base_methods,
-        ensemble_spec,
-        wanted,
-    ) = args
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _benchmark_task(
+    task, base_methods, ensemble_spec, wanted
+) -> list[dict[str, float] | str]:
+    """One song under one noise source (None: the clean pass).
+
+    task is (song, buffer, noise_ref, conditions). The noise is resolved
+    once, then each condition is mixed and scored in turn. Returns each
+    condition's errors or its failure message, in order: a failing
+    condition does not stop the others, and a failed resolve fails all.
+    """
+    song, buffer, noise_ref, conditions = task
     try:
-        t0 = time.perf_counter()
-        buffer = AudioBuffer(samples, sample_rate)
-        if scenario is not None:
-            noise = noise_ref.resolve(sample_rate)
-            buffer = mix_at_snr(buffer, noise, scenario.snr_db)
-        per_method = _estimate_song(buffer, notes, base_methods, ensemble_spec)
-        truths = [n.f0_truth for n in notes]
-        errors = {
-            name: pitch_error(per_method[name], truths)
-            for name in wanted
-        }
-        logger.debug(
-            "song %s %s: %.3f s",
-            song_id,
-            "clean" if scenario is None else f"{scenario.noise_id}@{scenario.snr_db:+g}dB",
-            time.perf_counter() - t0,
-        )
-        return index, song_id, errors, None
+        noise = None if noise_ref is None else noise_ref.resolve(buffer.sample_rate)
     except Exception as exc:  # per-song failures must not abort the run
-        return index, song_id, None, f"{type(exc).__name__}: {exc}"
+        return [_failure(exc)] * len(conditions)
+    truths = song.truths()
+    outcomes: list[dict[str, float] | str] = []
+    for scenario in conditions:
+        try:
+            t0 = time.perf_counter()
+            audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
+            per_method = _estimate_song(audio, song.notes, base_methods, ensemble_spec)
+            outcomes.append({name: pitch_error(per_method[name], truths) for name in wanted})
+            logger.debug(
+                "song %s %s: %.3f s",
+                song.song_id,
+                "clean" if scenario is None else f"{scenario.noise_id}@{scenario.snr_db:+g}dB",
+                time.perf_counter() - t0,
+            )
+        except Exception as exc:
+            outcomes.append(_failure(exc))
+    return outcomes
 
 
 def run_benchmark(
@@ -359,9 +343,10 @@ def run_benchmark(
 ) -> ErrorReport:
     """Evaluate methods over songs x scenarios; failures never abort.
 
-    methods may include "ensemble"; its members are then estimated once
-    and fused, not recomputed. Results are deterministic for a fixed
-    input regardless of jobs.
+    One task scores one song under one noise source at each of its SNRs,
+    or the song's clean pass. methods may include "ensemble"; its members
+    are then estimated once and fused, not recomputed. Results are
+    deterministic for a fixed input regardless of jobs.
     """
     methods = list(methods)
     for m in methods:
@@ -377,81 +362,63 @@ def run_benchmark(
     if spec is not None and spec.configs:
         base_methods.update(spec.configs)
 
+    # (noise ref, its scenarios in grid order) per source, clean first.
+    noise_ids = list(dict.fromkeys(s.noise_id for s in scenarios))
+    sources = [(None, [None])] if include_clean else []
+    sources += [
+        (noise_refs[nid], [s for s in scenarios if s.noise_id == nid]) for nid in noise_ids
+    ]
+
     # Load songs up front; unreadable audio fails the whole song.
-    loaded: list[tuple[SongAnnotation, AudioBuffer | None, str | None]] = []
+    tasks = []
+    failures: list[BenchmarkFailure] = []
     for song in songs:
         try:
             buffer = read_wav(song.audio_path)
             song.truths()
-            loaded.append((song, buffer, None))
         except Exception as exc:
-            loaded.append((song, None, f"{type(exc).__name__}: {exc}"))
-
-    conditions: list[Scenario | None] = ([None] if include_clean else [])
-    conditions += list(scenarios)
-
-    tasks = []
-    failures: list[BenchmarkFailure] = []
-    index = 0
-    for song, buffer, load_error in loaded:
-        for scenario in conditions:
-            if load_error is not None:
-                failures.append(BenchmarkFailure(song.song_id, scenario, load_error))
-                continue
-            noise_ref = noise_refs[scenario.noise_id] if scenario is not None else None
-            tasks.append(
-                (
-                    index,
-                    song.song_id,
-                    buffer.samples,
-                    buffer.sample_rate,
-                    song.notes,
-                    scenario,
-                    noise_ref,
-                    base_methods,
-                    spec,
-                    tuple(methods),
-                )
+            failures.extend(
+                BenchmarkFailure(song.song_id, scenario, _failure(exc))
+                for _, conditions in sources
+                for scenario in conditions
             )
-            index += 1
+            continue
+        tasks.extend((song, buffer, ref, conditions) for ref, conditions in sources)
 
+    score = functools.partial(
+        _benchmark_task, base_methods=base_methods, ensemble_spec=spec, wanted=tuple(methods)
+    )
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_benchmark_task, tasks, chunksize=1))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(score, tasks, chunksize=1))
     else:
-        results = [_benchmark_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = [score(t) for t in tasks]
 
     # Aggregate means over songs, in fixed task order.
-    sums: dict[tuple, float] = {}
-    counts: dict[tuple, int] = {}
-    task_by_index = {t[0]: t for t in tasks}
-    for index, song_id, errors, message in results:
-        scenario = task_by_index[index][5]
-        if errors is None:
-            failures.append(BenchmarkFailure(song_id, scenario, message or "unknown error"))
-            continue
-        for name, err in errors.items():
-            key = (name, None) if scenario is None else (name, scenario.noise_id, scenario.snr_db)
-            sums[key] = sums.get(key, 0.0) + err
-            counts[key] = counts.get(key, 0) + 1
+    sums: dict[tuple, float] = defaultdict(float)
+    counts: dict[tuple, int] = defaultdict(int)
+    for (song, _, _, conditions), outcomes in zip(tasks, results):
+        for scenario, outcome in zip(conditions, outcomes):
+            if isinstance(outcome, str):
+                failures.append(BenchmarkFailure(song.song_id, scenario, outcome))
+                continue
+            for name, err in outcome.items():
+                sums[(name, scenario)] += err
+                counts[(name, scenario)] += 1
 
     cells = {}
     clean = {}
-    noise_ids = list(dict.fromkeys(s.noise_id for s in scenarios))
-    snrs = sorted({s.snr_db for s in scenarios})
     for name in methods:
-        if include_clean and (name, None) in sums:
+        if (name, None) in sums:
             clean[name] = sums[(name, None)] / counts[(name, None)]
         for s in scenarios:
-            key = (name, s.noise_id, s.snr_db)
-            if key in sums:
-                cells[key] = sums[key] / counts[key]
+            if (name, s) in sums:
+                cells[(name, s.noise_id, s.snr_db)] = sums[(name, s)] / counts[(name, s)]
 
     return ErrorReport(
         methods=tuple(methods),
         noise_ids=tuple(noise_ids),
-        snrs_db=tuple(snrs),
+        snrs_db=tuple(sorted({s.snr_db for s in scenarios})),
         cells=cells,
         clean=clean,
         n_songs=len(songs),
@@ -516,6 +483,15 @@ def parse_long_csv(text: str) -> ErrorReport:
     )
 
 
+def _render_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned columns, two spaces apart, under a dashed rule."""
+    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
+    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+    out = [fmt.format(*headers), fmt.format(*["-" * w for w in widths])]
+    out.extend(fmt.format(*row) for row in rows)
+    return "\n".join(out) + "\n"
+
+
 def render_wide_table(report: ErrorReport) -> str:
     """Methods as rows, one column per noise source (mean over SNRs)."""
     headers = ["method"] + [str(nid) for nid in report.noise_ids]
@@ -528,12 +504,7 @@ def render_wide_table(report: ErrorReport) -> str:
             except KeyError:
                 row.append("-")
         rows.append(row)
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    out = [fmt.format(*headers)]
-    out.append(fmt.format(*["-" * w for w in widths]))
-    out.extend(fmt.format(*row) for row in rows)
-    return "\n".join(out) + "\n"
+    return _render_table(headers, rows)
 
 
 def render_summary(report: ErrorReport) -> str:
@@ -547,11 +518,7 @@ def render_summary(report: ErrorReport) -> str:
         except KeyError:
             noisy = "-"
         rows.append([m, clean, noisy])
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(3)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    out = [fmt.format(*headers), fmt.format(*["-" * w for w in widths])]
-    out.extend(fmt.format(*row) for row in rows)
-    return "\n".join(out) + "\n"
+    return _render_table(headers, rows)
 
 
 def render_report(report: ErrorReport, fmt: str = "text-table") -> str:

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
-from pitchlab.cli import main
+from pitchlab.cli import EXTERNAL_ENV_VAR, _load_spec, main
+from pitchlab.ensemble import (
+    DEFAULT_EXTERNAL_F_MAX,
+    DEFAULT_EXTERNAL_F_MIN,
+    DEFAULT_EXTERNAL_TIMEOUT_S,
+    EnsembleSpec,
+    ExternalEstimator,
+)
 from pitchlab.evaluation import materialize_songs, read_annotation, write_annotation
 from pitchlab.evaluation import NoteSegment
+from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
 from conftest import sawtooth
@@ -149,6 +157,17 @@ class TestMix:
         assert code == 0
         assert abs(float(out.split()[1]) - 10.0) <= 0.01
 
+    def test_hot_mix_reads_back_as_mixed_in_memory(self, song, capsys, tmp_path):
+        out_path = tmp_path / "hot.wav"
+        code, _, _ = run_cli(capsys, "mix", song.audio_path, "synth:babble",
+                             "--snr", "-10", "--seed", "3", "--out", str(out_path))
+        assert code == 0
+        signal = read_wav(song.audio_path)
+        noise = synth_noise("babble", len(signal), signal.sample_rate, 3)
+        expected = mix_at_snr(signal, noise, -10.0).samples.astype(np.float32)
+        assert np.abs(expected).max() > 1.0
+        assert np.array_equal(read_wav(out_path).samples, expected)
+
     def test_missing_noise_file_is_exit_2(self, song, capsys, tmp_path):
         code, _, err = run_cli(capsys, "mix", song.audio_path,
                                str(tmp_path / "nothere.wav"),
@@ -212,10 +231,20 @@ class TestBench:
         {"snrs_db": 5},
         {"songs": {"count": "two"}},
         {"seed": None},
+        {"seed": -1},
+        {"songs": {"count": 1, "sample_rate": 0}},
+        {"songs": {"count": 1, "sample_rate": 192001}},
+        {"noises": {"seed": -3}},
+        {"snrs_db": [1e400]},
+        {"snrs_db": [10, -1e400]},
     ])
     def test_malformed_config_is_exit_2(self, overrides, tmp_path, capsys):
         path = self.bench_config(tmp_path, **overrides)
         assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
+
+    def test_negative_seed_argument_is_exit_2(self, tmp_path, capsys):
+        path = self.bench_config(tmp_path)
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path), "--seed", "-2"))
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path / "none.json"))
@@ -228,6 +257,27 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(path))
         assert code == 4
         assert "warning" in err
+
+
+class TestExternalEnv:
+    def test_overrides_the_command_and_keeps_the_range(self, monkeypatch, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"external": {
+            "command": "old-pitch", "f_min": 50, "f_max": 900, "timeout_s": 2.5}}))
+        monkeypatch.setenv(EXTERNAL_ENV_VAR, "new-pitch --fast")
+        assert _load_spec(str(spec_path)).external == ExternalEstimator(
+            "new-pitch --fast", f_min=50.0, f_max=900.0, timeout_s=2.5)
+
+    def test_installs_a_default_range_member(self, monkeypatch):
+        monkeypatch.setenv(EXTERNAL_ENV_VAR, "new-pitch")
+        external = _load_spec(None).external
+        assert external == ExternalEstimator("new-pitch")
+        assert (external.f_min, external.f_max, external.timeout_s) == (
+            DEFAULT_EXTERNAL_F_MIN, DEFAULT_EXTERNAL_F_MAX, DEFAULT_EXTERNAL_TIMEOUT_S)
+
+    def test_unset_leaves_the_spec_alone(self, monkeypatch):
+        monkeypatch.delenv(EXTERNAL_ENV_VAR, raising=False)
+        assert _load_spec(None) == EnsembleSpec()
 
 
 class TestReport:

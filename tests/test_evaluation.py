@@ -13,7 +13,6 @@ from pitchlab.evaluation import (
     SongAnnotation,
     hz_to_midi,
     materialize_songs,
-    midi_abs_error,
     midi_to_hz,
     parse_long_csv,
     pitch_error,
@@ -24,7 +23,7 @@ from pitchlab.evaluation import (
     synth_song,
     write_annotation,
 )
-from pitchlab.noise import NoiseRef, Scenario
+from pitchlab.noise import NoiseRef, Scenario, scenario_grid
 
 
 class TestHzMidi:
@@ -75,14 +74,6 @@ class TestPitchError:
             tru = [float(v) for v in rng.uniform(20.0, 2000.0, n)]
             expected = sum(math.sqrt(abs(e - t)) for e, t in zip(est, tru)) / n
             assert pitch_error(est, tru) == pytest.approx(expected, rel=1e-12)
-
-
-class TestMidiError:
-    def test_octave_is_twelve(self):
-        assert midi_abs_error([880.0], [440.0]) == pytest.approx(12.0)
-
-    def test_unvoiced_scores_as_midi_zero(self):
-        assert midi_abs_error([None], [440.0]) == pytest.approx(69.0)
 
 
 class TestAnnotations:
@@ -248,6 +239,37 @@ def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path
     # the healthy song still contributes
     expected = pitch_error([100.0] * len(two_songs[0].notes), two_songs[0].truths())
     assert report.clean["hps"] == pytest.approx(expected)
+
+
+def test_run_benchmark_resolves_each_noise_once_per_song(two_songs, stub_registry, monkeypatch):
+    calls = []
+    resolve = NoiseRef.resolve
+
+    def counting_resolve(self, sample_rate):
+        calls.append(self.noise_id)
+        return resolve(self, sample_rate)
+
+    monkeypatch.setattr(NoiseRef, "resolve", counting_resolve)
+    scenarios = [Scenario("white", 0.0), Scenario("white", 10.0)]
+    report = run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF)
+    assert calls == ["white", "white"]
+    assert set(report.cells) == {("hps", "white", 0.0), ("hps", "white", 10.0)}
+
+
+def test_run_benchmark_isolates_noise_failures(two_songs, stub_registry, tmp_path):
+    refs = {**WHITE_REF, "lost": NoiseRef(noise_id="lost", path=str(tmp_path / "lost.wav"))}
+    scenarios = scenario_grid(("white", "lost"), (0.0, 10.0))
+    report = run_benchmark(two_songs, ["hps"], scenarios, refs)
+
+    lost = [s for s in scenarios if s.noise_id == "lost"]
+    assert [(f.song_id, f.scenario) for f in report.failures] == [
+        (song.song_id, s) for song in two_songs for s in lost
+    ]
+    assert len({f.message for f in report.failures}) == 1
+    expected = np.mean([pitch_error([100.0] * len(s.notes), s.truths()) for s in two_songs])
+    assert report.clean["hps"] == pytest.approx(expected)
+    assert report.cells == {("hps", "white", 0.0): pytest.approx(expected),
+                            ("hps", "white", 10.0): pytest.approx(expected)}
 
 
 def test_run_benchmark_rejects_unknown_method(two_songs):
