@@ -1,7 +1,7 @@
 """Command line front end: estimate, mix, bench and report subcommands.
 
-Exit codes: 0 success, 2 unreadable input or sample-rate mismatch,
-3 invalid annotation, 4 benchmark with zero successful songs.
+Exit codes: 0 success, 2 unreadable or out-of-range input or sample-rate
+mismatch, 3 invalid annotation, 4 benchmark with zero successful songs.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -39,6 +38,7 @@ from .noise import (
     DEFAULT_SNRS_DB,
     SYNTH_KINDS,
     NoiseSource,
+    check_snr,
     mix_at_snr,
     measure_snr,
     refs_from_dir,
@@ -144,10 +144,14 @@ def _resolve_noise(noise_arg: str, n_samples: int, sample_rate: int, seed: int) 
             raise ValueError(f"unknown synthetic noise {kind!r}; known: {list(SYNTH_KINDS)}")
         return synth_noise(kind, n_samples, sample_rate, seed)
     buffer = read_wav(noise_arg)
-    return NoiseSource(noise_id=Path(noise_arg).stem, buffer=buffer, origin=noise_arg)
+    return NoiseSource(noise_id=Path(noise_arg).stem, buffer=buffer)
 
 
 def cmd_mix(args) -> int:
+    try:
+        check_snr(args.snr)
+    except ValueError as exc:
+        return _fail(EX_INPUT, f"bad --snr: {exc}")
     try:
         signal = read_wav(args.signal)
     except (OSError, ValueError) as exc:
@@ -200,8 +204,8 @@ def _bench_config(path: str) -> dict:
         raise ValueError(f"songs.sample_rate must be in [{lo}, {hi}] Hz")
     if min(config.get("seed", 0), config.get("noises", {}).get("seed", 0)) < 0:
         raise ValueError("seed and noises.seed must be non-negative")
-    if not all(math.isfinite(snr) for snr in config.get("snrs_db", ())):
-        raise ValueError("snrs_db must be finite")
+    for snr in config.get("snrs_db", ()):
+        check_snr(snr)
     return config
 
 

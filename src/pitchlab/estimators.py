@@ -28,13 +28,11 @@ from .sigproc import (
     Spectrogram,
     Spectrum,
     autocorr_matrix,
-    cmnd_function,
     cmnd_matrix,
     frame_signal,
     hann_window,
     magnitude_spectra,
-    magnitude_spectrum,
-    nsdf_function,
+    magnitude_spectrum,  # unused here, but perfbench's tracer patches it in this module
     nsdf_matrix,
     overlap_energy_matrix,
     _check_magnitudes,
@@ -255,8 +253,8 @@ def _corr_max_lag(frame_len: int) -> int:
 #
 # Each kernel scores a whole (n_frames x n) matrix at once and returns one
 # f0 per row, NaN where the row votes unvoiced; rows not marked live are
-# never voiced. The note-level entries pass a note's frame matrix, and the
-# frame-level functions are one-row calls of the same kernels.
+# never voiced. The note-level entries below are their only callers, apart
+# from the one-spectrum functions that acceptance 6 pins.
 # ---------------------------------------------------------------------------
 
 
@@ -271,8 +269,10 @@ def _gather(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _log_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
     """Harmonic product, as a sum of logs: log|X(k)| + log|X(2k)| + ...
 
-    A relative floor keeps the log finite on empty bins without breaking
-    amplitude invariance.
+    A comb that skips a harmonic lands on near-empty bins and its product
+    collapses, which is what makes the method selective. A relative floor
+    keeps the log finite on empty bins without breaking amplitude
+    invariance.
     """
     with np.errstate(divide="ignore"):
         log_mags = np.log(mags + 1e-12 * mags.max(axis=1, keepdims=True))
@@ -480,7 +480,7 @@ def _lag_f0s(
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain estimators, frame level
+# one-frame entry points, each kept for the caller its docstring names
 # ---------------------------------------------------------------------------
 
 
@@ -493,56 +493,16 @@ def _has_energy(mags: np.ndarray) -> np.ndarray:
     return np.array([np.any(mags > 0)])
 
 
-def _frame_live(frame: Frame) -> np.ndarray:
-    return np.array([frame.rms >= SILENCE_RMS])
-
-
-def hps_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """Harmonic product of bin-decimated spectrum copies.
-
-    Each candidate's h-th factor is the bin at exactly h times its index,
-    and the product is evaluated as a sum of logs for numerical stability.
-    A candidate whose comb skips over a harmonic lands on near-empty bins
-    and its product collapses, which is what makes the method selective.
-    All-zero spectra are unvoiced.
-    """
-    cfg = cfg or DEFAULT_CONFIGS["hps"]
-    mags = spectrum.magnitudes
-    f0s = _comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _log_comb, cfg.n_harmonics)
-    return _single_estimate("hps", f0s)
-
-
-def stft_energy_estimate(
-    spectrogram: Spectrogram, cfg: EstimatorConfig | None = None
-) -> PitchEstimate:
-    """Pick the frequency whose harmonics collect the most summed energy.
-
-    Magnitudes are first summed over all frames of the note; candidates
-    are then scored by the plain sum of their harmonic bins, with ties
-    resolved toward the lowest candidate.
-    """
-    cfg = cfg or DEFAULT_CONFIGS["stft"]
-    energy = spectrogram.summed_magnitudes()
-    f0s = _comb_f0s(energy[None], _has_energy(energy), spectrogram.bin_hz, cfg, _sum_comb)
-    return _single_estimate("stft", f0s)
-
-
 def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """Comb matching: score(k) = sum_n |X(n k)|, ties to the lowest candidate."""
+    """Comb matching: score(k) = sum_n |X(n k)|, ties to the lowest candidate.
+
+    A one-spectrum call of the ml kernel, kept because acceptance 6 checks
+    it against an exhaustive search.
+    """
     cfg = cfg or DEFAULT_CONFIGS["ml"]
     mags = spectrum.magnitudes
     f0s = _comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _sum_comb)
     return _single_estimate("ml", f0s)
-
-
-def cepstrum_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """Quefrency peak of the frame's real cepstrum; silent frames are unvoiced."""
-    cfg = cfg or DEFAULT_CONFIGS["cepstrum"]
-    live = _frame_live(frame)
-    if not live[0]:
-        return PitchEstimate(None, "cepstrum")
-    mags = magnitude_spectrum(frame).magnitudes[None]
-    return _single_estimate("cepstrum", _cepstrum_f0s(mags, live, frame.sample_rate, cfg))
 
 
 def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
@@ -550,6 +510,8 @@ def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
 
     order 0 returns the frame unchanged. Raises LpcUnstable when the
     frame has no energy or the recursion loses positive definiteness.
+    Kept as the one-frame view of _lpc_coefficients that the scalar
+    Levinson reference test compares against; perfbench's tracer patches it.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -574,56 +536,13 @@ def srh_scores(
 
     score(f) = E(f) + sum_k [E(k f) - E((k - 1/2) f)] for k = 2..n, where
     E is the (residual) magnitude spectrum sampled at the nearest bin.
-    Returns the grid and one score per candidate.
+    Returns the grid and one score per candidate. Kept, with CandidateGrid,
+    because acceptance 6 checks the scores on hand-built spectra.
     """
     cfg = cfg or DEFAULT_CONFIGS["srh"]
     bins = _spectral_band(len(spectrum), spectrum.bin_hz, cfg)
     scores = _residual_comb(spectrum.magnitudes[None], bins, cfg.n_harmonics)[0]
     return CandidateGrid(bins * spectrum.bin_hz), scores
-
-
-def srh_pick_spectrum(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> float:
-    """Best residual-harmonics candidate for one (residual) spectrum."""
-    cfg = cfg or DEFAULT_CONFIGS["srh"]
-    mags, live = spectrum.magnitudes[None], np.ones(1, dtype=bool)
-    return float(_comb_f0s(mags, live, spectrum.bin_hz, cfg, _residual_comb)[0])
-
-
-# ---------------------------------------------------------------------------
-# time-domain estimators
-# ---------------------------------------------------------------------------
-
-
-def acf_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """Autocorrelation peak inside the lag window; ties to the longest lag."""
-    cfg = cfg or DEFAULT_CONFIGS["acf"]
-    r = autocorr_matrix(frame.samples[None], _corr_max_lag(len(frame)))
-    f0s = _lag_f0s(r, _frame_live(frame), frame.sample_rate, len(frame), cfg, _acf_lag)
-    return _single_estimate("acf", f0s)
-
-
-def nsdf_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """First normalized-square-difference peak within 80% of the global max.
-
-    The winning lag is refined by parabolic interpolation before being
-    converted to frequency.
-    """
-    cfg = cfg or DEFAULT_CONFIGS["nsdf"]
-    n = nsdf_function(frame, _corr_max_lag(len(frame))).values[None]
-    f0s = _lag_f0s(n, _frame_live(frame), frame.sample_rate, len(frame), cfg, _nsdf_lag)
-    return _single_estimate("nsdf", f0s)
-
-
-def yin_estimate(frame: Frame, cfg: EstimatorConfig | None = None) -> PitchEstimate:
-    """First cumulative-mean-normalized-difference dip under 0.15.
-
-    Falls back to the window's global minimum when no dip crosses the
-    threshold; the chosen lag is refined by parabolic interpolation.
-    """
-    cfg = cfg or DEFAULT_CONFIGS["yin"]
-    d = cmnd_function(frame, _corr_max_lag(len(frame))).values[None]
-    f0s = _lag_f0s(d, _frame_live(frame), frame.sample_rate, len(frame), cfg, _yin_lag)
-    return _single_estimate("yin", f0s)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +557,10 @@ class NoteAnalysis:
     FFT work. Frames and spectra are held as (n_frames x n) matrices that
     the method kernels score whole; the per-frame Frame and Spectrum lists
     are views of their rows. All properties are lazy.
+
+    perfbench's tracer patches hann_frames, spectra, spectrogram and
+    rect_corr by name and counts Spectrum objects per frame, so the
+    per-frame object layer stays until the benchmark stops reading it.
     """
 
     def __init__(
@@ -689,7 +612,7 @@ class NoteAnalysis:
 
     @cached_property
     def hann_frames(self) -> list[Frame]:
-        """The rows of hann_matrix as frames (views, not copies)."""
+        """The rows of hann_matrix as frames (views); no kernel reads them."""
         return [
             Frame(row, f.start_index, "hann", f.sample_rate)
             for row, f in zip(self.hann_matrix, self.rect_frames)
@@ -746,9 +669,12 @@ def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
+    """One vote per note: the comb sum over the frames' summed magnitudes."""
     if not analysis.live.any():
         return PitchEstimate(None, "stft")
-    return stft_energy_estimate(analysis.spectrogram, cfg)
+    energy = analysis.spectrogram.summed_magnitudes()
+    f0s = _comb_f0s(energy[None], _has_energy(energy), analysis.bin_hz, cfg, _sum_comb)
+    return _single_estimate("stft", f0s)
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:

@@ -337,8 +337,6 @@ def run_benchmark(
     noise_refs: Mapping,
     *,
     ensemble_spec: EnsembleSpec | None = None,
-    configs: Mapping[str, EstimatorConfig] | None = None,
-    include_clean: bool = True,
     jobs: int = 1,
 ) -> ErrorReport:
     """Evaluate methods over songs x scenarios; failures never abort.
@@ -357,15 +355,13 @@ def run_benchmark(
     base_names = [m for m in methods if m != ENSEMBLE_METHOD]
     if spec is not None:
         base_names.extend(m for m in spec.members if m not in base_names)
-    configs = configs or {}
-    base_methods = {name: configs.get(name) for name in base_names}
+    base_methods = dict.fromkeys(base_names)
     if spec is not None and spec.configs:
         base_methods.update(spec.configs)
 
     # (noise ref, its scenarios in grid order) per source, clean first.
     noise_ids = list(dict.fromkeys(s.noise_id for s in scenarios))
-    sources = [(None, [None])] if include_clean else []
-    sources += [
+    sources = [(None, [None])] + [
         (noise_refs[nid], [s for s in scenarios if s.noise_id == nid]) for nid in noise_ids
     ]
 

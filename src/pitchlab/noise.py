@@ -45,6 +45,11 @@ DEFAULT_NOISE_NAMES: dict[int, str] = {
 
 DEFAULT_SNRS_DB = (-5.0, 0.0, 10.0, 20.0)
 
+# SNRs that mixing accepts, in dB. Far outside this range the noise gain
+# overflows or underflows, or the scaled noise drops below float64
+# rounding of the signal; nothing meaningful is measured out there.
+SNR_RANGE_DB = (-200.0, 200.0)
+
 SYNTH_KINDS = ("white", "pink", "hum50", "babble")
 
 
@@ -54,7 +59,6 @@ class NoiseSource:
 
     noise_id: int | str
     buffer: AudioBuffer
-    origin: str = ""
 
     def __post_init__(self):
         if len(self.buffer) == 0 or float(np.max(np.abs(self.buffer.samples))) == 0.0:
@@ -94,14 +98,22 @@ def extend_to_length(samples: np.ndarray, n: int) -> np.ndarray:
     return np.tile(samples, reps)[:n]
 
 
+def check_snr(snr_db: float) -> None:
+    """Raise ValueError unless snr_db is finite and inside SNR_RANGE_DB."""
+    lo, hi = SNR_RANGE_DB
+    if not lo <= snr_db <= hi:  # NaN fails every comparison
+        raise ValueError(f"SNR must be finite and in [{lo:g}, {hi:g}] dB, got {snr_db:g}")
+
+
 def mix_at_snr(signal: AudioBuffer, noise: NoiseSource | AudioBuffer, snr_db: float) -> AudioBuffer:
     """Add noise to a signal at an exact overall SNR.
 
     The noise is looped or truncated to the signal length, then scaled by
     g = sqrt(P_signal / (P_noise * 10^(snr/10))) with powers measured
     over the full extent. The sum is returned as-is; samples beyond full
-    scale are logged, not renormalized.
+    scale are logged, not renormalized. snr_db must pass check_snr.
     """
+    check_snr(snr_db)
     noise_buf = noise.buffer if isinstance(noise, NoiseSource) else noise
     if noise_buf.sample_rate != signal.sample_rate:
         raise SampleRateMismatch(
@@ -207,11 +219,7 @@ def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> Noise
             total += stream * envelope
         samples = _peak_normalize(total)
 
-    return NoiseSource(
-        noise_id=kind,
-        buffer=AudioBuffer(samples, sample_rate),
-        origin=f"synth:{kind}:{seed}",
-    )
+    return NoiseSource(noise_id=kind, buffer=AudioBuffer(samples, sample_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +254,7 @@ class NoiseRef:
 
     def resolve(self, sample_rate: int) -> NoiseSource:
         if self.path is not None:
-            return NoiseSource(
-                noise_id=self.noise_id,
-                buffer=read_wav(self.path),
-                origin=f"file:{self.path}",
-            )
+            return NoiseSource(noise_id=self.noise_id, buffer=read_wav(self.path))
         n = int(round(self.duration_s * sample_rate))
         source = synth_noise(self.synth_kind, n, sample_rate, self.seed)
         return replace(source, noise_id=self.noise_id)

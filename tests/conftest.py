@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pitchlab.estimators import NoteAnalysis, estimate_note_many
 from pitchlab.sigproc import AudioBuffer, Frame
 
 
@@ -29,6 +30,12 @@ def rect_frame(samples, sample_rate=44100):
         window_kind="rectangular",
         sample_rate=sample_rate,
     )
+
+
+def one_frame_estimate(method, samples, rate, cfg=None):
+    """method's estimate on a note analysed as one frame of all its samples."""
+    analysis = NoteAnalysis(AudioBuffer(samples, rate), frame_len=len(samples))
+    return estimate_note_many(analysis, {method: cfg})[method]
 
 
 @pytest.fixture

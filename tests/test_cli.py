@@ -181,6 +181,13 @@ class TestMix:
                                "--snr", "0", "--out", str(tmp_path / "o.wav"))
         assert code == 2
 
+    @pytest.mark.parametrize("snr", ["1e300", "-4000", "inf", "nan"])
+    def test_out_of_range_snr_is_exit_2(self, snr, song, capsys, tmp_path):
+        out_path = tmp_path / "o.wav"
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", song.audio_path, "synth:white", f"--snr={snr}", "--out", str(out_path)))
+        assert not out_path.exists()
+
 
 class TestBench:
     def bench_config(self, tmp_path, **overrides):
@@ -237,6 +244,8 @@ class TestBench:
         {"noises": {"seed": -3}},
         {"snrs_db": [1e400]},
         {"snrs_db": [10, -1e400]},
+        {"snrs_db": [1e300]},
+        {"snrs_db": [-4000]},
     ])
     def test_malformed_config_is_exit_2(self, overrides, tmp_path, capsys):
         path = self.bench_config(tmp_path, **overrides)

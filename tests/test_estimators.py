@@ -6,38 +6,36 @@ import pytest
 from pitchlab.errors import LpcUnstable
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
-    N_FFT,
     NSDF_PEAK_FRACTION,
     YIN_THRESHOLD,
     EstimatorConfig,
     NoteAnalysis,
     PitchEstimate,
     REGISTRY,
-    acf_estimate,
-    cepstrum_estimate,
+    _cepstrum_f0s,
+    _comb_f0s,
+    _log_comb,
+    _residual_comb,
+    _srh_f0s,
+    _sum_comb,
     default_config,
     estimate_note,
     estimate_note_many,
-    hps_estimate,
     load_estimator_configs,
     lpc_residual,
     ml_comb_estimate,
-    nsdf_estimate,
-    srh_pick_spectrum,
     srh_scores,
-    stft_energy_estimate,
-    yin_estimate,
 )
 from pitchlab.sigproc import (
-    SILENCE_RMS,
     AudioBuffer,
     Spectrogram,
     Spectrum,
-    cmnd_function,
-    nsdf_function,
+    cmnd_matrix,
+    magnitude_spectra,
+    nsdf_matrix,
 )
 
-from conftest import rect_frame, saw_buffer, sawtooth, sine, sine_buffer
+from conftest import one_frame_estimate, rect_frame, saw_buffer, sawtooth, sine, sine_buffer
 
 QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0  # about 2.93 percent
 
@@ -95,83 +93,84 @@ def test_load_configs_rejects_unknown(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# time-domain estimators, frame level
+# time-domain estimators on one-frame notes
 # ---------------------------------------------------------------------------
 
 
 def test_acf_exact_on_integer_period():
     # 100 Hz at 8 kHz: the period of 80 samples divides the frame exactly
-    frame = rect_frame(sine(100.0, 1024, 8000), 8000)
-    est = acf_estimate(frame)
+    est = one_frame_estimate("acf", sine(100.0, 1024, 8000), 8000)
     assert est.f0 == pytest.approx(100.0, abs=1e-9)
 
 
 def test_acf_prefers_longest_lag_on_tie():
     # a sine has equal correlation peaks at every period multiple inside
     # the window; the longest lag (lowest frequency) must win
-    frame = rect_frame(sine(400.0, 2048, 8000), 8000)
-    est = acf_estimate(frame)
+    est = one_frame_estimate("acf", sine(400.0, 2048, 8000), 8000)
     assert est.f0 < 450.0
 
 
 def test_yin_finds_fundamental_not_subharmonic():
-    frame = rect_frame(sine(250.0, 1024, 8000), 8000)
-    est = yin_estimate(frame)
+    est = one_frame_estimate("yin", sine(250.0, 1024, 8000), 8000)
     assert est.f0 == pytest.approx(250.0, rel=1e-3)
 
 
 def test_yin_silence_unvoiced():
-    frame = rect_frame(np.zeros(2048), 44100)
-    assert yin_estimate(frame).voiced is False
+    assert one_frame_estimate("yin", np.zeros(2048), 44100).voiced is False
 
 
 def test_nsdf_interpolates_fractional_period():
     # 247 Hz at 44.1 kHz has period 178.54 samples
-    frame = rect_frame(sine(247.0, 2048, 44100), 44100)
-    est = nsdf_estimate(frame)
+    est = one_frame_estimate("nsdf", sine(247.0, 2048, 44100), 44100)
     assert est.f0 == pytest.approx(247.0, rel=2e-3)
 
 
-@pytest.mark.parametrize("method", [acf_estimate, nsdf_estimate, yin_estimate])
+@pytest.mark.parametrize("method", ["acf", "nsdf", "yin"])
 def test_lag_methods_respect_range(method, rng):
     cfg = EstimatorConfig(150.0, 400.0)
     for _ in range(10):
-        frame = rect_frame(rng.standard_normal(2048) * 0.3, 44100)
-        est = method(frame, cfg)
+        est = one_frame_estimate(method, rng.standard_normal(2048) * 0.3, 44100, cfg)
         if est.voiced:
             assert 150.0 <= est.f0 <= 400.0
 
 
 # ---------------------------------------------------------------------------
-# spectral estimators, hand-built spectra
+# spectral kernels on hand-built one-row matrices
 # ---------------------------------------------------------------------------
+
+HPS = DEFAULT_CONFIGS["hps"]
+
+
+def comb_vote(mags, bin_hz, cfg, scorer, harmonic_cap=1):
+    """The comb picker's f0 for one live spectrum row."""
+    row = np.asarray(mags, dtype=np.float64)[None]
+    return float(_comb_f0s(row, np.ones(1, dtype=bool), bin_hz, cfg, scorer, harmonic_cap)[0])
 
 
 def test_hps_picks_fundamental_of_harmonic_comb():
     mags = np.zeros(64)
     mags[10], mags[20], mags[30] = 1.0, 0.5, 0.25
-    est = hps_estimate(Spectrum(mags, 10.0))
-    assert est.f0 == pytest.approx(100.0)
+    assert comb_vote(mags, 10.0, HPS, _log_comb, 3) == pytest.approx(100.0)
 
 
 def test_hps_all_zero_unvoiced():
-    assert hps_estimate(Spectrum(np.zeros(64), 10.0)).voiced is False
+    assert one_frame_estimate("hps", np.zeros(2048), 44100).voiced is False
 
 
 def test_hps_amplitude_invariant_on_scaled_spectrum():
     mags = np.zeros(128)
     mags[[7, 14, 21]] = [1.0, 0.4, 0.2]
-    a = hps_estimate(Spectrum(mags, 10.0))
-    b = hps_estimate(Spectrum(mags * 1000.0, 10.0))
-    assert a.f0 == b.f0
+    a = comb_vote(mags, 10.0, HPS, _log_comb, 3)
+    b = comb_vote(mags * 1000.0, 10.0, HPS, _log_comb, 3)
+    assert a == b
 
 
 def test_stft_sums_over_frames():
     row = np.zeros(128)
     row[12], row[24], row[36] = 1.0, 0.6, 0.3
-    spectra = tuple(Spectrum(row, 10.0) for _ in range(3))
-    est = stft_energy_estimate(Spectrogram(spectra, 512))
-    assert est.f0 == pytest.approx(120.0)
+    energy = Spectrogram(tuple(Spectrum(row, 10.0) for _ in range(3)), 512).summed_magnitudes()
+    assert np.array_equal(energy, 3.0 * row)
+    assert comb_vote(energy, 10.0, DEFAULT_CONFIGS["stft"], _sum_comb) == pytest.approx(120.0)
 
 
 def test_stft_subdivision_tie_goes_to_lowest():
@@ -179,8 +178,7 @@ def test_stft_subdivision_tie_goes_to_lowest():
     # the one nonzero magnitude, and the tie resolves to the lowest
     row = np.zeros(128)
     row[40] = 1.0
-    est = stft_energy_estimate(Spectrogram((Spectrum(row, 10.0),), 512))
-    assert est.f0 == pytest.approx(100.0)
+    assert comb_vote(row, 10.0, DEFAULT_CONFIGS["stft"], _sum_comb) == pytest.approx(100.0)
 
 
 def test_ml_comb_tie_goes_to_lowest():
@@ -221,7 +219,7 @@ def test_srh_scores_reward_harmonics():
     assert list(grid.frequencies) == [100.0, 200.0, 300.0, 400.0, 500.0]
     assert scores[4] == pytest.approx(5.0)
     assert np.all(scores[:4] <= 0.5)
-    assert srh_pick_spectrum(Spectrum(mags, 100.0)) == pytest.approx(500.0)
+    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], _residual_comb) == pytest.approx(500.0)
 
 
 def test_srh_interharmonic_energy_penalized():
@@ -233,7 +231,7 @@ def test_srh_interharmonic_energy_penalized():
     grid, scores = srh_scores(Spectrum(mags, 100.0))
     assert scores[4] == pytest.approx(-3.0)
     assert scores[2] == pytest.approx(4.0)
-    assert srh_pick_spectrum(Spectrum(mags, 100.0)) == pytest.approx(300.0)
+    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], _residual_comb) == pytest.approx(300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +240,22 @@ def test_srh_interharmonic_energy_penalized():
 
 
 def test_cepstrum_impulse_train_exact():
-    # period of 100 samples at 16 kHz
+    # period of 100 samples at 16 kHz, on the unwindowed spectrum
     x = np.zeros(2048)
     x[::100] = 1.0
-    est = cepstrum_estimate(rect_frame(x, 16000))
-    assert est.f0 == pytest.approx(160.0, abs=1e-9)
+    f0s = _cepstrum_f0s(magnitude_spectra(x[None]), np.ones(1, dtype=bool), 16000,
+                        DEFAULT_CONFIGS["cepstrum"])
+    assert f0s[0] == pytest.approx(160.0, abs=1e-9)
 
 
 def test_cepstrum_noise_stays_in_range(rng):
-    frame = rect_frame(rng.uniform(-0.5, 0.5, 2048), 16000)
-    est = cepstrum_estimate(frame)
+    est = one_frame_estimate("cepstrum", rng.uniform(-0.5, 0.5, 2048), 16000)
     if est.voiced:
         assert 20.0 <= est.f0 <= 1000.0
 
 
 def test_cepstrum_silence_unvoiced():
-    assert cepstrum_estimate(rect_frame(np.zeros(2048), 16000)).voiced is False
+    assert one_frame_estimate("cepstrum", np.zeros(2048), 16000).voiced is False
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +383,6 @@ def test_estimate_note_many_matches_single_calls():
         assert combined[name].f0 == estimate_note(note, name).f0
 
 
-def _srh_frame_vote(frame):
-    if frame.rms < SILENCE_RMS:
-        return None
-    try:
-        residual = lpc_residual(frame)
-    except LpcUnstable:
-        return None
-    mags = np.abs(np.fft.rfft(residual.samples, n=N_FFT))
-    return srh_pick_spectrum(Spectrum(mags, frame.sample_rate / N_FFT))
-
-
 def _mixed_note():
     # sawtooth frames, a silent stretch, a pure tone whose Hann frames
     # drive the order-12 recursion to collapse on some frames, white noise,
@@ -413,39 +400,54 @@ def _mixed_note():
     ]), fs)
 
 
+def _votes(f0s):
+    return tuple(None if math.isnan(f) else float(f) for f in f0s)
+
+
+def _lpc_breaks_down(frame):
+    try:
+        lpc_residual(frame)
+        return False
+    except LpcUnstable:
+        return True
+
+
+def _row_by_row(kernel, matrix, live):
+    """kernel(rows, live) applied to one-row slices of matrix, concatenated."""
+    return np.concatenate([kernel(matrix[i : i + 1], live[i : i + 1]) for i in range(len(matrix))])
+
+
 def test_note_kernels_match_frame_level_functions():
     analysis = NoteAnalysis(_mixed_note())
     methods = ("hps", "ml", "srh", "cepstrum", "acf", "nsdf", "yin")
     got = estimate_note_many(analysis, {m: None for m in methods})
-    silent = [rms < SILENCE_RMS for rms in analysis.frame_rms]
-    frames, spectra = analysis.hann_frames, analysis.spectra
+    fs, bin_hz, cfgs = analysis.sample_rate, analysis.bin_hz, DEFAULT_CONFIGS
 
-    assert got["hps"].per_frame == tuple(
-        None if quiet else hps_estimate(spec).f0 for spec, quiet in zip(spectra, silent)
-    )
-    assert got["ml"].per_frame == tuple(
-        None if quiet else ml_comb_estimate(spec).f0 for spec, quiet in zip(spectra, silent)
-    )
-    assert got["cepstrum"].per_frame == tuple(
-        None if quiet else cepstrum_estimate(frame).f0 for frame, quiet in zip(frames, silent)
-    )
-    assert got["srh"].per_frame == tuple(_srh_frame_vote(frame) for frame in frames)
+    # Spectral members: the whole-note kernel equals its one-row calls exactly.
+    mags, live = analysis.magnitudes, analysis.live
+    hps = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["hps"], _log_comb, cfgs["hps"].n_harmonics)
+    ml = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["ml"], _sum_comb)
+    assert got["hps"].per_frame == _votes(_row_by_row(hps, mags, live))
+    assert got["ml"].per_frame == _votes(_row_by_row(ml, mags, live))
+    hann, hann_live = analysis.hann_matrix, analysis.hann_live
+    cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
+    srh = lambda m, v: _srh_f0s(m, v, fs, analysis.n_fft, cfgs["srh"])
+    assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, hann_live))
+    assert got["srh"].per_frame == _votes(_row_by_row(srh, hann, hann_live))
 
-    unstable = []
-    for frame in frames:
-        try:
-            lpc_residual(frame)
-            unstable.append(False)
-        except LpcUnstable:
-            unstable.append(True)
-    assert any(u and not quiet for u, quiet in zip(unstable, silent))
-    assert [v is None for v in got["srh"].per_frame] == unstable
+    # srh votes unvoiced exactly on silent frames and where the one-frame
+    # LPC breaks down, which happens on some live frames
+    broken = [_lpc_breaks_down(rect_frame(row, fs)) for row in hann]
+    assert any(b and row_live for b, row_live in zip(broken, hann_live))
+    unvoiced = [b or not row_live for b, row_live in zip(broken, hann_live)]
+    assert [v is None for v in got["srh"].per_frame] == unvoiced
 
-    # The note path transforms all frames in one batched rFFT, whose last
-    # bits may differ from a one-row transform's.
-    for method, frame_fn in (("acf", acf_estimate), ("nsdf", nsdf_estimate),
-                             ("yin", yin_estimate)):
-        expected = [frame_fn(frame).f0 for frame in analysis.rect_frames]
+    # Lag members: each frame as a one-frame note. The note path transforms
+    # all frames in one batched rFFT, whose last bits may differ from a
+    # one-row transform's.
+    silent = list(~live)
+    for method in ("acf", "nsdf", "yin"):
+        expected = [one_frame_estimate(method, row, fs).f0 for row in analysis.rect_matrix]
         assert [v is None for v in got[method].per_frame] == silent
         assert [e is None for e in expected] == silent
         voiced = [v for v in got[method].per_frame if v is not None]
@@ -463,19 +465,20 @@ def test_lag_pickers_match_scalar_reference():
     # lag window of the default 20-1000 Hz range at 44.1 kHz
     lo, hi, fs = 45, 1024, 44100
     lags = range(lo, hi + 1)
+    analysis = NoteAnalysis(_mixed_note())
+    got = estimate_note_many(analysis, {"nsdf": None, "yin": None})
+    r, m = analysis.rect_corr
     no_peak = no_dip = 0
-    for frame in NoteAnalysis(_mixed_note()).rect_frames:
-        if frame.rms < SILENCE_RMS:
-            continue
-        n = nsdf_function(frame, hi + 1).values
+    for i in np.flatnonzero(analysis.live):
+        n = nsdf_matrix(r[i : i + 1], m[i : i + 1])[0]
         threshold = NSDF_PEAK_FRACTION * n[lo : hi + 1].max()
         peaks = [t for t in lags if n[t] >= threshold and n[t - 1] < n[t] >= n[t + 1]]
         # without a peak: the window's maximum, ties to the longest lag
         tau = peaks[0] if peaks else max(lags, key=lambda t: (n[t], t))
         no_peak += not peaks
-        assert nsdf_estimate(frame).f0 == min(max(fs / _refined_lag(n, tau), 20.0), 1000.0)
+        assert got["nsdf"].per_frame[i] == min(max(fs / _refined_lag(n, tau), 20.0), 1000.0)
 
-        d = cmnd_function(frame, hi + 1).values
+        d = cmnd_matrix(r[i : i + 1], m[i : i + 1])[0]
         dips = [t for t in lags if d[t] < YIN_THRESHOLD]
         if dips:
             tau = dips[0]
@@ -484,7 +487,7 @@ def test_lag_pickers_match_scalar_reference():
         else:
             tau = min(lags, key=lambda t: (d[t], -t))
         no_dip += not dips
-        assert yin_estimate(frame).f0 == min(max(fs / _refined_lag(d, tau), 20.0), 1000.0)
+        assert got["yin"].per_frame[i] == min(max(fs / _refined_lag(d, tau), 20.0), 1000.0)
     assert no_peak and no_dip
 
 

@@ -77,6 +77,12 @@ class TestMixAtSnr:
         with pytest.raises(SampleRateMismatch):
             mix_at_snr(signal, constant_noise(1.0, rate=16000), 0.0)
 
+    @pytest.mark.parametrize("snr", [1e300, -4000.0, np.inf])
+    def test_out_of_range_snr_rejected(self, snr):
+        signal = AudioBuffer(np.ones(100), 8000)
+        with pytest.raises(ValueError, match="SNR must be finite"):
+            mix_at_snr(signal, constant_noise(1.0, n=100), snr)
+
     def test_silent_noise_rejected(self):
         signal = AudioBuffer(np.ones(100), 8000)
         with pytest.raises(SilentNoise):

@@ -5,12 +5,14 @@ from pitchlab.errors import EmptyBuffer, LagOutOfRange, NonPowerOfTwo
 from pitchlab.sigproc import (
     AudioBuffer,
     Frame,
+    autocorr_matrix,
     autocorrelation,
-    cmnd_function,
+    cmnd_matrix,
     frame_signal,
     hann_window,
     magnitude_spectrum,
-    nsdf_function,
+    nsdf_matrix,
+    overlap_energy_matrix,
 )
 
 from conftest import rect_frame, sine
@@ -22,6 +24,12 @@ def brute_autocorr(x, max_lag):
     return np.array(
         [sum(x[j] * x[j + tau] for j in range(n - tau)) for tau in range(max_lag + 1)]
     )
+
+
+def lag_matrices(rows, max_lag):
+    """(r, m) lag matrices of the rows of a frame matrix (or of one frame)."""
+    rows = np.atleast_2d(rows)
+    return autocorr_matrix(rows, max_lag), overlap_energy_matrix(rows, max_lag)
 
 
 class TestAudioBuffer:
@@ -158,17 +166,15 @@ class TestAutocorrelation:
 
 class TestNsdf:
     def test_bounded_and_unity_at_zero(self, rng):
-        for _ in range(20):
-            x = rng.standard_normal(512)
-            n = nsdf_function(rect_frame(x, 8000), 255).values
-            assert n[0] == pytest.approx(1.0)
-            assert np.all(n <= 1.0 + 1e-12)
-            assert np.all(n >= -1.0 - 1e-12)
+        n = nsdf_matrix(*lag_matrices(rng.standard_normal((20, 512)), 255))
+        assert n.shape == (20, 256)
+        assert n[:, 0] == pytest.approx(1.0)
+        assert np.all(n <= 1.0 + 1e-12)
+        assert np.all(n >= -1.0 - 1e-12)
 
     def test_sine_peaks_at_period(self):
         rate, freq = 8000, 200.0
-        x = sine(freq, 1024, rate)
-        n = nsdf_function(rect_frame(x, rate), 500).values
+        n = nsdf_matrix(*lag_matrices(sine(freq, 1024, rate), 500))[0]
         period = rate / freq
         peak = int(np.argmax(n[20:])) + 20
         assert abs(peak - period) <= 1
@@ -176,16 +182,14 @@ class TestNsdf:
 
 class TestCmnd:
     def test_starts_at_one(self, rng):
-        x = rng.standard_normal(512)
-        d = cmnd_function(rect_frame(x, 8000), 255).values
-        assert d[0] == 1.0
+        d = cmnd_matrix(*lag_matrices(rng.standard_normal((8, 512)), 255))
+        assert np.all(d[:, 0] == 1.0)
         assert np.all(d >= 0.0)
 
     def test_first_dip_at_period_of_sine(self):
         # every period multiple dips, so test the first threshold crossing
         rate, freq = 8000, 250.0
-        x = sine(freq, 1024, rate)
-        d = cmnd_function(rect_frame(x, rate), 500).values
+        d = cmnd_matrix(*lag_matrices(sine(freq, 1024, rate), 500))[0]
         period = int(round(rate / freq))
         first_low = int(np.argmax(d[10:] < 0.15)) + 10
         assert abs(first_low - period) <= 2
@@ -193,7 +197,7 @@ class TestCmnd:
 
     def test_constant_signal_degenerate_case(self):
         # zero differences everywhere give the defined fallback value 1
-        d = cmnd_function(rect_frame(np.zeros(128), 8000), 60).values
+        d = cmnd_matrix(*lag_matrices(np.zeros(128), 60))[0]
         assert d[0] == 1.0
         assert np.all(d[1:] == 1.0)
 
