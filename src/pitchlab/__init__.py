@@ -1,120 +1,39 @@
-"""Note-level monophonic pitch estimation, noise mixing and benchmarking."""
+"""Note-level monophonic pitch estimation, noise mixing and benchmarking.
 
-from .audio_io import read_wav, write_wav
-from .ensemble import (
-    DEFAULT_MEMBERS,
-    EnsembleSpec,
-    ExternalEstimator,
-    ensemble_estimate,
-    fuse_votes,
-    load_ensemble_spec,
-    run_external,
-)
-from .errors import (
-    ConfigOutOfRange,
-    CountMismatch,
-    EmptyBuffer,
-    InvalidAnnotation,
-    LagOutOfRange,
-    LpcUnstable,
-    NonPositiveFrequency,
-    NonPowerOfTwo,
-    PitchlabError,
-    SampleRateMismatch,
-    SilentNoise,
-)
+The names below are the documented API (see README.md, "Public API").
+Everything else is reached through its module, e.g. pitchlab.evaluation.
+"""
+
+from .ensemble import EnsembleSpec, ensemble_estimate
+from .errors import PitchlabError
 from .estimators import (
     DEFAULT_CONFIGS,
+    REGISTRY,
     EstimatorConfig,
     NoteAnalysis,
     PitchEstimate,
-    REGISTRY,
-    default_config,
     estimate_note,
     estimate_note_many,
-    load_estimator_configs,
 )
-from .evaluation import (
-    ErrorReport,
-    NoteSegment,
-    SongAnnotation,
-    hz_to_midi,
-    midi_to_hz,
-    pitch_error,
-    read_annotation,
-    render_report,
-    run_benchmark,
-    synth_song,
-    write_annotation,
-)
-from .noise import (
-    DEFAULT_SNRS_DB,
-    NoiseRef,
-    NoiseSource,
-    Scenario,
-    default_scenario_grid,
-    measure_snr,
-    mix_at_snr,
-    scenario_grid,
-    synth_noise,
-)
-from .sigproc import AudioBuffer, Frame, Spectrum, frame_signal, magnitude_spectrum
+from .evaluation import run_benchmark
+from .noise import measure_snr, mix_at_snr
+from .sigproc import AudioBuffer
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer",
-    "ConfigOutOfRange",
-    "CountMismatch",
     "DEFAULT_CONFIGS",
-    "DEFAULT_MEMBERS",
-    "DEFAULT_SNRS_DB",
-    "EmptyBuffer",
     "EnsembleSpec",
-    "ErrorReport",
     "EstimatorConfig",
-    "ExternalEstimator",
-    "Frame",
-    "InvalidAnnotation",
-    "LagOutOfRange",
-    "LpcUnstable",
-    "NoiseRef",
-    "NoiseSource",
-    "NonPositiveFrequency",
-    "NonPowerOfTwo",
     "NoteAnalysis",
-    "NoteSegment",
     "PitchEstimate",
     "PitchlabError",
     "REGISTRY",
-    "SampleRateMismatch",
-    "Scenario",
-    "SilentNoise",
-    "SongAnnotation",
-    "Spectrum",
-    "default_config",
-    "default_scenario_grid",
     "ensemble_estimate",
     "estimate_note",
     "estimate_note_many",
-    "frame_signal",
-    "fuse_votes",
-    "hz_to_midi",
-    "load_ensemble_spec",
-    "load_estimator_configs",
-    "magnitude_spectrum",
     "measure_snr",
-    "midi_to_hz",
     "mix_at_snr",
-    "pitch_error",
-    "read_annotation",
-    "read_wav",
-    "render_report",
     "run_benchmark",
-    "run_external",
-    "scenario_grid",
-    "synth_noise",
-    "synth_song",
-    "write_annotation",
-    "write_wav",
 ]

@@ -1,7 +1,8 @@
 """Command line front end: estimate, mix, bench and report subcommands.
 
-Exit codes: 0 success, 2 unreadable or out-of-range input or sample-rate
-mismatch, 3 invalid annotation, 4 benchmark with zero successful songs.
+Exit codes: 0 success, 2 unreadable or out-of-range input, sample-rate
+mismatch or a mix into a silent signal, 3 invalid annotation (non-UTF-8
+text included), 4 benchmark with zero successful songs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .ensemble import (
     ensemble_estimate,
     load_ensemble_spec,
 )
-from .errors import InvalidAnnotation, PitchlabError, SampleRateMismatch
+from .errors import InvalidAnnotation, PitchlabError
 from .estimators import REGISTRY, check_json, estimate_note, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
@@ -163,12 +164,12 @@ def cmd_mix(args) -> int:
 
     try:
         mixed = mix_at_snr(signal, noise, args.snr)
-    except (SampleRateMismatch, PitchlabError) as exc:
-        return _fail(EX_INPUT, str(exc))
+        # a silent signal takes no noise at any SNR, and measure_snr rejects that
+        achieved = measure_snr(signal.samples, mixed.samples - signal.samples)
+    except PitchlabError as exc:
+        return _fail(EX_INPUT, f"cannot mix at {args.snr:g} dB SNR: {exc}")
 
     write_wav(args.out, mixed)
-    noise_component = mixed.samples - signal.samples
-    achieved = measure_snr(signal.samples, noise_component)
     print(f"achieved_snr_db {achieved:.4f}")
     return EX_OK
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
+    DEFAULT_CONFIGS,
     REGISTRY,
     EstimatorConfig,
     NoteAnalysis,
@@ -82,7 +83,7 @@ class EnsembleSpec:
 
     def member_configs(self) -> dict[str, EstimatorConfig]:
         return {
-            name: self.configs.get(name) or REGISTRY[name].default_config
+            name: self.configs.get(name) or DEFAULT_CONFIGS[name]
             for name in self.members
         }
 

@@ -128,13 +128,6 @@ DEFAULT_CONFIGS: dict[str, EstimatorConfig] = {
 }
 
 
-def default_config(method: str) -> EstimatorConfig:
-    try:
-        return DEFAULT_CONFIGS[method]
-    except KeyError:
-        raise KeyError(f"unknown estimator {method!r}; known: {sorted(DEFAULT_CONFIGS)}")
-
-
 _JSON_KINDS = {str: "a string", int: "an integer", float: "a number", dict: "a JSON object"}
 
 
@@ -166,9 +159,13 @@ def check_json(value, kind, what: str = ""):
         raise ValueError(f"{name} is too large for a float") from None
 
 
-# The JSON shape of per-method config overrides.
+# The JSON shape of per-method config overrides. Only the comb scorers read
+# n_harmonics, so only they accept it.
+_RANGE_FIELDS = {"f_min": float, "f_max": float}
 CONFIG_OVERRIDES = {
-    name: {"f_min": float, "f_max": float, "n_harmonics": int} for name in DEFAULT_CONFIGS
+    name: {**_RANGE_FIELDS, "n_harmonics": int} if name in ("hps", "stft", "ml", "srh")
+    else _RANGE_FIELDS
+    for name in DEFAULT_CONFIGS
 }
 
 
@@ -177,7 +174,8 @@ def parse_config_overrides(raw, source) -> dict[str, EstimatorConfig]:
 
     Each override is partial: unspecified fields keep the method's
     default. f_min and f_max must be JSON numbers and n_harmonics a JSON
-    integer. Anything malformed raises ValueError naming the source.
+    integer, accepted only by hps, stft, ml and srh. Anything malformed
+    raises ValueError naming the source.
     """
     try:
         overrides = check_json(raw, CONFIG_OVERRIDES)
@@ -521,12 +519,7 @@ def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
     a, stable = _lpc_coefficients(x, order)
     if not stable[0]:
         raise LpcUnstable("frame has no energy to predict, or the prediction error collapsed")
-    return Frame(
-        samples=_inverse_filter(a, x)[0],
-        start_index=frame.start_index,
-        window_kind=frame.window_kind,
-        sample_rate=frame.sample_rate,
-    )
+    return Frame(_inverse_filter(a, x)[0], frame.sample_rate)
 
 
 def srh_scores(
@@ -556,24 +549,19 @@ class NoteAnalysis:
     Built once per note so the estimators (and the ensemble) never repeat
     FFT work. Frames and spectra are held as (n_frames x n) matrices that
     the method kernels score whole; the per-frame Frame and Spectrum lists
-    are views of their rows. All properties are lazy.
+    are views of their rows. Frames start HOP samples apart, and spectra
+    are zero-padded to N_FFT points (or the frame length, if longer). All
+    properties are lazy.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
     rect_corr by name and counts Spectrum objects per frame, so the
     per-frame object layer stays until the benchmark stops reading it.
     """
 
-    def __init__(
-        self,
-        note: AudioBuffer,
-        frame_len: int = FRAME_LEN,
-        hop: int = HOP,
-        n_fft: int = N_FFT,
-    ):
+    def __init__(self, note: AudioBuffer, frame_len: int = FRAME_LEN):
         self.note = note
         self.frame_len = frame_len
-        self.hop = hop
-        self.n_fft = max(n_fft, frame_len)
+        self.n_fft = max(N_FFT, frame_len)
 
     @property
     def sample_rate(self) -> int:
@@ -584,13 +572,9 @@ class NoteAnalysis:
         return self.sample_rate / self.n_fft
 
     @cached_property
-    def rect_frames(self) -> list[Frame]:
-        return frame_signal(self.note, self.frame_len, self.hop, "rectangular")
-
-    @cached_property
     def rect_matrix(self) -> np.ndarray:
         """The rectangular frames as one (n_frames x frame_len) matrix."""
-        return np.stack([f.samples for f in self.rect_frames])
+        return frame_signal(self.note, self.frame_len, HOP)
 
     @cached_property
     def frame_rms(self) -> np.ndarray:
@@ -613,10 +597,7 @@ class NoteAnalysis:
     @cached_property
     def hann_frames(self) -> list[Frame]:
         """The rows of hann_matrix as frames (views); no kernel reads them."""
-        return [
-            Frame(row, f.start_index, "hann", f.sample_rate)
-            for row, f in zip(self.hann_matrix, self.rect_frames)
-        ]
+        return [Frame(row, self.sample_rate) for row in self.hann_matrix]
 
     @cached_property
     def magnitudes(self) -> np.ndarray:
@@ -630,7 +611,7 @@ class NoteAnalysis:
 
     @cached_property
     def spectrogram(self) -> Spectrogram:
-        return Spectrogram(tuple(self.spectra), self.hop)
+        return Spectrogram(tuple(self.spectra), HOP)
 
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -710,25 +691,20 @@ def _note_yin(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 @dataclass(frozen=True)
 class NoteMethod:
-    """Registry entry tying a method name to its note-level entry point."""
+    """Registry entry holding a method's note-level entry point."""
 
-    name: str
-    default_config: EstimatorConfig
     note_fn: Callable[[NoteAnalysis, EstimatorConfig], PitchEstimate]
 
 
 REGISTRY: dict[str, NoteMethod] = {
-    name: NoteMethod(name, DEFAULT_CONFIGS[name], fn)
-    for name, fn in {
-        "acf": _note_acf,
-        "nsdf": _note_nsdf,
-        "yin": _note_yin,
-        "hps": _note_hps,
-        "stft": _note_stft,
-        "ml": _note_ml,
-        "cepstrum": _note_cepstrum,
-        "srh": _note_srh,
-    }.items()
+    "acf": NoteMethod(_note_acf),
+    "nsdf": NoteMethod(_note_nsdf),
+    "yin": NoteMethod(_note_yin),
+    "hps": NoteMethod(_note_hps),
+    "stft": NoteMethod(_note_stft),
+    "ml": NoteMethod(_note_ml),
+    "cepstrum": NoteMethod(_note_cepstrum),
+    "srh": NoteMethod(_note_srh),
 }
 
 
@@ -751,5 +727,5 @@ def estimate_note_many(
         entry = REGISTRY.get(name)
         if entry is None:
             raise KeyError(f"unknown estimator {name!r}; known: {sorted(REGISTRY)}")
-        out[name] = entry.note_fn(analysis, cfg or entry.default_config)
+        out[name] = entry.note_fn(analysis, cfg or DEFAULT_CONFIGS[name])
     return out

@@ -135,10 +135,17 @@ class SongAnnotation:
 
 
 def read_annotation(path, song_id: str | None = None, audio_path: str | None = None) -> SongAnnotation:
-    """Parse a sidecar annotation: one "onset_sec offset_sec f0_hz" per line."""
+    """Parse a sidecar annotation: one "onset_sec offset_sec f0_hz" per line.
+
+    Raises InvalidAnnotation on any malformed content, text that is not
+    UTF-8 included; OSError only when the file cannot be read.
+    """
     path = Path(path)
     notes = []
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidAnnotation(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -1,19 +1,18 @@
-"""Core signal types and frame-level transforms.
+"""Core signal types, framing and the spectral and lag transforms.
 
-Audio is handled as mono float64 throughout. Frames are windowed at
-extraction time so downstream transforms never re-window; the window
-choice is recorded on the frame itself.
+Audio is handled as mono float64 throughout. A note's frames are the rows
+of one (n_frames x frame_len) matrix, and the transforms work on whole
+matrices along their last axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyBuffer, LagOutOfRange, NonPowerOfTwo
-
-WINDOW_KINDS = ("rectangular", "hann")
 
 # Frames quieter than this RMS are treated as silence by the estimators.
 SILENCE_RMS = 1e-5
@@ -57,32 +56,13 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class Frame:
-    """One analysis frame, already windowed.
-
-    start_index is the offset of the frame's first sample in the source
-    signal. window_kind records which window was applied at extraction.
-    """
+    """One frame's samples with their sample rate."""
 
     samples: np.ndarray
-    start_index: int
-    window_kind: str
     sample_rate: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_float_vector(self.samples))
-        if self.window_kind not in WINDOW_KINDS:
-            raise ValueError(f"unknown window kind {self.window_kind!r}")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def rms(self) -> float:
-        if self.samples.size == 0:
-            return 0.0
-        return float(np.sqrt(np.mean(self.samples**2)))
 
 
 def _check_magnitudes(mags: np.ndarray) -> None:
@@ -160,31 +140,12 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
 
-# NoteAnalysis stacks these frames again; kept while perfbench's tracer patches it.
-def frame_signal(
-    buffer: AudioBuffer,
-    frame_len: int,
-    hop: int,
-    window_kind: str = "rectangular",
-) -> list[Frame]:
-    """Split a buffer into windowed frames.
+def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
+    """The buffer's frames as the rows of one (n_frames x frame_len) matrix.
 
-    Parameters
-    ----------
-    buffer : AudioBuffer
-        Non-empty input signal.
-    frame_len : int
-        Samples per frame.
-    hop : int
-        Step between frame starts, at least 1.
-    window_kind : str
-        "rectangular" or "hann" (periodic).
-
-    Returns
-    -------
-    list of Frame
-        floor((len - frame_len) / hop) + 1 frames. A signal shorter than
-        frame_len yields exactly one zero-padded frame.
+    There are floor((len - frame_len) / hop) + 1 frames, each a copy of
+    frame_len samples starting hop after the last. A buffer shorter than
+    frame_len yields exactly one zero-padded frame.
     """
     if len(buffer) == 0:
         raise EmptyBuffer("cannot frame an empty buffer")
@@ -192,33 +153,12 @@ def frame_signal(
         raise ValueError("frame_len must be >= 1")
     if hop < 1:
         raise ValueError("hop must be >= 1")
-    if window_kind not in WINDOW_KINDS:
-        raise ValueError(f"unknown window kind {window_kind!r}")
-
     x = buffer.samples
     if x.size < frame_len:
-        padded = np.zeros(frame_len, dtype=np.float64)
-        padded[: x.size] = x
-        starts = [0]
-        chunks = [padded]
-    else:
-        n_frames = (x.size - frame_len) // hop + 1
-        starts = [i * hop for i in range(n_frames)]
-        chunks = [x[s : s + frame_len] for s in starts]
-
-    window = hann_window(frame_len) if window_kind == "hann" else None
-    frames = []
-    for start, chunk in zip(starts, chunks):
-        samples = chunk * window if window is not None else chunk.copy()
-        frames.append(
-            Frame(
-                samples=samples,
-                start_index=start,
-                window_kind=window_kind,
-                sample_rate=buffer.sample_rate,
-            )
-        )
-    return frames
+        frames = np.zeros((1, frame_len), dtype=np.float64)
+        frames[0, : x.size] = x
+        return frames
+    return sliding_window_view(x, frame_len)[::hop].copy()
 
 
 # ---------------------------------------------------------------------------

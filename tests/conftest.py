@@ -24,12 +24,7 @@ def saw_buffer(freq, seconds=0.5, sample_rate=44100, amp=0.3):
 
 
 def rect_frame(samples, sample_rate=44100):
-    return Frame(
-        samples=np.asarray(samples, dtype=np.float64),
-        start_index=0,
-        window_kind="rectangular",
-        sample_rate=sample_rate,
-    )
+    return Frame(np.asarray(samples, dtype=np.float64), sample_rate)
 
 
 def one_frame_estimate(method, samples, rate, cfg=None):

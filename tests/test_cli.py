@@ -112,6 +112,8 @@ class TestEstimate:
         {"configs": {"hps": {"f_min": "80"}}},
         {"configs": {"ml": {"f_max": False}}},
         {"external": {"command": "true", "timeout_s": float("nan")}},
+        {"members": ["yin", "hps"], "configs": {"yin": {"n_harmonics": 7}}},
+        {"members": ["acf", "nsdf", "cepstrum"], "configs": {"cepstrum": {"n_harmonics": 2}}},
     ])
     def test_malformed_ensemble_spec_is_exit_2(self, spec, song, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -126,6 +128,27 @@ class TestEstimate:
         assert_one_line_input_error(*run_cli(
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", "yin", "--config", str(path)))
+
+    @pytest.mark.parametrize("method", ["acf", "nsdf", "yin", "cepstrum"])
+    def test_n_harmonics_outside_the_combs_is_exit_2(self, method, song, tmp_path, capsys):
+        # only hps, stft, ml and srh score harmonics; elsewhere the field did nothing
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({method: {"n_harmonics": 7}}))
+        assert_one_line_input_error(*run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
+            "--method", method, "--config", str(path)))
+
+    @pytest.mark.parametrize("content", [
+        b"0.0 0.5 220.0\n\xff\xfe\n",
+        "0.0 0.5 220.0\n".encode("utf-16"),
+    ], ids=["invalid-bytes", "utf-16"])
+    def test_non_utf8_annotation_is_exit_3(self, content, song, tmp_path, capsys):
+        bad = tmp_path / "bad.notes"
+        bad.write_bytes(content)
+        code, out, err = run_cli(capsys, "estimate", song.audio_path, str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "UTF-8" in err
 
 
 class TestMix:
@@ -186,6 +209,15 @@ class TestMix:
         out_path = tmp_path / "o.wav"
         assert_one_line_input_error(*run_cli(
             capsys, "mix", song.audio_path, "synth:white", f"--snr={snr}", "--out", str(out_path)))
+        assert not out_path.exists()
+
+    def test_silent_signal_is_exit_2_and_writes_nothing(self, capsys, tmp_path):
+        # a zero-power signal takes a noise gain of 0, so no SNR can be reached
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, AudioBuffer(np.zeros(8000), 8000))
+        out_path = tmp_path / "o.wav"
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", str(silent), "synth:white", "--snr", "0", "--out", str(out_path)))
         assert not out_path.exists()
 
 
@@ -258,6 +290,15 @@ class TestBench:
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path / "none.json"))
         assert code == 2
+
+    def test_non_utf8_annotation_is_exit_3(self, tmp_path, capsys):
+        notes = tmp_path / "latin1.notes"
+        notes.write_bytes("# chanson \u00e9t\u00e9\n0.0 0.5 220.0\n".encode("latin-1"))
+        path = self.bench_config(tmp_path, songs={"annotations": [str(notes)]})
+        code, out, err = run_cli(capsys, "bench", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_zero_successful_songs_is_exit_4(self, tmp_path, capsys):
         notes = tmp_path / "ghost.notes"

@@ -12,13 +12,14 @@ from pitchlab.estimators import (
     NoteAnalysis,
     PitchEstimate,
     REGISTRY,
+    _acf_lag,
     _cepstrum_f0s,
     _comb_f0s,
     _log_comb,
     _residual_comb,
     _srh_f0s,
     _sum_comb,
-    default_config,
+    _yin_lag,
     estimate_note,
     estimate_note_many,
     load_estimator_configs,
@@ -41,16 +42,16 @@ QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0  # about 2.93 percent
 
 
 def test_default_search_ranges():
-    assert default_config("acf") == EstimatorConfig(20.0, 1000.0, 1)
-    assert default_config("nsdf") == EstimatorConfig(20.0, 1000.0, 1)
-    assert default_config("yin") == EstimatorConfig(20.0, 1000.0, 1)
-    assert default_config("hps") == EstimatorConfig(80.0, math.inf, 3)
-    assert default_config("stft") == EstimatorConfig(80.0, 1000.0, 4)
-    assert default_config("ml") == EstimatorConfig(80.0, 800.0, 5)
-    assert default_config("cepstrum") == EstimatorConfig(20.0, 1000.0, 1)
-    assert default_config("srh") == EstimatorConfig(80.0, 500.0, 5)
-    with pytest.raises(KeyError):
-        default_config("melodia")
+    assert DEFAULT_CONFIGS == {
+        "acf": EstimatorConfig(20.0, 1000.0, 1),
+        "nsdf": EstimatorConfig(20.0, 1000.0, 1),
+        "yin": EstimatorConfig(20.0, 1000.0, 1),
+        "hps": EstimatorConfig(80.0, math.inf, 3),
+        "stft": EstimatorConfig(80.0, 1000.0, 4),
+        "ml": EstimatorConfig(80.0, 800.0, 5),
+        "cepstrum": EstimatorConfig(20.0, 1000.0, 1),
+        "srh": EstimatorConfig(80.0, 500.0, 5),
+    }
 
 
 def test_config_validation():
@@ -104,10 +105,30 @@ def test_acf_exact_on_integer_period():
 
 
 def test_acf_prefers_longest_lag_on_tie():
-    # a sine has equal correlation peaks at every period multiple inside
-    # the window; the longest lag (lowest frequency) must win
-    est = one_frame_estimate("acf", sine(400.0, 2048, 8000), 8000)
-    assert est.f0 < 450.0
+    # hand-built autocorrelation rows over lags 0..6, window [1, 5]: the
+    # first ties at lags 2 and 4 and the second at every lag, so the longest
+    # tied lag (lowest frequency) wins; the third has a single peak
+    r = np.array([
+        [10.0, 2.0, 5.0, 1.0, 5.0, 0.0, 9.0],
+        [10.0, 3.0, 3.0, 3.0, 3.0, 3.0, 9.0],
+        [10.0, 1.0, 6.0, 1.0, 5.0, 0.0, 9.0],
+    ])
+    assert _acf_lag(r, 1, 5).tolist() == [4, 5, 2]
+
+
+def test_yin_follows_first_dip_to_its_floor():
+    # hand-built CMND rows over lags 0..7, window [1, 6]; every floor has
+    # equal neighbours, so parabolic refinement leaves the lag unchanged
+    d = np.array([
+        # first dip at lag 2, descending to its floor at lag 4
+        [1.0, 0.9, 0.12, 0.08, 0.04, 0.08, 0.9, 0.9],
+        # the first dip is its own floor; a deeper dip later does not count
+        [1.0, 0.5, 0.10, 0.5, 0.05, 0.5, 0.9, 0.9],
+        # no dip under the threshold: the window's minimum, ties to the longest lag
+        [1.0, 0.5, 0.30, 0.5, 0.30, 0.5, 0.9, 0.9],
+    ])
+    assert d[:, 1:7].min(axis=1)[:2].max() < YIN_THRESHOLD < d[2, 1:7].min()
+    assert _yin_lag(d, 1, 6).tolist() == [4.0, 2.0, 4.0]
 
 
 def test_yin_finds_fundamental_not_subharmonic():

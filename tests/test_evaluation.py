@@ -6,7 +6,7 @@ import pytest
 from pitchlab.audio_io import write_wav
 from pitchlab.ensemble import EnsembleSpec
 from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
-from pitchlab.estimators import REGISTRY, NoteMethod, PitchEstimate, default_config
+from pitchlab.estimators import REGISTRY, NoteMethod, PitchEstimate
 from pitchlab.evaluation import (
     ErrorReport,
     NoteSegment,
@@ -178,7 +178,7 @@ class TestSynthSong:
 
 
 def constant_method(name, value):
-    return NoteMethod(name, default_config(name), lambda analysis, cfg: PitchEstimate(value, name))
+    return NoteMethod(lambda analysis, cfg: PitchEstimate(value, name))
 
 
 @pytest.fixture

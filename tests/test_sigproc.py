@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pitchlab.errors import EmptyBuffer, LagOutOfRange, NonPowerOfTwo
+from pitchlab.estimators import NoteAnalysis
 from pitchlab.sigproc import (
     AudioBuffer,
-    Frame,
     autocorr_matrix,
     autocorrelation,
     cmnd_matrix,
@@ -70,25 +70,34 @@ class TestFrameSignal:
         for total, flen, hop in [(2048, 2048, 512), (4096, 2048, 512), (10000, 1024, 256)]:
             buf = AudioBuffer(np.arange(total, dtype=float), 44100)
             frames = frame_signal(buf, flen, hop)
-            assert len(frames) == (total - flen) // hop + 1
+            assert frames.shape == ((total - flen) // hop + 1, flen)
 
     def test_short_signal_zero_pads_one_frame(self):
         buf = AudioBuffer(np.ones(100), 44100)
         frames = frame_signal(buf, 256, 64)
-        assert len(frames) == 1
-        assert np.all(frames[0].samples[:100] == 1.0)
-        assert np.all(frames[0].samples[100:] == 0.0)
+        assert frames.shape == (1, 256)
+        assert np.all(frames[0, :100] == 1.0)
+        assert np.all(frames[0, 100:] == 0.0)
 
     def test_start_indices_and_content(self):
-        buf = AudioBuffer(np.arange(3000, dtype=float), 44100)
-        frames = frame_signal(buf, 1024, 512)
-        for f in frames:
-            assert f.samples[0] == float(f.start_index)
+        x = np.arange(3000, dtype=float)
+        frames = frame_signal(AudioBuffer(x, 44100), 1024, 512)
+        for i, row in enumerate(frames):
+            assert np.array_equal(row, x[512 * i : 512 * i + 1024])
+
+    def test_frames_do_not_alias_the_buffer(self):
+        x = np.arange(3000, dtype=float)
+        frames = frame_signal(AudioBuffer(x, 44100), 1024, 512)
+        frames[0, 0] = -1.0
+        assert x[0] == 0.0
+        assert frames.flags.c_contiguous
 
     def test_hann_windowing_applied(self):
-        buf = AudioBuffer(np.ones(2048), 44100)
-        frame = frame_signal(buf, 2048, 512, "hann")[0]
-        assert np.allclose(frame.samples, hann_window(2048))
+        # the Hann frames are the rectangular frames times one periodic window
+        analysis = NoteAnalysis(AudioBuffer(np.linspace(-1.0, 1.0, 5000), 44100))
+        assert np.array_equal(analysis.hann_matrix, analysis.rect_matrix * hann_window(2048))
+        rows = [f.samples for f in analysis.hann_frames]
+        assert np.array_equal(np.stack(rows), analysis.hann_matrix)
 
     def test_empty_buffer_raises(self):
         buf = AudioBuffer(np.zeros(10), 8000)
@@ -96,10 +105,12 @@ class TestFrameSignal:
             frame_signal(AudioBuffer(np.zeros(0), 8000), 256, 64)
         assert len(frame_signal(buf, 256, 64)) == 1
 
-    def test_bad_window_kind(self):
+    def test_rejects_bad_frame_len_and_hop(self):
         buf = AudioBuffer(np.zeros(512), 8000)
         with pytest.raises(ValueError):
-            frame_signal(buf, 256, 64, "hamming")
+            frame_signal(buf, 0, 64)
+        with pytest.raises(ValueError):
+            frame_signal(buf, 256, 0)
 
 
 class TestMagnitudeSpectrum:
@@ -207,10 +218,9 @@ def test_concat_framing_is_lossless():
     x = np.arange(4096, dtype=float)
     buf = AudioBuffer(x, 44100)
     frames = frame_signal(buf, 1024, 1024)
-    rebuilt = np.concatenate([f.samples for f in frames])
-    assert np.array_equal(rebuilt, x)
+    assert np.array_equal(frames.ravel(), x)
 
 
 def test_frame_rms():
-    f = rect_frame(np.array([3.0, -4.0, 3.0, -4.0]), 8000)
-    assert f.rms == pytest.approx(3.5355339059, rel=1e-9)
+    analysis = NoteAnalysis(AudioBuffer(np.array([3.0, -4.0, 3.0, -4.0]), 8000), frame_len=4)
+    assert analysis.frame_rms == pytest.approx([3.5355339059], rel=1e-9)
