@@ -1,8 +1,10 @@
 """Command line front end: estimate, mix, bench and report subcommands.
 
-Exit codes: 0 success, 2 unreadable or out-of-range input, sample-rate
-mismatch or a mix into a silent signal, 3 invalid annotation (non-UTF-8
-text included), 4 benchmark with zero successful songs.
+Exit codes: 0 success, 2 unreadable or out-of-range input, an output
+path that cannot be written, an option that does not apply to the chosen
+method, sample-rate mismatch or a mix into a silent signal, 3 invalid
+annotation (non-UTF-8 text included), 4 benchmark with zero successful
+songs.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ def cmd_estimate(args) -> int:
     if method != ENSEMBLE_METHOD and method not in REGISTRY:
         known = sorted(REGISTRY) + [ENSEMBLE_METHOD]
         return _fail(EX_INPUT, f"unknown method {method!r}; known: {known}")
+    if method == ENSEMBLE_METHOD and args.config:
+        return _fail(EX_INPUT, "--config does not apply to the ensemble; give member "
+                     "overrides under the \"configs\" key of an --ensemble-spec")
+    if method != ENSEMBLE_METHOD and args.ensemble_spec:
+        return _fail(EX_INPUT, f"--ensemble-spec applies only to --method {ENSEMBLE_METHOD}; "
+                     f"give {method} overrides with --config, in the shape of the spec's "
+                     "\"configs\" key")
 
     try:
         spec = _load_spec(args.ensemble_spec) if method == ENSEMBLE_METHOD else None
@@ -169,7 +178,10 @@ def cmd_mix(args) -> int:
     except PitchlabError as exc:
         return _fail(EX_INPUT, f"cannot mix at {args.snr:g} dB SNR: {exc}")
 
-    write_wav(args.out, mixed)
+    try:
+        write_wav(args.out, mixed)
+    except OSError as exc:
+        return _fail(EX_INPUT, f"cannot write {args.out}: {exc}")
     print(f"achieved_snr_db {achieved:.4f}")
     return EX_OK
 
@@ -226,6 +238,10 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m != ENSEMBLE_METHOD and m not in REGISTRY:
             return _fail(EX_INPUT, f"unknown method {m!r} in benchmark config")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(EX_INPUT, f"cannot create output directory {out_dir}: {exc}")
 
     songs_cfg = config.get("songs", {})
     if "annotations" in songs_cfg:
@@ -273,11 +289,13 @@ def cmd_bench(args) -> int:
     if not report.cells and not report.clean:
         return _fail(EX_NO_SONGS, "no songs could be evaluated")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     table_path = out_dir / "results.txt"
-    csv_path.write_text(render_long_csv(report), encoding="utf-8")
-    table_path.write_text(render_report(report, "text-table"), encoding="utf-8")
+    try:
+        csv_path.write_text(render_long_csv(report), encoding="utf-8")
+        table_path.write_text(render_report(report, "text-table"), encoding="utf-8")
+    except OSError as exc:
+        return _fail(EX_INPUT, f"cannot write the results into {out_dir}: {exc}")
     print(render_report(report, "text-table"), end="")
     print(f"wrote {csv_path} and {table_path}", file=sys.stderr)
     return EX_OK
@@ -296,7 +314,10 @@ def cmd_report(args) -> int:
         return _fail(EX_INPUT, f"cannot read results CSV {args.csv}: {exc}")
     rendered = render_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            return _fail(EX_INPUT, f"cannot write {args.out}: {exc}")
     else:
         print(rendered, end="")
     return EX_OK

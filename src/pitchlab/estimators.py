@@ -372,8 +372,46 @@ def _inverse_filter(a: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return np.einsum("itk,ik->it", windows, a[:, ::-1])
 
 
+def _filter_tail(a: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """The order samples y[n + j] = sum_{m > j} a[m] x[n + j - m], j < order,
+    by which the inverse filter's full convolution runs past each n-sample
+    frame."""
+    order = a.shape[1] - 1
+    end = frames[:, -order:]
+    return np.stack(
+        [np.einsum("ij,ij->i", a[:, j + 1 :], end[:, j:][:, ::-1]) for j in range(order)],
+        axis=1,
+    )
+
+
+def _residual_magnitudes(
+    a: np.ndarray, frames: np.ndarray, spectrum: np.ndarray, pad: int
+) -> np.ndarray:
+    """|rfft(_inverse_filter(a, frames), n=pad)| on the bins spectrum holds.
+
+    spectrum holds the leading bins of rfft(frames, n=pad). The residual is
+    the full convolution of a frame with its predictor less the samples
+    past the frame end, so its spectrum is R = A X - T: A is the
+    predictor's DFT, X the frame's and T the tail's. The tail's phase is
+    pad-periodic, so this holds also where the tail wraps past pad.
+    """
+    order, top = a.shape[1] - 1, spectrum.shape[1]
+    k = np.arange(top)
+    # w[m, k] = exp(-2 pi i m k / pad) for lags m = 0..order, and the same
+    # rows moved to lag n + m for the tail of an n-sample frame
+    w = np.ones((order + 1, top), dtype=complex)
+    np.cumprod(np.broadcast_to(np.exp(-2j * np.pi * k / pad), (order, top)), axis=0, out=w[1:])
+    w_tail = w[:order] * np.exp(-2j * np.pi * (frames.shape[1] * k % pad / pad))
+    # Real rows times complex columns, through float64 views. einsum rather
+    # than @: a BLAS product faults in its work buffer, which stays resident.
+    A = np.einsum("im,mk->ik", a, w.view(np.float64)).view(complex)
+    T = np.einsum("ij,jk->ik", _filter_tail(a, frames), w_tail.view(np.float64)).view(complex)
+    return np.abs(A * spectrum - T)
+
+
 def _srh_f0s(
     frames: np.ndarray,
+    spectrum: np.ndarray,
     live: np.ndarray,
     sample_rate: int,
     n_fft: int,
@@ -383,18 +421,29 @@ def _srh_f0s(
 
     Each live frame is whitened by its own 12th-order predictor, and its
     residual's zero-padded magnitude spectrum is scored by _residual_comb.
-    Frames whose recursion breaks down vote unvoiced.
+    spectrum holds the leading bins of the frames' complex spectra,
+    zero-padded to n_fft points (or the frame length); the residual's is
+    built from them by _residual_magnitudes, on the bins the comb reads
+    only. Where spectrum stops short of those bins, the frames are
+    transformed again. Frames whose recursion breaks down vote unvoiced.
     """
     f0s = np.full(frames.shape[0], np.nan)
     a, stable = _lpc_coefficients(frames, LPC_ORDER)
     rows = np.flatnonzero(live & stable)
     if rows.size:
         pad = max(n_fft, frames.shape[1])
-        residual = _inverse_filter(a[rows], frames[rows])
-        mags = np.abs(np.fft.rfft(residual, n=pad, axis=1))
+        n_bins, bin_hz = pad // 2 + 1, sample_rate / pad
+        bins = _spectral_band(n_bins, bin_hz, cfg)
+        top = min(n_bins, bins[-1] * cfg.n_harmonics + 1)
+        x = frames[rows]
+        if spectrum.shape[1] >= top:
+            x_spectrum = spectrum[rows, :top]
+        else:
+            x_spectrum = np.fft.rfft(x, n=pad, axis=1)[:, :top]
+        mags = _residual_magnitudes(a[rows], x, x_spectrum, pad)
         _check_magnitudes(mags)
-        every = np.ones(rows.size, dtype=bool)
-        f0s[rows] = _comb_f0s(mags, every, sample_rate / pad, cfg, _residual_comb)
+        best = bins[np.argmax(_residual_comb(mags, bins, cfg.n_harmonics), axis=1)]
+        f0s[rows] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
     return f0s
 
 
@@ -543,13 +592,19 @@ def srh_scores(
 # ---------------------------------------------------------------------------
 
 
+# The highest bin srh's default comb reads lies at or below f_max times
+# n_harmonics, so NoteAnalysis keeps the complex Hann spectra up to there.
+_SRH_BAND_HZ = DEFAULT_CONFIGS["srh"].f_max * DEFAULT_CONFIGS["srh"].n_harmonics
+
+
 class NoteAnalysis:
     """Shared per-note framing, spectra and correlations.
 
     Built once per note so the estimators (and the ensemble) never repeat
-    FFT work. Frames and spectra are held as (n_frames x n) matrices that
-    the method kernels score whole; the per-frame Frame and Spectrum lists
-    are views of their rows. Frames start HOP samples apart, and spectra
+    FFT work: one rFFT per frame gives both the Hann magnitudes and the
+    complex band that srh reads. Frames and spectra are held as
+    (n_frames x n) matrices that the method kernels score whole; the
+    per-frame Frame and Spectrum lists are views of their rows. Frames start HOP samples apart, and spectra
     are zero-padded to N_FFT points (or the frame length, if longer). All
     properties are lazy.
 
@@ -600,9 +655,22 @@ class NoteAnalysis:
         return [Frame(row, self.sample_rate) for row in self.hann_matrix]
 
     @cached_property
+    def _hann_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        spectrum = np.fft.rfft(self.hann_matrix, n=self.n_fft, axis=1)
+        band = min(spectrum.shape[1], math.floor(_SRH_BAND_HZ / self.bin_hz) + 1)
+        return np.abs(spectrum), spectrum[:, :band].copy()
+
+    @property
     def magnitudes(self) -> np.ndarray:
         """Zero-padded Hann magnitude spectra, (n_frames x n_fft/2+1)."""
-        return np.abs(np.fft.rfft(self.hann_matrix, n=self.n_fft, axis=1))
+        return self._hann_spectra[0]
+
+    @property
+    def hann_band(self) -> np.ndarray:
+        """The complex Hann spectra's bins up to _SRH_BAND_HZ, from the same
+        rFFT as magnitudes. Only this band is kept: the whole complex matrix
+        would take twice the magnitudes' memory on top of them."""
+        return self._hann_spectra[1]
 
     @cached_property
     def spectra(self) -> list[Spectrum]:
@@ -666,7 +734,12 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     f0s = _srh_f0s(
-        analysis.hann_matrix, analysis.hann_live, analysis.sample_rate, analysis.n_fft, cfg
+        analysis.hann_matrix,
+        analysis.hann_band,
+        analysis.hann_live,
+        analysis.sample_rate,
+        analysis.n_fft,
+        cfg,
     )
     return _frame_votes("srh", f0s)
 

@@ -129,6 +129,25 @@ class TestEstimate:
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", "yin", "--config", str(path)))
 
+    def test_config_with_the_ensemble_is_exit_2(self, song, tmp_path, capsys):
+        # the ensemble reads member configs only from a spec, so --config did nothing
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"hps": {"f_min": 5000}}))
+        code, out, err = run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
+            "--method", "ensemble", "--config", str(path))
+        assert_one_line_input_error(code, out, err)
+        assert '"configs"' in err
+
+    def test_ensemble_spec_with_one_method_is_exit_2(self, song, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"configs": {"hps": {"f_min": 5000}}}))
+        code, out, err = run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
+            "--method", "hps", "--ensemble-spec", str(path))
+        assert_one_line_input_error(code, out, err)
+        assert '"configs"' in err
+
     @pytest.mark.parametrize("method", ["acf", "nsdf", "yin", "cepstrum"])
     def test_n_harmonics_outside_the_combs_is_exit_2(self, method, song, tmp_path, capsys):
         # only hps, stft, ml and srh score harmonics; elsewhere the field did nothing
@@ -220,6 +239,12 @@ class TestMix:
             capsys, "mix", str(silent), "synth:white", "--snr", "0", "--out", str(out_path)))
         assert not out_path.exists()
 
+    def test_unwritable_out_is_exit_2(self, song, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", song.audio_path, "synth:white", "--snr", "0",
+            "--out", str(tmp_path / "file" / "x.wav")))
+
 
 class TestBench:
     def bench_config(self, tmp_path, **overrides):
@@ -308,6 +333,19 @@ class TestBench:
         assert code == 4
         assert "warning" in err
 
+    def test_out_that_is_a_file_is_exit_2_before_scoring(self, tmp_path, capsys, monkeypatch):
+        song = materialize_songs(1, 17, tmp_path / "songs", sample_rate=22050)[0]
+        notes = song.audio_path.replace(".wav", ".notes")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = self.bench_config(tmp_path, songs={"annotations": [notes]}, out=str(taken))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran before --out was checked")
+
+        monkeypatch.setattr("pitchlab.cli.run_benchmark", never)
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
+
 
 class TestExternalEnv:
     def test_overrides_the_command_and_keeps_the_range(self, monkeypatch, tmp_path):
@@ -348,6 +386,14 @@ class TestReport:
     def test_missing_csv_is_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "no.csv"))
         assert code == 2
+
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        bench = TestBench().bench_config(tmp_path)
+        assert run_cli(capsys, "bench", str(bench))[0] == 0
+        (tmp_path / "file").write_text("")
+        assert_one_line_input_error(*run_cli(
+            capsys, "report", str(tmp_path / "out" / "results.csv"),
+            "--out", str(tmp_path / "file" / "table.txt")))
 
     def test_garbage_csv_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

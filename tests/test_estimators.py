@@ -6,6 +6,7 @@ import pytest
 from pitchlab.errors import LpcUnstable
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
+    LPC_ORDER,
     NSDF_PEAK_FRACTION,
     YIN_THRESHOLD,
     EstimatorConfig,
@@ -16,7 +17,10 @@ from pitchlab.estimators import (
     _cepstrum_f0s,
     _comb_f0s,
     _log_comb,
+    _lpc_coefficients,
     _residual_comb,
+    _residual_magnitudes,
+    _spectral_band,
     _srh_f0s,
     _sum_comb,
     _yin_lag,
@@ -452,9 +456,14 @@ def test_note_kernels_match_frame_level_functions():
     assert got["ml"].per_frame == _votes(_row_by_row(ml, mags, live))
     hann, hann_live = analysis.hann_matrix, analysis.hann_live
     cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
-    srh = lambda m, v: _srh_f0s(m, v, fs, analysis.n_fft, cfgs["srh"])
     assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, hann_live))
-    assert got["srh"].per_frame == _votes(_row_by_row(srh, hann, hann_live))
+    band = analysis.hann_band
+    srh = [
+        _srh_f0s(hann[i : i + 1], band[i : i + 1], hann_live[i : i + 1], fs, analysis.n_fft,
+                 cfgs["srh"])
+        for i in range(len(hann))
+    ]
+    assert got["srh"].per_frame == _votes(np.concatenate(srh))
 
     # srh votes unvoiced exactly on silent frames and where the one-frame
     # LPC breaks down, which happens on some live frames
@@ -473,6 +482,44 @@ def test_note_kernels_match_frame_level_functions():
         assert [e is None for e in expected] == silent
         voiced = [v for v in got[method].per_frame if v is not None]
         assert voiced == pytest.approx([e for e in expected if e is not None], rel=1e-12)
+
+
+@pytest.mark.parametrize("frame_len, cfg", [
+    (2048, DEFAULT_CONFIGS["srh"]),
+    # not a power of two
+    (3000, DEFAULT_CONFIGS["srh"]),
+    # the filter's 12-sample tail wraps past the 16384-point FFT length
+    (16384, DEFAULT_CONFIGS["srh"]),
+    # a comb reaching past the complex band NoteAnalysis keeps
+    (2048, EstimatorConfig(80.0, 1000.0, 8)),
+])
+def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
+    # srh builds the residual's spectrum from the Hann spectrum as A X - T;
+    # the reference inverse-filters each frame and transforms it again. On
+    # frames that the predictor all but cancels (the pure tone), the residual
+    # falls to 1e-7 of the frame's spectrum, and either way of computing it
+    # rounds at the frame's scale, so the tolerance has a floor there.
+    analysis = NoteAnalysis(_mixed_note(), frame_len=frame_len)
+    fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_matrix
+    a, stable = _lpc_coefficients(hann, LPC_ORDER)
+    rows = np.flatnonzero(analysis.hann_live & stable)
+    bins = _spectral_band(pad // 2 + 1, fs / pad, cfg)
+    top = bins[-1] * cfg.n_harmonics + 1
+    if cfg == DEFAULT_CONFIGS["srh"]:
+        assert analysis.hann_band.shape[1] >= top
+        x_spectrum = analysis.hann_band[rows, :top]
+    else:
+        x_spectrum = np.fft.rfft(hann[rows], n=pad, axis=1)[:, :top]
+    got = _residual_magnitudes(a[rows], hann[rows], x_spectrum, pad)
+
+    votes = [None] * len(hann)
+    for j, i in enumerate(rows):
+        residual = np.abs(np.fft.rfft(lpc_residual(rect_frame(hann[i], fs)).samples, n=pad))
+        scale = analysis.magnitudes[i].max()
+        np.testing.assert_allclose(got[j], residual[:top], rtol=1e-9, atol=1e-9 * scale)
+        grid, scores = srh_scores(Spectrum(residual, fs / pad), cfg)
+        votes[i] = min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
+    assert rows.size and REGISTRY["srh"].note_fn(analysis, cfg).per_frame == tuple(votes)
 
 
 def _refined_lag(values, tau):
