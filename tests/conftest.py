@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,27 @@ def one_frame_estimate(method, samples, rate, cfg=None):
     """method's estimate on a note analysed as one frame of all its samples."""
     analysis = NoteAnalysis(AudioBuffer(samples, rate), frame_len=len(samples))
     return estimate_note_many(analysis, {method: cfg})[method]
+
+
+def wav_chunk(chunk_id, body):
+    """One RIFF chunk, with the pad byte an odd-sized body takes."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def extensible_fmt_tail(sub_tag, bits):
+    """What follows the 16-byte fmt core in a WAVE_FORMAT_EXTENSIBLE file:
+    cbSize 22, the valid bits, a channel mask of 0 and the sub-format GUID
+    {sub_tag-0000-0010-8000-00AA00389B71}."""
+    return struct.pack("<HHII", 22, bits, 0, sub_tag) + bytes.fromhex("000010008000 00aa00389b71")
+
+
+def wav_bytes(payload, *, tag=3, channels=1, rate=8000, bits=32, fmt_extra=b"",
+              before_data=b""):
+    """A RIFF WAV file: a fmt chunk, the chunks in before_data, then data."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, (rate * block) % 2**32, block, bits)
+    body = b"WAVE" + wav_chunk(b"fmt ", fmt + fmt_extra) + before_data + wav_chunk(b"data", payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 @pytest.fixture

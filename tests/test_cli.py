@@ -17,9 +17,19 @@ from pitchlab.evaluation import NoteSegment
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import sawtooth
+from conftest import sawtooth, wav_bytes
 
 QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0
+
+# A 0.1 s float WAV: a 12-byte RIFF header, fmt (16-byte body) at 12, data at 36.
+VALID_WAV = wav_bytes(np.full(2205, 0.1, dtype=np.float32).tobytes(), rate=22050)
+MALFORMED_WAVS = {
+    "riff_only": b"RIFF",
+    "header_cut_at_20": VALID_WAV[:20],
+    "data_header_cut": VALID_WAV[:40],
+    "fmt_size_past_end": VALID_WAV[:16] + (1000).to_bytes(4, "little") + VALID_WAV[20:],
+    "zero_channels": VALID_WAV[:22] + bytes(2) + VALID_WAV[24:],
+}
 
 
 @pytest.fixture
@@ -157,6 +167,14 @@ class TestEstimate:
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", method, "--config", str(path)))
 
+    @pytest.mark.parametrize("content", MALFORMED_WAVS.values(), ids=MALFORMED_WAVS)
+    def test_malformed_wav_is_exit_2(self, content, song, tmp_path, capsys):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(content)
+        assert_one_line_input_error(*run_cli(
+            capsys, "estimate", str(bad), song.audio_path.replace(".wav", ".notes"),
+            "--method", "hps"))
+
     @pytest.mark.parametrize("content", [
         b"0.0 0.5 220.0\n\xff\xfe\n",
         "0.0 0.5 220.0\n".encode("utf-16"),
@@ -237,6 +255,17 @@ class TestMix:
         out_path = tmp_path / "o.wav"
         assert_one_line_input_error(*run_cli(
             capsys, "mix", str(silent), "synth:white", "--snr", "0", "--out", str(out_path)))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("content", MALFORMED_WAVS.values(), ids=MALFORMED_WAVS)
+    @pytest.mark.parametrize("role", ["signal", "noise"])
+    def test_malformed_wav_is_exit_2(self, role, content, song, capsys, tmp_path):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(content)
+        signal, noise = (bad, "synth:white") if role == "signal" else (song.audio_path, bad)
+        out_path = tmp_path / "o.wav"
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", str(signal), str(noise), "--snr", "0", "--out", str(out_path)))
         assert not out_path.exists()
 
     def test_unwritable_out_is_exit_2(self, song, capsys, tmp_path):
