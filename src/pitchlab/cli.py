@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .audio_io import read_wav, write_wav
 from .ensemble import (
+    DEFAULT_MEMBERS,
     EnsembleSpec,
     ExternalEstimator,
     ensemble_estimate,
@@ -100,7 +101,7 @@ def cmd_estimate(args) -> int:
 
     try:
         spec = _load_spec(args.ensemble_spec) if method == ENSEMBLE_METHOD else None
-        configs = load_estimator_configs(args.config) if args.config else None
+        configs = load_estimator_configs(args.config) if args.config else {}
     except (OSError, ValueError, PitchlabError) as exc:
         return _fail(EX_INPUT, f"bad configuration: {exc}")
 
@@ -123,8 +124,7 @@ def cmd_estimate(args) -> int:
             if method == ENSEMBLE_METHOD:
                 estimate = ensemble_estimate(audio, spec)
             else:
-                cfg = configs[method] if configs else None
-                estimate = estimate_note(audio, method, cfg)
+                estimate = estimate_note(audio, method, configs.get(method))
         except (PitchlabError, ValueError) as exc:
             return _fail(
                 EX_ANNOTATION,
@@ -208,17 +208,31 @@ BENCH_SAMPLE_RATES = (8000, 192000)
 
 
 def _bench_config(path: str) -> dict:
-    """The benchmark config at path, every field type- and range-checked."""
+    """The benchmark config at path, every field type- and range-checked,
+    with "methods" set to its default when absent."""
     with open(path, "r", encoding="utf-8") as fh:
         config = check_json(json.load(fh), BENCH_FIELDS)
     songs = config.get("songs", {})
     lo, hi = BENCH_SAMPLE_RATES
     if not lo <= songs.get("sample_rate", lo) <= hi:
         raise ValueError(f"songs.sample_rate must be in [{lo}, {hi}] Hz")
+    if songs.get("count", 1) < 1:
+        raise ValueError("songs.count must be at least 1")
+    if songs.get("annotations") == []:
+        raise ValueError("songs.annotations must name at least one file")
     if min(config.get("seed", 0), config.get("noises", {}).get("seed", 0)) < 0:
         raise ValueError("seed and noises.seed must be non-negative")
-    for snr in config.get("snrs_db", ()):
+    snrs = config.get("snrs_db", [])
+    for snr in snrs:
         check_snr(snr)
+    if len(set(snrs)) != len(snrs):
+        raise ValueError("snrs_db must not repeat an SNR")
+    methods = config.setdefault("methods", [*DEFAULT_MEMBERS, ENSEMBLE_METHOD])
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError("methods must name at least one method, each once")
+    for m in methods:
+        if m != ENSEMBLE_METHOD and m not in REGISTRY:
+            raise ValueError(f"unknown method {m!r} in methods")
     return config
 
 
@@ -234,10 +248,7 @@ def cmd_bench(args) -> int:
     jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
     out_dir = Path(args.out if args.out is not None else config.get("out", "bench_out"))
 
-    methods = config.get("methods", ["hps", "stft", "ml", "srh", ENSEMBLE_METHOD])
-    for m in methods:
-        if m != ENSEMBLE_METHOD and m not in REGISTRY:
-            return _fail(EX_INPUT, f"unknown method {m!r} in benchmark config")
+    methods = config["methods"]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -291,12 +302,13 @@ def cmd_bench(args) -> int:
 
     csv_path = out_dir / "results.csv"
     table_path = out_dir / "results.txt"
+    table = render_report(report, "text-table")
     try:
         csv_path.write_text(render_long_csv(report), encoding="utf-8")
-        table_path.write_text(render_report(report, "text-table"), encoding="utf-8")
+        table_path.write_text(table, encoding="utf-8")
     except OSError as exc:
         return _fail(EX_INPUT, f"cannot write the results into {out_dir}: {exc}")
-    print(render_report(report, "text-table"), end="")
+    print(table, end="")
     print(f"wrote {csv_path} and {table_path}", file=sys.stderr)
     return EX_OK
 

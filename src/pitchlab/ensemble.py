@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
-    DEFAULT_CONFIGS,
     REGISTRY,
-    EstimatorConfig,
     NoteAnalysis,
     PitchEstimate,
     check_json,
@@ -80,12 +78,6 @@ class EnsembleSpec:
         n_voters = len(self.members) + (1 if self.external else 0)
         if n_voters < MIN_VOICED_VOTES:
             raise ValueError("an ensemble needs at least two voting members")
-
-    def member_configs(self) -> dict[str, EstimatorConfig]:
-        return {
-            name: self.configs.get(name) or DEFAULT_CONFIGS[name]
-            for name in self.members
-        }
 
 
 # The JSON shape of an ensemble spec file; "configs" is checked as overrides.
@@ -183,21 +175,13 @@ def fuse_votes(votes) -> float | None:
     return float(np.median(voiced))
 
 
-def member_votes(
-    analysis: NoteAnalysis,
-    spec: EnsembleSpec,
-    precomputed: dict[str, PitchEstimate] | None = None,
-) -> dict[str, PitchEstimate]:
+def member_votes(analysis: NoteAnalysis, spec: EnsembleSpec) -> dict[str, PitchEstimate]:
     """Per-member note estimates in spec order, the external one last.
 
-    Members found in precomputed are reused rather than estimated again.
+    A member already estimated on the analysis under the same config is
+    reused rather than estimated again.
     """
-    precomputed = precomputed or {}
-    wanted = {
-        name: cfg for name, cfg in spec.member_configs().items() if name not in precomputed
-    }
-    found = {**precomputed, **estimate_note_many(analysis, wanted)}
-    votes = {name: found[name] for name in spec.members}
+    votes = estimate_note_many(analysis, {m: spec.configs.get(m) for m in spec.members})
     if spec.external is not None:
         votes["external"] = run_external(spec.external, analysis.note)
     return votes

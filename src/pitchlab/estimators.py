@@ -191,10 +191,10 @@ def parse_config_overrides(raw, source) -> dict[str, EstimatorConfig]:
 
 
 def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
-    """Read per-method config overrides from a JSON file over the defaults."""
+    """Read per-method config overrides from a JSON file (the overrides alone)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {**DEFAULT_CONFIGS, **parse_config_overrides(raw, path)}
+    return parse_config_overrides(raw, path)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +606,8 @@ class NoteAnalysis:
     (n_frames x n) matrices that the method kernels score whole; the
     per-frame Frame and Spectrum lists are views of their rows. Frames start HOP samples apart, and spectra
     are zero-padded to N_FFT points (or the frame length, if longer). All
-    properties are lazy.
+    properties are lazy, and estimate_note_many keeps each (method, config)
+    estimate here so that it runs at most once.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
     rect_corr by name and counts Spectrum objects per frame, so the
@@ -617,6 +618,7 @@ class NoteAnalysis:
         self.note = note
         self.frame_len = frame_len
         self.n_fft = max(N_FFT, frame_len)
+        self._estimates: dict[tuple[str, EstimatorConfig], PitchEstimate] = {}
 
     @property
     def sample_rate(self) -> int:
@@ -688,16 +690,14 @@ class NoteAnalysis:
         return autocorr_matrix(mat, max_lag), overlap_energy_matrix(mat, max_lag)
 
 
-def _median_estimate(method_id: str, votes: list[float | None]) -> PitchEstimate:
-    voiced = [v for v in votes if v is not None]
-    if not voiced:
-        return PitchEstimate(None, method_id, per_frame=tuple(votes))
-    return PitchEstimate(float(np.median(voiced)), method_id, per_frame=tuple(votes))
-
-
 def _frame_votes(method_id: str, f0s: np.ndarray) -> PitchEstimate:
     """Median of per-frame kernel f0s, NaN marking unvoiced frames."""
-    return _median_estimate(method_id, [None if math.isnan(f) else float(f) for f in f0s])
+    voiced = f0s[~np.isnan(f0s)]
+    return PitchEstimate(
+        float(np.median(voiced)) if voiced.size else None,
+        method_id,
+        per_frame=tuple(None if math.isnan(f) else float(f) for f in f0s),
+    )
 
 
 def _checked_magnitudes(analysis: NoteAnalysis) -> np.ndarray:
@@ -794,11 +794,18 @@ def estimate_note_many(
     analysis: NoteAnalysis,
     wanted: Mapping[str, EstimatorConfig | None],
 ) -> dict[str, PitchEstimate]:
-    """Run several methods on one shared analysis (FFT work done once)."""
+    """Run several methods on one shared analysis (FFT work done once).
+
+    A None config means the method's default. Each (method, config) runs at
+    most once per analysis; asking again returns the same estimate.
+    """
     out: dict[str, PitchEstimate] = {}
     for name, cfg in wanted.items():
         entry = REGISTRY.get(name)
         if entry is None:
             raise KeyError(f"unknown estimator {name!r}; known: {sorted(REGISTRY)}")
-        out[name] = entry.note_fn(analysis, cfg or DEFAULT_CONFIGS[name])
+        key = (name, cfg or DEFAULT_CONFIGS[name])
+        if key not in analysis._estimates:
+            analysis._estimates[key] = entry.note_fn(analysis, key[1])
+        out[name] = analysis._estimates[key]
     return out

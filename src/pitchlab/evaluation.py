@@ -21,12 +21,7 @@ import numpy as np
 from .audio_io import read_wav, write_wav
 from .ensemble import EnsembleSpec, fuse_votes, member_votes
 from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
-from .estimators import (
-    REGISTRY,
-    EstimatorConfig,
-    NoteAnalysis,
-    estimate_note_many,
-)
+from .estimators import REGISTRY, NoteAnalysis, estimate_note_many
 from .noise import Scenario, mix_at_snr
 from .sigproc import AudioBuffer
 
@@ -280,7 +275,7 @@ class ErrorReport:
 def _estimate_song(
     buffer: AudioBuffer,
     notes: Sequence[NoteSegment],
-    base_methods: Mapping[str, EstimatorConfig | None],
+    base_methods: Sequence[str],
     ensemble_spec: EnsembleSpec | None,
 ) -> dict[str, list[float | None]]:
     """Per-note estimates for every requested method over one audio take."""
@@ -290,11 +285,10 @@ def _estimate_song(
     for note in notes:
         audio = buffer.slice_seconds(note.onset, note.offset)
         analysis = NoteAnalysis(audio)
-        estimates = estimate_note_many(analysis, base_methods)
-        for name in base_methods:
-            out[name].append(estimates[name].f0)
+        for name, estimate in estimate_note_many(analysis, dict.fromkeys(base_methods)).items():
+            out[name].append(estimate.f0)
         if ensemble_spec is not None:
-            votes = member_votes(analysis, ensemble_spec, precomputed=estimates)
+            votes = member_votes(analysis, ensemble_spec)
             out[ENSEMBLE_METHOD].append(fuse_votes([v.f0 for v in votes.values()]))
     return out
 
@@ -303,9 +297,7 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _benchmark_task(
-    task, base_methods, ensemble_spec, wanted
-) -> list[dict[str, float] | str]:
+def _benchmark_task(task, base_methods, ensemble_spec) -> list[dict[str, float] | str]:
     """One song under one noise source (None: the clean pass).
 
     task is (song, buffer, noise_ref, conditions). The noise is resolved
@@ -325,7 +317,7 @@ def _benchmark_task(
             t0 = time.perf_counter()
             audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
             per_method = _estimate_song(audio, song.notes, base_methods, ensemble_spec)
-            outcomes.append({name: pitch_error(per_method[name], truths) for name in wanted})
+            outcomes.append({name: pitch_error(f0s, truths) for name, f0s in per_method.items()})
             logger.debug(
                 "song %s %s: %.3f s",
                 song.song_id,
@@ -350,21 +342,17 @@ def run_benchmark(
 
     One task scores one song under one noise source at each of its SNRs,
     or the song's clean pass. methods may include "ensemble"; its members
-    are then estimated once and fused, not recomputed. Results are
-    deterministic for a fixed input regardless of jobs.
+    reuse the estimates of plain methods that share their config, and a
+    plain method listed next to it runs its own default config, not the
+    spec's override. Results are deterministic for a fixed input
+    regardless of jobs.
     """
     methods = list(methods)
     for m in methods:
         if m != ENSEMBLE_METHOD and m not in REGISTRY:
             raise KeyError(f"unknown method {m!r}")
-    want_ensemble = ENSEMBLE_METHOD in methods
-    spec = (ensemble_spec or EnsembleSpec()) if want_ensemble else None
-    base_names = [m for m in methods if m != ENSEMBLE_METHOD]
-    if spec is not None:
-        base_names.extend(m for m in spec.members if m not in base_names)
-    base_methods = dict.fromkeys(base_names)
-    if spec is not None and spec.configs:
-        base_methods.update(spec.configs)
+    spec = (ensemble_spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
+    base_methods = [m for m in methods if m != ENSEMBLE_METHOD]
 
     # (noise ref, its scenarios in grid order) per source, clean first.
     noise_ids = list(dict.fromkeys(s.noise_id for s in scenarios))
@@ -388,9 +376,7 @@ def run_benchmark(
             continue
         tasks.extend((song, buffer, ref, conditions) for ref, conditions in sources)
 
-    score = functools.partial(
-        _benchmark_task, base_methods=base_methods, ensemble_spec=spec, wanted=tuple(methods)
-    )
+    score = functools.partial(_benchmark_task, base_methods=base_methods, ensemble_spec=spec)
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(score, tasks, chunksize=1))

@@ -332,10 +332,17 @@ class TestBench:
         {"snrs_db": [10, -1e400]},
         {"snrs_db": [1e300]},
         {"snrs_db": [-4000]},
+        {"snrs_db": [10, 0, 10]},
+        {"songs": {"count": 0}},
+        {"songs": {"count": -3}},
+        {"songs": {"annotations": []}},
+        {"methods": []},
+        {"methods": ["hps", "hps"]},
     ])
     def test_malformed_config_is_exit_2(self, overrides, tmp_path, capsys):
         path = self.bench_config(tmp_path, **overrides)
         assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_argument_is_exit_2(self, tmp_path, capsys):
         path = self.bench_config(tmp_path)

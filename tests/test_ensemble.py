@@ -15,7 +15,7 @@ from pitchlab.ensemble import (
     member_votes,
     run_external,
 )
-from pitchlab.estimators import EstimatorConfig, NoteAnalysis, PitchEstimate
+from pitchlab.estimators import EstimatorConfig, NoteAnalysis, estimate_note_many
 
 from conftest import saw_buffer, sine_buffer
 
@@ -75,11 +75,15 @@ class TestEnsembleSpec:
             EnsembleSpec(configs={"yin": EstimatorConfig(50.0, 500.0)})
 
     def test_member_configs_fill_defaults(self):
+        # the override applies to its member alone; the others keep their defaults
         custom = EstimatorConfig(50.0, 700.0, 3)
         spec = EnsembleSpec(configs={"hps": custom})
-        merged = spec.member_configs()
-        assert merged["hps"] == custom
-        assert merged["ml"].f_max == 800.0
+        note = saw_buffer(110.0, 0.3)
+        votes = member_votes(NoteAnalysis(note), spec)
+        expected = estimate_note_many(
+            NoteAnalysis(note), {"hps": custom, "stft": None, "ml": None, "srh": None}
+        )
+        assert votes == expected
 
 
 def test_load_spec_from_json(tmp_path):
@@ -239,9 +243,9 @@ def test_external_vote_joins_the_median(tmp_path):
 
 
 def test_member_votes_reuses_precomputed():
-    note = saw_buffer(220.0, 0.3)
-    spec = EnsembleSpec()
-    sentinel = PitchEstimate(123.0, "hps")
-    votes = member_votes(NoteAnalysis(note), spec, precomputed={"hps": sentinel})
-    assert votes["hps"] is sentinel
-    assert votes["ml"].voiced
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
+    earlier = estimate_note_many(analysis, {"hps": None, "ml": None})
+    votes = member_votes(analysis, EnsembleSpec())
+    assert votes["hps"] is earlier["hps"]
+    assert votes["ml"] is earlier["ml"]
+    assert votes["srh"].voiced

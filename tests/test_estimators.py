@@ -11,6 +11,7 @@ from pitchlab.estimators import (
     YIN_THRESHOLD,
     EstimatorConfig,
     NoteAnalysis,
+    NoteMethod,
     PitchEstimate,
     REGISTRY,
     _acf_lag,
@@ -84,7 +85,7 @@ def test_load_configs_partial_override(tmp_path):
     configs = load_estimator_configs(path)
     assert configs["yin"] == EstimatorConfig(20.0, 600.0, 1)
     assert configs["ml"] == EstimatorConfig(80.0, 800.0, 3)
-    assert configs["acf"] == DEFAULT_CONFIGS["acf"]
+    assert set(configs) == {"yin", "ml"}
 
 
 def test_load_configs_rejects_unknown(tmp_path):
@@ -406,6 +407,29 @@ def test_estimate_note_many_matches_single_calls():
     combined = estimate_note_many(analysis, wanted)
     for name in ALL_METHODS:
         assert combined[name].f0 == estimate_note(note, name).f0
+
+
+def test_estimate_note_many_runs_each_method_and_config_once(monkeypatch):
+    calls = []
+
+    def counting(analysis, cfg):
+        calls.append(cfg)
+        return PitchEstimate(100.0, "hps")
+
+    monkeypatch.setitem(REGISTRY, "hps", NoteMethod(counting))
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.1))
+    first = estimate_note_many(analysis, {"hps": None})["hps"]
+    assert estimate_note_many(analysis, {"hps": None})["hps"] is first
+    assert estimate_note_many(analysis, {"hps": DEFAULT_CONFIGS["hps"]})["hps"] is first
+    assert calls == [DEFAULT_CONFIGS["hps"]]
+
+    other = EstimatorConfig(100.0, 500.0, 3)
+    assert estimate_note_many(analysis, {"hps": other})["hps"] is not first
+    estimate_note_many(analysis, {"hps": other})
+    assert calls == [DEFAULT_CONFIGS["hps"], other]
+
+    estimate_note_many(NoteAnalysis(analysis.note), {"hps": None})
+    assert calls == [DEFAULT_CONFIGS["hps"], other, DEFAULT_CONFIGS["hps"]]
 
 
 def _mixed_note():

@@ -6,7 +6,7 @@ import pytest
 from pitchlab.audio_io import write_wav
 from pitchlab.ensemble import EnsembleSpec
 from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
-from pitchlab.estimators import REGISTRY, NoteMethod, PitchEstimate
+from pitchlab.estimators import REGISTRY, EstimatorConfig, NoteMethod, PitchEstimate
 from pitchlab.evaluation import (
     ErrorReport,
     NoteSegment,
@@ -226,6 +226,15 @@ def test_run_benchmark_fuses_ensemble_from_members(two_songs, stub_registry):
     # is always 150
     expected = [pitch_error([150.0] * len(s.notes), s.truths()) for s in two_songs]
     assert report.clean["ensemble"] == pytest.approx(np.mean(expected))
+
+
+def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
+    # the spec's ml override is the ensemble's alone: the plain ml row must
+    # not change when the ensemble runs beside it
+    spec = EnsembleSpec(configs={"ml": EstimatorConfig(300.0, 800.0, 5)})
+    alone = run_benchmark(two_songs, ["ml"], [], {})
+    beside = run_benchmark(two_songs, ["ml", "ensemble"], [], {}, ensemble_spec=spec)
+    assert beside.clean["ml"] == alone.clean["ml"]
 
 
 def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path):
