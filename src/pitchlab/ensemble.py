@@ -1,5 +1,7 @@
 """Median fusion of estimator votes, with an optional external member.
 
+The fused median is then refined below the FFT bin grid (refine_f0).
+
 The external member is any executable speaking a tiny one-shot protocol:
 it receives "RATE <hz> COUNT <n>\\n" followed by the note's samples as
 little-endian float32 on stdin, and must answer a single line on stdout,
@@ -24,6 +26,7 @@ from .estimators import (
     check_json,
     estimate_note_many,
     parse_config_overrides,
+    refine_f0,
 )
 from .sigproc import AudioBuffer
 
@@ -187,7 +190,13 @@ def member_votes(analysis: NoteAnalysis, spec: EnsembleSpec) -> dict[str, PitchE
     return votes
 
 
+def ensemble_f0(analysis: NoteAnalysis, spec: EnsembleSpec) -> float | None:
+    """The ensemble's f0 on one note: the median of its members' votes
+    (fuse_votes), refined below the bin grid on the note's spectra."""
+    f0 = fuse_votes([v.f0 for v in member_votes(analysis, spec).values()])
+    return None if f0 is None else refine_f0(analysis, f0)
+
+
 def ensemble_estimate(note: AudioBuffer, spec: EnsembleSpec | None = None) -> PitchEstimate:
     """Fused note-level estimate over the spec's members."""
-    votes = member_votes(NoteAnalysis(note), spec or EnsembleSpec())
-    return PitchEstimate(fuse_votes([v.f0 for v in votes.values()]), "ensemble")
+    return PitchEstimate(ensemble_f0(NoteAnalysis(note), spec or EnsembleSpec()), "ensemble")

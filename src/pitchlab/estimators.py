@@ -41,9 +41,10 @@ from .sigproc import (
 FRAME_LEN = 2048
 HOP = 512
 # Frames are zero-padded to this FFT length by the frequency-domain
-# estimators; at 44.1 kHz the grid step is ~2.7 Hz, fine enough that bin
-# quantization stays well inside a quarter tone down to 100 Hz.
-N_FFT = 16384
+# estimators. At 44.1 kHz the grid step is ~5.4 Hz, so a member's bin
+# pick stays within a quarter tone from about 92 Hz up; the ensemble
+# refines its fused f0 below the grid (refine_f0).
+N_FFT = 8192
 
 LPC_ORDER = 12
 YIN_THRESHOLD = 0.15
@@ -272,8 +273,9 @@ def _log_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarra
     keeps the log finite on empty bins without breaking amplitude
     invariance.
     """
+    log_mags = np.add(mags, 1e-12 * mags.max(axis=1, keepdims=True))
     with np.errstate(divide="ignore"):
-        log_mags = np.log(mags + 1e-12 * mags.max(axis=1, keepdims=True))
+        np.log(log_mags, out=log_mags)
     scores = log_mags[:, bins]
     for h in range(2, n_harmonics + 1):
         scores += log_mags[:, bins * h]
@@ -315,6 +317,52 @@ def _comb_f0s(
         best = bins[np.argmax(scorer(mags, bins, cfg.n_harmonics), axis=1)]
         f0s[live] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)[live]
     return f0s
+
+
+# refine_f0 reads the peaks of harmonics 1..REFINE_HARMONICS of a fused f0,
+# each within +-REFINE_WINDOW of its nominal frequency.
+REFINE_HARMONICS = 3
+REFINE_WINDOW = 0.03
+
+
+def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
+    """f0 moved below the bin grid by quadratic interpolation of spectral peaks.
+
+    Sums the magnitude rows of the note's hann_live frames and takes the
+    log. For each harmonic h it picks the largest bin k whose frequency
+    lies within REFINE_WINDOW of h f0. Where k is a local maximum and the
+    parabola through the log magnitudes at k-1, k, k+1 is concave, its
+    vertex k + d gives the estimate (k + d) bin_hz / h, kept if it lies in
+    the window too (QIFFT: Smith & Serra 1987; Abe & Smith 2004). Returns
+    the mean of the kept estimates weighted by their peaks' summed
+    magnitudes, so never more than REFINE_WINDOW from f0, or f0 itself when
+    no frame is live or no harmonic gives an estimate. Takes no FFT.
+    """
+    live = analysis.hann_live
+    mags, bin_hz = analysis.magnitudes, analysis.bin_hz
+    lo_hz, hi_hz = f0 * (1.0 - REFINE_WINDOW), f0 * (1.0 + REFINE_WINDOW)
+    top = min(mags.shape[1], math.floor(REFINE_HARMONICS * hi_hz / bin_hz) + 2)
+    if not live.any():
+        return f0
+    summed = mags[live, :top].sum(axis=0)
+    with np.errstate(divide="ignore"):
+        log_mags = np.log(summed)
+    estimates, weights = [], []
+    for h in range(1, REFINE_HARMONICS + 1):
+        lo = max(1, math.ceil(h * lo_hz / bin_hz))
+        hi = min(top - 2, math.floor(h * hi_hz / bin_hz))
+        if lo > hi:
+            continue
+        k = lo + int(np.argmax(summed[lo : hi + 1]))
+        y_minus, y_center, y_plus = log_mags[k - 1 : k + 2]
+        denom = y_minus - 2.0 * y_center + y_plus
+        if not (y_center >= max(y_minus, y_plus) and np.isfinite(denom) and denom < 0.0):
+            continue
+        estimate = (k + 0.5 * (y_minus - y_plus) / denom) * bin_hz / h
+        if lo_hz <= estimate <= hi_hz:
+            estimates.append(estimate)
+            weights.append(summed[k])
+    return float(np.average(estimates, weights=weights)) if estimates else f0
 
 
 def _cepstrum_f0s(

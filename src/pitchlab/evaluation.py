@@ -19,7 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio_io import read_wav, write_wav
-from .ensemble import EnsembleSpec, fuse_votes, member_votes
+from .ensemble import (
+    EnsembleSpec,
+    ensemble_f0,
+    fuse_votes,  # unused here, but perfbench's tracer patches it in this module
+)
 from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
 from .estimators import REGISTRY, NoteAnalysis, estimate_note_many
 from .noise import Scenario, mix_at_snr
@@ -288,8 +292,7 @@ def _estimate_song(
         for name, estimate in estimate_note_many(analysis, dict.fromkeys(base_methods)).items():
             out[name].append(estimate.f0)
         if ensemble_spec is not None:
-            votes = member_votes(analysis, ensemble_spec)
-            out[ENSEMBLE_METHOD].append(fuse_votes([v.f0 for v in votes.values()]))
+            out[ENSEMBLE_METHOD].append(ensemble_f0(analysis, ensemble_spec))
     return out
 
 
@@ -344,10 +347,13 @@ def run_benchmark(
     or the song's clean pass. methods may include "ensemble"; its members
     reuse the estimates of plain methods that share their config, and a
     plain method listed next to it runs its own default config, not the
-    spec's override. Results are deterministic for a fixed input
-    regardless of jobs.
+    spec's override. A method named twice raises ValueError, an unknown
+    one KeyError. Results are deterministic for a fixed input regardless
+    of jobs.
     """
     methods = list(methods)
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must name each method once, got {methods}")
     for m in methods:
         if m != ENSEMBLE_METHOD and m not in REGISTRY:
             raise KeyError(f"unknown method {m!r}")

@@ -209,14 +209,21 @@ def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> Noise
         t = np.arange(n_samples) / sample_rate
         freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
         total = np.zeros(n_samples)
+        envelope = np.empty(n_samples)
         for lo, hi in zip(edges[:-1], edges[1:]):
             spec = np.fft.rfft(rng.standard_normal(n_samples))
             spec[(freqs < lo) | (freqs > hi)] = 0.0
             stream = np.fft.irfft(spec, n=n_samples)
             rate = rng.uniform(2.0, 8.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            envelope = 0.5 * (1.0 + np.sin(2.0 * np.pi * rate * t + phase))
-            total += stream * envelope
+            # envelope = 0.5 * (1 + sin(2 pi rate t + phase)), built in place
+            np.multiply(2.0 * np.pi * rate, t, out=envelope)
+            envelope += phase
+            np.sin(envelope, out=envelope)
+            envelope += 1.0
+            envelope *= 0.5
+            stream *= envelope
+            total += stream
         samples = _peak_normalize(total)
 
     return NoiseSource(noise_id=kind, buffer=AudioBuffer(samples, sample_rate))

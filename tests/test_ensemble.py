@@ -15,7 +15,7 @@ from pitchlab.ensemble import (
     member_votes,
     run_external,
 )
-from pitchlab.estimators import EstimatorConfig, NoteAnalysis, estimate_note_many
+from pitchlab.estimators import EstimatorConfig, NoteAnalysis, estimate_note_many, refine_f0
 
 from conftest import saw_buffer, sine_buffer
 
@@ -235,11 +235,23 @@ def test_external_vote_joins_the_median(tmp_path):
     )
     note = saw_buffer(220.0, 0.3)
     est = ensemble_estimate(note, spec)
-    votes = member_votes(NoteAnalysis(note), spec)
+    analysis = NoteAnalysis(note)
+    votes = member_votes(analysis, spec)
     assert set(votes) == {"hps", "stft", "external"}
     assert votes["external"].f0 == 220.0
-    expected = float(np.median([v.f0 for v in votes.values() if v.f0 is not None]))
-    assert est.f0 == expected
+    median = float(np.median([v.f0 for v in votes.values() if v.f0 is not None]))
+    assert est.f0 == refine_f0(analysis, median)
+
+
+def test_ensemble_refines_below_the_bin_grid():
+    # off-grid sawtooth notes: every member picks a bin, and the fused f0
+    # lands within 0.2 Hz of the truth
+    rng = np.random.default_rng(1618)
+    for f in rng.uniform(110.0, 440.0, 10):
+        note = saw_buffer(f, 0.3)
+        analysis = NoteAnalysis(note)
+        assert all(abs(v.f0 - f) > 0.2 for v in member_votes(analysis, EnsembleSpec()).values())
+        assert abs(ensemble_estimate(note).f0 - f) < 0.2
 
 
 def test_member_votes_reuses_precomputed():

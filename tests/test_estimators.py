@@ -13,6 +13,7 @@ from pitchlab.estimators import (
     NoteAnalysis,
     NoteMethod,
     PitchEstimate,
+    REFINE_WINDOW,
     REGISTRY,
     _acf_lag,
     _cepstrum_f0s,
@@ -30,6 +31,7 @@ from pitchlab.estimators import (
     load_estimator_configs,
     lpc_residual,
     ml_comb_estimate,
+    refine_f0,
     srh_scores,
 )
 from pitchlab.sigproc import (
@@ -512,10 +514,14 @@ def test_note_kernels_match_frame_level_functions():
     (2048, DEFAULT_CONFIGS["srh"]),
     # not a power of two
     (3000, DEFAULT_CONFIGS["srh"]),
-    # the filter's 12-sample tail wraps past the 16384-point FFT length
+    # a frame longer than N_FFT, transformed at its own length
     (16384, DEFAULT_CONFIGS["srh"]),
     # a comb reaching past the complex band NoteAnalysis keeps
     (2048, EstimatorConfig(80.0, 1000.0, 8)),
+    # the filter's 12-sample tail wraps past the 8192-point FFT length:
+    # its last sample only (8181), or all of it (8192)
+    (8181, DEFAULT_CONFIGS["srh"]),
+    (8192, DEFAULT_CONFIGS["srh"]),
 ])
 def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
     # srh builds the residual's spectrum from the Hann spectrum as A X - T;
@@ -544,6 +550,61 @@ def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
         grid, scores = srh_scores(Spectrum(residual, fs / pad), cfg)
         votes[i] = min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
     assert rows.size and REGISTRY["srh"].note_fn(analysis, cfg).per_frame == tuple(votes)
+
+
+class TestRefineF0:
+    def _one_frame(self, samples):
+        return NoteAnalysis(AudioBuffer(samples, 44100), frame_len=len(samples))
+
+    def test_silent_note_keeps_f0(self):
+        analysis = NoteAnalysis(AudioBuffer(np.zeros(4096), 44100))
+        assert not analysis.hann_live.any()
+        assert refine_f0(analysis, 220.0) == 220.0
+
+    def test_window_without_a_peak_keeps_f0(self):
+        # a doublet at the Hann window's centre: its magnitude rises over
+        # the whole band, so every window's largest bin has a larger
+        # neighbour above it
+        x = np.zeros(2048)
+        x[1024], x[1025] = 1.0, -1.0
+        analysis = self._one_frame(x)
+        assert np.all(np.diff(analysis.magnitudes[0]) > 0)
+        assert refine_f0(analysis, 220.0) == 220.0
+
+    def test_flat_spectrum_keeps_f0(self):
+        # a click at the Hann window's centre: every bin has magnitude 1,
+        # so no parabola is concave
+        x = np.zeros(2048)
+        x[1024] = 1.0
+        analysis = self._one_frame(x)
+        assert np.all(analysis.magnitudes == 1.0)
+        for f0 in (110.0, 220.0, 1000.0):
+            assert refine_f0(analysis, f0) == f0
+
+    def test_stays_inside_the_window(self):
+        # guesses off by a few percent, a fifth or an octave, on tones and
+        # on noise: the result never leaves +-3% of the guess
+        rng = np.random.default_rng(4242)
+        notes = [saw_buffer(f, 0.3) for f in rng.uniform(110.0, 440.0, 6)]
+        notes.append(AudioBuffer(rng.uniform(-0.3, 0.3, 13230), 44100))
+        for note in notes:
+            analysis = NoteAnalysis(note)
+            for guess in rng.uniform(80.0, 900.0, 40):
+                got = refine_f0(analysis, guess)
+                assert abs(got / guess - 1.0) <= REFINE_WINDOW
+
+    @pytest.mark.parametrize("fs", [22050, 44100])
+    def test_off_grid_sawtooth_within_a_fifth_of_a_hz(self, fs):
+        # the guess is the truth rounded to the nearest bin, as a member's
+        # pick is
+        rng = np.random.default_rng(2718)
+        guess_errors = []
+        for f in rng.uniform(110.0, 440.0, 12):
+            analysis = NoteAnalysis(saw_buffer(f, 0.3, fs))
+            guess = round(f / analysis.bin_hz) * analysis.bin_hz
+            guess_errors.append(abs(guess - f))
+            assert abs(refine_f0(analysis, guess) - f) < 0.2
+        assert max(guess_errors) > 1.0
 
 
 def _refined_lag(values, tau):

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from pitchlab.audio_io import write_wav
+from pitchlab.audio_io import read_wav, write_wav
 from pitchlab.ensemble import EnsembleSpec
 from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
-from pitchlab.estimators import REGISTRY, EstimatorConfig, NoteMethod, PitchEstimate
+from pitchlab.estimators import (
+    REGISTRY,
+    EstimatorConfig,
+    NoteAnalysis,
+    NoteMethod,
+    PitchEstimate,
+    refine_f0,
+)
 from pitchlab.evaluation import (
     ErrorReport,
     NoteSegment,
@@ -222,10 +229,15 @@ def test_run_benchmark_fuses_ensemble_from_members(two_songs, stub_registry):
         WHITE_REF,
         ensemble_spec=EnsembleSpec(),
     )
-    # members vote 100, 100, 200, 200 on every note, so the fused pitch
-    # is always 150
-    expected = [pitch_error([150.0] * len(s.notes), s.truths()) for s in two_songs]
-    assert report.clean["ensemble"] == pytest.approx(np.mean(expected))
+    # members vote 100, 100, 200, 200 on every note, so the median is
+    # always 150, which the ensemble then refines on the note's spectra
+    expected = []
+    for song in two_songs:
+        buffer = read_wav(song.audio_path)
+        notes = [buffer.slice_seconds(n.onset, n.offset) for n in song.notes]
+        fused = [refine_f0(NoteAnalysis(note), 150.0) for note in notes]
+        expected.append(pitch_error(fused, song.truths()))
+    assert report.clean["ensemble"] == np.mean(expected)
 
 
 def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
@@ -284,6 +296,13 @@ def test_run_benchmark_isolates_noise_failures(two_songs, stub_registry, tmp_pat
 def test_run_benchmark_rejects_unknown_method(two_songs):
     with pytest.raises(KeyError):
         run_benchmark(two_songs, ["autotune"], [], {})
+
+
+@pytest.mark.parametrize("methods", [["hps", "hps"], ["ensemble", "ml", "ensemble"]])
+def test_run_benchmark_rejects_a_repeated_method(two_songs, stub_registry, methods):
+    # a repeat would render the same CSV rows twice
+    with pytest.raises(ValueError, match="each method once"):
+        run_benchmark(two_songs, methods, [], {})
 
 
 # ---------------------------------------------------------------------------

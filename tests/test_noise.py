@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import signal as sps
@@ -182,6 +184,17 @@ class TestSynthNoise:
         in_band = spec[(freqs >= 100.0) & (freqs <= 4000.0)].sum()
         out_band = spec[freqs > 4800.0].sum() + spec[freqs < 60.0].sum()
         assert out_band < 0.01 * in_band
+
+    @pytest.mark.parametrize("seed, rate, n_samples, digest", [
+        (3, 8000, 16007, "cbd39218ed49c7d1133573a3f8e04bfa22100bd2e7ace5562c7a0477e007fe0c"),
+        (11, 22050, 22057, "2fc0822cd7566565bd288e48200319dd2ded135990dc2d3dd12639aeed559490"),
+        (77, 22050, 22057, "b70cab5c02e981e85f9f745ebdab3c20bea4ea9c264cf41ab00e2119fcd697b9"),
+    ])
+    def test_babble_samples_are_pinned(self, seed, rate, n_samples, digest):
+        # SHA-256 of the float64 samples: however the streams are built
+        # and summed, every bit of the noise must stay the same
+        samples = synth_noise("babble", n_samples, rate, seed).buffer.samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
 
 class TestScenarios:
