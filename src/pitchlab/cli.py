@@ -26,7 +26,7 @@ from .ensemble import (
     ensemble_estimate,
     load_ensemble_spec,
 )
-from .errors import InvalidAnnotation, PitchlabError
+from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError
 from .estimators import REGISTRY, check_json, estimate_note, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
@@ -125,6 +125,8 @@ def cmd_estimate(args) -> int:
                 estimate = ensemble_estimate(audio, spec)
             else:
                 estimate = estimate_note(audio, method, configs.get(method))
+        except ConfigOutOfRange as exc:
+            return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
         except (PitchlabError, ValueError) as exc:
             return _fail(
                 EX_ANNOTATION,
@@ -220,6 +222,8 @@ def _bench_config(path: str) -> dict:
         raise ValueError("songs.count must be at least 1")
     if songs.get("annotations") == []:
         raise ValueError("songs.annotations must name at least one file")
+    if config.get("jobs", 1) < 1:
+        raise ValueError("jobs must be at least 1")
     if min(config.get("seed", 0), config.get("noises", {}).get("seed", 0)) < 0:
         raise ValueError("seed and noises.seed must be non-negative")
     snrs = config.get("snrs_db", [])
@@ -243,6 +247,8 @@ def cmd_bench(args) -> int:
         return _fail(EX_INPUT, f"cannot read benchmark config {args.config}: {exc}")
     if args.seed is not None and args.seed < 0:
         return _fail(EX_INPUT, f"--seed must be non-negative, got {args.seed}")
+    if args.jobs is not None and args.jobs < 1:
+        return _fail(EX_INPUT, f"--jobs must be at least 1, got {args.jobs}")
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
@@ -281,14 +287,8 @@ def cmd_bench(args) -> int:
     snrs = tuple(config.get("snrs_db", DEFAULT_SNRS_DB))
     scenarios = scenario_grid(tuple(refs), snrs)
 
-    spec = _apply_external_env(EnsembleSpec())
     report = run_benchmark(
-        songs,
-        methods,
-        scenarios,
-        refs,
-        ensemble_spec=spec if ENSEMBLE_METHOD in methods else None,
-        jobs=jobs,
+        songs, methods, scenarios, refs, ensemble_spec=_load_spec(None), jobs=jobs
     )
 
     for failure in report.failures:

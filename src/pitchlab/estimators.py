@@ -215,7 +215,8 @@ def _spectral_band(
     nyquist = bin_hz * top_bin
     if cfg.f_min >= nyquist:
         raise ConfigOutOfRange(
-            f"f_min {cfg.f_min} Hz is at or above the Nyquist frequency {nyquist} Hz"
+            f"[{cfg.f_min:g}, {cfg.f_max:g}] Hz starts at or above the Nyquist "
+            f"frequency {nyquist:g} Hz"
         )
     b_lo = max(1, math.ceil(cfg.f_min / bin_hz))
     b_hi = min(math.floor(min(cfg.f_max, nyquist) / bin_hz), top_bin // harmonic_cap)
@@ -845,7 +846,9 @@ def estimate_note_many(
     """Run several methods on one shared analysis (FFT work done once).
 
     A None config means the method's default. Each (method, config) runs at
-    most once per analysis; asking again returns the same estimate.
+    most once per analysis; asking again returns the same estimate. A
+    search range that does not fit the audio raises ConfigOutOfRange
+    naming the method.
     """
     out: dict[str, PitchEstimate] = {}
     for name, cfg in wanted.items():
@@ -854,6 +857,9 @@ def estimate_note_many(
             raise KeyError(f"unknown estimator {name!r}; known: {sorted(REGISTRY)}")
         key = (name, cfg or DEFAULT_CONFIGS[name])
         if key not in analysis._estimates:
-            analysis._estimates[key] = entry.note_fn(analysis, key[1])
+            try:
+                analysis._estimates[key] = entry.note_fn(analysis, key[1])
+            except ConfigOutOfRange as exc:
+                raise ConfigOutOfRange(f"{name}: {exc}") from None
         out[name] = analysis._estimates[key]
     return out

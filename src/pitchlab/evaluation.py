@@ -260,7 +260,6 @@ class ErrorReport:
     snrs_db: tuple[float, ...]
     cells: Mapping
     clean: Mapping
-    n_songs: int
     failures: tuple[BenchmarkFailure, ...] = ()
 
     def per_noise(self, method: str, noise_id) -> float:
@@ -303,17 +302,19 @@ def _failure(exc: Exception) -> str:
 def _benchmark_task(task, base_methods, ensemble_spec) -> list[dict[str, float] | str]:
     """One song under one noise source (None: the clean pass).
 
-    task is (song, buffer, noise_ref, conditions). The noise is resolved
-    once, then each condition is mixed and scored in turn. Returns each
-    condition's errors or its failure message, in order: a failing
-    condition does not stop the others, and a failed resolve fails all.
+    task is (song, noise_ref, conditions). The song's audio is read and
+    its noise resolved once, then each condition is mixed and scored in
+    turn. Returns each condition's errors or its failure message, in
+    order: a failing condition does not stop the others, and a song or
+    noise that cannot be loaded fails all.
     """
-    song, buffer, noise_ref, conditions = task
+    song, noise_ref, conditions = task
     try:
+        buffer = read_wav(song.audio_path)
+        truths = song.truths()
         noise = None if noise_ref is None else noise_ref.resolve(buffer.sample_rate)
     except Exception as exc:  # per-song failures must not abort the run
         return [_failure(exc)] * len(conditions)
-    truths = song.truths()
     outcomes: list[dict[str, float] | str] = []
     for scenario in conditions:
         try:
@@ -343,8 +344,8 @@ def run_benchmark(
 ) -> ErrorReport:
     """Evaluate methods over songs x scenarios; failures never abort.
 
-    One task scores one song under one noise source at each of its SNRs,
-    or the song's clean pass. methods may include "ensemble"; its members
+    One task reads one song and scores it under one noise source at each
+    of its SNRs, or in its clean pass. methods may include "ensemble"; its members
     reuse the estimates of plain methods that share their config, and a
     plain method listed next to it runs its own default config, not the
     spec's override. A method named twice raises ValueError, an unknown
@@ -366,22 +367,7 @@ def run_benchmark(
         (noise_refs[nid], [s for s in scenarios if s.noise_id == nid]) for nid in noise_ids
     ]
 
-    # Load songs up front; unreadable audio fails the whole song.
-    tasks = []
-    failures: list[BenchmarkFailure] = []
-    for song in songs:
-        try:
-            buffer = read_wav(song.audio_path)
-            song.truths()
-        except Exception as exc:
-            failures.extend(
-                BenchmarkFailure(song.song_id, scenario, _failure(exc))
-                for _, conditions in sources
-                for scenario in conditions
-            )
-            continue
-        tasks.extend((song, buffer, ref, conditions) for ref, conditions in sources)
-
+    tasks = [(song, ref, conditions) for song in songs for ref, conditions in sources]
     score = functools.partial(_benchmark_task, base_methods=base_methods, ensemble_spec=spec)
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -389,34 +375,24 @@ def run_benchmark(
     else:
         results = [score(t) for t in tasks]
 
-    # Aggregate means over songs, in fixed task order.
-    sums: dict[tuple, float] = defaultdict(float)
-    counts: dict[tuple, int] = defaultdict(int)
-    for (song, _, _, conditions), outcomes in zip(tasks, results):
+    # Each cell's errors over songs, in fixed task order.
+    errors: dict[tuple, list[float]] = defaultdict(list)
+    failures = []
+    for (song, _, conditions), outcomes in zip(tasks, results):
         for scenario, outcome in zip(conditions, outcomes):
             if isinstance(outcome, str):
                 failures.append(BenchmarkFailure(song.song_id, scenario, outcome))
                 continue
             for name, err in outcome.items():
-                sums[(name, scenario)] += err
-                counts[(name, scenario)] += 1
-
-    cells = {}
-    clean = {}
-    for name in methods:
-        if (name, None) in sums:
-            clean[name] = sums[(name, None)] / counts[(name, None)]
-        for s in scenarios:
-            if (name, s) in sums:
-                cells[(name, s.noise_id, s.snr_db)] = sums[(name, s)] / counts[(name, s)]
+                errors[(name, scenario)].append(err)
+    means = {key: sum(v) / len(v) for key, v in errors.items()}
 
     return ErrorReport(
         methods=tuple(methods),
         noise_ids=tuple(noise_ids),
         snrs_db=tuple(sorted({s.snr_db for s in scenarios})),
-        cells=cells,
-        clean=clean,
-        n_songs=len(songs),
+        cells={(m, s.noise_id, s.snr_db): e for (m, s), e in means.items() if s is not None},
+        clean={m: e for (m, s), e in means.items() if s is None},
         failures=tuple(failures),
     )
 
@@ -474,7 +450,6 @@ def parse_long_csv(text: str) -> ErrorReport:
         snrs_db=tuple(sorted(snrs)),
         cells=cells,
         clean=clean,
-        n_songs=0,
     )
 
 

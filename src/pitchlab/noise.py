@@ -267,15 +267,10 @@ class NoiseRef:
         return replace(source, noise_id=self.noise_id)
 
 
-def synthetic_noise_refs(seed: int = 0, duration_s: float = 10.0) -> dict[str, NoiseRef]:
-    """One NoiseRef per synthetic kind, keyed by kind name."""
+def synthetic_noise_refs(seed: int = 0) -> dict[str, NoiseRef]:
+    """One 10 s NoiseRef per synthetic kind, keyed by kind name."""
     return {
-        kind: NoiseRef(
-            noise_id=kind,
-            synth_kind=kind,
-            seed=seed * 1009 + i,
-            duration_s=duration_s,
-        )
+        kind: NoiseRef(noise_id=kind, synth_kind=kind, seed=seed * 1009 + i)
         for i, kind in enumerate(SYNTH_KINDS)
     }
 

@@ -132,6 +132,17 @@ class TestEstimate:
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", "ensemble", "--ensemble-spec", str(path)))
 
+    @pytest.mark.parametrize("method", ["hps", "srh", "ensemble"])
+    def test_search_range_beyond_nyquist_is_exit_2(self, method, tmp_path, capsys):
+        # at 100 Hz the Nyquist frequency (50 Hz) lies below every spectral f_min
+        write_wav(tmp_path / "low.wav", AudioBuffer(np.full(100, 0.1), 100))
+        write_annotation(tmp_path / "low.notes", [NoteSegment(0.0, 0.9, 220.0)])
+        code, out, err = run_cli(capsys, "estimate", str(tmp_path / "low.wav"),
+                                 str(tmp_path / "low.notes"), "--method", method)
+        assert_one_line_input_error(code, out, err)
+        member = "hps" if method == "ensemble" else method
+        assert f"{member}: [80, " in err and "Nyquist frequency 50 Hz" in err
+
     def test_malformed_config_is_exit_2(self, song, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"yin": {"f_min": "80"}}))
@@ -338,6 +349,8 @@ class TestBench:
         {"songs": {"annotations": []}},
         {"methods": []},
         {"methods": ["hps", "hps"]},
+        {"jobs": 0},
+        {"jobs": -1},
     ])
     def test_malformed_config_is_exit_2(self, overrides, tmp_path, capsys):
         path = self.bench_config(tmp_path, **overrides)
@@ -347,6 +360,12 @@ class TestBench:
     def test_negative_seed_argument_is_exit_2(self, tmp_path, capsys):
         path = self.bench_config(tmp_path)
         assert_one_line_input_error(*run_cli(capsys, "bench", str(path), "--seed", "-2"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_argument_below_one_is_exit_2(self, jobs, tmp_path, capsys):
+        path = self.bench_config(tmp_path)
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path), "--jobs", jobs))
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path / "none.json"))

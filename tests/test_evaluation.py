@@ -15,6 +15,7 @@ from pitchlab.estimators import (
     refine_f0,
 )
 from pitchlab.evaluation import (
+    BenchmarkFailure,
     ErrorReport,
     NoteSegment,
     SongAnnotation,
@@ -217,7 +218,6 @@ def test_run_benchmark_per_method_errors(two_songs, stub_registry):
     per_song_hps = [pitch_error([100.0] * len(s.notes), s.truths()) for s in two_songs]
     assert report.clean["hps"] == pytest.approx(np.mean(per_song_hps))
     assert report.cells[("hps", "white", 10.0)] == pytest.approx(np.mean(per_song_hps))
-    assert report.n_songs == 2
     assert report.failures == ()
 
 
@@ -249,17 +249,34 @@ def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
     assert beside.clean["ml"] == alone.clean["ml"]
 
 
-def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path):
+def _failure_message(load) -> str:
+    with pytest.raises(Exception) as exc:
+        load()
+    return f"{type(exc.value).__name__}: {exc.value}"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path, jobs):
     broken = SongAnnotation(
         "broken", str(tmp_path / "missing.wav"), (NoteSegment(0.0, 0.5, 220.0),)
     )
-    songs = [two_songs[0], broken]
-    report = run_benchmark(songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF)
-    assert len(report.failures) == 2  # clean and noisy conditions both fail
-    assert all(f.song_id == "broken" for f in report.failures)
+    # readable audio, but its note has no reference f0 to score against
+    unscored = SongAnnotation("unscored", two_songs[1].audio_path, (NoteSegment(0.0, 0.5),))
+    songs = [broken, two_songs[0], unscored]
+    conditions = [None, Scenario("white", 0.0)]
+    report = run_benchmark(songs, ["hps"], conditions[1:], WHITE_REF, jobs=jobs)
+
+    # each fails its own conditions, in task order, with the same message at any jobs
+    assert report.failures == tuple(
+        BenchmarkFailure(song.song_id, scenario, _failure_message(load))
+        for song, load in [(broken, lambda: read_wav(broken.audio_path)),
+                           (unscored, unscored.truths)]
+        for scenario in conditions
+    )
     # the healthy song still contributes
     expected = pitch_error([100.0] * len(two_songs[0].notes), two_songs[0].truths())
-    assert report.clean["hps"] == pytest.approx(expected)
+    assert report.clean == {"hps": expected}
+    assert report.cells == {("hps", "white", 0.0): expected}
 
 
 def test_run_benchmark_resolves_each_noise_once_per_song(two_songs, stub_registry, monkeypatch):
@@ -277,10 +294,11 @@ def test_run_benchmark_resolves_each_noise_once_per_song(two_songs, stub_registr
     assert set(report.cells) == {("hps", "white", 0.0), ("hps", "white", 10.0)}
 
 
-def test_run_benchmark_isolates_noise_failures(two_songs, stub_registry, tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_benchmark_isolates_noise_failures(two_songs, stub_registry, tmp_path, jobs):
     refs = {**WHITE_REF, "lost": NoiseRef(noise_id="lost", path=str(tmp_path / "lost.wav"))}
     scenarios = scenario_grid(("white", "lost"), (0.0, 10.0))
-    report = run_benchmark(two_songs, ["hps"], scenarios, refs)
+    report = run_benchmark(two_songs, ["hps"], scenarios, refs, jobs=jobs)
 
     lost = [s for s in scenarios if s.noise_id == "lost"]
     assert [(f.song_id, f.scenario) for f in report.failures] == [
@@ -322,7 +340,7 @@ def example_report():
                 cells[(m, nid, snr)] = value
                 value += 0.5
     clean = {"hps": 0.25, "ensemble": 0.125}
-    return ErrorReport(methods, noise_ids, snrs, cells, clean, n_songs=3)
+    return ErrorReport(methods, noise_ids, snrs, cells, clean)
 
 
 def test_noisy_average_equals_mean_of_noise_columns():
