@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 unreadable or out-of-range input, an output
 path that cannot be written, an option that does not apply to the chosen
-method, sample-rate mismatch or a mix into a silent signal, 3 invalid
-annotation (non-UTF-8 text included), 4 benchmark with zero successful
-songs.
+method, sample-rate mismatch, or a mix into a silent signal or of a
+silent noise, 3 invalid annotation (non-UTF-8 text included), 4
+benchmark with zero successful songs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .ensemble import (
     ensemble_estimate,
     load_ensemble_spec,
 )
-from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError
+from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNoise
 from .estimators import REGISTRY, check_json, estimate_note, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
@@ -170,7 +170,7 @@ def cmd_mix(args) -> int:
         return _fail(EX_INPUT, f"cannot read signal {args.signal}: {exc}")
     try:
         noise = _resolve_noise(args.noise, len(signal.samples), signal.sample_rate, args.seed)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SilentNoise) as exc:
         return _fail(EX_INPUT, f"cannot obtain noise {args.noise}: {exc}")
 
     try:

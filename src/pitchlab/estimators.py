@@ -25,16 +25,15 @@ from .sigproc import (
     SILENCE_RMS,
     AudioBuffer,
     Frame,
-    Spectrogram,
     Spectrum,
     autocorr_matrix,
     cmnd_matrix,
     frame_signal,
     hann_window,
-    magnitude_spectra,
     magnitude_spectrum,  # unused here, but perfbench's tracer patches it in this module
     nsdf_matrix,
     overlap_energy_matrix,
+    _check_fft_length,
     _check_magnitudes,
 )
 
@@ -340,7 +339,7 @@ def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
     no frame is live or no harmonic gives an estimate. Takes no FFT.
     """
     live = analysis.hann_live
-    mags, bin_hz = analysis.magnitudes, analysis.bin_hz
+    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
     lo_hz, hi_hz = f0 * (1.0 - REFINE_WINDOW), f0 * (1.0 + REFINE_WINDOW)
     top = min(mags.shape[1], math.floor(REFINE_HARMONICS * hi_hz / bin_hz) + 2)
     if not live.any():
@@ -375,14 +374,9 @@ def _cepstrum_f0s(
     The search window spans the lags for [f_min, f_max], capped at half
     the frame; ties go to the longest lag (lowest frequency).
     """
-    f0s = np.full(mags.shape[0], np.nan)
-    if live.any():
-        frame_len = 2 * (mags.shape[1] - 1)
-        ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=frame_len, axis=1)
-        q_lo, q_hi = _lag_window(sample_rate, frame_len, cfg)
-        best = q_hi - np.argmax(ceps[:, q_lo : q_hi + 1][:, ::-1], axis=1)
-        f0s[live] = np.clip(sample_rate / best, cfg.f_min, cfg.f_max)[live]
-    return f0s
+    frame_len = 2 * (mags.shape[1] - 1)
+    ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=frame_len, axis=1)
+    return _lag_f0s(ceps, live, sample_rate, frame_len, cfg, _acf_lag)
 
 
 def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -650,17 +644,17 @@ class NoteAnalysis:
     """Shared per-note framing, spectra and correlations.
 
     Built once per note so the estimators (and the ensemble) never repeat
-    FFT work: one rFFT per frame gives both the Hann magnitudes and the
-    complex band that srh reads. Frames and spectra are held as
-    (n_frames x n) matrices that the method kernels score whole; the
-    per-frame Frame and Spectrum lists are views of their rows. Frames start HOP samples apart, and spectra
-    are zero-padded to N_FFT points (or the frame length, if longer). All
+    FFT work: one rFFT of the Hann frames gives the magnitudes that hps,
+    ml, stft, cepstrum and refine_f0 read and the complex band that srh
+    reads. Each quantity is one (n_frames x n) matrix that the method
+    kernels score whole. Frames start HOP samples apart, and spectra are
+    zero-padded to N_FFT points (or the frame length, if longer). All
     properties are lazy, and estimate_note_many keeps each (method, config)
     estimate here so that it runs at most once.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
-    rect_corr by name and counts Spectrum objects per frame, so the
-    per-frame object layer stays until the benchmark stops reading it.
+    rect_corr by name and counts Spectrum objects per frame, so spectra
+    keeps one Spectrum per frame until the benchmark stops counting them.
     """
 
     def __init__(self, note: AudioBuffer, frame_len: int = FRAME_LEN):
@@ -692,45 +686,38 @@ class NoteAnalysis:
         return self.frame_rms >= SILENCE_RMS
 
     @cached_property
-    def hann_matrix(self) -> np.ndarray:
+    def hann_frames(self) -> np.ndarray:
+        """The rectangular frames times one periodic Hann window."""
         return self.rect_matrix * hann_window(self.frame_len)
 
     @cached_property
     def hann_live(self) -> np.ndarray:
         """Like live, judged on the Hann-windowed frames (never more live)."""
-        return np.sqrt(np.mean(self.hann_matrix**2, axis=1)) >= SILENCE_RMS
-
-    @cached_property
-    def hann_frames(self) -> list[Frame]:
-        """The rows of hann_matrix as frames (views); no kernel reads them."""
-        return [Frame(row, self.sample_rate) for row in self.hann_matrix]
+        return np.sqrt(np.mean(self.hann_frames**2, axis=1)) >= SILENCE_RMS
 
     @cached_property
     def _hann_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        spectrum = np.fft.rfft(self.hann_matrix, n=self.n_fft, axis=1)
+        spectrum = np.fft.rfft(self.hann_frames, n=self.n_fft, axis=1)
         band = min(spectrum.shape[1], math.floor(_SRH_BAND_HZ / self.bin_hz) + 1)
         return np.abs(spectrum), spectrum[:, :band].copy()
 
     @property
-    def magnitudes(self) -> np.ndarray:
-        """Zero-padded Hann magnitude spectra, (n_frames x n_fft/2+1)."""
-        return self._hann_spectra[0]
-
-    @property
     def hann_band(self) -> np.ndarray:
         """The complex Hann spectra's bins up to _SRH_BAND_HZ, from the same
-        rFFT as magnitudes. Only this band is kept: the whole complex matrix
+        rFFT as spectrogram. Only this band is kept: the whole complex matrix
         would take twice the magnitudes' memory on top of them."""
         return self._hann_spectra[1]
 
     @cached_property
     def spectra(self) -> list[Spectrum]:
-        """One validated Spectrum per frame, each a view of a magnitudes row."""
-        return [Spectrum(row, self.bin_hz) for row in self.magnitudes]
+        """One validated Spectrum per frame, each a view of a magnitude row."""
+        return [Spectrum(row, self.bin_hz) for row in self._hann_spectra[0]]
 
     @cached_property
-    def spectrogram(self) -> Spectrogram:
-        return Spectrogram(tuple(self.spectra), HOP)
+    def spectrogram(self) -> np.ndarray:
+        """Zero-padded Hann magnitudes, (n_frames x n_fft/2+1), rows checked by spectra."""
+        self.spectra
+        return self._hann_spectra[0]
 
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -749,20 +736,14 @@ def _frame_votes(method_id: str, f0s: np.ndarray) -> PitchEstimate:
     )
 
 
-def _checked_magnitudes(analysis: NoteAnalysis) -> np.ndarray:
-    """The Hann magnitude matrix, after Spectrum has validated every row."""
-    analysis.spectra
-    return analysis.magnitudes
-
-
 def _note_hps(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    mags = _checked_magnitudes(analysis)
+    mags = analysis.spectrogram
     f0s = _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _log_comb, cfg.n_harmonics)
     return _frame_votes("hps", f0s)
 
 
 def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    mags = _checked_magnitudes(analysis)
+    mags = analysis.spectrogram
     return _frame_votes("ml", _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _sum_comb))
 
 
@@ -770,20 +751,23 @@ def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     """One vote per note: the comb sum over the frames' summed magnitudes."""
     if not analysis.live.any():
         return PitchEstimate(None, "stft")
-    energy = analysis.spectrogram.summed_magnitudes()
+    energy = analysis.spectrogram.sum(axis=0)
     f0s = _comb_f0s(energy[None], _has_energy(energy), analysis.bin_hz, cfg, _sum_comb)
     return _single_estimate("stft", f0s)
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    mags = magnitude_spectra(analysis.hann_matrix)
+    """Zero-padding keeps a frame's own DFT bins, so its un-padded spectrum
+    is every (n_fft / frame_len)-th bin of spectrogram."""
+    _check_fft_length(analysis.frame_len)
+    mags = analysis.spectrogram[:, :: analysis.n_fft // analysis.frame_len]
     f0s = _cepstrum_f0s(mags, analysis.hann_live, analysis.sample_rate, cfg)
     return _frame_votes("cepstrum", f0s)
 
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     f0s = _srh_f0s(
-        analysis.hann_matrix,
+        analysis.hann_frames,
         analysis.hann_band,
         analysis.hann_live,
         analysis.sample_rate,

@@ -26,7 +26,7 @@ from .ensemble import (
 )
 from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
 from .estimators import REGISTRY, NoteAnalysis, estimate_note_many
-from .noise import Scenario, mix_at_snr
+from .noise import Scenario, check_snr, mix_at_snr
 from .sigproc import AudioBuffer
 
 logger = logging.getLogger(__name__)
@@ -418,7 +418,11 @@ def render_long_csv(report: ErrorReport) -> str:
 
 
 def parse_long_csv(text: str) -> ErrorReport:
-    """Rebuild a report from its long-form CSV (for re-rendering)."""
+    """Rebuild a report from its long-form CSV (for re-rendering).
+
+    Raises ValueError on a bad header or row, SNR (check_snr) or error (not
+    finite and non-negative), a clean row with an SNR, or a repeated cell.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "method,noise_id,snr_db,error":
         raise ValueError("not a benchmark CSV: bad header")
@@ -432,18 +436,26 @@ def parse_long_csv(text: str) -> ErrorReport:
         if len(parts) != 4:
             raise ValueError(f"bad CSV row: {ln!r}")
         m, nid_raw, snr_raw, err_raw = parts
+        err = float(err_raw)
+        if not 0.0 <= err < math.inf:
+            raise ValueError(f"the error must be finite and non-negative: {ln!r}")
+        if nid_raw == "clean":
+            if snr_raw != "":
+                raise ValueError(f"a clean row has no SNR: {ln!r}")
+            table, key = clean, m
+        else:
+            nid = int(nid_raw) if nid_raw.isdigit() else nid_raw
+            snr = float(snr_raw)
+            check_snr(snr)
+            if nid not in noise_ids:
+                noise_ids.append(nid)
+            snrs.add(snr)
+            table, key = cells, (m, nid, snr)
+        if key in table:
+            raise ValueError(f"repeated CSV row: {ln!r}")
+        table[key] = err
         if m not in methods:
             methods.append(m)
-        err = float(err_raw)
-        if nid_raw == "clean" and snr_raw == "":
-            clean[m] = err
-            continue
-        nid = int(nid_raw) if nid_raw.isdigit() else nid_raw
-        snr = float(snr_raw)
-        if nid not in noise_ids:
-            noise_ids.append(nid)
-        snrs.add(snr)
-        cells[(m, nid, snr)] = err
     return ErrorReport(
         methods=tuple(methods),
         noise_ids=tuple(noise_ids),

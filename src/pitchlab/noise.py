@@ -52,6 +52,9 @@ SNR_RANGE_DB = (-200.0, 200.0)
 
 SYNTH_KINDS = ("white", "pink", "hum50", "babble")
 
+# Seconds of noise that a synthetic NoiseRef resolves to.
+SYNTH_NOISE_S = 10.0
+
 
 @dataclass(frozen=True)
 class NoiseSource:
@@ -241,34 +244,31 @@ class NoiseRef:
     """A recipe for obtaining a noise source, cheap to pass to workers.
 
     Exactly one of path or synth_kind must be set. Synthetic noises are
-    regenerated on demand from (kind, seed, duration), so two resolves
-    with the same recipe produce identical samples.
+    regenerated on demand from (kind, seed), SYNTH_NOISE_S long, so two
+    resolves with the same recipe produce identical samples.
     """
 
     noise_id: object
     path: str | None = None
     synth_kind: str | None = None
     seed: int = 0
-    duration_s: float = 10.0
 
     def __post_init__(self):
         if (self.path is None) == (self.synth_kind is None):
             raise ValueError("set exactly one of path or synth_kind")
         if self.synth_kind is not None and self.synth_kind not in SYNTH_KINDS:
             raise ValueError(f"unknown synthetic noise kind {self.synth_kind!r}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
 
     def resolve(self, sample_rate: int) -> NoiseSource:
         if self.path is not None:
             return NoiseSource(noise_id=self.noise_id, buffer=read_wav(self.path))
-        n = int(round(self.duration_s * sample_rate))
+        n = int(round(SYNTH_NOISE_S * sample_rate))
         source = synth_noise(self.synth_kind, n, sample_rate, self.seed)
         return replace(source, noise_id=self.noise_id)
 
 
 def synthetic_noise_refs(seed: int = 0) -> dict[str, NoiseRef]:
-    """One 10 s NoiseRef per synthetic kind, keyed by kind name."""
+    """One synthetic NoiseRef per kind, keyed by kind name."""
     return {
         kind: NoiseRef(noise_id=kind, synth_kind=kind, seed=seed * 1009 + i)
         for i, kind in enumerate(SYNTH_KINDS)

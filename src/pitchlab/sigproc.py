@@ -72,7 +72,7 @@ def _check_magnitudes(mags: np.ndarray) -> None:
         raise ValueError("magnitudes must be finite and non-negative")
 
 
-# Spectrum and Spectrogram stay per frame while perfbench's tracer counts them.
+# Spectrum stays per frame while perfbench's tracer counts them.
 @dataclass(frozen=True)
 class Spectrum:
     """Magnitude spectrum of a single frame (bins 0..N/2, un-normalized)."""
@@ -88,33 +88,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.magnitudes.size
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """A run of equally spaced spectra from one signal."""
-
-    spectra: tuple[Spectrum, ...]
-    hop: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "spectra", tuple(self.spectra))
-        if not self.spectra:
-            raise ValueError("a spectrogram needs at least one spectrum")
-        if self.hop < 1:
-            raise ValueError("hop must be >= 1")
-        first = self.spectra[0]
-        for s in self.spectra[1:]:
-            if len(s) != len(first) or s.bin_hz != first.bin_hz:
-                raise ValueError("all spectra must share length and bin spacing")
-
-    @property
-    def bin_hz(self) -> float:
-        return self.spectra[0].bin_hz
-
-    def summed_magnitudes(self) -> np.ndarray:
-        """Per-bin magnitude totals across all frames."""
-        return np.sum([s.magnitudes for s in self.spectra], axis=0)
 
 
 @dataclass(frozen=True)
@@ -166,15 +139,19 @@ def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_fft_length(n: int) -> None:
+    """Raise NonPowerOfTwo unless n is a power of two no smaller than 64."""
+    if n < 64 or n & (n - 1):
+        raise NonPowerOfTwo(f"frame length {n} is not a power of two >= 64")
+
+
 def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     """Un-normalized magnitude spectra of the frames along the last axis.
 
     The frame length must be a power of two no smaller than 64. Magnitudes
     are |DFT| for bins 0..N/2, so a full-scale on-bin cosine peaks at N/2.
     """
-    n = frames.shape[-1]
-    if n < 64 or n & (n - 1):
-        raise NonPowerOfTwo(f"frame length {n} is not a power of two >= 64")
+    _check_fft_length(frames.shape[-1])
     return np.abs(np.fft.rfft(frames, axis=-1))
 
 

@@ -268,6 +268,16 @@ class TestMix:
             capsys, "mix", str(silent), "synth:white", "--snr", "0", "--out", str(out_path)))
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("n_samples", [8000, 0])
+    def test_silent_noise_is_exit_2_and_writes_nothing(self, n_samples, song, capsys, tmp_path):
+        # a noise of zero power (all zeros, or no samples) cannot be scaled to an SNR
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, AudioBuffer(np.zeros(n_samples), 22050))
+        out_path = tmp_path / "o.wav"
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", song.audio_path, str(silent), "--snr", "0", "--out", str(out_path)))
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("content", MALFORMED_WAVS.values(), ids=MALFORMED_WAVS)
     @pytest.mark.parametrize("role", ["signal", "noise"])
     def test_malformed_wav_is_exit_2(self, role, content, song, capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pitchlab.errors import LpcUnstable
+from pitchlab.errors import LpcUnstable, NonPowerOfTwo
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
     LPC_ORDER,
@@ -36,7 +36,6 @@ from pitchlab.estimators import (
 )
 from pitchlab.sigproc import (
     AudioBuffer,
-    Spectrogram,
     Spectrum,
     cmnd_matrix,
     magnitude_spectra,
@@ -196,9 +195,12 @@ def test_hps_amplitude_invariant_on_scaled_spectrum():
 def test_stft_sums_over_frames():
     row = np.zeros(128)
     row[12], row[24], row[36] = 1.0, 0.6, 0.3
-    energy = Spectrogram(tuple(Spectrum(row, 10.0) for _ in range(3)), 512).summed_magnitudes()
-    assert np.array_equal(energy, 3.0 * row)
-    assert comb_vote(energy, 10.0, DEFAULT_CONFIGS["stft"], _sum_comb) == pytest.approx(120.0)
+    assert comb_vote(3.0 * row, 10.0, DEFAULT_CONFIGS["stft"], _sum_comb) == pytest.approx(120.0)
+    # the note's one vote is the comb over its spectrogram's column sums
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
+    energy = analysis.spectrogram.sum(axis=0)
+    expected = comb_vote(energy, analysis.bin_hz, DEFAULT_CONFIGS["stft"], _sum_comb)
+    assert REGISTRY["stft"].note_fn(analysis, DEFAULT_CONFIGS["stft"]).f0 == expected
 
 
 def test_stft_subdivision_tie_goes_to_lowest():
@@ -284,6 +286,15 @@ def test_cepstrum_noise_stays_in_range(rng):
 
 def test_cepstrum_silence_unvoiced():
     assert one_frame_estimate("cepstrum", np.zeros(2048), 16000).voiced is False
+
+
+@pytest.mark.parametrize("frame_len", [3000, 32])
+def test_cepstrum_rejects_frames_that_are_no_power_of_two_from_64(frame_len):
+    # the cepstrum reads every (n_fft / frame_len)-th bin of the padded
+    # spectrogram, which holds the frame's own spectrum only at these lengths
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.3), frame_len=frame_len)
+    with pytest.raises(NonPowerOfTwo):
+        REGISTRY["cepstrum"].note_fn(analysis, DEFAULT_CONFIGS["cepstrum"])
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +486,12 @@ def test_note_kernels_match_frame_level_functions():
     fs, bin_hz, cfgs = analysis.sample_rate, analysis.bin_hz, DEFAULT_CONFIGS
 
     # Spectral members: the whole-note kernel equals its one-row calls exactly.
-    mags, live = analysis.magnitudes, analysis.live
+    mags, live = analysis.spectrogram, analysis.live
     hps = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["hps"], _log_comb, cfgs["hps"].n_harmonics)
     ml = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["ml"], _sum_comb)
     assert got["hps"].per_frame == _votes(_row_by_row(hps, mags, live))
     assert got["ml"].per_frame == _votes(_row_by_row(ml, mags, live))
-    hann, hann_live = analysis.hann_matrix, analysis.hann_live
+    hann, hann_live = analysis.hann_frames, analysis.hann_live
     cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
     assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, hann_live))
     band = analysis.hann_band
@@ -530,7 +541,7 @@ def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
     # falls to 1e-7 of the frame's spectrum, and either way of computing it
     # rounds at the frame's scale, so the tolerance has a floor there.
     analysis = NoteAnalysis(_mixed_note(), frame_len=frame_len)
-    fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_matrix
+    fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_frames
     a, stable = _lpc_coefficients(hann, LPC_ORDER)
     rows = np.flatnonzero(analysis.hann_live & stable)
     bins = _spectral_band(pad // 2 + 1, fs / pad, cfg)
@@ -545,7 +556,7 @@ def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
     votes = [None] * len(hann)
     for j, i in enumerate(rows):
         residual = np.abs(np.fft.rfft(lpc_residual(rect_frame(hann[i], fs)).samples, n=pad))
-        scale = analysis.magnitudes[i].max()
+        scale = analysis.spectrogram[i].max()
         np.testing.assert_allclose(got[j], residual[:top], rtol=1e-9, atol=1e-9 * scale)
         grid, scores = srh_scores(Spectrum(residual, fs / pad), cfg)
         votes[i] = min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
@@ -568,7 +579,7 @@ class TestRefineF0:
         x = np.zeros(2048)
         x[1024], x[1025] = 1.0, -1.0
         analysis = self._one_frame(x)
-        assert np.all(np.diff(analysis.magnitudes[0]) > 0)
+        assert np.all(np.diff(analysis.spectrogram[0]) > 0)
         assert refine_f0(analysis, 220.0) == 220.0
 
     def test_flat_spectrum_keeps_f0(self):
@@ -577,7 +588,7 @@ class TestRefineF0:
         x = np.zeros(2048)
         x[1024] = 1.0
         analysis = self._one_frame(x)
-        assert np.all(analysis.magnitudes == 1.0)
+        assert np.all(analysis.spectrogram == 1.0)
         for f0 in (110.0, 220.0, 1000.0):
             assert refine_f0(analysis, f0) == f0
 

@@ -202,7 +202,7 @@ def two_songs(tmp_path):
     return materialize_songs(2, 31, tmp_path, sample_rate=22050)
 
 
-WHITE_REF = {"white": NoiseRef(noise_id="white", synth_kind="white", seed=1, duration_s=1.0)}
+WHITE_REF = {"white": NoiseRef(noise_id="white", synth_kind="white", seed=1)}
 
 
 def test_run_benchmark_per_method_errors(two_songs, stub_registry):
@@ -389,7 +389,23 @@ def test_render_rejects_unknown_format():
 
 
 def test_parse_rejects_bad_csv():
-    with pytest.raises(ValueError):
-        parse_long_csv("not,a,benchmark\n")
-    with pytest.raises(ValueError):
-        parse_long_csv("method,noise_id,snr_db,error\nhps,white,0\n")
+    header = "method,noise_id,snr_db,error\n"
+    bad = [
+        "not,a,benchmark\n",
+        header + "hps,white,0\n",
+        # errors that are not finite and non-negative
+        header + "hps,white,0,nan\n",
+        header + "hps,white,0,inf\n",
+        header + "hps,clean,,-0.5\n",
+        # an SNR that is not finite or out of range
+        header + "hps,white,nan,1.0\n",
+        header + "hps,white,1e9,1.0\n",
+        # a clean row with an SNR
+        header + "hps,clean,5,1.0\n",
+        # a repeated cell, noisy or clean
+        header + "hps,white,0,1.0\nhps,white,0,2.0\n",
+        header + "hps,clean,,1.0\nhps,clean,,2.0\n",
+    ]
+    for text in bad:
+        with pytest.raises(ValueError):
+            parse_long_csv(text)

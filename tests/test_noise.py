@@ -8,6 +8,7 @@ from pitchlab.audio_io import write_wav
 from pitchlab.errors import SampleRateMismatch, SilentNoise
 from pitchlab.noise import (
     DEFAULT_SNRS_DB,
+    SYNTH_NOISE_S,
     NoiseRef,
     NoiseSource,
     Scenario,
@@ -218,12 +219,12 @@ class TestScenarios:
 
 class TestNoiseRefs:
     def test_synth_ref_resolves_deterministically(self):
-        ref = NoiseRef(noise_id="pink", synth_kind="pink", seed=5, duration_s=0.5)
+        ref = NoiseRef(noise_id="pink", synth_kind="pink", seed=5)
         a = ref.resolve(16000)
         b = ref.resolve(16000)
         assert a.noise_id == "pink"
         assert np.array_equal(a.buffer.samples, b.buffer.samples)
-        assert len(a.buffer) == 8000
+        assert len(a.buffer) == 16000 * SYNTH_NOISE_S
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
