@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 unreadable or out-of-range input, an output
 path that cannot be written, an option that does not apply to the chosen
-method, sample-rate mismatch, or a mix into a silent signal or of a
-silent noise, 3 invalid annotation (non-UTF-8 text included), 4
-benchmark with zero successful songs.
+method, sample-rate mismatch, an external command (PITCHLAB_EXTERNAL or
+a spec's) that splits into no program, or a mix into a silent or empty
+signal or of a silent noise, 3 invalid annotation (non-UTF-8 text
+included), 4 benchmark with zero successful songs.
 """
 
 from __future__ import annotations
@@ -65,14 +66,18 @@ def _fail(code: int, message: str) -> int:
 
 
 def _apply_external_env(spec: EnsembleSpec) -> EnsembleSpec:
-    """Let PITCHLAB_EXTERNAL override or install the external member."""
+    """Let PITCHLAB_EXTERNAL override or install the external member; a
+    command that splits into no program raises ValueError naming it."""
     command = os.environ.get(EXTERNAL_ENV_VAR)
     if not command:
         return spec
-    if spec.external is None:
-        external = ExternalEstimator(command)
-    else:
-        external = dataclasses.replace(spec.external, command=command)
+    try:
+        if spec.external is None:
+            external = ExternalEstimator(command)
+        else:
+            external = dataclasses.replace(spec.external, command=command)
+    except ValueError as exc:
+        raise ValueError(f"{EXTERNAL_ENV_VAR}: {exc}") from None
     return dataclasses.replace(spec, external=external)
 
 
@@ -209,11 +214,13 @@ BENCH_FIELDS = {
 BENCH_SAMPLE_RATES = (8000, 192000)
 
 
-def _bench_config(path: str) -> dict:
-    """The benchmark config at path, every field type- and range-checked,
-    with "methods" set to its default when absent."""
+def _bench_config(path: str, **overrides) -> dict:
+    """The benchmark config at path, with the overrides that are not None
+    put over it, every field type- and range-checked, and "methods" set to
+    its default when absent."""
     with open(path, "r", encoding="utf-8") as fh:
         config = check_json(json.load(fh), BENCH_FIELDS)
+    config.update((key, value) for key, value in overrides.items() if value is not None)
     songs = config.get("songs", {})
     lo, hi = BENCH_SAMPLE_RATES
     if not lo <= songs.get("sample_rate", lo) <= hi:
@@ -223,9 +230,9 @@ def _bench_config(path: str) -> dict:
     if songs.get("annotations") == []:
         raise ValueError("songs.annotations must name at least one file")
     if config.get("jobs", 1) < 1:
-        raise ValueError("jobs must be at least 1")
+        raise ValueError("jobs (and --jobs) must be at least 1")
     if min(config.get("seed", 0), config.get("noises", {}).get("seed", 0)) < 0:
-        raise ValueError("seed and noises.seed must be non-negative")
+        raise ValueError("seed (and --seed) and noises.seed must be non-negative")
     snrs = config.get("snrs_db", [])
     for snr in snrs:
         check_snr(snr)
@@ -242,17 +249,17 @@ def _bench_config(path: str) -> dict:
 
 def cmd_bench(args) -> int:
     try:
-        config = _bench_config(args.config)
+        config = _bench_config(args.config, seed=args.seed, jobs=args.jobs, out=args.out)
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read benchmark config {args.config}: {exc}")
-    if args.seed is not None and args.seed < 0:
-        return _fail(EX_INPUT, f"--seed must be non-negative, got {args.seed}")
-    if args.jobs is not None and args.jobs < 1:
-        return _fail(EX_INPUT, f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        spec = _load_spec(None)
+    except ValueError as exc:
+        return _fail(EX_INPUT, f"bad configuration: {exc}")
 
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-    out_dir = Path(args.out if args.out is not None else config.get("out", "bench_out"))
+    seed = config.get("seed", 0)
+    jobs = config.get("jobs", 1)
+    out_dir = Path(config.get("out", "bench_out"))
 
     methods = config["methods"]
     try:
@@ -287,9 +294,7 @@ def cmd_bench(args) -> int:
     snrs = tuple(config.get("snrs_db", DEFAULT_SNRS_DB))
     scenarios = scenario_grid(tuple(refs), snrs)
 
-    report = run_benchmark(
-        songs, methods, scenarios, refs, ensemble_spec=_load_spec(None), jobs=jobs
-    )
+    report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=jobs)
 
     for failure in report.failures:
         where = "clean" if failure.scenario is None else (

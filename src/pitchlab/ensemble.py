@@ -52,8 +52,14 @@ class ExternalEstimator:
     timeout_s: float = DEFAULT_EXTERNAL_TIMEOUT_S
 
     def __post_init__(self):
-        if not self.command.strip():
+        try:
+            argv = shlex.split(self.command)
+        except ValueError as exc:
+            raise ValueError(f"external command {self.command!r} cannot be split: {exc}") from None
+        if not argv:
             raise ValueError("external command must be non-empty")
+        if "\0" in self.command:
+            raise ValueError("external command must not hold a NUL byte")
         if not 0 <= self.f_min < self.f_max:
             raise ValueError("need 0 <= f_min < f_max for the external range")
         if not 0 < self.timeout_s < np.inf:
@@ -105,7 +111,7 @@ def load_ensemble_spec(path) -> EnsembleSpec:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     configs = parse_config_overrides(raw.get("configs", {}), f"{path}: \"configs\"")
-    external = raw.get("external") or None
+    external = raw.get("external")
     if external is not None:
         if "command" not in external:
             raise ValueError(f"{path}: \"external\" needs a \"command\" string")

@@ -5,7 +5,8 @@ frame of the note, drop silent/unvoiced frames, and report the median of
 the surviving frame estimates (the energy-summation method works on the
 whole note directly). Frequency-domain methods window with a periodic
 Hann and zero-pad frames to a long FFT for a fine candidate grid;
-time-domain methods work on rectangular frames.
+time-domain methods work on rectangular frames. For every method a frame
+is silent when its Hann-windowed RMS falls below SILENCE_RMS.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ REFINE_WINDOW = 0.03
 def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
     """f0 moved below the bin grid by quadratic interpolation of spectral peaks.
 
-    Sums the magnitude rows of the note's hann_live frames and takes the
+    Sums the magnitude rows of the note's live frames and takes the
     log. For each harmonic h it picks the largest bin k whose frequency
     lies within REFINE_WINDOW of h f0. Where k is a local maximum and the
     parabola through the log magnitudes at k-1, k, k+1 is concave, its
@@ -338,7 +339,7 @@ def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
     magnitudes, so never more than REFINE_WINDOW from f0, or f0 itself when
     no frame is live or no harmonic gives an estimate. Takes no FFT.
     """
-    live = analysis.hann_live
+    live = analysis.live
     mags, bin_hz = analysis.spectrogram, analysis.bin_hz
     lo_hz, hi_hz = f0 * (1.0 - REFINE_WINDOW), f0 * (1.0 + REFINE_WINDOW)
     top = min(mags.shape[1], math.floor(REFINE_HARMONICS * hi_hz / bin_hz) + 2)
@@ -647,10 +648,11 @@ class NoteAnalysis:
     FFT work: one rFFT of the Hann frames gives the magnitudes that hps,
     ml, stft, cepstrum and refine_f0 read and the complex band that srh
     reads. Each quantity is one (n_frames x n) matrix that the method
-    kernels score whole. Frames start HOP samples apart, and spectra are
-    zero-padded to N_FFT points (or the frame length, if longer). All
-    properties are lazy, and estimate_note_many keeps each (method, config)
-    estimate here so that it runs at most once.
+    kernels score whole, voting only on the rows that live marks. Frames
+    start HOP samples apart, and spectra are zero-padded to N_FFT points
+    (or the frame length, if longer). All properties are lazy, and
+    estimate_note_many keeps each (method, config) estimate here so that
+    it runs at most once.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
     rect_corr by name and counts Spectrum objects per frame, so spectra
@@ -677,22 +679,14 @@ class NoteAnalysis:
         return frame_signal(self.note, self.frame_len, HOP)
 
     @cached_property
-    def frame_rms(self) -> np.ndarray:
-        return np.sqrt(np.mean(self.rect_matrix**2, axis=1))
-
-    @cached_property
-    def live(self) -> np.ndarray:
-        """True on the frames whose RMS reaches the silence floor."""
-        return self.frame_rms >= SILENCE_RMS
-
-    @cached_property
     def hann_frames(self) -> np.ndarray:
         """The rectangular frames times one periodic Hann window."""
         return self.rect_matrix * hann_window(self.frame_len)
 
     @cached_property
-    def hann_live(self) -> np.ndarray:
-        """Like live, judged on the Hann-windowed frames (never more live)."""
+    def live(self) -> np.ndarray:
+        """True on the frames whose Hann-windowed RMS reaches SILENCE_RMS:
+        the one silence mask that every kernel and refine_f0 read."""
         return np.sqrt(np.mean(self.hann_frames**2, axis=1)) >= SILENCE_RMS
 
     @cached_property
@@ -748,12 +742,11 @@ def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    """One vote per note: the comb sum over the frames' summed magnitudes."""
-    if not analysis.live.any():
-        return PitchEstimate(None, "stft")
+    """One vote per note, if any frame is live: the comb sum over the
+    frames' summed magnitudes."""
     energy = analysis.spectrogram.sum(axis=0)
-    f0s = _comb_f0s(energy[None], _has_energy(energy), analysis.bin_hz, cfg, _sum_comb)
-    return _single_estimate("stft", f0s)
+    live = analysis.live.any(keepdims=True)
+    return _single_estimate("stft", _comb_f0s(energy[None], live, analysis.bin_hz, cfg, _sum_comb))
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
@@ -761,7 +754,7 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
     is every (n_fft / frame_len)-th bin of spectrogram."""
     _check_fft_length(analysis.frame_len)
     mags = analysis.spectrogram[:, :: analysis.n_fft // analysis.frame_len]
-    f0s = _cepstrum_f0s(mags, analysis.hann_live, analysis.sample_rate, cfg)
+    f0s = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, cfg)
     return _frame_votes("cepstrum", f0s)
 
 
@@ -769,7 +762,7 @@ def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     f0s = _srh_f0s(
         analysis.hann_frames,
         analysis.hann_band,
-        analysis.hann_live,
+        analysis.live,
         analysis.sample_rate,
         analysis.n_fft,
         cfg,

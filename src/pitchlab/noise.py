@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import read_wav
-from .errors import SampleRateMismatch, SilentNoise
+from .errors import EmptyBuffer, SampleRateMismatch, SilentNoise
 from .sigproc import AudioBuffer
 
 logger = logging.getLogger(__name__)
@@ -114,9 +114,12 @@ def mix_at_snr(signal: AudioBuffer, noise: NoiseSource | AudioBuffer, snr_db: fl
     The noise is looped or truncated to the signal length, then scaled by
     g = sqrt(P_signal / (P_noise * 10^(snr/10))) with powers measured
     over the full extent. The sum is returned as-is; samples beyond full
-    scale are logged, not renormalized. snr_db must pass check_snr.
+    scale are logged, not renormalized. snr_db must pass check_snr, and a
+    signal without samples raises EmptyBuffer.
     """
     check_snr(snr_db)
+    if len(signal) == 0:
+        raise EmptyBuffer("the signal holds no samples")
     noise_buf = noise.buffer if isinstance(noise, NoiseSource) else noise
     if noise_buf.sample_rate != signal.sample_rate:
         raise SampleRateMismatch(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
-from pitchlab.cli import EXTERNAL_ENV_VAR, _load_spec, main
+from pitchlab.cli import EXTERNAL_ENV_VAR, _bench_config, _load_spec, main
 from pitchlab.ensemble import (
     DEFAULT_EXTERNAL_F_MAX,
     DEFAULT_EXTERNAL_F_MIN,
@@ -124,6 +124,8 @@ class TestEstimate:
         {"external": {"command": "true", "timeout_s": float("nan")}},
         {"members": ["yin", "hps"], "configs": {"yin": {"n_harmonics": 7}}},
         {"members": ["acf", "nsdf", "cepstrum"], "configs": {"cepstrum": {"n_harmonics": 2}}},
+        {"external": {}},
+        {"external": {"command": "foo \"bar"}},
     ])
     def test_malformed_ensemble_spec_is_exit_2(self, spec, song, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -131,6 +133,13 @@ class TestEstimate:
         assert_one_line_input_error(*run_cli(
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", "ensemble", "--ensemble-spec", str(path)))
+
+    @pytest.mark.parametrize("command", ["   ", "foo \"bar"])
+    def test_external_env_that_names_no_program_is_exit_2(self, command, song, monkeypatch,
+                                                          capsys):
+        monkeypatch.setenv(EXTERNAL_ENV_VAR, command)
+        assert_one_line_input_error(*run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes")))
 
     @pytest.mark.parametrize("method", ["hps", "srh", "ensemble"])
     def test_search_range_beyond_nyquist_is_exit_2(self, method, tmp_path, capsys):
@@ -268,6 +277,17 @@ class TestMix:
             capsys, "mix", str(silent), "synth:white", "--snr", "0", "--out", str(out_path)))
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("noise", ["song", "synth:white"])
+    def test_empty_signal_is_exit_2_and_writes_nothing(self, noise, song, capsys, tmp_path):
+        # a signal without samples has no power to set an SNR against
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, AudioBuffer(np.zeros(0), 22050))
+        noise = song.audio_path if noise == "song" else noise
+        out_path = tmp_path / "o.wav"
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", str(empty), noise, "--snr", "0", "--out", str(out_path)))
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("n_samples", [8000, 0])
     def test_silent_noise_is_exit_2_and_writes_nothing(self, n_samples, song, capsys, tmp_path):
         # a noise of zero power (all zeros, or no samples) cannot be scaled to an SNR
@@ -375,6 +395,24 @@ class TestBench:
     def test_jobs_argument_below_one_is_exit_2(self, jobs, tmp_path, capsys):
         path = self.bench_config(tmp_path)
         assert_one_line_input_error(*run_cli(capsys, "bench", str(path), "--jobs", jobs))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [{"seed": -2}, {"jobs": 0}])
+    def test_command_line_overrides_are_range_checked(self, overrides, tmp_path):
+        with pytest.raises(ValueError):
+            _bench_config(str(self.bench_config(tmp_path)), **overrides)
+
+    def test_command_line_overrides_replace_the_config_unless_none(self, tmp_path):
+        path = str(self.bench_config(tmp_path, jobs=3))
+        config = _bench_config(path, seed=5, jobs=None, out="elsewhere")
+        assert (config["seed"], config["jobs"], config["out"]) == (5, 3, "elsewhere")
+
+    @pytest.mark.parametrize("command", ["   ", "foo \"bar"])
+    def test_external_env_that_names_no_program_is_exit_2_before_out(self, command, tmp_path,
+                                                                    monkeypatch, capsys):
+        monkeypatch.setenv(EXTERNAL_ENV_VAR, command)
+        path = self.bench_config(tmp_path)
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pitchlab.ensemble import (
     DEFAULT_MEMBERS,
@@ -15,7 +17,14 @@ from pitchlab.ensemble import (
     member_votes,
     run_external,
 )
-from pitchlab.estimators import EstimatorConfig, NoteAnalysis, estimate_note_many, refine_f0
+from pitchlab.estimators import (
+    REGISTRY,
+    EstimatorConfig,
+    NoteAnalysis,
+    estimate_note_many,
+    refine_f0,
+)
+from pitchlab.sigproc import AudioBuffer
 
 from conftest import saw_buffer, sine_buffer
 
@@ -105,6 +114,24 @@ def test_load_spec_rejects_unknown_keys(tmp_path):
     path.write_text('{"members": ["hps", "ml"], "quorum": 3}')
     with pytest.raises(ValueError):
         load_ensemble_spec(path)
+
+
+@pytest.mark.parametrize("command", ["", "   ", "foo \"bar", "'unclosed", "trailing\\", "a\0b"])
+def test_external_rejects_a_command_that_names_no_program(command):
+    with pytest.raises(ValueError, match="external command"):
+        ExternalEstimator(command)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(" \t\n\\'\"#;$\0ab-"), max_size=12) | st.text(max_size=12))
+def test_external_command_splits_into_a_program_or_is_rejected(command):
+    # built only, never run
+    try:
+        estimator = ExternalEstimator(command)
+    except ValueError:
+        return
+    argv = shlex.split(estimator.command)
+    assert argv and not any("\0" in arg for arg in argv)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +238,22 @@ def test_default_ensemble_survives_mains_hum():
 
 
 def test_ensemble_all_silent_is_unvoiced():
-    from pitchlab.sigproc import AudioBuffer
     est = ensemble_estimate(AudioBuffer(np.zeros(22050), 44100))
     assert est.voiced is False
+
+
+def test_click_where_the_hann_window_is_zero_is_unvoiced():
+    # one click at sample 0 of a 4096-sample note: the periodic Hann window
+    # is 0 there, so the rectangular frame holds energy and the windowed one
+    # none. No method may vote on it, the time-domain ones included.
+    x = np.zeros(4096)
+    x[0] = 0.01
+    note = AudioBuffer(x, 44100)
+    analysis = NoteAnalysis(note)
+    assert not analysis.live.any()
+    votes = estimate_note_many(analysis, dict.fromkeys(REGISTRY))
+    assert {name: vote.f0 for name, vote in votes.items()} == dict.fromkeys(REGISTRY)
+    assert ensemble_estimate(note).voiced is False
 
 
 def test_always_unvoiced_external_changes_nothing(tmp_path):

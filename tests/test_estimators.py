@@ -491,12 +491,12 @@ def test_note_kernels_match_frame_level_functions():
     ml = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["ml"], _sum_comb)
     assert got["hps"].per_frame == _votes(_row_by_row(hps, mags, live))
     assert got["ml"].per_frame == _votes(_row_by_row(ml, mags, live))
-    hann, hann_live = analysis.hann_frames, analysis.hann_live
+    hann = analysis.hann_frames
     cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
-    assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, hann_live))
+    assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, live))
     band = analysis.hann_band
     srh = [
-        _srh_f0s(hann[i : i + 1], band[i : i + 1], hann_live[i : i + 1], fs, analysis.n_fft,
+        _srh_f0s(hann[i : i + 1], band[i : i + 1], live[i : i + 1], fs, analysis.n_fft,
                  cfgs["srh"])
         for i in range(len(hann))
     ]
@@ -505,8 +505,8 @@ def test_note_kernels_match_frame_level_functions():
     # srh votes unvoiced exactly on silent frames and where the one-frame
     # LPC breaks down, which happens on some live frames
     broken = [_lpc_breaks_down(rect_frame(row, fs)) for row in hann]
-    assert any(b and row_live for b, row_live in zip(broken, hann_live))
-    unvoiced = [b or not row_live for b, row_live in zip(broken, hann_live)]
+    assert any(b and row_live for b, row_live in zip(broken, live))
+    unvoiced = [b or not row_live for b, row_live in zip(broken, live)]
     assert [v is None for v in got["srh"].per_frame] == unvoiced
 
     # Lag members: each frame as a one-frame note. The note path transforms
@@ -543,7 +543,7 @@ def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
     analysis = NoteAnalysis(_mixed_note(), frame_len=frame_len)
     fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_frames
     a, stable = _lpc_coefficients(hann, LPC_ORDER)
-    rows = np.flatnonzero(analysis.hann_live & stable)
+    rows = np.flatnonzero(analysis.live & stable)
     bins = _spectral_band(pad // 2 + 1, fs / pad, cfg)
     top = bins[-1] * cfg.n_harmonics + 1
     if cfg == DEFAULT_CONFIGS["srh"]:
@@ -569,7 +569,7 @@ class TestRefineF0:
 
     def test_silent_note_keeps_f0(self):
         analysis = NoteAnalysis(AudioBuffer(np.zeros(4096), 44100))
-        assert not analysis.hann_live.any()
+        assert not analysis.live.any()
         assert refine_f0(analysis, 220.0) == 220.0
 
     def test_window_without_a_peak_keeps_f0(self):

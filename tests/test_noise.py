@@ -5,7 +5,7 @@ import pytest
 from scipy import signal as sps
 
 from pitchlab.audio_io import write_wav
-from pitchlab.errors import SampleRateMismatch, SilentNoise
+from pitchlab.errors import EmptyBuffer, SampleRateMismatch, SilentNoise
 from pitchlab.noise import (
     DEFAULT_SNRS_DB,
     SYNTH_NOISE_S,
@@ -92,6 +92,11 @@ class TestMixAtSnr:
             mix_at_snr(signal, AudioBuffer(np.zeros(100), 8000), 0.0)
         with pytest.raises(SilentNoise):
             NoiseSource("z", AudioBuffer(np.zeros(100), 8000))
+
+    def test_empty_signal_rejected(self):
+        # no samples have no power to measure an SNR against
+        with pytest.raises(EmptyBuffer):
+            mix_at_snr(AudioBuffer(np.zeros(0), 8000), constant_noise(1.0, rate=8000), 0.0)
 
 
 class TestMeasureSnr:

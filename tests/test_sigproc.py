@@ -217,8 +217,3 @@ def test_concat_framing_is_lossless():
     buf = AudioBuffer(x, 44100)
     frames = frame_signal(buf, 1024, 1024)
     assert np.array_equal(frames.ravel(), x)
-
-
-def test_frame_rms():
-    analysis = NoteAnalysis(AudioBuffer(np.array([3.0, -4.0, 3.0, -4.0]), 8000), frame_len=4)
-    assert analysis.frame_rms == pytest.approx([3.5355339059], rel=1e-9)
