@@ -173,6 +173,9 @@ def cmd_mix(args) -> int:
         signal = read_wav(args.signal)
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read signal {args.signal}: {exc}")
+    # before the noise: a synthetic one cannot be made at a length of 0
+    if len(signal) == 0:
+        return _fail(EX_INPUT, f"cannot mix into {args.signal}: the signal holds no samples")
     try:
         noise = _resolve_noise(args.noise, len(signal.samples), signal.sample_rate, args.seed)
     except (OSError, ValueError, SilentNoise) as exc:

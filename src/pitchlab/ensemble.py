@@ -27,6 +27,7 @@ from .estimators import (
     estimate_note_many,
     parse_config_overrides,
     refine_f0,
+    vote_median,
 )
 from .sigproc import AudioBuffer
 
@@ -181,7 +182,7 @@ def fuse_votes(votes) -> float | None:
     voiced = [v for v in votes if v is not None]
     if len(voiced) < MIN_VOICED_VOTES:
         return None
-    return float(np.median(voiced))
+    return vote_median(voiced)
 
 
 def member_votes(analysis: NoteAnalysis, spec: EnsembleSpec) -> dict[str, PitchEstimate]:

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -259,10 +259,13 @@ def _corr_max_lag(frame_len: int) -> int:
 
 
 def _gather(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """mags[:, idx], with 0 wherever idx runs past the last bin."""
-    out = np.zeros((mags.shape[0], idx.size), dtype=np.float64)
-    ok = idx < mags.shape[1]
-    out[:, ok] = mags[:, idx[ok]]
+    """mags[:, idx] as a new array, with 0 wherever idx runs past the last
+    bin. idx ascends, so the bins in range are a prefix of it."""
+    n_in = idx.searchsorted(mags.shape[1])
+    if n_in == idx.size:
+        return mags[:, idx]
+    out = np.zeros((mags.shape[0], idx.size))
+    out[:, :n_in] = mags[:, idx[:n_in]]
     return out
 
 
@@ -285,8 +288,8 @@ def _log_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarra
 
 def _sum_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
     """Comb sum: |X(k)| + |X(2k)| + ..., harmonics past the last bin add 0."""
-    scores = np.zeros((mags.shape[0], bins.size), dtype=np.float64)
-    for h in range(1, n_harmonics + 1):
+    scores = _gather(mags, bins)
+    for h in range(2, n_harmonics + 1):
         scores += _gather(mags, bins * h)
     return scores
 
@@ -394,17 +397,18 @@ def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.nd
         [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(order + 1)],
         axis=1,
     )
-    stable = (r[:, 0] > 0) & np.all(np.isfinite(r), axis=1)
     a = np.zeros_like(r)
     a[:, 0] = 1.0
-    err = r[:, 0].copy()
+    # errs[:, i] is the prediction error after step i; step 0's is r(0)
+    errs = np.empty_like(r)
+    errs[:, 0] = r[:, 0]
     with np.errstate(all="ignore"):
         for i in range(1, order + 1):
-            acc = r[:, i] + np.sum(a[:, 1:i] * r[:, i - 1 : 0 : -1], axis=1)
-            k = -acc / err
-            a[:, 1 : i + 1] = a[:, 1 : i + 1] + k[:, None] * a[:, i - 1 :: -1]
-            err = err * (1.0 - k * k)
-            stable &= (err > 0) & np.isfinite(err)
+            acc = r[:, i] + (a[:, 1:i] * r[:, i - 1 : 0 : -1]).sum(axis=1)
+            k = -acc / errs[:, i - 1]
+            a[:, 1 : i + 1] += k[:, None] * a[:, i - 1 :: -1]
+            np.multiply(errs[:, i - 1], 1.0 - k * k, out=errs[:, i])
+    stable = np.all(np.isfinite(r), axis=1) & np.all((errs > 0) & np.isfinite(errs), axis=1)
     return a, stable
 
 
@@ -439,18 +443,28 @@ def _residual_magnitudes(
     predictor's DFT, X the frame's and T the tail's. The tail's phase is
     pad-periodic, so this holds also where the tail wraps past pad.
     """
-    order, top = a.shape[1] - 1, spectrum.shape[1]
+    w, w_tail = _dft_rows(a.shape[1] - 1, spectrum.shape[1], pad, frames.shape[1])
+    # einsum rather than @: a BLAS product faults in its work buffer, which
+    # stays resident.
+    A = np.einsum("im,mk->ik", a, w).view(complex)
+    T = np.einsum("ij,jk->ik", _filter_tail(a, frames), w_tail).view(complex)
+    return np.abs(A * spectrum - T)
+
+
+@lru_cache(maxsize=4)
+def _dft_rows(order: int, top: int, pad: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DFT rows that _residual_magnitudes multiplies, as float64 views
+    of complex (order+1 x top) and (order x top) matrices: w[m, k] =
+    exp(-2 pi i m k / pad) for lags m = 0..order, and the same rows moved to
+    lag n + m for the tail of an n-sample frame. Computed on first use for
+    each shape and kept for the process, so both are read-only."""
     k = np.arange(top)
-    # w[m, k] = exp(-2 pi i m k / pad) for lags m = 0..order, and the same
-    # rows moved to lag n + m for the tail of an n-sample frame
     w = np.ones((order + 1, top), dtype=complex)
     np.cumprod(np.broadcast_to(np.exp(-2j * np.pi * k / pad), (order, top)), axis=0, out=w[1:])
-    w_tail = w[:order] * np.exp(-2j * np.pi * (frames.shape[1] * k % pad / pad))
-    # Real rows times complex columns, through float64 views. einsum rather
-    # than @: a BLAS product faults in its work buffer, which stays resident.
-    A = np.einsum("im,mk->ik", a, w.view(np.float64)).view(complex)
-    T = np.einsum("ij,jk->ik", _filter_tail(a, frames), w_tail.view(np.float64)).view(complex)
-    return np.abs(A * spectrum - T)
+    w_tail = w[:order] * np.exp(-2j * np.pi * (n * k % pad / pad))
+    w, w_tail = w.view(np.float64), w_tail.view(np.float64)
+    w.flags.writeable = w_tail.flags.writeable = False
+    return w, w_tail
 
 
 def _srh_f0s(
@@ -720,14 +734,19 @@ class NoteAnalysis:
         return autocorr_matrix(mat, max_lag), overlap_energy_matrix(mat, max_lag)
 
 
+def vote_median(votes: list[float]) -> float:
+    """np.median of one or more finite votes, by sorting: the middle vote,
+    or the mean of the two middle ones, to the same float."""
+    ordered = sorted(votes)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _frame_votes(method_id: str, f0s: np.ndarray) -> PitchEstimate:
     """Median of per-frame kernel f0s, NaN marking unvoiced frames."""
-    voiced = f0s[~np.isnan(f0s)]
-    return PitchEstimate(
-        float(np.median(voiced)) if voiced.size else None,
-        method_id,
-        per_frame=tuple(None if math.isnan(f) else float(f) for f in f0s),
-    )
+    per_frame = tuple(None if math.isnan(f) else f for f in f0s.tolist())
+    voiced = [f for f in per_frame if f is not None]
+    return PitchEstimate(vote_median(voiced) if voiced else None, method_id, per_frame)
 
 
 def _note_hps(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:

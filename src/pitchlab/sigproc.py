@@ -8,6 +8,7 @@ matrices along their last axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -107,10 +108,17 @@ class CorrelationFunction:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window, w[k] = 0.5 * (1 - cos(2 pi k / n))."""
+    """Periodic Hann window, w[k] = 0.5 * (1 - cos(2 pi k / n)).
+
+    Computed on the first call for each n and kept for the process, so the
+    array is read-only.
+    """
     k = np.arange(n, dtype=np.float64)
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
+    w.flags.writeable = False
+    return w
 
 
 def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:

@@ -284,8 +284,11 @@ class TestMix:
         write_wav(empty, AudioBuffer(np.zeros(0), 22050))
         noise = song.audio_path if noise == "song" else noise
         out_path = tmp_path / "o.wav"
-        assert_one_line_input_error(*run_cli(
-            capsys, "mix", str(empty), noise, "--snr", "0", "--out", str(out_path)))
+        code, out, err = run_cli(
+            capsys, "mix", str(empty), noise, "--snr", "0", "--out", str(out_path))
+        assert_one_line_input_error(code, out, err)
+        # the message blames the signal, not the noise it never needed
+        assert err == f"error: cannot mix into {empty}: the signal holds no samples\n"
         assert not out_path.exists()
 
     @pytest.mark.parametrize("n_samples", [8000, 0])

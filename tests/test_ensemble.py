@@ -21,6 +21,7 @@ from pitchlab.estimators import (
     REGISTRY,
     EstimatorConfig,
     NoteAnalysis,
+    _frame_votes,
     estimate_note_many,
     refine_f0,
 )
@@ -54,6 +55,26 @@ class TestFuseVotes:
             shuffled = list(votes)
             rng.shuffle(shuffled)
             assert fuse_votes(shuffled) == reference
+
+
+# 1 to 40 votes drawn with repeats from up to 8 distinct f0s
+VOTE_LISTS = st.lists(
+    st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=8
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(votes=VOTE_LISTS, n_unvoiced=st.integers(0, 3))
+def test_medians_equal_numpys_to_the_float(votes, n_unvoiced):
+    # sorting and taking the middle gives np.median's float, for odd and
+    # even counts; unvoiced votes and the quorum of two are unchanged
+    expected = float(np.median(votes))
+    fused = fuse_votes(votes + [None] * n_unvoiced)
+    assert fused is None if len(votes) < 2 else (type(fused) is float and fused == expected)
+    f0s = np.array(votes + [np.nan] * n_unvoiced)
+    estimate = _frame_votes("yin", f0s)
+    assert type(estimate.f0) is float and estimate.f0 == expected
+    assert estimate.per_frame == tuple(votes) + (None,) * n_unvoiced
 
 
 class TestEnsembleSpec:

@@ -241,6 +241,21 @@ def test_ml_matches_exhaustive_search(rng):
         assert est.f0 == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_bins", [128, 4097])
+@pytest.mark.parametrize("scorer", [_sum_comb, _residual_comb])
+def test_combs_score_harmonics_past_the_last_bin_as_zero(scorer, n_bins, rng):
+    # the reference pads every row with zeros past each harmonic, so none of
+    # its indices runs out; at 128 bins of 10 Hz the upper harmonics of the
+    # high candidates do run past the last bin, at 4097 bins none does
+    cfg = EstimatorConfig(20.0, 1000.0, 5)
+    bins = _spectral_band(n_bins, 10.0, cfg)
+    assert (bins * cfg.n_harmonics >= n_bins).any() == (n_bins == 128)
+    mags = rng.uniform(0.0, 1.0, (3, n_bins))
+    padded = np.concatenate([mags, np.zeros((3, cfg.n_harmonics * n_bins))], axis=1)
+    expected = scorer(padded, bins, cfg.n_harmonics)
+    assert np.array_equal(scorer(mags, bins, cfg.n_harmonics), expected)
+
+
 def test_srh_scores_reward_harmonics():
     # peaks at bins 5..25 in steps of 5: candidate bin 5 collects all five
     mags = np.zeros(40)
@@ -535,6 +550,17 @@ def test_note_kernels_match_frame_level_functions():
     (8192, DEFAULT_CONFIGS["srh"]),
 ])
 def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
+    check_residual_against_a_second_fft(frame_len, cfg)
+
+
+def test_srh_residual_spectrum_follows_the_frame_length():
+    # the DFT rows are kept per process; a frame length seen again, after
+    # another, must get its own rows back rather than the last ones made
+    for frame_len in (2048, 1024, 2048):
+        check_residual_against_a_second_fft(frame_len, DEFAULT_CONFIGS["srh"])
+
+
+def check_residual_against_a_second_fft(frame_len, cfg):
     # srh builds the residual's spectrum from the Hann spectrum as A X - T;
     # the reference inverse-filters each frame and transforms it again. On
     # frames that the predictor all but cancels (the pure tone), the residual

@@ -1,6 +1,12 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pitchlab
 from pitchlab.errors import EmptyBuffer, LagOutOfRange, NonPowerOfTwo
 from pitchlab.estimators import NoteAnalysis
 from pitchlab.sigproc import (
@@ -63,6 +69,34 @@ def test_hann_window_closed_form():
     assert np.allclose(w, 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n)))
     assert w[0] == 0.0
     assert w[n // 2] == pytest.approx(1.0)
+
+
+def test_hann_window_is_kept_read_only():
+    n = 1000
+    w = hann_window(n)
+    k = np.arange(n)
+    assert np.array_equal(w, 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n)))
+    assert not w.flags.writeable
+    assert hann_window(n) is w
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def test_importing_the_cli_fills_no_cache():
+    # every per-process cache is filled on first use, never at import, so
+    # importing the package costs no array work
+    src = str(Path(pitchlab.__file__).resolve().parents[1])
+    code = (
+        "import json, sys, pitchlab.cli\n"
+        "print(json.dumps({m + '.' + k: f.cache_info().currsize\n"
+        "                  for m, mod in list(sys.modules.items()) if m.startswith('pitchlab')\n"
+        "                  for k, f in vars(mod).items() if hasattr(f, 'cache_info')}))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={"PYTHONPATH": src}, timeout=60)
+    caches = json.loads(result.stdout)
+    assert {"pitchlab.sigproc.hann_window", "pitchlab.estimators._dft_rows"} <= set(caches)
+    assert set(caches.values()) == {0}
 
 
 class TestFrameSignal:
