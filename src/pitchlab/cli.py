@@ -281,13 +281,16 @@ def cmd_bench(args) -> int:
     else:
         count = songs_cfg.get("count", 5)
         rate = songs_cfg.get("sample_rate", 44100)
-        songs = materialize_songs(count, seed, out_dir / "songs", rate)
+        try:
+            songs = materialize_songs(count, seed, out_dir / "songs", rate)
+        except OSError as exc:
+            return _fail(EX_INPUT, f"cannot write the songs into {out_dir / 'songs'}: {exc}")
 
     noises_cfg = config.get("noises", {})
     if "dir" in noises_cfg:
         try:
             refs = refs_from_dir(noises_cfg["dir"])
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(EX_INPUT, f"cannot read noise directory: {exc}")
         if not refs:
             return _fail(EX_INPUT, f"no NN_name.wav noises in {noises_cfg['dir']}")

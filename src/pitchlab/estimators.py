@@ -19,13 +19,11 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigOutOfRange, LpcUnstable
 from .sigproc import (
     SILENCE_RMS,
     AudioBuffer,
-    Frame,
     Spectrum,
     autocorr_matrix,
     cmnd_matrix,
@@ -412,64 +410,40 @@ def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.nd
     return a, stable
 
 
-def _inverse_filter(a: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """e[t] = sum_k a[k] x[t - k] on each row, from zero initial state."""
-    order = a.shape[1] - 1
-    padded = np.concatenate([np.zeros((frames.shape[0], order)), frames], axis=1)
-    windows = sliding_window_view(padded, order + 1, axis=1)
-    return np.einsum("itk,ik->it", windows, a[:, ::-1])
-
-
-def _filter_tail(a: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """The order samples y[n + j] = sum_{m > j} a[m] x[n + j - m], j < order,
-    by which the inverse filter's full convolution runs past each n-sample
-    frame."""
-    order = a.shape[1] - 1
-    end = frames[:, -order:]
-    return np.stack(
-        [np.einsum("ij,ij->i", a[:, j + 1 :], end[:, j:][:, ::-1]) for j in range(order)],
-        axis=1,
-    )
-
-
-def _residual_magnitudes(
-    a: np.ndarray, frames: np.ndarray, spectrum: np.ndarray, pad: int
-) -> np.ndarray:
-    """|rfft(_inverse_filter(a, frames), n=pad)| on the bins spectrum holds.
-
-    spectrum holds the leading bins of rfft(frames, n=pad). The residual is
-    the full convolution of a frame with its predictor less the samples
-    past the frame end, so its spectrum is R = A X - T: A is the
-    predictor's DFT, X the frame's and T the tail's. The tail's phase is
-    pad-periodic, so this holds also where the tail wraps past pad.
-    """
-    w, w_tail = _dft_rows(a.shape[1] - 1, spectrum.shape[1], pad, frames.shape[1])
-    # einsum rather than @: a BLAS product faults in its work buffer, which
-    # stays resident.
-    A = np.einsum("im,mk->ik", a, w).view(complex)
-    T = np.einsum("ij,jk->ik", _filter_tail(a, frames), w_tail).view(complex)
-    return np.abs(A * spectrum - T)
-
-
 @lru_cache(maxsize=4)
-def _dft_rows(order: int, top: int, pad: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The DFT rows that _residual_magnitudes multiplies, as float64 views
-    of complex (order+1 x top) and (order x top) matrices: w[m, k] =
-    exp(-2 pi i m k / pad) for lags m = 0..order, and the same rows moved to
-    lag n + m for the tail of an n-sample frame. Computed on first use for
-    each shape and kept for the process, so both are read-only."""
+def _dft_rows(order: int, top: int, pad: int) -> np.ndarray:
+    """w[m, k] = exp(-2 pi i m k / pad) for lags m = 0..order and bins
+    k < top, as a float64 view of the complex (order+1 x top) matrix that
+    _whitened multiplies. Computed on first use for each shape and kept
+    for the process, so it is read-only."""
     k = np.arange(top)
     w = np.ones((order + 1, top), dtype=complex)
     np.cumprod(np.broadcast_to(np.exp(-2j * np.pi * k / pad), (order, top)), axis=0, out=w[1:])
-    w_tail = w[:order] * np.exp(-2j * np.pi * (n * k % pad / pad))
-    w, w_tail = w.view(np.float64), w_tail.view(np.float64)
-    w.flags.writeable = w_tail.flags.writeable = False
-    return w, w_tail
+    w = w.view(np.float64)
+    w.flags.writeable = False
+    return w
+
+
+def _whitened(a: np.ndarray, mags: np.ndarray, pad: int) -> np.ndarray:
+    """mags times |A|, A the DFT of each row's predictor a zero-padded to
+    pad points, on the bins mags holds (Makhoul 1975).
+
+    mags holds the leading bins of frames' magnitude spectra, zero-padded
+    to pad points. The product is the magnitude spectrum of each frame's
+    full convolution with its predictor. The residual cut to the frame's
+    length lacks only the order samples past the frame's end, which sum
+    over its last order samples; there a periodic Hann window of n points
+    is at most (order pi / n)^2, 3.4e-4 at order 12 and n = 2048.
+    """
+    # einsum rather than @: a BLAS product faults in its work buffer, which
+    # stays resident.
+    A = np.einsum("im,mk->ik", a, _dft_rows(a.shape[1] - 1, mags.shape[1], pad))
+    return mags * np.abs(A.view(complex))
 
 
 def _srh_f0s(
     frames: np.ndarray,
-    spectrum: np.ndarray,
+    mags: np.ndarray,
     live: np.ndarray,
     sample_rate: int,
     n_fft: int,
@@ -477,30 +451,21 @@ def _srh_f0s(
 ) -> np.ndarray:
     """Per-frame residual-harmonics f0 (Drugman & Alwan 2011).
 
-    Each live frame is whitened by its own 12th-order predictor, and its
-    residual's zero-padded magnitude spectrum is scored by _residual_comb.
-    spectrum holds the leading bins of the frames' complex spectra,
-    zero-padded to n_fft points (or the frame length); the residual's is
-    built from them by _residual_magnitudes, on the bins the comb reads
-    only. Where spectrum stops short of those bins, the frames are
-    transformed again. Frames whose recursion breaks down vote unvoiced.
+    mags holds the frames' magnitude spectra zero-padded to n_fft points.
+    Each live frame's row is whitened by its own 12th-order predictor
+    (_whitened) on the bins the comb reads, and _residual_comb scores the
+    result. Frames whose recursion breaks down vote unvoiced.
     """
     f0s = np.full(frames.shape[0], np.nan)
     a, stable = _lpc_coefficients(frames, LPC_ORDER)
     rows = np.flatnonzero(live & stable)
     if rows.size:
-        pad = max(n_fft, frames.shape[1])
-        n_bins, bin_hz = pad // 2 + 1, sample_rate / pad
+        n_bins, bin_hz = mags.shape[1], sample_rate / n_fft
         bins = _spectral_band(n_bins, bin_hz, cfg)
         top = min(n_bins, bins[-1] * cfg.n_harmonics + 1)
-        x = frames[rows]
-        if spectrum.shape[1] >= top:
-            x_spectrum = spectrum[rows, :top]
-        else:
-            x_spectrum = np.fft.rfft(x, n=pad, axis=1)[:, :top]
-        mags = _residual_magnitudes(a[rows], x, x_spectrum, pad)
-        _check_magnitudes(mags)
-        best = bins[np.argmax(_residual_comb(mags, bins, cfg.n_harmonics), axis=1)]
+        whitened = _whitened(a[rows], mags[rows, :top], n_fft)
+        _check_magnitudes(whitened)
+        best = bins[np.argmax(_residual_comb(whitened, bins, cfg.n_harmonics), axis=1)]
         f0s[rows] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
     return f0s
 
@@ -610,7 +575,7 @@ def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> 
     return _single_estimate("ml", f0s)
 
 
-def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
+def lpc_residual(frame: AudioBuffer, order: int = LPC_ORDER) -> AudioBuffer:
     """Inverse-filter a frame by its own linear predictor.
 
     order 0 returns the frame unchanged. Raises LpcUnstable when the
@@ -622,11 +587,11 @@ def lpc_residual(frame: Frame, order: int = LPC_ORDER) -> Frame:
         raise ValueError("order must be >= 0")
     if order == 0:
         return frame
-    x = frame.samples[None]
-    a, stable = _lpc_coefficients(x, order)
+    x = frame.samples
+    a, stable = _lpc_coefficients(x[None], order)
     if not stable[0]:
         raise LpcUnstable("frame has no energy to predict, or the prediction error collapsed")
-    return Frame(_inverse_filter(a, x)[0], frame.sample_rate)
+    return AudioBuffer(np.convolve(x, a[0])[: x.size], frame.sample_rate)
 
 
 def srh_scores(
@@ -650,19 +615,14 @@ def srh_scores(
 # ---------------------------------------------------------------------------
 
 
-# The highest bin srh's default comb reads lies at or below f_max times
-# n_harmonics, so NoteAnalysis keeps the complex Hann spectra up to there.
-_SRH_BAND_HZ = DEFAULT_CONFIGS["srh"].f_max * DEFAULT_CONFIGS["srh"].n_harmonics
-
-
 class NoteAnalysis:
     """Shared per-note framing, spectra and correlations.
 
     Built once per note so the estimators (and the ensemble) never repeat
     FFT work: one rFFT of the Hann frames gives the magnitudes that hps,
-    ml, stft, cepstrum and refine_f0 read and the complex band that srh
-    reads. Each quantity is one (n_frames x n) matrix that the method
-    kernels score whole, voting only on the rows that live marks. Frames
+    ml, stft, cepstrum, srh and refine_f0 read. Each quantity is one
+    (n_frames x n) matrix that the method kernels score whole, voting only
+    on the rows that live marks. Frames
     start HOP samples apart, and spectra are zero-padded to N_FFT points
     (or the frame length, if longer). All properties are lazy, and
     estimate_note_many keeps each (method, config) estimate here so that
@@ -704,28 +664,19 @@ class NoteAnalysis:
         return np.sqrt(np.mean(self.hann_frames**2, axis=1)) >= SILENCE_RMS
 
     @cached_property
-    def _hann_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        spectrum = np.fft.rfft(self.hann_frames, n=self.n_fft, axis=1)
-        band = min(spectrum.shape[1], math.floor(_SRH_BAND_HZ / self.bin_hz) + 1)
-        return np.abs(spectrum), spectrum[:, :band].copy()
-
-    @property
-    def hann_band(self) -> np.ndarray:
-        """The complex Hann spectra's bins up to _SRH_BAND_HZ, from the same
-        rFFT as spectrogram. Only this band is kept: the whole complex matrix
-        would take twice the magnitudes' memory on top of them."""
-        return self._hann_spectra[1]
+    def _hann_spectra(self) -> np.ndarray:
+        return np.abs(np.fft.rfft(self.hann_frames, n=self.n_fft, axis=1))
 
     @cached_property
     def spectra(self) -> list[Spectrum]:
         """One validated Spectrum per frame, each a view of a magnitude row."""
-        return [Spectrum(row, self.bin_hz) for row in self._hann_spectra[0]]
+        return [Spectrum(row, self.bin_hz) for row in self._hann_spectra]
 
     @cached_property
     def spectrogram(self) -> np.ndarray:
         """Zero-padded Hann magnitudes, (n_frames x n_fft/2+1), rows checked by spectra."""
         self.spectra
-        return self._hann_spectra[0]
+        return self._hann_spectra
 
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -780,7 +731,7 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     f0s = _srh_f0s(
         analysis.hann_frames,
-        analysis.hann_band,
+        analysis.spectrogram,
         analysis.live,
         analysis.sample_rate,
         analysis.n_fft,

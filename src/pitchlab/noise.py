@@ -279,12 +279,17 @@ def synthetic_noise_refs(seed: int = 0) -> dict[str, NoiseRef]:
 
 
 def refs_from_dir(path) -> dict[int, NoiseRef]:
-    """NoiseRefs for a corpus directory of NN_name.wav files, keyed by NN."""
+    """NoiseRefs for a corpus directory of NN_name.wav files, keyed by NN.
+
+    Raises ValueError naming both files when two share an NN.
+    """
     out: dict[int, NoiseRef] = {}
     for entry in sorted(Path(path).iterdir()):
         m = _CORPUS_NAME.match(entry.name)
         if not m:
             continue
         noise_id = int(m.group(1))
+        if noise_id in out:
+            raise ValueError(f"noise id {m.group(1)} names both {out[noise_id].path} and {entry}")
         out[noise_id] = NoiseRef(noise_id=noise_id, path=str(entry))
     return out

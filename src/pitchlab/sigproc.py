@@ -55,17 +55,6 @@ class AudioBuffer:
         return AudioBuffer(self.samples[i:j].copy(), self.sample_rate)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One frame's samples with their sample rate."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 def _check_magnitudes(mags: np.ndarray) -> None:
     """Raise ValueError unless every magnitude is finite and non-negative."""
     # min and max propagate NaN, so two reductions catch every bad value
@@ -163,7 +152,7 @@ def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, axis=-1))
 
 
-def magnitude_spectrum(frame: Frame) -> Spectrum:
+def magnitude_spectrum(frame: AudioBuffer) -> Spectrum:
     """Magnitude spectrum of one frame (see magnitude_spectra).
 
     No estimator calls it; it stays because perfbench's tracer patches it.
@@ -219,7 +208,7 @@ def cmnd_matrix(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def autocorrelation(frame: Frame, max_lag: int) -> CorrelationFunction:
+def autocorrelation(frame: AudioBuffer, max_lag: int) -> CorrelationFunction:
     """Raw autocorrelation r(tau) = sum_t x(t) x(t+tau), tau = 0..max_lag.
 
     One row of autocorr_matrix. Acceptance 6 checks it against a

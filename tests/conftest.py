@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchlab.estimators import NoteAnalysis, estimate_note_many
-from pitchlab.sigproc import AudioBuffer, Frame
+from pitchlab.sigproc import AudioBuffer
 
 
 def sine(freq, n_samples, sample_rate=44100, amp=0.8, phase=0.0):
@@ -26,7 +26,7 @@ def saw_buffer(freq, seconds=0.5, sample_rate=44100, amp=0.3):
 
 
 def rect_frame(samples, sample_rate=44100):
-    return Frame(np.asarray(samples, dtype=np.float64), sample_rate)
+    return AudioBuffer(samples, sample_rate)
 
 
 def one_frame_estimate(method, samples, rate, cfg=None):

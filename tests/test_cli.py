@@ -452,6 +452,21 @@ class TestBench:
         monkeypatch.setattr("pitchlab.cli.run_benchmark", never)
         assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
 
+    def test_songs_path_that_is_a_file_is_exit_2(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "songs").write_text("")
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(self.bench_config(tmp_path))))
+
+    def test_noise_dir_with_a_repeated_id_is_exit_2(self, tmp_path, capsys):
+        noises = tmp_path / "noises"
+        noises.mkdir()
+        for name in ("01_white.wav", "01_pink.wav"):
+            write_wav(noises / name, AudioBuffer(np.full(2000, 0.5), 22050))
+        path = self.bench_config(tmp_path, noises={"dir": str(noises)})
+        code, out, err = run_cli(capsys, "bench", str(path))
+        assert_one_line_input_error(code, out, err)
+        assert "01_white.wav" in err and "01_pink.wav" in err
+
 
 class TestExternalEnv:
     def test_overrides_the_command_and_keeps_the_range(self, monkeypatch, tmp_path):

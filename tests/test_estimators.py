@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pitchlab.ensemble import DEFAULT_MEMBERS
 from pitchlab.errors import LpcUnstable, NonPowerOfTwo
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
@@ -21,10 +22,10 @@ from pitchlab.estimators import (
     _log_comb,
     _lpc_coefficients,
     _residual_comb,
-    _residual_magnitudes,
     _spectral_band,
     _srh_f0s,
     _sum_comb,
+    _whitened,
     _yin_lag,
     estimate_note,
     estimate_note_many,
@@ -509,9 +510,8 @@ def test_note_kernels_match_frame_level_functions():
     hann = analysis.hann_frames
     cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
     assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, live))
-    band = analysis.hann_band
     srh = [
-        _srh_f0s(hann[i : i + 1], band[i : i + 1], live[i : i + 1], fs, analysis.n_fft,
+        _srh_f0s(hann[i : i + 1], mags[i : i + 1], live[i : i + 1], fs, analysis.n_fft,
                  cfgs["srh"])
         for i in range(len(hann))
     ]
@@ -542,7 +542,7 @@ def test_note_kernels_match_frame_level_functions():
     (3000, DEFAULT_CONFIGS["srh"]),
     # a frame longer than N_FFT, transformed at its own length
     (16384, DEFAULT_CONFIGS["srh"]),
-    # a comb reaching past the complex band NoteAnalysis keeps
+    # a comb reaching past srh's default f_max times n_harmonics
     (2048, EstimatorConfig(80.0, 1000.0, 8)),
     # the filter's 12-sample tail wraps past the 8192-point FFT length:
     # its last sample only (8181), or all of it (8192)
@@ -561,32 +561,45 @@ def test_srh_residual_spectrum_follows_the_frame_length():
 
 
 def check_residual_against_a_second_fft(frame_len, cfg):
-    # srh builds the residual's spectrum from the Hann spectrum as A X - T;
-    # the reference inverse-filters each frame and transforms it again. On
-    # frames that the predictor all but cancels (the pure tone), the residual
-    # falls to 1e-7 of the frame's spectrum, and either way of computing it
-    # rounds at the frame's scale, so the tolerance has a floor there.
+    # srh whitens the Hann magnitudes by |A|, the predictor's DFT; the
+    # reference convolves each Hann frame with its predictor in full, folds
+    # the samples past the FFT length back onto its start (a circular
+    # convolution) and transforms it again. On frames that the predictor
+    # all but cancels (the pure tone), the product falls to 1e-7 of the
+    # frame's spectrum, and either way of computing it rounds at the
+    # frame's scale, so the tolerance has a floor there.
     analysis = NoteAnalysis(_mixed_note(), frame_len=frame_len)
     fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_frames
     a, stable = _lpc_coefficients(hann, LPC_ORDER)
     rows = np.flatnonzero(analysis.live & stable)
     bins = _spectral_band(pad // 2 + 1, fs / pad, cfg)
     top = bins[-1] * cfg.n_harmonics + 1
-    if cfg == DEFAULT_CONFIGS["srh"]:
-        assert analysis.hann_band.shape[1] >= top
-        x_spectrum = analysis.hann_band[rows, :top]
-    else:
-        x_spectrum = np.fft.rfft(hann[rows], n=pad, axis=1)[:, :top]
-    got = _residual_magnitudes(a[rows], hann[rows], x_spectrum, pad)
+    got = _whitened(a[rows], analysis.spectrogram[rows, :top], pad)
 
     votes = [None] * len(hann)
     for j, i in enumerate(rows):
-        residual = np.abs(np.fft.rfft(lpc_residual(rect_frame(hann[i], fs)).samples, n=pad))
+        full = np.convolve(hann[i], a[i])
+        folded = np.zeros(pad)
+        np.add.at(folded, np.arange(full.size) % pad, full)
+        whitened = np.abs(np.fft.rfft(folded))
         scale = analysis.spectrogram[i].max()
-        np.testing.assert_allclose(got[j], residual[:top], rtol=1e-9, atol=1e-9 * scale)
-        grid, scores = srh_scores(Spectrum(residual, fs / pad), cfg)
+        np.testing.assert_allclose(got[j], whitened[:top], rtol=1e-9, atol=1e-9 * scale)
+        grid, scores = srh_scores(Spectrum(whitened, fs / pad), cfg)
         votes[i] = min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
     assert rows.size and REGISTRY["srh"].note_fn(analysis, cfg).per_frame == tuple(votes)
+
+
+def test_the_note_path_takes_one_forward_rfft(monkeypatch):
+    # the ensemble's members, refine_f0 and an srh comb reaching past its
+    # default band all read the one Hann rFFT of NoteAnalysis
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
+    votes = estimate_note_many(analysis, {m: None for m in DEFAULT_MEMBERS})
+    refine_f0(analysis, votes["hps"].f0)
+    assert estimate_note_many(analysis, {"srh": EstimatorConfig(80.0, 1000.0, 8)})["srh"].voiced
+    assert len(calls) == 1
 
 
 class TestRefineF0:

@@ -255,3 +255,9 @@ class TestNoiseRefs:
         assert refs[1].resolve(rate).buffer.sample_rate == rate
         resolved = refs[7].resolve(rate)
         assert np.allclose(resolved.buffer.samples, 0.25, atol=1e-6)
+
+    def test_corpus_rejects_a_repeated_id(self, tmp_path):
+        for name in ("01_white.wav", "01_pink.wav"):
+            write_wav(tmp_path / name, AudioBuffer(np.full(100, 0.5), 8000))
+        with pytest.raises(ValueError, match="01_pink.wav and .*01_white.wav"):
+            refs_from_dir(tmp_path)
