@@ -5,7 +5,8 @@ path that cannot be written, an option that does not apply to the chosen
 method, sample-rate mismatch, an external command (PITCHLAB_EXTERNAL or
 a spec's) that splits into no program, or a mix into a silent or empty
 signal or of a silent noise, 3 invalid annotation (non-UTF-8 text
-included), 4 benchmark with zero successful songs.
+included, or a note past the end of the audio), 4 benchmark with zero
+successful songs.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .ensemble import (
     DEFAULT_MEMBERS,
     EnsembleSpec,
     ExternalEstimator,
-    ensemble_estimate,
+    ensemble_estimate,  # unused here, but perfbench's tracer patches it in this module
     load_ensemble_spec,
 )
 from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNoise
-from .estimators import REGISTRY, check_json, estimate_note, load_estimator_configs
+from .estimators import REGISTRY, check_json, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
+    estimate_song,
     hz_to_midi,
     materialize_songs,
     parse_long_csv,
@@ -123,23 +125,16 @@ def cmd_estimate(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read audio {args.audio}: {exc}")
 
-    for note in annotation.notes:
-        try:
-            audio = buffer.slice_seconds(note.onset, note.offset)
-            if method == ENSEMBLE_METHOD:
-                estimate = ensemble_estimate(audio, spec)
-            else:
-                estimate = estimate_note(audio, method, configs.get(method))
-        except ConfigOutOfRange as exc:
-            return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
-        except (PitchlabError, ValueError) as exc:
-            return _fail(
-                EX_ANNOTATION,
-                f"note [{note.onset:g}, {note.offset:g}] does not fit the audio: {exc}",
-            )
-        if estimate.voiced:
-            f0_text = f"{estimate.f0:.6g}"
-            midi_text = f"{hz_to_midi(estimate.f0):.6g}"
+    try:
+        f0s = estimate_song(buffer, annotation.notes, {method: configs.get(method)}, spec)[method]
+    except ConfigOutOfRange as exc:
+        return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
+    except (PitchlabError, ValueError) as exc:
+        return _fail(EX_ANNOTATION, f"the notes do not fit {args.audio}: {exc}")
+    for note, f0 in zip(annotation.notes, f0s):
+        if f0 is not None:
+            f0_text = f"{f0:.6g}"
+            midi_text = f"{hz_to_midi(f0):.6g}"
         else:
             f0_text = "0"
             midi_text = "0"
@@ -265,6 +260,17 @@ def cmd_bench(args) -> int:
     out_dir = Path(config.get("out", "bench_out"))
 
     methods = config["methods"]
+    noises_cfg = config.get("noises", {})
+    if "dir" in noises_cfg:
+        try:
+            refs = refs_from_dir(noises_cfg["dir"])
+        except (OSError, ValueError) as exc:
+            return _fail(EX_INPUT, f"cannot read noise directory: {exc}")
+        if not refs:
+            return _fail(EX_INPUT, f"no NN_name.wav noises in {noises_cfg['dir']}")
+    else:
+        refs = synthetic_noise_refs(seed=noises_cfg.get("seed", seed))
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -285,17 +291,6 @@ def cmd_bench(args) -> int:
             songs = materialize_songs(count, seed, out_dir / "songs", rate)
         except OSError as exc:
             return _fail(EX_INPUT, f"cannot write the songs into {out_dir / 'songs'}: {exc}")
-
-    noises_cfg = config.get("noises", {})
-    if "dir" in noises_cfg:
-        try:
-            refs = refs_from_dir(noises_cfg["dir"])
-        except (OSError, ValueError) as exc:
-            return _fail(EX_INPUT, f"cannot read noise directory: {exc}")
-        if not refs:
-            return _fail(EX_INPUT, f"no NN_name.wav noises in {noises_cfg['dir']}")
-    else:
-        refs = synthetic_noise_refs(seed=noises_cfg.get("seed", seed))
 
     snrs = tuple(config.get("snrs_db", DEFAULT_SNRS_DB))
     scenarios = scenario_grid(tuple(refs), snrs)

@@ -25,7 +25,7 @@ from .ensemble import (
     fuse_votes,  # unused here, but perfbench's tracer patches it in this module
 )
 from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
-from .estimators import REGISTRY, NoteAnalysis, estimate_note_many
+from .estimators import REGISTRY, EstimatorConfig, NoteAnalysis, estimate_note_many
 from .noise import Scenario, check_snr, mix_at_snr
 from .sigproc import AudioBuffer
 
@@ -272,26 +272,36 @@ class ErrorReport:
             for nid in self.noise_ids
             for snr in self.snrs_db
         ]
+        if not vals:
+            raise KeyError(f"{method} has no noisy cells")
         return float(np.mean(vals))
 
 
-def _estimate_song(
+def estimate_song(
     buffer: AudioBuffer,
     notes: Sequence[NoteSegment],
-    base_methods: Sequence[str],
-    ensemble_spec: EnsembleSpec | None,
+    methods: Mapping[str, EstimatorConfig | None],
+    spec: EnsembleSpec | None = None,
 ) -> dict[str, list[float | None]]:
-    """Per-note estimates for every requested method over one audio take."""
-    out: dict[str, list[float | None]] = {name: [] for name in base_methods}
-    if ensemble_spec is not None:
-        out[ENSEMBLE_METHOD] = []
+    """Per-note f0s (None: unvoiced) of one audio take, for each method
+    named in methods, which maps it to a config or None as estimate_note_many
+    does. "ensemble" fuses spec's members (EnsembleSpec() when None) on the
+    same NoteAnalysis. A note with no sample in the audio raises InvalidAnnotation."""
+    plain = {name: cfg for name, cfg in methods.items() if name != ENSEMBLE_METHOD}
+    spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
+    out: dict[str, list[float | None]] = {name: [] for name in methods}
     for note in notes:
         audio = buffer.slice_seconds(note.onset, note.offset)
+        if len(audio) == 0:
+            raise InvalidAnnotation(
+                f"note [{note.onset:g}, {note.offset:g}] holds no sample of the "
+                f"{buffer.duration:g} s audio"
+            )
         analysis = NoteAnalysis(audio)
-        for name, estimate in estimate_note_many(analysis, dict.fromkeys(base_methods)).items():
+        for name, estimate in estimate_note_many(analysis, plain).items():
             out[name].append(estimate.f0)
-        if ensemble_spec is not None:
-            out[ENSEMBLE_METHOD].append(ensemble_f0(analysis, ensemble_spec))
+        if spec is not None:
+            out[ENSEMBLE_METHOD].append(ensemble_f0(analysis, spec))
     return out
 
 
@@ -299,7 +309,7 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _benchmark_task(task, base_methods, ensemble_spec) -> list[dict[str, float] | str]:
+def _benchmark_task(task, methods, ensemble_spec) -> list[dict[str, float] | str]:
     """One song under one noise source (None: the clean pass).
 
     task is (song, noise_ref, conditions). The song's audio is read and
@@ -320,7 +330,7 @@ def _benchmark_task(task, base_methods, ensemble_spec) -> list[dict[str, float] 
         try:
             t0 = time.perf_counter()
             audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
-            per_method = _estimate_song(audio, song.notes, base_methods, ensemble_spec)
+            per_method = estimate_song(audio, song.notes, dict.fromkeys(methods), ensemble_spec)
             outcomes.append({name: pitch_error(f0s, truths) for name, f0s in per_method.items()})
             logger.debug(
                 "song %s %s: %.3f s",
@@ -344,13 +354,13 @@ def run_benchmark(
 ) -> ErrorReport:
     """Evaluate methods over songs x scenarios; failures never abort.
 
-    One task reads one song and scores it under one noise source at each
-    of its SNRs, or in its clean pass. methods may include "ensemble"; its members
-    reuse the estimates of plain methods that share their config, and a
-    plain method listed next to it runs its own default config, not the
-    spec's override. A method named twice raises ValueError, an unknown
-    one KeyError. Results are deterministic for a fixed input regardless
-    of jobs.
+    One task reads one song and scores it through estimate_song under one
+    noise source at each of its SNRs, or in its clean pass. methods may
+    include "ensemble"; its members reuse the estimates of plain methods
+    that share their config, and a plain method listed next to it runs its
+    own default config, not the spec's override. A method named twice
+    raises ValueError, an unknown one KeyError. Results are deterministic
+    for a fixed input regardless of jobs.
     """
     methods = list(methods)
     if len(set(methods)) != len(methods):
@@ -358,8 +368,6 @@ def run_benchmark(
     for m in methods:
         if m != ENSEMBLE_METHOD and m not in REGISTRY:
             raise KeyError(f"unknown method {m!r}")
-    spec = (ensemble_spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
-    base_methods = [m for m in methods if m != ENSEMBLE_METHOD]
 
     # (noise ref, its scenarios in grid order) per source, clean first.
     noise_ids = list(dict.fromkeys(s.noise_id for s in scenarios))
@@ -368,7 +376,7 @@ def run_benchmark(
     ]
 
     tasks = [(song, ref, conditions) for song in songs for ref, conditions in sources]
-    score = functools.partial(_benchmark_task, base_methods=base_methods, ensemble_spec=spec)
+    score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(score, tasks, chunksize=1))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from pitchlab.ensemble import (
     EnsembleSpec,
     ExternalEstimator,
 )
+from pitchlab.estimators import REGISTRY
 from pitchlab.evaluation import materialize_songs, read_annotation, write_annotation
-from pitchlab.evaluation import NoteSegment
+from pitchlab.evaluation import NoteSegment, estimate_song, pitch_error, run_benchmark
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
@@ -47,6 +49,13 @@ def assert_one_line_input_error(code, out, err):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def notes_with_one_past_the_end(song):
+    """The song's .notes file, with a last note that starts after its audio ends."""
+    path = song.audio_path.replace(".wav", ".notes")
+    write_annotation(path, [*song.notes, NoteSegment(100.0, 101.0, 220.0)])
+    return path
 
 
 class TestEstimate:
@@ -95,9 +104,33 @@ class TestEstimate:
     def test_note_outside_audio_is_exit_3(self, song, capsys, tmp_path):
         beyond = tmp_path / "beyond.notes"
         beyond.write_text("100.0 101.0 220.0\n")
-        code, _, _ = run_cli(capsys, "estimate", song.audio_path, str(beyond),
-                             "--method", "yin")
+        code, out, _ = run_cli(capsys, "estimate", song.audio_path, str(beyond),
+                               "--method", "yin")
         assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("method", ["yin", "ensemble"])
+    def test_note_past_the_end_prints_no_line(self, method, song, capsys):
+        # the notes before it are fine, but estimate prints only a finished song
+        notes = notes_with_one_past_the_end(song)
+        code, out, err = run_cli(capsys, "estimate", song.audio_path, notes, "--method", method)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "note [100, 101]" in err
+
+    @pytest.mark.parametrize("method", [*REGISTRY, "ensemble"])
+    def test_disk_round_trip_matches_estimate_song(self, method, song, capsys):
+        # the CLI reads the song's WAV and .notes from disk; estimate_song and
+        # run_benchmark start from the annotation that materialize_songs returned
+        f0s = estimate_song(read_wav(song.audio_path), song.notes, {method: None})[method]
+        code, out, _ = run_cli(capsys, "estimate", song.audio_path,
+                               song.audio_path.replace(".wav", ".notes"), "--method", method)
+        assert code == 0
+        printed = [line.split()[2] for line in out.splitlines()]
+        assert printed == ["0" if f0 is None else f"{f0:.6g}" for f0 in f0s]
+        report = run_benchmark([song], [method], [], {})
+        assert pitch_error(f0s, song.truths()) == report.clean[method]
 
     def test_config_override_applies(self, tmp_path, capsys):
         # a range that excludes the true pitch forces a clamped estimate
@@ -466,6 +499,43 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", str(path))
         assert_one_line_input_error(code, out, err)
         assert "01_white.wav" in err and "01_pink.wav" in err
+        # the noise directory is read before out/songs is made and written
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
+    def test_noise_dir_without_noises_is_exit_2_before_out(self, make_dir, tmp_path, capsys):
+        noise_dir = tmp_path / "noises"
+        if make_dir:
+            noise_dir.mkdir()
+        path = self.bench_config(tmp_path, noises={"dir": str(noise_dir)})
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
+        assert not (tmp_path / "out").exists()
+
+    def test_note_past_the_end_fails_each_condition_naming_it(self, tmp_path, capsys):
+        song = materialize_songs(1, 17, tmp_path / "songs", sample_rate=22050)[0]
+        notes = notes_with_one_past_the_end(song)
+        path = self.bench_config(tmp_path, songs={"annotations": [notes]})
+        code, out, err = run_cli(capsys, "bench", str(path))
+        assert code == 4
+        warnings_ = [line for line in err.splitlines() if line.startswith("warning: ")]
+        # the clean pass plus each of the four synthetic noises at 10 dB
+        assert len(warnings_) == 5
+        assert all("InvalidAnnotation: note [100, 101]" in line for line in warnings_)
+
+    def test_clean_only_grid_prints_a_dash(self, tmp_path, capsys):
+        # no noisy cell to average: the summary shows "-" where it showed nan
+        path = self.bench_config(tmp_path, snrs_db=[])
+        csv_path = tmp_path / "out" / "results.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs = [run_cli(capsys, "bench", str(path)), run_cli(capsys, "report", str(csv_path))]
+        assert caught == []
+        for code, out, _ in runs:
+            assert code == 0
+            method, clean, noisy = out.splitlines()[-1].split()
+            assert (method, noisy) == ("yin", "-") and clean != "-"
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["yin", "clean", ""]]
 
 
 class TestExternalEnv:

@@ -19,6 +19,7 @@ from pitchlab.evaluation import (
     ErrorReport,
     NoteSegment,
     SongAnnotation,
+    estimate_song,
     hz_to_midi,
     materialize_songs,
     midi_to_hz,
@@ -247,6 +248,14 @@ def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
     alone = run_benchmark(two_songs, ["ml"], [], {})
     beside = run_benchmark(two_songs, ["ml", "ensemble"], [], {}, ensemble_spec=spec)
     assert beside.clean["ml"] == alone.clean["ml"]
+
+
+@pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0), NoteSegment(0.1, 0.10001)],
+                         ids=["past-the-end", "under-one-sample"])
+def test_estimate_song_rejects_a_note_without_samples(two_songs, stub_registry, note):
+    song = two_songs[0]
+    with pytest.raises(InvalidAnnotation, match=rf"note \[{note.onset:g}, {note.offset:g}\]"):
+        estimate_song(read_wav(song.audio_path), [note], {"hps": None})
 
 
 def _failure_message(load) -> str:
