@@ -4,9 +4,11 @@ Eight methods share one note-level contract: estimate f0 on each analysis
 frame of the note, drop silent/unvoiced frames, and report the median of
 the surviving frame estimates (the energy-summation method works on the
 whole note directly). Frequency-domain methods window with a periodic
-Hann and zero-pad frames to a long FFT for a fine candidate grid;
-time-domain methods work on rectangular frames. For every method a frame
-is silent when its Hann-windowed RMS falls below SILENCE_RMS.
+Hann and zero-pad frames to a long FFT for a fine candidate grid; the
+comb members read it on the note's band, the note low-passed and
+decimated to about 11 kHz. Time-domain methods work on rectangular
+frames. For every method a frame is silent when its Hann-windowed RMS
+falls below SILENCE_RMS.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigOutOfRange, LpcUnstable
 from .sigproc import (
@@ -29,20 +32,24 @@ from .sigproc import (
     cmnd_matrix,
     frame_signal,
     hann_window,
+    magnitude_spectra,
     magnitude_spectrum,  # unused here, but perfbench's tracer patches it in this module
     nsdf_matrix,
     overlap_energy_matrix,
-    _check_fft_length,
     _check_magnitudes,
 )
 
 FRAME_LEN = 2048
 HOP = 512
-# Frames are zero-padded to this FFT length by the frequency-domain
-# estimators. At 44.1 kHz the grid step is ~5.4 Hz, so a member's bin
-# pick stays within a quarter tone from about 92 Hz up; the ensemble
-# refines its fused f0 below the grid (refine_f0).
+# The full-rate FFT length that sets the spectral grid: sample_rate / N_FFT
+# apart, ~5.4 Hz at 44.1 kHz, so a member's bin pick stays within a
+# quarter tone from about 92 Hz up; the ensemble refines its fused f0
+# below the grid (refine_f0). The band's frames, decimated by q, are
+# zero-padded to N_FFT / q points, which keeps that grid.
 N_FFT = 8192
+# The band's rate stays at or above this (see _decimation): a 0.95 cutoff
+# leaves it flat to about 4 kHz, past every default comb.
+BAND_MIN_RATE = 11025
 
 LPC_ORDER = 12
 YIN_THRESHOLD = 0.15
@@ -112,9 +119,10 @@ MELODY_F_MIN = 80.0
 
 # Default search ranges. The comb methods (hps, stft, ml) and the
 # residual-harmonics method share the melody floor; hps has no top of its
-# own (it is capped by the harmonic count at use time), and srh keeps a
-# narrow band because its comb, evaluated on a whitened spectrum, wanders
-# outside typical voice/melody ranges.
+# own (its harmonics must fit the band, so it stops at the band's Nyquist
+# over 3, 1.84 kHz at 44.1 kHz), and srh keeps a narrow band because its
+# comb, evaluated on a whitened spectrum, wanders outside typical
+# voice/melody ranges.
 DEFAULT_CONFIGS: dict[str, EstimatorConfig] = {
     "acf": EstimatorConfig(20.0, 1000.0),
     "nsdf": EstimatorConfig(20.0, 1000.0),
@@ -201,13 +209,16 @@ def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _spectral_band(
     n_bins: int, bin_hz: float, cfg: EstimatorConfig, harmonic_cap: int = 1
 ) -> np.ndarray:
     """Candidate bin indices for spectra of n_bins bins under a config.
 
     harmonic_cap > 1 keeps every candidate's highest harmonic inside the
-    spectrum (needed when all terms of a product must exist).
+    spectrum (needed when all terms of a product must exist). Computed on
+    first use for each argument set and kept for the process, so the
+    array is read-only.
     """
     top_bin = n_bins - 1
     nyquist = bin_hz * top_bin
@@ -223,7 +234,9 @@ def _spectral_band(
             f"no spectral candidates in [{cfg.f_min}, {cfg.f_max}] Hz at bin width "
             f"{bin_hz:.4f} Hz"
         )
-    return np.arange(b_lo, b_hi + 1)
+    bins = np.arange(b_lo, b_hi + 1)
+    bins.flags.writeable = False
+    return bins
 
 
 def _lag_window(sample_rate: int, frame_len: int, cfg: EstimatorConfig) -> tuple[int, int]:
@@ -428,12 +441,16 @@ def _whitened(a: np.ndarray, mags: np.ndarray, pad: int) -> np.ndarray:
     """mags times |A|, A the DFT of each row's predictor a zero-padded to
     pad points, on the bins mags holds (Makhoul 1975).
 
-    mags holds the leading bins of frames' magnitude spectra, zero-padded
-    to pad points. The product is the magnitude spectrum of each frame's
-    full convolution with its predictor. The residual cut to the frame's
-    length lacks only the order samples past the frame's end, which sum
-    over its last order samples; there a periodic Hann window of n points
-    is at most (order pi / n)^2, 3.4e-4 at order 12 and n = 2048.
+    mags holds the leading bins of frames' magnitude spectra at the grid
+    of a pad-point transform: srh passes the band's bins and the
+    full-rate pad, since its predictors are fitted at full rate. On a
+    full-rate spectrum zero-padded to pad points, the product is the
+    magnitude spectrum of each frame's full convolution with its
+    predictor. The residual cut to the frame's length lacks only the
+    order samples past the frame's end, which sum over its last order
+    samples; there a periodic Hann window of n points is at most
+    (order pi / n)^2, 3.4e-4 at order 12 and n = 2048. The band's bins
+    below 4 kHz are the full-rate ones over q, to 2e-4 of a frame's peak.
     """
     # einsum rather than @: a BLAS product faults in its work buffer, which
     # stays resident.
@@ -451,10 +468,12 @@ def _srh_f0s(
 ) -> np.ndarray:
     """Per-frame residual-harmonics f0 (Drugman & Alwan 2011).
 
-    mags holds the frames' magnitude spectra zero-padded to n_fft points.
-    Each live frame's row is whitened by its own 12th-order predictor
-    (_whitened) on the bins the comb reads, and _residual_comb scores the
-    result. Frames whose recursion breaks down vote unvoiced.
+    frames are the full-rate Hann frames, and mags holds the leading bins
+    of their magnitude spectra at the grid of an n_fft-point transform, as
+    the band's spectrogram does. Each live frame's row is whitened by its
+    own 12th-order predictor, fitted to its full-rate frame (_whitened),
+    on the bins the comb reads, and _residual_comb scores the result.
+    Frames whose recursion breaks down vote unvoiced.
     """
     f0s = np.full(frames.shape[0], np.nan)
     a, stable = _lpc_coefficients(frames, LPC_ORDER)
@@ -615,28 +634,72 @@ def srh_scores(
 # ---------------------------------------------------------------------------
 
 
+def _decimation(sample_rate: int, frame_len: int) -> int:
+    """The band's decimation factor q: the largest power of two that keeps
+    sample_rate / q at or above BAND_MIN_RATE and divides frame_len and
+    HOP, else 1. So 1 at 8-16 kHz, 2 at 22.05/24, 4 at 44.1/48 and 8 at
+    96 kHz."""
+    q = 1
+    while sample_rate >= 2 * q * BAND_MIN_RATE and frame_len % (2 * q) == 0 and HOP % (2 * q) == 0:
+        q *= 2
+    return q
+
+
+@lru_cache(maxsize=4)
+def _band_filter(q: int) -> np.ndarray:
+    """Low-pass taps for decimating by q: a (24 q + 1)-tap Blackman-windowed
+    sinc, cut off at 0.95 of the reduced Nyquist, with unit gain at DC.
+    Computed on first use for each q and kept for the process, so the
+    array is read-only."""
+    n = np.arange(24 * q + 1) - 12 * q
+    h = np.sinc(0.95 * n / q) * np.blackman(n.size)
+    h /= h.sum()
+    h.flags.writeable = False
+    return h
+
+
+def _decimated(x: np.ndarray, q: int) -> np.ndarray:
+    """x low-passed by _band_filter(q) without delay, then every q-th sample
+    from the first: floor(len(x) / q) samples."""
+    m = x.size // q
+    if m == 0:
+        return np.zeros(0)
+    d = 12 * q
+    return np.convolve(x, _band_filter(q))[d : d + m * q : q]
+
+
 class NoteAnalysis:
     """Shared per-note framing, spectra and correlations.
 
     Built once per note so the estimators (and the ensemble) never repeat
-    FFT work: one rFFT of the Hann frames gives the magnitudes that hps,
-    ml, stft, cepstrum, srh and refine_f0 read. Each quantity is one
-    (n_frames x n) matrix that the method kernels score whole, voting only
-    on the rows that live marks. Frames
-    start HOP samples apart, and spectra are zero-padded to N_FFT points
-    (or the frame length, if longer). All properties are lazy, and
-    estimate_note_many keeps each (method, config) estimate here so that
-    it runs at most once.
+    FFT work. Each quantity is one (n_frames x n) matrix that the method
+    kernels score whole, voting only on the rows that live marks. Frames
+    start HOP samples apart.
+
+    The spectral members read the note's band: the note low-passed and
+    decimated by q (_decimation), framed at frame_len / q with hop
+    HOP / q, so band frame k spans full-rate frame k, and Hann-windowed.
+    One rFFT of those frames, zero-padded to n_fft / q points, gives
+    spectrogram, which hps, ml, stft and refine_f0 read, and on which srh
+    whitens by a predictor fitted to the full-rate hann_frames. Its bins
+    are bin_hz = sample_rate / n_fft apart at every q, n_fft being N_FFT
+    or the frame length, if longer. At q = 1 the band frames are
+    hann_frames. cepstrum takes its own un-padded rFFT of hann_frames. All
+    properties are lazy, and estimate_note_many keeps each (method,
+    config) estimate here so that it runs at most once.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
-    rect_corr by name and counts Spectrum objects per frame, so spectra
-    keeps one Spectrum per frame until the benchmark stops counting them.
+    rect_corr by name, counts frame_signal's rows as frames and counts
+    Spectrum objects per frame, so spectra keeps one Spectrum per band
+    frame until the benchmark stops counting them, and the band is framed
+    without frame_signal.
     """
 
     def __init__(self, note: AudioBuffer, frame_len: int = FRAME_LEN):
         self.note = note
         self.frame_len = frame_len
         self.n_fft = max(N_FFT, frame_len)
+        self.decimation = _decimation(note.sample_rate, frame_len)
         self._estimates: dict[tuple[str, EstimatorConfig], PitchEstimate] = {}
 
     @property
@@ -664,19 +727,35 @@ class NoteAnalysis:
         return np.sqrt(np.mean(self.hann_frames**2, axis=1)) >= SILENCE_RMS
 
     @cached_property
-    def _hann_spectra(self) -> np.ndarray:
-        return np.abs(np.fft.rfft(self.hann_frames, n=self.n_fft, axis=1))
+    def band_frames(self) -> np.ndarray:
+        """The band's Hann frames, (n_frames x frame_len/q); hann_frames at q = 1.
+
+        A note of n samples keeps floor(n / q) band samples, so it has as
+        many band frames as full-rate ones.
+        """
+        q = self.decimation
+        if q == 1:
+            return self.hann_frames
+        length = self.frame_len // q
+        band = _decimated(self.note.samples, q)
+        band = np.pad(band, (0, max(0, length - band.size)))
+        return sliding_window_view(band, length)[:: HOP // q] * hann_window(length)
+
+    @cached_property
+    def _band_spectra(self) -> np.ndarray:
+        return np.abs(np.fft.rfft(self.band_frames, n=self.n_fft // self.decimation, axis=1))
 
     @cached_property
     def spectra(self) -> list[Spectrum]:
         """One validated Spectrum per frame, each a view of a magnitude row."""
-        return [Spectrum(row, self.bin_hz) for row in self._hann_spectra]
+        return [Spectrum(row, self.bin_hz) for row in self._band_spectra]
 
     @cached_property
     def spectrogram(self) -> np.ndarray:
-        """Zero-padded Hann magnitudes, (n_frames x n_fft/2+1), rows checked by spectra."""
+        """The band's zero-padded Hann magnitudes, (n_frames x n_fft/(2q)+1),
+        bin_hz apart, rows checked by spectra."""
         self.spectra
-        return self._hann_spectra
+        return self._band_spectra
 
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -720,10 +799,10 @@ def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    """Zero-padding keeps a frame's own DFT bins, so its un-padded spectrum
-    is every (n_fft / frame_len)-th bin of spectrogram."""
-    _check_fft_length(analysis.frame_len)
-    mags = analysis.spectrogram[:, :: analysis.n_fft // analysis.frame_len]
+    """The cepstrum reads the spectrum up to the full-rate Nyquist, past the
+    band, so it takes its own un-padded rFFT of hann_frames, whose length
+    must be a power of two from 64 up."""
+    mags = magnitude_spectra(analysis.hann_frames)
     f0s = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, cfg)
     return _frame_votes("cepstrum", f0s)
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +389,17 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", str(path), "--jobs", "3")
         assert code == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == serial
+
+    def test_plain_methods_keep_their_rows_on_the_acceptance_10_grid(self, tmp_path, capsys):
+        # the spectral members score the decimated band, yet every plain
+        # method's row is byte for byte the one the full-rate 8192-point
+        # spectrum gave, kept in tests/data
+        path = self.bench_config(tmp_path, songs={"count": 2, "sample_rate": 44100},
+                                 methods=list(REGISTRY), snrs_db=[0, 20], seed=55)
+        code, _, _ = run_cli(capsys, "bench", str(path))
+        assert code == 0
+        expected = (Path(__file__).parent / "data" / "bench_grid_10_plain_methods.csv").read_text()
+        assert (tmp_path / "out" / "results.csv").read_text() == expected
 
     def test_unknown_method_is_exit_2(self, tmp_path, capsys):
         path = self.bench_config(tmp_path, methods=["vamp"])

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from pitchlab.ensemble import DEFAULT_MEMBERS
-from pitchlab.errors import LpcUnstable, NonPowerOfTwo
+from pitchlab.errors import ConfigOutOfRange, LpcUnstable, NonPowerOfTwo
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
+    FRAME_LEN,
+    HOP,
     LPC_ORDER,
+    MELODY_F_MIN,
+    N_FFT,
     NSDF_PEAK_FRACTION,
     YIN_THRESHOLD,
     EstimatorConfig,
@@ -536,57 +540,92 @@ def test_note_kernels_match_frame_level_functions():
         assert voiced == pytest.approx([e for e in expected if e is not None], rel=1e-12)
 
 
+# 8 harmonics of up to 1 kHz: a comb reaching 8 kHz, past the band's
+# last bin at 5.5 kHz at 44.1 kHz
+PAST_THE_BAND = EstimatorConfig(80.0, 1000.0, 8)
+
+
 @pytest.mark.parametrize("frame_len, cfg", [
     (2048, DEFAULT_CONFIGS["srh"]),
     # not a power of two
     (3000, DEFAULT_CONFIGS["srh"]),
     # a frame longer than N_FFT, transformed at its own length
     (16384, DEFAULT_CONFIGS["srh"]),
-    # a comb reaching past srh's default f_max times n_harmonics
-    (2048, EstimatorConfig(80.0, 1000.0, 8)),
+    # a comb reaching past srh's default f_max times n_harmonics, and past
+    # the band
+    (2048, PAST_THE_BAND),
     # the filter's 12-sample tail wraps past the 8192-point FFT length:
-    # its last sample only (8181), or all of it (8192)
+    # its last sample only (8181, an odd length, so at q = 1), or all of
+    # it (8192)
     (8181, DEFAULT_CONFIGS["srh"]),
     (8192, DEFAULT_CONFIGS["srh"]),
 ])
 def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
-    check_residual_against_a_second_fft(frame_len, cfg)
+    # the comb past the band scores its harmonics there as 0, so 14 of its
+    # frames vote otherwise than on the full-rate residual
+    differ = check_residual_against_a_second_fft(frame_len, cfg)
+    assert differ == (14 if cfg == PAST_THE_BAND else 0)
 
 
 def test_srh_residual_spectrum_follows_the_frame_length():
     # the DFT rows are kept per process; a frame length seen again, after
     # another, must get its own rows back rather than the last ones made
     for frame_len in (2048, 1024, 2048):
-        check_residual_against_a_second_fft(frame_len, DEFAULT_CONFIGS["srh"])
+        assert check_residual_against_a_second_fft(frame_len, DEFAULT_CONFIGS["srh"]) == 0
 
 
 def check_residual_against_a_second_fft(frame_len, cfg):
-    # srh whitens the Hann magnitudes by |A|, the predictor's DFT; the
-    # reference convolves each Hann frame with its predictor in full, folds
-    # the samples past the FFT length back onto its start (a circular
-    # convolution) and transforms it again. On frames that the predictor
-    # all but cancels (the pure tone), the product falls to 1e-7 of the
-    # frame's spectrum, and either way of computing it rounds at the
-    # frame's scale, so the tolerance has a floor there.
+    # srh whitens the band's Hann magnitudes by |A|, the DFT of a predictor
+    # fitted to the full-rate Hann frame and zero-padded to the full-rate
+    # FFT length. Two references, each from a second FFT:
+    # - the band's magnitudes times |A| taken by an rFFT of the predictor;
+    # - the full-rate residual spectrum: each Hann frame convolved with its
+    #   predictor in full, folded past the FFT length (a circular
+    #   convolution) and transformed again. The band's magnitudes are the
+    #   full-rate ones over q to 1.6e-4 of the frame's peak below 4 kHz,
+    #   so the product matches there to 2e-4; at q = 1 it is the residual
+    #   spectrum itself, to rounding.
+    # On frames that the predictor all but cancels (the pure tone), the
+    # product falls to 1e-7 of the frame's spectrum, and either way of
+    # computing it rounds at the frame's scale, so the tolerances have a
+    # floor there.
+    # srh's votes must be those picked from the full-rate residual spectrum
+    # when its comb stays below 4 kHz. A comb reaching past the band votes
+    # on the band product, and the frames where that differs from the
+    # full-rate pick are counted.
     analysis = NoteAnalysis(_mixed_note(), frame_len=frame_len)
     fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_frames
+    q = analysis.decimation
+    mags = analysis.spectrogram
     a, stable = _lpc_coefficients(hann, LPC_ORDER)
     rows = np.flatnonzero(analysis.live & stable)
-    bins = _spectral_band(pad // 2 + 1, fs / pad, cfg)
-    top = bins[-1] * cfg.n_harmonics + 1
-    got = _whitened(a[rows], analysis.spectrogram[rows, :top], pad)
+    bins = _spectral_band(mags.shape[1], fs / pad, cfg)
+    top = min(mags.shape[1], bins[-1] * cfg.n_harmonics + 1)
+    edge = math.floor(4000.0 / analysis.bin_hz) + 1
+    in_band = bins[-1] * cfg.n_harmonics + 1 <= edge
+    flat = min(top, edge)
+    got = _whitened(a[rows], mags[rows, :top], pad)
+
+    def vote(spectrum):
+        grid, scores = srh_scores(Spectrum(spectrum, fs / pad), cfg)
+        return min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
 
     votes = [None] * len(hann)
+    differ = 0
     for j, i in enumerate(rows):
+        product = mags[i, :top] * np.abs(np.fft.rfft(a[i], n=pad))[:top]
+        np.testing.assert_allclose(got[j], product, rtol=1e-9, atol=1e-9 * mags[i].max())
         full = np.convolve(hann[i], a[i])
         folded = np.zeros(pad)
         np.add.at(folded, np.arange(full.size) % pad, full)
-        whitened = np.abs(np.fft.rfft(folded))
-        scale = analysis.spectrogram[i].max()
-        np.testing.assert_allclose(got[j], whitened[:top], rtol=1e-9, atol=1e-9 * scale)
-        grid, scores = srh_scores(Spectrum(whitened, fs / pad), cfg)
-        votes[i] = min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
+        residual = np.abs(np.fft.rfft(folded))
+        peak = np.abs(np.fft.rfft(hann[i], n=pad)).max()
+        bound = (2e-4 if q > 1 else 1e-9) * peak
+        assert np.abs(q * got[j, :flat] - residual[:flat]).max() <= bound
+        votes[i] = vote(residual) if in_band else vote(product)
+        differ += votes[i] != vote(residual)
     assert rows.size and REGISTRY["srh"].note_fn(analysis, cfg).per_frame == tuple(votes)
+    return differ
 
 
 def test_the_note_path_takes_one_forward_rfft(monkeypatch):
@@ -602,9 +641,114 @@ def test_the_note_path_takes_one_forward_rfft(monkeypatch):
     assert len(calls) == 1
 
 
+# ---------------------------------------------------------------------------
+# the band
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fs, frame_len, q", [
+    (8000, FRAME_LEN, 1),
+    (11025, FRAME_LEN, 1),
+    (16000, FRAME_LEN, 1),
+    (22050, FRAME_LEN, 2),
+    (24000, FRAME_LEN, 2),
+    (44100, FRAME_LEN, 4),
+    (48000, FRAME_LEN, 4),
+    (96000, FRAME_LEN, 8),
+    # q must divide the frame length too
+    (44100, 1026, 2),
+    (44100, 8181, 1),
+])
+def test_band_decimation_per_rate(fs, frame_len, q):
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.2, fs), frame_len=frame_len)
+    assert analysis.decimation == q
+    assert analysis.band_frames.shape[1] == frame_len // q
+    n_fft = max(N_FFT, frame_len)
+    assert analysis.spectrogram.shape[1] == n_fft // (2 * q) + 1
+    assert analysis.bin_hz == fs / n_fft
+
+
+@pytest.mark.parametrize("fs", [22050, 44100, 96000])
+def test_band_has_as_many_frames_as_the_full_rate(fs, rng):
+    q = NoteAnalysis(AudioBuffer(np.ones(1), fs)).decimation
+    assert q > 1
+    lengths = [1, 2, 3, 100, FRAME_LEN - 1, FRAME_LEN]
+    # every residue mod q, on both sides of a frame boundary
+    lengths += [FRAME_LEN + 3 * HOP + r for r in range(-q, q)]
+    for n in lengths:
+        analysis = NoteAnalysis(AudioBuffer(rng.uniform(-0.3, 0.3, n), fs))
+        assert analysis.band_frames.shape == (len(analysis.rect_matrix), FRAME_LEN // q)
+        assert len(analysis.spectrogram) == len(analysis.live)
+
+
+def test_band_spectrum_is_the_full_rate_one_below_4_khz():
+    # band frame k spans full-rate frame k, and the band is flat to about
+    # 4 kHz at 44.1 kHz: there its magnitudes are the full-rate ones over q
+    analysis = NoteAnalysis(_mixed_note())
+    q, live = analysis.decimation, analysis.live
+    full = np.abs(np.fft.rfft(analysis.hann_frames, n=analysis.n_fft, axis=1))
+    flat = math.floor(4000.0 / analysis.bin_hz) + 1
+    error = np.abs(q * analysis.spectrogram[:, :flat] - full[:, :flat]).max(axis=1)
+    assert q == 4 and np.all(error[live] <= 2e-4 * full[live].max(axis=1))
+
+
+def test_cepstrum_votes_match_the_padded_full_rate_spectrum():
+    # every (N_FFT / FRAME_LEN)-th bin of the full-rate spectrum zero-padded
+    # to N_FFT is the frame's own spectrum, which cepstrum takes itself
+    analysis = NoteAnalysis(_mixed_note())
+    padded = np.abs(np.fft.rfft(analysis.hann_frames, n=N_FFT, axis=1))
+    mags = padded[:, :: N_FFT // FRAME_LEN]
+    expected = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, DEFAULT_CONFIGS["cepstrum"])
+    got = estimate_note_many(analysis, {"cepstrum": None})["cepstrum"].per_frame
+    assert got == _votes(expected) and any(v is not None for v in got)
+
+
+def test_stft_comb_past_the_band_finds_a_high_note():
+    # f_max 2000 Hz with 4 harmonics reaches 8 kHz, past the band's last
+    # bin at 5.5 kHz; the harmonics beyond it score 0
+    cfg = EstimatorConfig(MELODY_F_MIN, 2000.0, 4)
+    analysis = NoteAnalysis(saw_buffer(1500.0, 0.3))
+    assert cfg.f_max * cfg.n_harmonics > analysis.bin_hz * (analysis.spectrogram.shape[1] - 1)
+    f0 = estimate_note_many(analysis, {"stft": cfg})["stft"].f0
+    assert abs(f0 / 1500.0 - 1.0) < QUARTER_TONE
+
+
+def test_hps_default_ceiling_is_the_bands():
+    # hps's harmonics must fit the band, so at 44.1 kHz (q = 4) its default
+    # search stops at 5512.5 / 3 = 1.84 kHz and a 2.5 kHz note is gross;
+    # at 16 kHz (q = 1) the ceiling is 8000 / 3 = 2.67 kHz and it is found
+    high = NoteAnalysis(saw_buffer(2500.0, 0.3, 44100))
+    assert high.decimation == 4
+    f0 = estimate_note_many(high, {"hps": None})["hps"].f0
+    assert f0 <= 44100 / 8 / 3
+    low = NoteAnalysis(saw_buffer(2500.0, 0.3, 16000))
+    assert low.decimation == 1
+    assert estimate_note_many(low, {"hps": None})["hps"].f0 == pytest.approx(2500.0, rel=QUARTER_TONE)
+
+
+@pytest.mark.parametrize("method", ["hps", "stft", "ml", "srh"])
+def test_comb_range_above_the_band_is_out_of_range(method):
+    # at 44.1 kHz the band's Nyquist is 5512.5 Hz: a range starting above
+    # it has no candidate, though it lies below the full-rate Nyquist
+    analysis = NoteAnalysis(saw_buffer(2500.0, 0.3, 44100))
+    with pytest.raises(ConfigOutOfRange, match="5512.5 Hz"):
+        estimate_note_many(analysis, {method: EstimatorConfig(6000.0, 7000.0, 2)})
+
+
+def test_spectral_band_is_kept_read_only():
+    cfg = EstimatorConfig(80.0, 1000.0, 4)
+    bins = _spectral_band(1025, 44100 / N_FFT, cfg)
+    assert _spectral_band(1025, 44100 / N_FFT, cfg) is bins
+    assert not bins.flags.writeable
+
+
 class TestRefineF0:
     def _one_frame(self, samples):
-        return NoteAnalysis(AudioBuffer(samples, 44100), frame_len=len(samples))
+        # at 11025 Hz the band is the full-rate Hann frame (q = 1), so the
+        # spectrogram holds the frame's exact DFT magnitudes
+        analysis = NoteAnalysis(AudioBuffer(samples, 11025), frame_len=len(samples))
+        assert analysis.decimation == 1
+        return analysis
 
     def test_silent_note_keeps_f0(self):
         analysis = NoteAnalysis(AudioBuffer(np.zeros(4096), 44100))

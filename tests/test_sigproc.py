@@ -95,7 +95,12 @@ def test_importing_the_cli_fills_no_cache():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={"PYTHONPATH": src}, timeout=60)
     caches = json.loads(result.stdout)
-    assert {"pitchlab.sigproc.hann_window", "pitchlab.estimators._dft_rows"} <= set(caches)
+    assert {
+        "pitchlab.sigproc.hann_window",
+        "pitchlab.estimators._dft_rows",
+        "pitchlab.estimators._spectral_band",
+        "pitchlab.estimators._band_filter",
+    } <= set(caches)
     assert set(caches.values()) == {0}
 
 
