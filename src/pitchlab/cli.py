@@ -6,7 +6,8 @@ method, sample-rate mismatch, an external command (PITCHLAB_EXTERNAL or
 a spec's) that splits into no program, or a mix into a silent or empty
 signal or of a silent noise, 3 invalid annotation (non-UTF-8 text
 included, or a note past the end of the audio), 4 benchmark with zero
-successful songs.
+successful songs, or one whose worker process died before it finished
+(no results are written).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import logging
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
@@ -295,7 +297,10 @@ def cmd_bench(args) -> int:
     snrs = tuple(config.get("snrs_db", DEFAULT_SNRS_DB))
     scenarios = scenario_grid(tuple(refs), snrs)
 
-    report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=jobs)
+    try:
+        report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=jobs)
+    except BrokenExecutor as exc:  # a pool worker died: BrokenProcessPool
+        return _fail(EX_NO_SONGS, f"a benchmark worker process died: {exc}")
 
     for failure in report.failures:
         where = "clean" if failure.scenario is None else (

@@ -26,7 +26,7 @@ from .ensemble import (
 )
 from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
 from .estimators import REGISTRY, EstimatorConfig, NoteAnalysis, estimate_note_many
-from .noise import Scenario, check_snr, mix_at_snr
+from .noise import NoiseSource, Scenario, check_snr, mix_at_snr
 from .sigproc import AudioBuffer
 
 logger = logging.getLogger(__name__)
@@ -309,37 +309,46 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _benchmark_task(task, methods, ensemble_spec) -> list[dict[str, float] | str]:
-    """One song under one noise source (None: the clean pass).
+def _benchmark_task(task, methods, ensemble_spec) -> list[list[dict[str, float] | str]]:
+    """One noise source (None: the clean pass) over a run of songs.
 
-    task is (song, noise_ref, conditions). The song's audio is read and
-    its noise resolved once, then each condition is mixed and scored in
-    turn. Returns each condition's errors or its failure message, in
-    order: a failing condition does not stop the others, and a song or
-    noise that cannot be loaded fails all.
+    task is (songs, noise_ref, conditions). Each song in turn is read, the
+    noise resolved at its sample rate unless a song before it resolved it
+    at that rate, and each condition mixed and scored. Returns, per song,
+    each condition's errors or its failure message, in order: a failing
+    condition does not stop the others, and a song or noise that cannot be
+    loaded fails all of that song's conditions.
     """
-    song, noise_ref, conditions = task
-    try:
-        buffer = read_wav(song.audio_path)
-        truths = song.truths()
-        noise = None if noise_ref is None else noise_ref.resolve(buffer.sample_rate)
-    except Exception as exc:  # per-song failures must not abort the run
-        return [_failure(exc)] * len(conditions)
-    outcomes: list[dict[str, float] | str] = []
-    for scenario in conditions:
+    songs, noise_ref, conditions = task
+    noises: dict[int, NoiseSource] = {}  # by sample rate
+    outcomes: list[list[dict[str, float] | str]] = []
+    for song in songs:
         try:
-            t0 = time.perf_counter()
-            audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
-            per_method = estimate_song(audio, song.notes, dict.fromkeys(methods), ensemble_spec)
-            outcomes.append({name: pitch_error(f0s, truths) for name, f0s in per_method.items()})
-            logger.debug(
-                "song %s %s: %.3f s",
-                song.song_id,
-                "clean" if scenario is None else f"{scenario.noise_id}@{scenario.snr_db:+g}dB",
-                time.perf_counter() - t0,
-            )
-        except Exception as exc:
-            outcomes.append(_failure(exc))
+            buffer = read_wav(song.audio_path)
+            truths = song.truths()
+            if noise_ref is not None and buffer.sample_rate not in noises:
+                noises[buffer.sample_rate] = noise_ref.resolve(buffer.sample_rate)
+        except Exception as exc:  # per-song failures must not abort the run
+            outcomes.append([_failure(exc)] * len(conditions))
+            continue
+        noise = noises.get(buffer.sample_rate)
+        song_outcomes: list[dict[str, float] | str] = []
+        for scenario in conditions:
+            try:
+                t0 = time.perf_counter()
+                audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
+                per_method = estimate_song(audio, song.notes, dict.fromkeys(methods), ensemble_spec)
+                errors = {name: pitch_error(f0s, truths) for name, f0s in per_method.items()}
+                song_outcomes.append(errors)
+                logger.debug(
+                    "song %s %s: %.3f s",
+                    song.song_id,
+                    "clean" if scenario is None else f"{scenario.noise_id}@{scenario.snr_db:+g}dB",
+                    time.perf_counter() - t0,
+                )
+            except Exception as exc:
+                song_outcomes.append(_failure(exc))
+        outcomes.append(song_outcomes)
     return outcomes
 
 
@@ -354,13 +363,19 @@ def run_benchmark(
 ) -> ErrorReport:
     """Evaluate methods over songs x scenarios; failures never abort.
 
-    One task reads one song and scores it through estimate_song under one
-    noise source at each of its SNRs, or in its clean pass. methods may
-    include "ensemble"; its members reuse the estimates of plain methods
-    that share their config, and a plain method listed next to it runs its
-    own default config, not the spec's override. A method named twice
-    raises ValueError, an unknown one KeyError. Results are deterministic
-    for a fixed input regardless of jobs.
+    One task takes one noise source, or the clean pass, over a contiguous
+    run of songs: it resolves the noise once per sample rate, then reads
+    each song and scores it through estimate_song at each of the source's
+    SNRs. Each source's songs are cut into min(songs, ceil(jobs / sources))
+    runs, so there are at least min(jobs, songs x sources) tasks, and the
+    tasks with the most conditions start first. methods may include
+    "ensemble"; its members reuse the estimates of plain methods that
+    share their config, and a plain method listed next to it runs its own
+    default config, not the spec's override. A method named twice raises
+    ValueError, an unknown one KeyError. Results and failures come back in
+    song-major order, so they are deterministic for a fixed input
+    regardless of jobs. A worker process that dies raises
+    concurrent.futures.process.BrokenProcessPool.
     """
     methods = list(methods)
     if len(set(methods)) != len(methods):
@@ -375,7 +390,15 @@ def run_benchmark(
         (noise_refs[nid], [s for s in scenarios if s.noise_id == nid]) for nid in noise_ids
     ]
 
-    tasks = [(song, ref, conditions) for song in songs for ref, conditions in sources]
+    # (source index, first song, end song) per task, largest first; sorted is stable.
+    n_runs = min(len(songs), -(-jobs // len(sources)))
+    runs = [(len(songs) * i // n_runs, len(songs) * (i + 1) // n_runs) for i in range(n_runs)]
+    plan = sorted(
+        ((src, lo, hi) for src in range(len(sources)) for lo, hi in runs),
+        key=lambda p: (p[2] - p[1]) * len(sources[p[0]][1]),
+        reverse=True,
+    )
+    tasks = [(songs[lo:hi], *sources[src]) for src, lo, hi in plan]
     score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -383,16 +406,23 @@ def run_benchmark(
     else:
         results = [score(t) for t in tasks]
 
-    # Each cell's errors over songs, in fixed task order.
+    # outcomes[song][source]: each condition's outcome, back in song-major order.
+    outcomes: list[list] = [[None] * len(sources) for _ in songs]
+    for (src, lo, _), per_song in zip(plan, results):
+        for i, song_outcomes in enumerate(per_song, lo):
+            outcomes[i][src] = song_outcomes
+
+    # Each cell's errors over songs, in song order.
     errors: dict[tuple, list[float]] = defaultdict(list)
     failures = []
-    for (song, _, conditions), outcomes in zip(tasks, results):
-        for scenario, outcome in zip(conditions, outcomes):
-            if isinstance(outcome, str):
-                failures.append(BenchmarkFailure(song.song_id, scenario, outcome))
-                continue
-            for name, err in outcome.items():
-                errors[(name, scenario)].append(err)
+    for song, per_source in zip(songs, outcomes):
+        for (_, conditions), song_outcomes in zip(sources, per_source):
+            for scenario, outcome in zip(conditions, song_outcomes):
+                if isinstance(outcome, str):
+                    failures.append(BenchmarkFailure(song.song_id, scenario, outcome))
+                    continue
+                for name, err in outcome.items():
+                    errors[(name, scenario)].append(err)
     means = {key: sum(v) / len(v) for key, v in errors.items()}
 
     return ErrorReport(

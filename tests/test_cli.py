@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from pitchlab.ensemble import (
     EnsembleSpec,
     ExternalEstimator,
 )
-from pitchlab.estimators import REGISTRY
+from pitchlab.estimators import REGISTRY, NoteMethod
 from pitchlab.evaluation import materialize_songs, read_annotation, write_annotation
 from pitchlab.evaluation import NoteSegment, estimate_song, pitch_error, run_benchmark
 from pitchlab.noise import mix_at_snr, synth_noise
@@ -483,6 +484,21 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(path))
         assert code == 4
         assert "warning" in err
+
+    def test_a_dead_worker_is_exit_4_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # a method that kills its worker process; the pool's workers fork
+        # from this process, so they see the patched registry
+        def die(analysis, cfg):
+            os._exit(1)
+
+        monkeypatch.setitem(REGISTRY, "yin", NoteMethod(die))
+        path = self.bench_config(tmp_path, songs={"count": 1, "sample_rate": 8000})
+        code, out, err = run_cli(capsys, "bench", str(path), "--jobs", "2")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "worker process died" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_out_that_is_a_file_is_exit_2_before_scoring(self, tmp_path, capsys, monkeypatch):
         song = materialize_songs(1, 17, tmp_path / "songs", sample_rate=22050)[0]

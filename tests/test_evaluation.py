@@ -288,19 +288,80 @@ def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path
     assert report.cells == {("hps", "white", 0.0): expected}
 
 
-def test_run_benchmark_resolves_each_noise_once_per_song(two_songs, stub_registry, monkeypatch):
+def counting_resolves(monkeypatch) -> list[tuple]:
+    """Patch NoiseRef.resolve to record (noise_id, sample_rate) per call."""
     calls = []
     resolve = NoiseRef.resolve
 
     def counting_resolve(self, sample_rate):
-        calls.append(self.noise_id)
+        calls.append((self.noise_id, sample_rate))
         return resolve(self, sample_rate)
 
     monkeypatch.setattr(NoiseRef, "resolve", counting_resolve)
+    return calls
+
+
+def test_run_benchmark_resolves_each_noise_once_per_run(two_songs, stub_registry, monkeypatch):
+    calls = counting_resolves(monkeypatch)
     scenarios = [Scenario("white", 0.0), Scenario("white", 10.0)]
-    report = run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF)
-    assert calls == ["white", "white"]
+    report = run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=1)
+    assert [noise_id for noise_id, _ in calls] == ["white"]
     assert set(report.cells) == {("hps", "white", 0.0), ("hps", "white", 10.0)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8])
+def test_run_benchmark_report_is_the_same_at_any_jobs(two_songs, stub_registry, tmp_path, jobs):
+    # clean, white and a noise whose file is missing over three songs, one
+    # unreadable: jobs 1-3 give one run of songs per source, jobs 4 two
+    # and jobs 8 three, and the clean pass goes to the pool last
+    broken = SongAnnotation(
+        "broken", str(tmp_path / "missing.wav"), (NoteSegment(0.0, 0.5, 220.0),)
+    )
+    songs = [two_songs[0], broken, two_songs[1]]
+    refs = {**WHITE_REF, "lost": NoiseRef(noise_id="lost", path=str(tmp_path / "lost.wav"))}
+    scenarios = scenario_grid(("white", "lost"), (0.0, 10.0))
+    report = run_benchmark(songs, ["hps", "ml"], scenarios, refs, jobs=jobs)
+
+    read_failure = _failure_message(lambda: read_wav(broken.audio_path))
+    lost_failure = _failure_message(lambda: refs["lost"].resolve(22050))
+    lost = [s for s in scenarios if s.noise_id == "lost"]
+    # failures in song-major order: a song's clean pass, then its sources in grid order
+    assert report.failures == (
+        *(BenchmarkFailure(two_songs[0].song_id, s, lost_failure) for s in lost),
+        *(BenchmarkFailure("broken", s, read_failure) for s in [None, *scenarios]),
+        *(BenchmarkFailure(two_songs[1].song_id, s, lost_failure) for s in lost),
+    )
+    expected = {
+        method: sum(pitch_error([f0] * len(s.notes), s.truths()) for s in two_songs) / 2
+        for method, f0 in (("hps", 100.0), ("ml", 200.0))
+    }
+    assert report.clean == expected
+    assert report.cells == {
+        (method, "white", snr): err for method, err in expected.items() for snr in (0.0, 10.0)
+    }
+
+
+def test_run_benchmark_resolves_once_per_sample_rate(two_songs, tmp_path, monkeypatch):
+    # an estimate that follows the mixed audio's level, so each cell
+    # depends on the noise each song was mixed with
+    def loudness(analysis, cfg):
+        rms = float(np.sqrt(np.mean(analysis.note.samples ** 2)))
+        return PitchEstimate(100.0 + 1000.0 * rms, "hps")
+
+    monkeypatch.setitem(REGISTRY, "hps", NoteMethod(loudness))
+    other_rate = materialize_songs(1, 32, tmp_path / "16k", sample_rate=16000)[0]
+    songs = [two_songs[0], other_rate, two_songs[1]]
+    scenarios = [Scenario("white", 0.0), Scenario("white", 10.0)]
+    calls = counting_resolves(monkeypatch)
+    report = run_benchmark(songs, ["hps"], scenarios, WHITE_REF, jobs=1)
+    assert sorted(calls) == [("white", 16000), ("white", 22050)]
+
+    alone = [run_benchmark([song], ["hps"], scenarios, WHITE_REF) for song in songs]
+    assert report.failures == ()
+    assert report.clean == {"hps": sum(a.clean["hps"] for a in alone) / len(songs)}
+    assert report.cells == {
+        key: sum(a.cells[key] for a in alone) / len(songs) for key in alone[0].cells
+    }
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
