@@ -3,12 +3,13 @@
 Eight methods share one note-level contract: estimate f0 on each analysis
 frame of the note, drop silent/unvoiced frames, and report the median of
 the surviving frame estimates (the energy-summation method works on the
-whole note directly). Frequency-domain methods window with a periodic
-Hann and zero-pad frames to a long FFT for a fine candidate grid; the
-comb members read it on the note's band, the note low-passed and
-decimated to about 11 kHz. Time-domain methods work on rectangular
-frames. For every method a frame is silent when its Hann-windowed RMS
-falls below SILENCE_RMS.
+whole note directly). One geometry serves every method and sample rate:
+frames of FRAME_LEN samples, HOP apart. Frequency-domain methods window
+with a periodic Hann and zero-pad frames to N_FFT points for a fine
+candidate grid; the comb members read it on the note's band, the note
+low-passed and decimated to about 11 kHz. Time-domain methods work on
+rectangular frames. For every method a frame is silent when its
+Hann-windowed RMS falls below SILENCE_RMS.
 """
 
 from __future__ import annotations
@@ -239,24 +240,23 @@ def _spectral_band(
     return bins
 
 
-def _lag_window(sample_rate: int, frame_len: int, cfg: EstimatorConfig) -> tuple[int, int]:
+def _lag_window(sample_rate: int, cfg: EstimatorConfig) -> tuple[int, int]:
     """Inclusive lag bounds for a config; long lags stop at half the frame."""
     f_max_eff = min(cfg.f_max, sample_rate / 2.0)
     lo = math.ceil(sample_rate / f_max_eff)
-    hi = frame_len // 2
+    hi = FRAME_LEN // 2
     if cfg.f_min > 0:
         hi = min(hi, math.floor(sample_rate / cfg.f_min))
     if lo > hi:
         raise ConfigOutOfRange(
-            f"no usable lags for [{cfg.f_min}, {cfg.f_max}] Hz with frame length {frame_len}"
+            f"no usable lags for [{cfg.f_min}, {cfg.f_max}] Hz with frame length {FRAME_LEN}"
         )
     return lo, hi
 
 
-def _corr_max_lag(frame_len: int) -> int:
-    """Longest lag any lag window reaches (half the frame), plus the right
-    neighbour that parabolic refinement reads."""
-    return min(frame_len // 2 + 1, frame_len - 1)
+# Longest lag any lag window reaches (half the frame), plus the right
+# neighbour that parabolic refinement reads.
+_CORR_MAX_LAG = FRAME_LEN // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +385,12 @@ def _cepstrum_f0s(
 ) -> np.ndarray:
     """Per-row quefrency peak of the log-magnitude spectrum's inverse transform.
 
-    mags holds the un-padded spectra of frames of 2 (n_bins - 1) samples.
-    The search window spans the lags for [f_min, f_max], capped at half
-    the frame; ties go to the longest lag (lowest frequency).
+    mags holds the un-padded spectra of FRAME_LEN-sample frames. The search
+    window spans the lags for [f_min, f_max], capped at half the frame;
+    ties go to the longest lag (lowest frequency).
     """
-    frame_len = 2 * (mags.shape[1] - 1)
-    ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=frame_len, axis=1)
-    return _lag_f0s(ceps, live, sample_rate, frame_len, cfg, _acf_lag)
+    ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=FRAME_LEN, axis=1)
+    return _lag_f0s(ceps, live, sample_rate, cfg, _acf_lag)
 
 
 def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,37 +423,37 @@ def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.nd
 
 
 @lru_cache(maxsize=4)
-def _dft_rows(order: int, top: int, pad: int) -> np.ndarray:
-    """w[m, k] = exp(-2 pi i m k / pad) for lags m = 0..order and bins
+def _dft_rows(order: int, top: int) -> np.ndarray:
+    """w[m, k] = exp(-2 pi i m k / N_FFT) for lags m = 0..order and bins
     k < top, as a float64 view of the complex (order+1 x top) matrix that
     _whitened multiplies. Computed on first use for each shape and kept
     for the process, so it is read-only."""
     k = np.arange(top)
     w = np.ones((order + 1, top), dtype=complex)
-    np.cumprod(np.broadcast_to(np.exp(-2j * np.pi * k / pad), (order, top)), axis=0, out=w[1:])
+    np.cumprod(np.broadcast_to(np.exp(-2j * np.pi * k / N_FFT), (order, top)), axis=0, out=w[1:])
     w = w.view(np.float64)
     w.flags.writeable = False
     return w
 
 
-def _whitened(a: np.ndarray, mags: np.ndarray, pad: int) -> np.ndarray:
+def _whitened(a: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """mags times |A|, A the DFT of each row's predictor a zero-padded to
-    pad points, on the bins mags holds (Makhoul 1975).
+    N_FFT points, on the bins mags holds (Makhoul 1975).
 
     mags holds the leading bins of frames' magnitude spectra at the grid
-    of a pad-point transform: srh passes the band's bins and the
-    full-rate pad, since its predictors are fitted at full rate. On a
-    full-rate spectrum zero-padded to pad points, the product is the
-    magnitude spectrum of each frame's full convolution with its
-    predictor. The residual cut to the frame's length lacks only the
-    order samples past the frame's end, which sum over its last order
-    samples; there a periodic Hann window of n points is at most
-    (order pi / n)^2, 3.4e-4 at order 12 and n = 2048. The band's bins
-    below 4 kHz are the full-rate ones over q, to 2e-4 of a frame's peak.
+    of an N_FFT-point transform: srh passes the band's bins, since its
+    predictors are fitted at full rate. On a full-rate spectrum
+    zero-padded to N_FFT points, the product is the magnitude spectrum of
+    each frame's full convolution with its predictor. The residual cut to
+    the frame's length lacks only the order samples past the frame's end,
+    which sum over its last order samples; there a periodic Hann window
+    of FRAME_LEN points is at most (order pi / FRAME_LEN)^2, 3.4e-4 at
+    order 12. The band's bins below 4 kHz are the full-rate ones over q,
+    to 2e-4 of a frame's peak.
     """
     # einsum rather than @: a BLAS product faults in its work buffer, which
     # stays resident.
-    A = np.einsum("im,mk->ik", a, _dft_rows(a.shape[1] - 1, mags.shape[1], pad))
+    A = np.einsum("im,mk->ik", a, _dft_rows(a.shape[1] - 1, mags.shape[1]))
     return mags * np.abs(A.view(complex))
 
 
@@ -463,13 +462,12 @@ def _srh_f0s(
     mags: np.ndarray,
     live: np.ndarray,
     sample_rate: int,
-    n_fft: int,
     cfg: EstimatorConfig,
 ) -> np.ndarray:
     """Per-frame residual-harmonics f0 (Drugman & Alwan 2011).
 
     frames are the full-rate Hann frames, and mags holds the leading bins
-    of their magnitude spectra at the grid of an n_fft-point transform, as
+    of their magnitude spectra at the grid of an N_FFT-point transform, as
     the band's spectrogram does. Each live frame's row is whitened by its
     own 12th-order predictor, fitted to its full-rate frame (_whitened),
     on the bins the comb reads, and _residual_comb scores the result.
@@ -479,10 +477,10 @@ def _srh_f0s(
     a, stable = _lpc_coefficients(frames, LPC_ORDER)
     rows = np.flatnonzero(live & stable)
     if rows.size:
-        n_bins, bin_hz = mags.shape[1], sample_rate / n_fft
+        n_bins, bin_hz = mags.shape[1], sample_rate / N_FFT
         bins = _spectral_band(n_bins, bin_hz, cfg)
         top = min(n_bins, bins[-1] * cfg.n_harmonics + 1)
-        whitened = _whitened(a[rows], mags[rows, :top], n_fft)
+        whitened = _whitened(a[rows], mags[rows, :top])
         _check_magnitudes(whitened)
         best = bins[np.argmax(_residual_comb(whitened, bins, cfg.n_harmonics), axis=1)]
         f0s[rows] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
@@ -553,17 +551,16 @@ def _lag_f0s(
     values: np.ndarray,
     live: np.ndarray,
     sample_rate: int,
-    frame_len: int,
     cfg: EstimatorConfig,
     picker: Callable[[np.ndarray, int, int], np.ndarray],
 ) -> np.ndarray:
     """Per-row f0 = sample_rate / lag, the lag picked inside the config's window.
 
-    values holds lags 0.._corr_max_lag(frame_len) of each frame.
+    values holds lags 0.._CORR_MAX_LAG of each frame.
     """
     f0s = np.full(values.shape[0], np.nan)
     if live.any():
-        lo, hi = _lag_window(sample_rate, frame_len, cfg)
+        lo, hi = _lag_window(sample_rate, cfg)
         f0s[live] = np.clip(sample_rate / picker(values, lo, hi), cfg.f_min, cfg.f_max)[live]
     return f0s
 
@@ -634,13 +631,13 @@ def srh_scores(
 # ---------------------------------------------------------------------------
 
 
-def _decimation(sample_rate: int, frame_len: int) -> int:
+def _decimation(sample_rate: int) -> int:
     """The band's decimation factor q: the largest power of two that keeps
-    sample_rate / q at or above BAND_MIN_RATE and divides frame_len and
-    HOP, else 1. So 1 at 8-16 kHz, 2 at 22.05/24, 4 at 44.1/48 and 8 at
-    96 kHz."""
+    sample_rate / q at or above BAND_MIN_RATE and divides HOP (and so
+    FRAME_LEN), else 1. So 1 at 8-16 kHz, 2 at 22.05/24, 4 at 44.1/48, 8 at
+    96/128 and 16 at 192 kHz."""
     q = 1
-    while sample_rate >= 2 * q * BAND_MIN_RATE and frame_len % (2 * q) == 0 and HOP % (2 * q) == 0:
+    while sample_rate >= 2 * q * BAND_MIN_RATE and HOP % (2 * q) == 0:
         q *= 2
     return q
 
@@ -676,17 +673,18 @@ class NoteAnalysis:
     kernels score whole, voting only on the rows that live marks. Frames
     start HOP samples apart.
 
-    The spectral members read the note's band: the note low-passed and
-    decimated by q (_decimation), framed at frame_len / q with hop
-    HOP / q, so band frame k spans full-rate frame k, and Hann-windowed.
-    One rFFT of those frames, zero-padded to n_fft / q points, gives
-    spectrogram, which hps, ml, stft and refine_f0 read, and on which srh
-    whitens by a predictor fitted to the full-rate hann_frames. Its bins
-    are bin_hz = sample_rate / n_fft apart at every q, n_fft being N_FFT
-    or the frame length, if longer. At q = 1 the band frames are
-    hann_frames. cepstrum takes its own un-padded rFFT of hann_frames. All
-    properties are lazy, and estimate_note_many keeps each (method,
-    config) estimate here so that it runs at most once.
+    Frames are FRAME_LEN samples at every rate; a note of at most
+    FRAME_LEN samples is one zero-padded frame. The spectral members read
+    the note's band: the note low-passed and decimated by q (_decimation),
+    framed at FRAME_LEN / q with hop HOP / q, so band frame k spans
+    full-rate frame k, and Hann-windowed. One rFFT of those frames,
+    zero-padded to N_FFT / q points, gives spectrogram, which hps, ml, stft
+    and refine_f0 read, and on which srh whitens by a predictor fitted to
+    the full-rate hann_frames. Its bins are bin_hz = sample_rate / N_FFT
+    apart at every q. At q = 1 the band frames are hann_frames. cepstrum
+    takes its own un-padded rFFT of hann_frames. All properties are lazy,
+    and estimate_note_many keeps each (method, config) estimate here so
+    that it runs at most once.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
     rect_corr by name, counts frame_signal's rows as frames and counts
@@ -695,11 +693,9 @@ class NoteAnalysis:
     without frame_signal.
     """
 
-    def __init__(self, note: AudioBuffer, frame_len: int = FRAME_LEN):
+    def __init__(self, note: AudioBuffer):
         self.note = note
-        self.frame_len = frame_len
-        self.n_fft = max(N_FFT, frame_len)
-        self.decimation = _decimation(note.sample_rate, frame_len)
+        self.decimation = _decimation(note.sample_rate)
         self._estimates: dict[tuple[str, EstimatorConfig], PitchEstimate] = {}
 
     @property
@@ -708,17 +704,17 @@ class NoteAnalysis:
 
     @property
     def bin_hz(self) -> float:
-        return self.sample_rate / self.n_fft
+        return self.sample_rate / N_FFT
 
     @cached_property
     def rect_matrix(self) -> np.ndarray:
-        """The rectangular frames as one (n_frames x frame_len) matrix."""
-        return frame_signal(self.note, self.frame_len, HOP)
+        """The rectangular frames as one (n_frames x FRAME_LEN) matrix."""
+        return frame_signal(self.note, FRAME_LEN, HOP)
 
     @cached_property
     def hann_frames(self) -> np.ndarray:
         """The rectangular frames times one periodic Hann window."""
-        return self.rect_matrix * hann_window(self.frame_len)
+        return self.rect_matrix * hann_window(FRAME_LEN)
 
     @cached_property
     def live(self) -> np.ndarray:
@@ -728,7 +724,7 @@ class NoteAnalysis:
 
     @cached_property
     def band_frames(self) -> np.ndarray:
-        """The band's Hann frames, (n_frames x frame_len/q); hann_frames at q = 1.
+        """The band's Hann frames, (n_frames x FRAME_LEN/q); hann_frames at q = 1.
 
         A note of n samples keeps floor(n / q) band samples, so it has as
         many band frames as full-rate ones.
@@ -736,14 +732,14 @@ class NoteAnalysis:
         q = self.decimation
         if q == 1:
             return self.hann_frames
-        length = self.frame_len // q
+        length = FRAME_LEN // q
         band = _decimated(self.note.samples, q)
         band = np.pad(band, (0, max(0, length - band.size)))
         return sliding_window_view(band, length)[:: HOP // q] * hann_window(length)
 
     @cached_property
     def _band_spectra(self) -> np.ndarray:
-        return np.abs(np.fft.rfft(self.band_frames, n=self.n_fft // self.decimation, axis=1))
+        return np.abs(np.fft.rfft(self.band_frames, n=N_FFT // self.decimation, axis=1))
 
     @cached_property
     def spectra(self) -> list[Spectrum]:
@@ -752,7 +748,7 @@ class NoteAnalysis:
 
     @cached_property
     def spectrogram(self) -> np.ndarray:
-        """The band's zero-padded Hann magnitudes, (n_frames x n_fft/(2q)+1),
+        """The band's zero-padded Hann magnitudes, (n_frames x N_FFT/(2q)+1),
         bin_hz apart, rows checked by spectra."""
         self.spectra
         return self._band_spectra
@@ -760,8 +756,8 @@ class NoteAnalysis:
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
         """Autocorrelation and overlap-energy matrices of the rectangular frames."""
-        mat, max_lag = self.rect_matrix, _corr_max_lag(self.frame_len)
-        return autocorr_matrix(mat, max_lag), overlap_energy_matrix(mat, max_lag)
+        mat = self.rect_matrix
+        return autocorr_matrix(mat, _CORR_MAX_LAG), overlap_energy_matrix(mat, _CORR_MAX_LAG)
 
 
 def vote_median(votes: list[float]) -> float:
@@ -800,8 +796,7 @@ def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     """The cepstrum reads the spectrum up to the full-rate Nyquist, past the
-    band, so it takes its own un-padded rFFT of hann_frames, whose length
-    must be a power of two from 64 up."""
+    band, so it takes its own un-padded rFFT of hann_frames."""
     mags = magnitude_spectra(analysis.hann_frames)
     f0s = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, cfg)
     return _frame_votes("cepstrum", f0s)
@@ -809,31 +804,26 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     f0s = _srh_f0s(
-        analysis.hann_frames,
-        analysis.spectrogram,
-        analysis.live,
-        analysis.sample_rate,
-        analysis.n_fft,
-        cfg,
+        analysis.hann_frames, analysis.spectrogram, analysis.live, analysis.sample_rate, cfg
     )
     return _frame_votes("srh", f0s)
 
 
 def _note_acf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     r, _ = analysis.rect_corr
-    f0s = _lag_f0s(r, analysis.live, analysis.sample_rate, analysis.frame_len, cfg, _acf_lag)
+    f0s = _lag_f0s(r, analysis.live, analysis.sample_rate, cfg, _acf_lag)
     return _frame_votes("acf", f0s)
 
 
 def _note_nsdf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     n = nsdf_matrix(*analysis.rect_corr)
-    f0s = _lag_f0s(n, analysis.live, analysis.sample_rate, analysis.frame_len, cfg, _nsdf_lag)
+    f0s = _lag_f0s(n, analysis.live, analysis.sample_rate, cfg, _nsdf_lag)
     return _frame_votes("nsdf", f0s)
 
 
 def _note_yin(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     d = cmnd_matrix(*analysis.rect_corr)
-    f0s = _lag_f0s(d, analysis.live, analysis.sample_rate, analysis.frame_len, cfg, _yin_lag)
+    f0s = _lag_f0s(d, analysis.live, analysis.sample_rate, cfg, _yin_lag)
     return _frame_votes("yin", f0s)
 
 

@@ -133,11 +133,12 @@ class SongAnnotation:
         return [n.f0_truth for n in self.notes]
 
 
-def read_annotation(path, song_id: str | None = None, audio_path: str | None = None) -> SongAnnotation:
+def read_annotation(path, audio_path: str | None = None) -> SongAnnotation:
     """Parse a sidecar annotation: one "onset_sec offset_sec f0_hz" per line.
 
-    Raises InvalidAnnotation on any malformed content, text that is not
-    UTF-8 included; OSError only when the file cannot be read.
+    The song's id is the file's stem. Raises InvalidAnnotation on any
+    malformed content, text that is not UTF-8 included; OSError only when
+    the file cannot be read.
     """
     path = Path(path)
     notes = []
@@ -160,7 +161,7 @@ def read_annotation(path, song_id: str | None = None, audio_path: str | None = N
     if not notes:
         raise InvalidAnnotation(f"{path}: no notes found")
     return SongAnnotation(
-        song_id=song_id or path.stem,
+        song_id=path.stem,
         audio_path=audio_path or str(path.with_suffix(".wav")),
         notes=tuple(notes),
     )
@@ -372,11 +373,13 @@ def run_benchmark(
     "ensemble"; its members reuse the estimates of plain methods that
     share their config, and a plain method listed next to it runs its own
     default config, not the spec's override. A method named twice raises
-    ValueError, an unknown one KeyError. Results and failures come back in
-    song-major order, so they are deterministic for a fixed input
-    regardless of jobs. A worker process that dies raises
+    ValueError, an unknown one KeyError, and jobs < 1 ValueError. Results
+    and failures come back in song-major order, so they are deterministic
+    for a fixed input regardless of jobs. A worker process that dies raises
     concurrent.futures.process.BrokenProcessPool.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     methods = list(methods)
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must name each method once, got {methods}")

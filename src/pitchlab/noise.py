@@ -167,9 +167,9 @@ def measure_snr(signal, noise_component) -> float:
 _PINK_KNEE_HZ = 20.0
 
 
-def _peak_normalize(x: np.ndarray, peak: float = 0.95) -> np.ndarray:
+def _peak_normalize(x: np.ndarray) -> np.ndarray:
     top = float(np.max(np.abs(x)))
-    return x * (peak / top) if top > 0 else x
+    return x * (0.95 / top) if top > 0 else x
 
 
 def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> NoiseSource:

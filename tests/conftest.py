@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from pitchlab.estimators import NoteAnalysis, estimate_note_many
+from pitchlab.estimators import FRAME_LEN, NoteAnalysis, estimate_note_many
 from pitchlab.sigproc import AudioBuffer
 
 
@@ -30,8 +30,9 @@ def rect_frame(samples, sample_rate=44100):
 
 
 def one_frame_estimate(method, samples, rate, cfg=None):
-    """method's estimate on a note analysed as one frame of all its samples."""
-    analysis = NoteAnalysis(AudioBuffer(samples, rate), frame_len=len(samples))
+    """method's estimate on a note of exactly one frame."""
+    assert len(samples) == FRAME_LEN
+    analysis = NoteAnalysis(AudioBuffer(samples, rate))
     return estimate_note_many(analysis, {method: cfg})[method]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchlab.ensemble import DEFAULT_MEMBERS
-from pitchlab.errors import ConfigOutOfRange, LpcUnstable, NonPowerOfTwo
+from pitchlab.errors import ConfigOutOfRange, LpcUnstable
 from pitchlab.estimators import (
     DEFAULT_CONFIGS,
     FRAME_LEN,
@@ -110,8 +110,8 @@ def test_load_configs_rejects_unknown(tmp_path):
 
 
 def test_acf_exact_on_integer_period():
-    # 100 Hz at 8 kHz: the period of 80 samples divides the frame exactly
-    est = one_frame_estimate("acf", sine(100.0, 1024, 8000), 8000)
+    # 100 Hz at 8 kHz: the period is a whole 80 samples
+    est = one_frame_estimate("acf", sine(100.0, 2048, 8000), 8000)
     assert est.f0 == pytest.approx(100.0, abs=1e-9)
 
 
@@ -143,7 +143,7 @@ def test_yin_follows_first_dip_to_its_floor():
 
 
 def test_yin_finds_fundamental_not_subharmonic():
-    est = one_frame_estimate("yin", sine(250.0, 1024, 8000), 8000)
+    est = one_frame_estimate("yin", sine(250.0, 2048, 8000), 8000)
     assert est.f0 == pytest.approx(250.0, rel=1e-3)
 
 
@@ -308,15 +308,6 @@ def test_cepstrum_silence_unvoiced():
     assert one_frame_estimate("cepstrum", np.zeros(2048), 16000).voiced is False
 
 
-@pytest.mark.parametrize("frame_len", [3000, 32])
-def test_cepstrum_rejects_frames_that_are_no_power_of_two_from_64(frame_len):
-    # the cepstrum reads every (n_fft / frame_len)-th bin of the padded
-    # spectrogram, which holds the frame's own spectrum only at these lengths
-    analysis = NoteAnalysis(saw_buffer(220.0, 0.3), frame_len=frame_len)
-    with pytest.raises(NonPowerOfTwo):
-        REGISTRY["cepstrum"].note_fn(analysis, DEFAULT_CONFIGS["cepstrum"])
-
-
 # ---------------------------------------------------------------------------
 # linear prediction
 # ---------------------------------------------------------------------------
@@ -465,12 +456,11 @@ def test_estimate_note_many_runs_each_method_and_config_once(monkeypatch):
     assert calls == [DEFAULT_CONFIGS["hps"], other, DEFAULT_CONFIGS["hps"]]
 
 
-def _mixed_note():
+def _mixed_note(fs=44100):
     # sawtooth frames, a silent stretch, a pure tone whose Hann frames
     # drive the order-12 recursion to collapse on some frames, white noise,
     # on which yin finds no dip, and a random walk, whose NSDF falls from
     # lag 0 across the whole window so that nsdf finds no peak either
-    fs = 44100
     rng = np.random.default_rng(7)
     walk = np.cumsum(rng.standard_normal(int(0.2 * fs)))
     return AudioBuffer(np.concatenate([
@@ -515,8 +505,7 @@ def test_note_kernels_match_frame_level_functions():
     cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
     assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, live))
     srh = [
-        _srh_f0s(hann[i : i + 1], mags[i : i + 1], live[i : i + 1], fs, analysis.n_fft,
-                 cfgs["srh"])
+        _srh_f0s(hann[i : i + 1], mags[i : i + 1], live[i : i + 1], fs, cfgs["srh"])
         for i in range(len(hann))
     ]
     assert got["srh"].per_frame == _votes(np.concatenate(srh))
@@ -545,46 +534,32 @@ def test_note_kernels_match_frame_level_functions():
 PAST_THE_BAND = EstimatorConfig(80.0, 1000.0, 8)
 
 
-@pytest.mark.parametrize("frame_len, cfg", [
-    (2048, DEFAULT_CONFIGS["srh"]),
-    # not a power of two
-    (3000, DEFAULT_CONFIGS["srh"]),
-    # a frame longer than N_FFT, transformed at its own length
-    (16384, DEFAULT_CONFIGS["srh"]),
+@pytest.mark.parametrize("cfg, fs", [
+    (DEFAULT_CONFIGS["srh"], 44100),
     # a comb reaching past srh's default f_max times n_harmonics, and past
     # the band
-    (2048, PAST_THE_BAND),
-    # the filter's 12-sample tail wraps past the 8192-point FFT length:
-    # its last sample only (8181, an odd length, so at q = 1), or all of
-    # it (8192)
-    (8181, DEFAULT_CONFIGS["srh"]),
-    (8192, DEFAULT_CONFIGS["srh"]),
-])
-def test_srh_residual_spectrum_matches_a_second_fft(frame_len, cfg):
+    (PAST_THE_BAND, 44100),
+    # q = 1: the band is the full-rate spectrum
+    (DEFAULT_CONFIGS["srh"], 16000),
+], ids=["default", "past_the_band", "default_at_16k"])
+def test_srh_residual_spectrum_matches_a_second_fft(cfg, fs):
     # the comb past the band scores its harmonics there as 0, so 14 of its
     # frames vote otherwise than on the full-rate residual
-    differ = check_residual_against_a_second_fft(frame_len, cfg)
+    differ = check_residual_against_a_second_fft(cfg, fs)
     assert differ == (14 if cfg == PAST_THE_BAND else 0)
 
 
-def test_srh_residual_spectrum_follows_the_frame_length():
-    # the DFT rows are kept per process; a frame length seen again, after
-    # another, must get its own rows back rather than the last ones made
-    for frame_len in (2048, 1024, 2048):
-        assert check_residual_against_a_second_fft(frame_len, DEFAULT_CONFIGS["srh"]) == 0
-
-
-def check_residual_against_a_second_fft(frame_len, cfg):
+def check_residual_against_a_second_fft(cfg, fs):
     # srh whitens the band's Hann magnitudes by |A|, the DFT of a predictor
     # fitted to the full-rate Hann frame and zero-padded to the full-rate
     # FFT length. Two references, each from a second FFT:
     # - the band's magnitudes times |A| taken by an rFFT of the predictor;
     # - the full-rate residual spectrum: each Hann frame convolved with its
-    #   predictor in full, folded past the FFT length (a circular
-    #   convolution) and transformed again. The band's magnitudes are the
-    #   full-rate ones over q to 1.6e-4 of the frame's peak below 4 kHz,
-    #   so the product matches there to 2e-4; at q = 1 it is the residual
-    #   spectrum itself, to rounding.
+    #   predictor in full, which fits in the FFT length, and transformed
+    #   again. The band's magnitudes are the full-rate ones over q to
+    #   1.6e-4 of the frame's peak below 4 kHz, so the product matches
+    #   there to 2e-4; at q = 1 it is the residual spectrum itself, to
+    #   rounding.
     # On frames that the predictor all but cancels (the pure tone), the
     # product falls to 1e-7 of the frame's spectrum, and either way of
     # computing it rounds at the frame's scale, so the tolerances have a
@@ -593,9 +568,9 @@ def check_residual_against_a_second_fft(frame_len, cfg):
     # when its comb stays below 4 kHz. A comb reaching past the band votes
     # on the band product, and the frames where that differs from the
     # full-rate pick are counted.
-    analysis = NoteAnalysis(_mixed_note(), frame_len=frame_len)
-    fs, pad, hann = analysis.sample_rate, analysis.n_fft, analysis.hann_frames
-    q = analysis.decimation
+    analysis = NoteAnalysis(_mixed_note(fs))
+    pad, hann, q = N_FFT, analysis.hann_frames, analysis.decimation
+    assert q == (4 if fs == 44100 else 1)
     mags = analysis.spectrogram
     a, stable = _lpc_coefficients(hann, LPC_ORDER)
     rows = np.flatnonzero(analysis.live & stable)
@@ -604,7 +579,7 @@ def check_residual_against_a_second_fft(frame_len, cfg):
     edge = math.floor(4000.0 / analysis.bin_hz) + 1
     in_band = bins[-1] * cfg.n_harmonics + 1 <= edge
     flat = min(top, edge)
-    got = _whitened(a[rows], mags[rows, :top], pad)
+    got = _whitened(a[rows], mags[rows, :top])
 
     def vote(spectrum):
         grid, scores = srh_scores(Spectrum(spectrum, fs / pad), cfg)
@@ -615,10 +590,7 @@ def check_residual_against_a_second_fft(frame_len, cfg):
     for j, i in enumerate(rows):
         product = mags[i, :top] * np.abs(np.fft.rfft(a[i], n=pad))[:top]
         np.testing.assert_allclose(got[j], product, rtol=1e-9, atol=1e-9 * mags[i].max())
-        full = np.convolve(hann[i], a[i])
-        folded = np.zeros(pad)
-        np.add.at(folded, np.arange(full.size) % pad, full)
-        residual = np.abs(np.fft.rfft(folded))
+        residual = np.abs(np.fft.rfft(np.convolve(hann[i], a[i]), n=pad))
         peak = np.abs(np.fft.rfft(hann[i], n=pad)).max()
         bound = (2e-4 if q > 1 else 1e-9) * peak
         assert np.abs(q * got[j, :flat] - residual[:flat]).max() <= bound
@@ -646,26 +618,21 @@ def test_the_note_path_takes_one_forward_rfft(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fs, frame_len, q", [
-    (8000, FRAME_LEN, 1),
-    (11025, FRAME_LEN, 1),
-    (16000, FRAME_LEN, 1),
-    (22050, FRAME_LEN, 2),
-    (24000, FRAME_LEN, 2),
-    (44100, FRAME_LEN, 4),
-    (48000, FRAME_LEN, 4),
-    (96000, FRAME_LEN, 8),
-    # q must divide the frame length too
-    (44100, 1026, 2),
-    (44100, 8181, 1),
-])
-def test_band_decimation_per_rate(fs, frame_len, q):
-    analysis = NoteAnalysis(saw_buffer(220.0, 0.2, fs), frame_len=frame_len)
+BAND_DECIMATION = {
+    8000: 1, 11025: 1, 16000: 1, 22050: 2, 24000: 2, 44100: 4, 48000: 4, 96000: 8,
+    # the top of the benchmark's rates: q stops at the band's 11025 Hz floor
+    128000: 8, 192000: 16,
+}
+
+
+@pytest.mark.parametrize("fs", BAND_DECIMATION)
+def test_band_decimation_per_rate(fs):
+    q = BAND_DECIMATION[fs]
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.2, fs))
     assert analysis.decimation == q
-    assert analysis.band_frames.shape[1] == frame_len // q
-    n_fft = max(N_FFT, frame_len)
-    assert analysis.spectrogram.shape[1] == n_fft // (2 * q) + 1
-    assert analysis.bin_hz == fs / n_fft
+    assert analysis.band_frames.shape[1] == FRAME_LEN // q
+    assert analysis.spectrogram.shape[1] == N_FFT // (2 * q) + 1
+    assert analysis.bin_hz == fs / N_FFT
 
 
 @pytest.mark.parametrize("fs", [22050, 44100, 96000])
@@ -686,7 +653,7 @@ def test_band_spectrum_is_the_full_rate_one_below_4_khz():
     # 4 kHz at 44.1 kHz: there its magnitudes are the full-rate ones over q
     analysis = NoteAnalysis(_mixed_note())
     q, live = analysis.decimation, analysis.live
-    full = np.abs(np.fft.rfft(analysis.hann_frames, n=analysis.n_fft, axis=1))
+    full = np.abs(np.fft.rfft(analysis.hann_frames, n=N_FFT, axis=1))
     flat = math.floor(4000.0 / analysis.bin_hz) + 1
     error = np.abs(q * analysis.spectrogram[:, :flat] - full[:, :flat]).max(axis=1)
     assert q == 4 and np.all(error[live] <= 2e-4 * full[live].max(axis=1))
@@ -746,7 +713,7 @@ class TestRefineF0:
     def _one_frame(self, samples):
         # at 11025 Hz the band is the full-rate Hann frame (q = 1), so the
         # spectrogram holds the frame's exact DFT magnitudes
-        analysis = NoteAnalysis(AudioBuffer(samples, 11025), frame_len=len(samples))
+        analysis = NoteAnalysis(AudioBuffer(samples, 11025))
         assert analysis.decimation == 1
         return analysis
 

@@ -393,6 +393,12 @@ def test_run_benchmark_rejects_a_repeated_method(two_songs, stub_registry, metho
         run_benchmark(two_songs, methods, [], {})
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_benchmark_rejects_jobs_below_one(two_songs, stub_registry, jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_benchmark(two_songs, ["hps"], [], {}, jobs=jobs)
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------

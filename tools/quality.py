@@ -29,11 +29,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pitchlab import REGISTRY  # noqa: E402
-from pitchlab.evaluation import estimate_song, synth_song  # noqa: E402
+from pitchlab.evaluation import ENSEMBLE_METHOD, estimate_song, synth_song  # noqa: E402
 from pitchlab.noise import DEFAULT_SNRS_DB, mix_at_snr, synthetic_noise_refs  # noqa: E402
 
 SETS = {"A": (1000, 5, 77), "H1": (6000, 4, 11), "H2": (7000, 6, 23)}
-METHODS = (*REGISTRY, "ensemble")
+METHODS = (*REGISTRY, ENSEMBLE_METHOD)
 QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0
 
 
