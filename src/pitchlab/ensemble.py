@@ -39,6 +39,9 @@ DEFAULT_MEMBERS = ("hps", "stft", "ml", "srh")
 DEFAULT_EXTERNAL_F_MIN = 33.0
 DEFAULT_EXTERNAL_F_MAX = 3951.0
 DEFAULT_EXTERNAL_TIMEOUT_S = 10.0
+# Longest external timeout: the pipe wait hands it to poll() in milliseconds
+# as a C int, which overflows past 2**31 - 1 ms (about 24.8 days).
+MAX_EXTERNAL_TIMEOUT_S = 1e6
 
 MIN_VOICED_VOTES = 2
 
@@ -63,8 +66,8 @@ class ExternalEstimator:
             raise ValueError("external command must not hold a NUL byte")
         if not 0 <= self.f_min < self.f_max:
             raise ValueError("need 0 <= f_min < f_max for the external range")
-        if not 0 < self.timeout_s < np.inf:
-            raise ValueError("timeout_s must be positive and finite")
+        if not 0 < self.timeout_s <= MAX_EXTERNAL_TIMEOUT_S:
+            raise ValueError(f"timeout_s must be in (0, {MAX_EXTERNAL_TIMEOUT_S:g}] s")
 
 
 @dataclass(frozen=True)
@@ -144,16 +147,16 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
         )
     except subprocess.TimeoutExpired:
         logger.warning("external estimator timed out after %.1f s: %s", estimator.timeout_s, estimator.command)
-        return PitchEstimate(None, "external")
+        return PitchEstimate(None)
     except OSError as exc:
         logger.warning("external estimator failed to launch (%s): %s", exc, estimator.command)
-        return PitchEstimate(None, "external")
+        return PitchEstimate(None)
     if proc.returncode != 0:
         logger.warning("external estimator exited with %d: %s", proc.returncode, estimator.command)
-        return PitchEstimate(None, "external")
+        return PitchEstimate(None)
     reply = proc.stdout.split(b"\n", 1)[0].decode("ascii", errors="replace").strip()
     if reply == "UNVOICED":
-        return PitchEstimate(None, "external")
+        return PitchEstimate(None)
     parts = reply.split()
     if len(parts) == 2 and parts[0] == "F0":
         try:
@@ -162,16 +165,16 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
             f0 = None
         if f0 is not None and np.isfinite(f0) and f0 > 0:
             if estimator.f_min <= f0 <= estimator.f_max:
-                return PitchEstimate(f0, "external")
+                return PitchEstimate(f0)
             logger.warning(
                 "external estimate %.2f Hz outside declared range [%g, %g]; treating as unvoiced",
                 f0,
                 estimator.f_min,
                 estimator.f_max,
             )
-            return PitchEstimate(None, "external")
+            return PitchEstimate(None)
     logger.warning("malformed reply from external estimator: %r", reply)
-    return PitchEstimate(None, "external")
+    return PitchEstimate(None)
 
 
 def fuse_votes(votes) -> float | None:
@@ -206,4 +209,4 @@ def ensemble_f0(analysis: NoteAnalysis, spec: EnsembleSpec) -> float | None:
 
 def ensemble_estimate(note: AudioBuffer, spec: EnsembleSpec | None = None) -> PitchEstimate:
     """Fused note-level estimate over the spec's members."""
-    return PitchEstimate(ensemble_f0(NoteAnalysis(note), spec or EnsembleSpec()), "ensemble")
+    return PitchEstimate(ensemble_f0(NoteAnalysis(note), spec or EnsembleSpec()))

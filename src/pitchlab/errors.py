@@ -9,10 +9,6 @@ class EmptyBuffer(PitchlabError):
     """Raised when an operation receives audio with zero samples."""
 
 
-class NonPowerOfTwo(PitchlabError):
-    """Raised when a spectral transform gets a frame whose length is not a power of two."""
-
-
 class LagOutOfRange(PitchlabError):
     """Raised when a correlation is requested past the last computable lag."""
 

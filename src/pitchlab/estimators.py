@@ -83,7 +83,6 @@ class PitchEstimate:
     """
 
     f0: float | None
-    method_id: str
     per_frame: tuple[float | None, ...] | None = None
 
     def __post_init__(self):
@@ -100,14 +99,6 @@ class CandidateGrid:
     """Ascending candidate frequencies, one per spectral bin or lag."""
 
     frequencies: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        object.__setattr__(self, "frequencies", freqs)
-        if freqs.size == 0:
-            raise ValueError("a candidate grid cannot be empty")
-        if np.any(freqs <= 0) or np.any(np.diff(freqs) <= 0):
-            raise ValueError("candidates must be positive and strictly increasing")
 
 
 # Lowest f0 the spectral comb methods search by default. Below it a 46 ms
@@ -241,12 +232,11 @@ def _spectral_band(
 
 
 def _lag_window(sample_rate: int, cfg: EstimatorConfig) -> tuple[int, int]:
-    """Inclusive lag bounds for a config; long lags stop at half the frame."""
-    f_max_eff = min(cfg.f_max, sample_rate / 2.0)
-    lo = math.ceil(sample_rate / f_max_eff)
-    hi = FRAME_LEN // 2
-    if cfg.f_min > 0:
-        hi = min(hi, math.floor(sample_rate / cfg.f_min))
+    """Inclusive lag bounds for a config; long lags stop at half the frame.
+    Both are clamped before rounding: sample_rate / f is inf at a subnormal f."""
+    cap = FRAME_LEN // 2
+    lo = math.ceil(min(sample_rate / min(cfg.f_max, sample_rate / 2.0), cap + 1))
+    hi = math.floor(min(cap, sample_rate / cfg.f_min)) if cfg.f_min > 0 else cap
     if lo > hi:
         raise ConfigOutOfRange(
             f"no usable lags for [{cfg.f_min}, {cfg.f_max}] Hz with frame length {FRAME_LEN}"
@@ -298,19 +288,26 @@ def _log_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarra
 
 
 def _sum_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
-    """Comb sum: |X(k)| + |X(2k)| + ..., harmonics past the last bin add 0."""
+    """Comb sum: |X(k)| + |X(2k)| + ..., harmonics past the last bin add 0,
+    so the sum stops at the first harmonic that lies past it for every bin."""
     scores = _gather(mags, bins)
     for h in range(2, n_harmonics + 1):
+        if bins[0] * h >= mags.shape[1]:
+            break
         scores += _gather(mags, bins * h)
     return scores
 
 
 def _residual_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
-    """E(f) + sum_k [E(k f) - E((k - 1/2) f)] for k = 2..n, at the nearest bins."""
+    """E(f) + sum_k [E(k f) - E((k - 1/2) f)] for k = 2..n, at the nearest bins;
+    bins past the last add 0, so it stops at the first k past it at every f."""
     scores = _gather(mags, bins)
     for k in range(2, n_harmonics + 1):
+        below = np.floor((k - 0.5) * bins + 0.5).astype(int)
+        if below[0] >= mags.shape[1]:
+            break
         scores += _gather(mags, bins * k)
-        scores -= _gather(mags, np.floor((k - 0.5) * bins + 0.5).astype(int))
+        scores -= _gather(mags, below)
     return scores
 
 
@@ -393,18 +390,18 @@ def _cepstrum_f0s(
     return _lag_f0s(ceps, live, sample_rate, cfg, _acf_lag)
 
 
-def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row linear predictors by the Levinson-Durbin recursion.
+def _lpc_coefficients(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row order-LPC_ORDER predictors by the Levinson-Durbin recursion.
 
-    Returns (a, stable): a is (n_frames x order+1) with a[:, 0] = 1, and
+    Returns (a, stable): a is (n_frames x LPC_ORDER+1) with a[:, 0] = 1, and
     stable is False on rows that have no energy or whose prediction error
     stops being positive and finite at any step; their a is meaningless.
     """
     n = frames.shape[1]
-    if order >= n:
-        raise ValueError(f"order {order} must be smaller than the frame length {n}")
+    if LPC_ORDER >= n:
+        raise ValueError(f"order {LPC_ORDER} must be smaller than the frame length {n}")
     r = np.stack(
-        [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(order + 1)],
+        [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(LPC_ORDER + 1)],
         axis=1,
     )
     a = np.zeros_like(r)
@@ -413,7 +410,7 @@ def _lpc_coefficients(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.nd
     errs = np.empty_like(r)
     errs[:, 0] = r[:, 0]
     with np.errstate(all="ignore"):
-        for i in range(1, order + 1):
+        for i in range(1, LPC_ORDER + 1):
             acc = r[:, i] + (a[:, 1:i] * r[:, i - 1 : 0 : -1]).sum(axis=1)
             k = -acc / errs[:, i - 1]
             a[:, 1 : i + 1] += k[:, None] * a[:, i - 1 :: -1]
@@ -474,12 +471,12 @@ def _srh_f0s(
     Frames whose recursion breaks down vote unvoiced.
     """
     f0s = np.full(frames.shape[0], np.nan)
-    a, stable = _lpc_coefficients(frames, LPC_ORDER)
+    a, stable = _lpc_coefficients(frames)
     rows = np.flatnonzero(live & stable)
     if rows.size:
         n_bins, bin_hz = mags.shape[1], sample_rate / N_FFT
         bins = _spectral_band(n_bins, bin_hz, cfg)
-        top = min(n_bins, bins[-1] * cfg.n_harmonics + 1)
+        top = min(n_bins, int(bins[-1]) * cfg.n_harmonics + 1)
         whitened = _whitened(a[rows], mags[rows, :top])
         _check_magnitudes(whitened)
         best = bins[np.argmax(_residual_comb(whitened, bins, cfg.n_harmonics), axis=1)]
@@ -570,9 +567,9 @@ def _lag_f0s(
 # ---------------------------------------------------------------------------
 
 
-def _single_estimate(method_id: str, f0s: np.ndarray) -> PitchEstimate:
+def _single_estimate(f0s: np.ndarray) -> PitchEstimate:
     f0 = float(f0s[0])
-    return PitchEstimate(None if math.isnan(f0) else f0, method_id)
+    return PitchEstimate(None if math.isnan(f0) else f0)
 
 
 def _has_energy(mags: np.ndarray) -> np.ndarray:
@@ -588,23 +585,19 @@ def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> 
     cfg = cfg or DEFAULT_CONFIGS["ml"]
     mags = spectrum.magnitudes
     f0s = _comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _sum_comb)
-    return _single_estimate("ml", f0s)
+    return _single_estimate(f0s)
 
 
-def lpc_residual(frame: AudioBuffer, order: int = LPC_ORDER) -> AudioBuffer:
-    """Inverse-filter a frame by its own linear predictor.
+def lpc_residual(frame: AudioBuffer) -> AudioBuffer:
+    """Inverse-filter a frame by its own order-LPC_ORDER linear predictor.
 
-    order 0 returns the frame unchanged. Raises LpcUnstable when the
-    frame has no energy or the recursion loses positive definiteness.
-    Kept as the one-frame view of _lpc_coefficients that the scalar
-    Levinson reference test compares against; perfbench's tracer patches it.
+    Raises LpcUnstable when the frame has no energy or the recursion loses
+    positive definiteness. Kept as the one-frame view of _lpc_coefficients
+    that the scalar Levinson reference test compares against; perfbench's
+    tracer patches it.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0:
-        return frame
     x = frame.samples
-    a, stable = _lpc_coefficients(x[None], order)
+    a, stable = _lpc_coefficients(x[None])
     if not stable[0]:
         raise LpcUnstable("frame has no energy to predict, or the prediction error collapsed")
     return AudioBuffer(np.convolve(x, a[0])[: x.size], frame.sample_rate)
@@ -768,22 +761,22 @@ def vote_median(votes: list[float]) -> float:
     return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _frame_votes(method_id: str, f0s: np.ndarray) -> PitchEstimate:
+def _frame_votes(f0s: np.ndarray) -> PitchEstimate:
     """Median of per-frame kernel f0s, NaN marking unvoiced frames."""
     per_frame = tuple(None if math.isnan(f) else f for f in f0s.tolist())
     voiced = [f for f in per_frame if f is not None]
-    return PitchEstimate(vote_median(voiced) if voiced else None, method_id, per_frame)
+    return PitchEstimate(vote_median(voiced) if voiced else None, per_frame)
 
 
 def _note_hps(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     mags = analysis.spectrogram
     f0s = _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _log_comb, cfg.n_harmonics)
-    return _frame_votes("hps", f0s)
+    return _frame_votes(f0s)
 
 
 def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     mags = analysis.spectrogram
-    return _frame_votes("ml", _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _sum_comb))
+    return _frame_votes(_comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _sum_comb))
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
@@ -791,7 +784,7 @@ def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     frames' summed magnitudes."""
     energy = analysis.spectrogram.sum(axis=0)
     live = analysis.live.any(keepdims=True)
-    return _single_estimate("stft", _comb_f0s(energy[None], live, analysis.bin_hz, cfg, _sum_comb))
+    return _single_estimate(_comb_f0s(energy[None], live, analysis.bin_hz, cfg, _sum_comb))
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
@@ -799,32 +792,32 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
     band, so it takes its own un-padded rFFT of hann_frames."""
     mags = magnitude_spectra(analysis.hann_frames)
     f0s = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, cfg)
-    return _frame_votes("cepstrum", f0s)
+    return _frame_votes(f0s)
 
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     f0s = _srh_f0s(
         analysis.hann_frames, analysis.spectrogram, analysis.live, analysis.sample_rate, cfg
     )
-    return _frame_votes("srh", f0s)
+    return _frame_votes(f0s)
 
 
 def _note_acf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     r, _ = analysis.rect_corr
     f0s = _lag_f0s(r, analysis.live, analysis.sample_rate, cfg, _acf_lag)
-    return _frame_votes("acf", f0s)
+    return _frame_votes(f0s)
 
 
 def _note_nsdf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     n = nsdf_matrix(*analysis.rect_corr)
     f0s = _lag_f0s(n, analysis.live, analysis.sample_rate, cfg, _nsdf_lag)
-    return _frame_votes("nsdf", f0s)
+    return _frame_votes(f0s)
 
 
 def _note_yin(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     d = cmnd_matrix(*analysis.rect_corr)
     f0s = _lag_f0s(d, analysis.live, analysis.sample_rate, cfg, _yin_lag)
-    return _frame_votes("yin", f0s)
+    return _frame_votes(f0s)
 
 
 @dataclass(frozen=True)

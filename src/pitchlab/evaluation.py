@@ -85,11 +85,11 @@ def pitch_error(estimates, truths) -> float:
 
 @dataclass(frozen=True)
 class NoteSegment:
-    """One note's extent in seconds plus its reference pitch, if known."""
+    """One note's extent in seconds plus its reference pitch."""
 
     onset: float
     offset: float
-    f0_truth: float | None = None
+    f0_truth: float
 
     def __post_init__(self):
         if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
@@ -98,9 +98,7 @@ class NoteSegment:
             raise InvalidAnnotation(
                 f"need 0 <= onset < offset, got [{self.onset}, {self.offset}]"
             )
-        if self.f0_truth is not None and not (
-            TRUTH_F0_RANGE[0] <= self.f0_truth <= TRUTH_F0_RANGE[1]
-        ):
+        if not TRUTH_F0_RANGE[0] <= self.f0_truth <= TRUTH_F0_RANGE[1]:
             raise InvalidAnnotation(
                 f"reference f0 {self.f0_truth} outside {TRUTH_F0_RANGE} Hz"
             )
@@ -125,11 +123,6 @@ class SongAnnotation:
                 )
 
     def truths(self) -> list[float]:
-        missing = [i for i, n in enumerate(self.notes) if n.f0_truth is None]
-        if missing:
-            raise InvalidAnnotation(
-                f"{self.song_id}: notes {missing} lack a reference f0"
-            )
         return [n.f0_truth for n in self.notes]
 
 

@@ -108,7 +108,7 @@ def check_snr(snr_db: float) -> None:
         raise ValueError(f"SNR must be finite and in [{lo:g}, {hi:g}] dB, got {snr_db:g}")
 
 
-def mix_at_snr(signal: AudioBuffer, noise: NoiseSource | AudioBuffer, snr_db: float) -> AudioBuffer:
+def mix_at_snr(signal: AudioBuffer, noise: NoiseSource, snr_db: float) -> AudioBuffer:
     """Add noise to a signal at an exact overall SNR.
 
     The noise is looped or truncated to the signal length, then scaled by
@@ -120,12 +120,11 @@ def mix_at_snr(signal: AudioBuffer, noise: NoiseSource | AudioBuffer, snr_db: fl
     check_snr(snr_db)
     if len(signal) == 0:
         raise EmptyBuffer("the signal holds no samples")
-    noise_buf = noise.buffer if isinstance(noise, NoiseSource) else noise
-    if noise_buf.sample_rate != signal.sample_rate:
+    if noise.buffer.sample_rate != signal.sample_rate:
         raise SampleRateMismatch(
-            f"noise rate {noise_buf.sample_rate} != signal rate {signal.sample_rate}"
+            f"noise rate {noise.buffer.sample_rate} != signal rate {signal.sample_rate}"
         )
-    extended = extend_to_length(noise_buf.samples, len(signal))
+    extended = extend_to_length(noise.buffer.samples, len(signal))
     p_signal = float(np.mean(signal.samples**2))
     p_noise = float(np.mean(extended**2))
     if p_noise == 0.0:

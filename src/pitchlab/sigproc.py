@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyBuffer, LagOutOfRange, NonPowerOfTwo
+from .errors import EmptyBuffer, LagOutOfRange
 
 # Frames quieter than this RMS are treated as silence by the estimators.
 SILENCE_RMS = 1e-5
@@ -49,9 +49,11 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
     def slice_seconds(self, start: float, stop: float) -> "AudioBuffer":
-        """Return the samples between two time points as a new buffer."""
-        i = max(0, int(round(start * self.sample_rate)))
-        j = min(self.samples.size, int(round(stop * self.sample_rate)))
+        """Return the samples between two time points as a new buffer; the
+        indices are clamped as floats, so a time of inf samples selects none."""
+        n = self.samples.size
+        i = int(round(min(max(0.0, start * self.sample_rate), n)))
+        j = int(round(min(stop * self.sample_rate, n)))
         return AudioBuffer(self.samples[i:j].copy(), self.sample_rate)
 
 
@@ -136,19 +138,12 @@ def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_fft_length(n: int) -> None:
-    """Raise NonPowerOfTwo unless n is a power of two no smaller than 64."""
-    if n < 64 or n & (n - 1):
-        raise NonPowerOfTwo(f"frame length {n} is not a power of two >= 64")
-
-
 def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     """Un-normalized magnitude spectra of the frames along the last axis.
 
-    The frame length must be a power of two no smaller than 64. Magnitudes
-    are |DFT| for bins 0..N/2, so a full-scale on-bin cosine peaks at N/2.
+    Magnitudes are |DFT| for bins 0..N/2, so a full-scale on-bin cosine
+    peaks at N/2.
     """
-    _check_fft_length(frames.shape[-1])
     return np.abs(np.fft.rfft(frames, axis=-1))
 
 

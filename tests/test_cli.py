@@ -111,6 +111,16 @@ class TestEstimate:
         assert code == 3
         assert out == ""
 
+    def test_onset_too_large_for_a_sample_index_is_exit_3(self, song, capsys, tmp_path):
+        # 1e305 s times the rate overflows to inf, which no sample index holds
+        beyond = tmp_path / "beyond.notes"
+        beyond.write_text("1e305 2e305 440\n")
+        code, out, err = run_cli(capsys, "estimate", song.audio_path, str(beyond),
+                                 "--method", "yin")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "holds no sample" in err
+
     @pytest.mark.parametrize("method", ["yin", "ensemble"])
     def test_note_past_the_end_prints_no_line(self, method, song, capsys):
         # the notes before it are fine, but estimate prints only a finished song
@@ -147,6 +157,26 @@ class TestEstimate:
         f0 = float(out.split()[2])
         assert f0 == 0.0 or 300.0 <= f0 <= 500.0
 
+    @pytest.mark.parametrize("config, code", [
+        ({"yin": {"f_min": 5e-324}}, 0),
+        ({"nsdf": {"f_min": 1e-320}}, 0),
+        ({"acf": {"f_min": 0, "f_max": 5e-324}}, 2),
+        ({"cepstrum": {"f_min": 0, "f_max": 1e-320}}, 2),
+    ])
+    def test_subnormal_search_bound(self, config, code, song, tmp_path, capsys):
+        # a tiny f_min searches up to the half-frame lag; a tiny f_max has no lag
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        (method,) = config
+        result = run_cli(capsys, "estimate", song.audio_path,
+                         song.audio_path.replace(".wav", ".notes"), "--method", method,
+                         "--config", str(path))
+        if code == 0:
+            assert result[0] == 0 and len(result[1].splitlines()) == len(song.notes)
+        else:
+            assert_one_line_input_error(*result)
+            assert "no usable lags" in result[2]
+
     @pytest.mark.parametrize("spec", [
         {"external": {"f_min": 50}},
         {"configs": {"hps": 3}},
@@ -161,6 +191,9 @@ class TestEstimate:
         {"members": ["acf", "nsdf", "cepstrum"], "configs": {"cepstrum": {"n_harmonics": 2}}},
         {"external": {}},
         {"external": {"command": "foo \"bar"}},
+        # poll() takes the pipe wait in milliseconds as a C int
+        {"external": {"command": "true", "timeout_s": 1e300}},
+        {"external": {"command": "true", "timeout_s": 2.2e6}},
     ])
     def test_malformed_ensemble_spec_is_exit_2(self, spec, song, tmp_path, capsys):
         path = tmp_path / "spec.json"

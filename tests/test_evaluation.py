@@ -108,10 +108,9 @@ class TestAnnotations:
         with pytest.raises(InvalidAnnotation):
             SongAnnotation("s", "s.wav", ())
 
-    def test_truths_requires_reference_pitch(self):
-        song = SongAnnotation("s", "s.wav", (NoteSegment(0.0, 1.0, None),))
-        with pytest.raises(InvalidAnnotation):
-            song.truths()
+    def test_reference_pitch_is_required(self):
+        with pytest.raises(TypeError):
+            NoteSegment(0.0, 1.0)
 
     def test_round_trip(self, tmp_path):
         notes = (
@@ -186,16 +185,16 @@ class TestSynthSong:
 # ---------------------------------------------------------------------------
 
 
-def constant_method(name, value):
-    return NoteMethod(lambda analysis, cfg: PitchEstimate(value, name))
+def constant_method(value):
+    return NoteMethod(lambda analysis, cfg: PitchEstimate(value))
 
 
 @pytest.fixture
 def stub_registry(monkeypatch):
-    monkeypatch.setitem(REGISTRY, "hps", constant_method("hps", 100.0))
-    monkeypatch.setitem(REGISTRY, "stft", constant_method("stft", 100.0))
-    monkeypatch.setitem(REGISTRY, "ml", constant_method("ml", 200.0))
-    monkeypatch.setitem(REGISTRY, "srh", constant_method("srh", 200.0))
+    monkeypatch.setitem(REGISTRY, "hps", constant_method(100.0))
+    monkeypatch.setitem(REGISTRY, "stft", constant_method(100.0))
+    monkeypatch.setitem(REGISTRY, "ml", constant_method(200.0))
+    monkeypatch.setitem(REGISTRY, "srh", constant_method(200.0))
 
 
 @pytest.fixture
@@ -250,7 +249,8 @@ def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
     assert beside.clean["ml"] == alone.clean["ml"]
 
 
-@pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0), NoteSegment(0.1, 0.10001)],
+@pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
+                                  NoteSegment(0.1, 0.10001, 220.0)],
                          ids=["past-the-end", "under-one-sample"])
 def test_estimate_song_rejects_a_note_without_samples(two_songs, stub_registry, note):
     song = two_songs[0]
@@ -269,17 +269,22 @@ def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path
     broken = SongAnnotation(
         "broken", str(tmp_path / "missing.wav"), (NoteSegment(0.0, 0.5, 220.0),)
     )
-    # readable audio, but its note has no reference f0 to score against
-    unscored = SongAnnotation("unscored", two_songs[1].audio_path, (NoteSegment(0.0, 0.5),))
-    songs = [broken, two_songs[0], unscored]
+    # readable audio, but its note starts after the audio ends
+    past_end = SongAnnotation(
+        "past_end", two_songs[1].audio_path, (NoteSegment(100.0, 101.0, 220.0),)
+    )
+    songs = [broken, two_songs[0], past_end]
     conditions = [None, Scenario("white", 0.0)]
     report = run_benchmark(songs, ["hps"], conditions[1:], WHITE_REF, jobs=jobs)
 
     # each fails its own conditions, in task order, with the same message at any jobs
+    def score_past_end():
+        estimate_song(read_wav(past_end.audio_path), past_end.notes, {"hps": None})
+
     assert report.failures == tuple(
         BenchmarkFailure(song.song_id, scenario, _failure_message(load))
         for song, load in [(broken, lambda: read_wav(broken.audio_path)),
-                           (unscored, unscored.truths)]
+                           (past_end, score_past_end)]
         for scenario in conditions
     )
     # the healthy song still contributes
@@ -346,7 +351,7 @@ def test_run_benchmark_resolves_once_per_sample_rate(two_songs, tmp_path, monkey
     # depends on the noise each song was mixed with
     def loudness(analysis, cfg):
         rms = float(np.sqrt(np.mean(analysis.note.samples ** 2)))
-        return PitchEstimate(100.0 + 1000.0 * rms, "hps")
+        return PitchEstimate(100.0 + 1000.0 * rms)
 
     monkeypatch.setitem(REGISTRY, "hps", NoteMethod(loudness))
     other_rate = materialize_songs(1, 32, tmp_path / "16k", sample_rate=16000)[0]

@@ -87,9 +87,11 @@ class TestMixAtSnr:
             mix_at_snr(signal, constant_noise(1.0, n=100), snr)
 
     def test_silent_noise_rejected(self):
+        # the noise's only energy lies past the 100 samples it is cut to
         signal = AudioBuffer(np.ones(100), 8000)
+        late = NoiseSource("late", AudioBuffer(np.r_[np.zeros(100), 1.0], 8000))
         with pytest.raises(SilentNoise):
-            mix_at_snr(signal, AudioBuffer(np.zeros(100), 8000), 0.0)
+            mix_at_snr(signal, late, 0.0)
         with pytest.raises(SilentNoise):
             NoiseSource("z", AudioBuffer(np.zeros(100), 8000))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pitchlab
-from pitchlab.errors import EmptyBuffer, LagOutOfRange, NonPowerOfTwo
+from pitchlab.errors import EmptyBuffer, LagOutOfRange
 from pitchlab.estimators import NoteAnalysis
 from pitchlab.sigproc import (
     AudioBuffer,
@@ -177,12 +177,6 @@ class TestMagnitudeSpectrum:
         assert np.sum(weights * spec.magnitudes**2) / 1024 == pytest.approx(
             np.sum(x**2), rel=1e-9
         )
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(NonPowerOfTwo):
-            magnitude_spectrum(rect_frame(np.zeros(1000), 8000))
-        with pytest.raises(NonPowerOfTwo):
-            magnitude_spectrum(rect_frame(np.zeros(32), 8000))
 
 
 class TestAutocorrelation:
