@@ -23,6 +23,10 @@ logger = logging.getLogger(__name__)
 
 # Small headroom over full scale so dithered PCM does not trip the check.
 _RANGE_LIMIT = 1.000001
+# The largest sample magnitude read: float32's largest value, so any file
+# pitchlab writes reads back. Float64 samples near 1e150 overflow the
+# frames' sums of squares, and every lag method then votes a wrong pitch.
+_SAMPLE_LIMIT = float(np.finfo(np.float32).max)
 
 _PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 # (format tag, bits per sample) -> numpy sample type; WAV is little-endian
@@ -38,6 +42,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     Supported encodings are 16-bit PCM and 32/64-bit float. Integer
     samples are scaled to [-1, 1); float samples are taken as-is, and any
     beyond full scale (hot mixes) are counted in a logged warning but kept.
+    Samples that are not finite or exceed float32's largest value in
+    magnitude raise ValueError.
     A data chunk cut short by the end of the file is read up to its last
     whole frame, with a logged warning. Any other malformation raises
     ValueError naming the path.
@@ -60,10 +66,13 @@ def read_wav(path: str | Path) -> AudioBuffer:
     else:
         samples = raw.astype(np.float64)
     if channels > 1:
-        samples = samples.reshape(n_frames, channels).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{path}: WAV contains non-finite samples")
-    over = np.abs(samples) > _RANGE_LIMIT
+        with np.errstate(over="ignore"):  # a mean that overflows is rejected below
+            samples = samples.reshape(n_frames, channels).mean(axis=1)
+    magnitude = np.abs(samples)
+    if not np.max(magnitude, initial=0.0) <= _SAMPLE_LIMIT:  # NaN fails too
+        raise ValueError(f"{path}: WAV contains non-finite samples or samples beyond "
+                         f"±{_SAMPLE_LIMIT:.4g}, the largest float32")
+    over = magnitude > _RANGE_LIMIT
     if np.any(over):
         logger.warning(
             "%s: %d samples beyond full scale (kept as read)",

@@ -34,6 +34,7 @@ from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNo
 from .estimators import REGISTRY, check_json, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
+    check_run,
     estimate_song,
     hz_to_midi,
     materialize_songs,
@@ -45,7 +46,6 @@ from .evaluation import (
 )
 from .noise import (
     DEFAULT_SNRS_DB,
-    SYNTH_KINDS,
     NoiseSource,
     check_snr,
     mix_at_snr,
@@ -153,10 +153,7 @@ def cmd_estimate(args) -> int:
 
 def _resolve_noise(noise_arg: str, n_samples: int, sample_rate: int, seed: int) -> NoiseSource:
     if noise_arg.startswith("synth:"):
-        kind = noise_arg.split(":", 1)[1]
-        if kind not in SYNTH_KINDS:
-            raise ValueError(f"unknown synthetic noise {kind!r}; known: {list(SYNTH_KINDS)}")
-        return synth_noise(kind, n_samples, sample_rate, seed)
+        return synth_noise(noise_arg.split(":", 1)[1], n_samples, sample_rate, seed)
     buffer = read_wav(noise_arg)
     return NoiseSource(noise_id=Path(noise_arg).stem, buffer=buffer)
 
@@ -204,7 +201,6 @@ BENCH_FIELDS = {
     "noises": {"dir": str, "seed": int},
     "methods": [str],
     "snrs_db": [float],
-    "jobs": int,
     "seed": int,
     "out": str,
 }
@@ -214,13 +210,19 @@ BENCH_FIELDS = {
 BENCH_SAMPLE_RATES = (8000, 192000)
 
 
-def _bench_config(path: str, **overrides) -> dict:
-    """The benchmark config at path, with the overrides that are not None
-    put over it, every field type- and range-checked, and "methods" set to
+def _bench_config(path: str, out: str | None = None) -> dict:
+    """The benchmark config at path, with out (--out) put over its "out"
+    unless None, every field type- and range-checked, and "methods" set to
     its default when absent."""
     with open(path, "r", encoding="utf-8") as fh:
         config = check_json(json.load(fh), BENCH_FIELDS)
-    config.update((key, value) for key, value in overrides.items() if value is not None)
+    if out is not None:
+        config["out"] = out
+    # songs are read or synthesized, noises read from a directory or synthesized
+    for group, key, other in (("songs", "annotations", "count"),
+                              ("songs", "annotations", "sample_rate"), ("noises", "dir", "seed")):
+        if {key, other} <= config.get(group, {}).keys():
+            raise ValueError(f"{group}.{key} and {group}.{other} exclude each other")
     songs = config.get("songs", {})
     lo, hi = BENCH_SAMPLE_RATES
     if not lo <= songs.get("sample_rate", lo) <= hi:
@@ -229,36 +231,32 @@ def _bench_config(path: str, **overrides) -> dict:
         raise ValueError("songs.count must be at least 1")
     if songs.get("annotations") == []:
         raise ValueError("songs.annotations must name at least one file")
-    if config.get("jobs", 1) < 1:
-        raise ValueError("jobs (and --jobs) must be at least 1")
     if min(config.get("seed", 0), config.get("noises", {}).get("seed", 0)) < 0:
-        raise ValueError("seed (and --seed) and noises.seed must be non-negative")
+        raise ValueError("seed and noises.seed must be non-negative")
     snrs = config.get("snrs_db", [])
     for snr in snrs:
         check_snr(snr)
     if len(set(snrs)) != len(snrs):
         raise ValueError("snrs_db must not repeat an SNR")
-    methods = config.setdefault("methods", [*DEFAULT_MEMBERS, ENSEMBLE_METHOD])
-    if not methods or len(set(methods)) != len(methods):
-        raise ValueError("methods must name at least one method, each once")
-    for m in methods:
-        if m != ENSEMBLE_METHOD and m not in REGISTRY:
-            raise ValueError(f"unknown method {m!r} in methods")
+    config.setdefault("methods", [*DEFAULT_MEMBERS, ENSEMBLE_METHOD])
     return config
 
 
 def cmd_bench(args) -> int:
     try:
-        config = _bench_config(args.config, seed=args.seed, jobs=args.jobs, out=args.out)
+        config = _bench_config(args.config, out=args.out)
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read benchmark config {args.config}: {exc}")
+    try:
+        check_run(config["methods"], args.jobs)
+    except ValueError as exc:
+        return _fail(EX_INPUT, f"cannot run the benchmark: {exc}")
     try:
         spec = _load_spec(None)
     except ValueError as exc:
         return _fail(EX_INPUT, f"bad configuration: {exc}")
 
     seed = config.get("seed", 0)
-    jobs = config.get("jobs", 1)
     out_dir = Path(config.get("out", "bench_out"))
 
     methods = config["methods"]
@@ -298,7 +296,7 @@ def cmd_bench(args) -> int:
     scenarios = scenario_grid(tuple(refs), snrs)
 
     try:
-        report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=jobs)
+        report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=args.jobs)
     except BrokenExecutor as exc:  # a pool worker died: BrokenProcessPool
         return _fail(EX_NO_SONGS, f"a benchmark worker process died: {exc}")
 
@@ -378,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark described by a JSON config")
     bench.add_argument("config", help="benchmark JSON config file")
-    bench.add_argument("--jobs", type=int, help="parallel workers (default from config)")
-    bench.add_argument("--seed", type=int, help="seed override for songs and noises")
-    bench.add_argument("--out", help="output directory override")
+    bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default 1)")
+    bench.add_argument("--out", help="output directory, in place of the config's \"out\"")
     bench.set_defaults(func=cmd_bench)
 
     rep = sub.add_parser("report", help="re-render a results CSV")

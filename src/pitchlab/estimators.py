@@ -567,11 +567,6 @@ def _lag_f0s(
 # ---------------------------------------------------------------------------
 
 
-def _single_estimate(f0s: np.ndarray) -> PitchEstimate:
-    f0 = float(f0s[0])
-    return PitchEstimate(None if math.isnan(f0) else f0)
-
-
 def _has_energy(mags: np.ndarray) -> np.ndarray:
     return np.array([np.any(mags > 0)])
 
@@ -584,8 +579,7 @@ def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> 
     """
     cfg = cfg or DEFAULT_CONFIGS["ml"]
     mags = spectrum.magnitudes
-    f0s = _comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _sum_comb)
-    return _single_estimate(f0s)
+    return _frame_votes(_comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _sum_comb))
 
 
 def lpc_residual(frame: AudioBuffer) -> AudioBuffer:
@@ -780,11 +774,11 @@ def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    """One vote per note, if any frame is live: the comb sum over the
-    frames' summed magnitudes."""
+    """One vote per note, its only per_frame entry, if any frame is live:
+    the comb sum over the frames' summed magnitudes."""
     energy = analysis.spectrogram.sum(axis=0)
     live = analysis.live.any(keepdims=True)
-    return _single_estimate(_comb_f0s(energy[None], live, analysis.bin_hz, cfg, _sum_comb))
+    return _frame_votes(_comb_f0s(energy[None], live, analysis.bin_hz, cfg, _sum_comb))
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:

@@ -303,37 +303,49 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _benchmark_task(task, methods, ensemble_spec) -> list[list[dict[str, float] | str]]:
+def check_run(methods: Sequence[str], jobs: int) -> None:
+    """Raise ValueError unless methods names at least one method, each once
+    and each "ensemble" or in REGISTRY, and jobs is at least 1."""
+    methods = list(methods)
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must name at least one method, each method once, got {methods}")
+    for m in methods:
+        if m != ENSEMBLE_METHOD and m not in REGISTRY:
+            raise ValueError(f"unknown method {m!r}; known: {[*REGISTRY, ENSEMBLE_METHOD]}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
+def _benchmark_task(task, methods, ensemble_spec) -> dict[tuple, dict[str, float] | str]:
     """One noise source (None: the clean pass) over a run of songs.
 
-    task is (songs, noise_ref, conditions). Each song in turn is read, the
-    noise resolved at its sample rate unless a song before it resolved it
-    at that rate, and each condition mixed and scored. Returns, per song,
-    each condition's errors or its failure message, in order: a failing
-    condition does not stop the others, and a song or noise that cannot be
-    loaded fails all of that song's conditions.
+    task is (source index, noise_ref, conditions, first song index, songs).
+    Each song in turn is read, the noise resolved at its sample rate unless
+    a song before it resolved it at that rate, and each condition mixed and
+    scored. Returns each condition's errors or its failure message, keyed
+    by (song index, source index, condition index): a failing condition
+    does not stop the others, and a song or noise that cannot be loaded
+    fails all of that song's conditions.
     """
-    songs, noise_ref, conditions = task
+    src, noise_ref, conditions, first, songs = task
     noises: dict[int, NoiseSource] = {}  # by sample rate
-    outcomes: list[list[dict[str, float] | str]] = []
-    for song in songs:
+    outcomes: dict[tuple, dict[str, float] | str] = {}
+    for i, song in enumerate(songs, first):
         try:
             buffer = read_wav(song.audio_path)
             truths = song.truths()
             if noise_ref is not None and buffer.sample_rate not in noises:
                 noises[buffer.sample_rate] = noise_ref.resolve(buffer.sample_rate)
         except Exception as exc:  # per-song failures must not abort the run
-            outcomes.append([_failure(exc)] * len(conditions))
+            outcomes.update({(i, src, c): _failure(exc) for c in range(len(conditions))})
             continue
         noise = noises.get(buffer.sample_rate)
-        song_outcomes: list[dict[str, float] | str] = []
-        for scenario in conditions:
+        for c, scenario in enumerate(conditions):
             try:
                 t0 = time.perf_counter()
                 audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
                 per_method = estimate_song(audio, song.notes, dict.fromkeys(methods), ensemble_spec)
-                errors = {name: pitch_error(f0s, truths) for name, f0s in per_method.items()}
-                song_outcomes.append(errors)
+                outcomes[i, src, c] = {m: pitch_error(f0s, truths) for m, f0s in per_method.items()}
                 logger.debug(
                     "song %s %s: %.3f s",
                     song.song_id,
@@ -341,8 +353,7 @@ def _benchmark_task(task, methods, ensemble_spec) -> list[list[dict[str, float] 
                     time.perf_counter() - t0,
                 )
             except Exception as exc:
-                song_outcomes.append(_failure(exc))
-        outcomes.append(song_outcomes)
+                outcomes[i, src, c] = _failure(exc)
     return outcomes
 
 
@@ -365,20 +376,14 @@ def run_benchmark(
     tasks with the most conditions start first. methods may include
     "ensemble"; its members reuse the estimates of plain methods that
     share their config, and a plain method listed next to it runs its own
-    default config, not the spec's override. A method named twice raises
-    ValueError, an unknown one KeyError, and jobs < 1 ValueError. Results
+    default config, not the spec's override. No method, a method named
+    twice or unknown, or jobs < 1 raises ValueError (check_run). Results
     and failures come back in song-major order, so they are deterministic
     for a fixed input regardless of jobs. A worker process that dies raises
     concurrent.futures.process.BrokenProcessPool.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_run(methods, jobs)
     methods = list(methods)
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods must name each method once, got {methods}")
-    for m in methods:
-        if m != ENSEMBLE_METHOD and m not in REGISTRY:
-            raise KeyError(f"unknown method {m!r}")
 
     # (noise ref, its scenarios in grid order) per source, clean first.
     noise_ids = list(dict.fromkeys(s.noise_id for s in scenarios))
@@ -386,34 +391,28 @@ def run_benchmark(
         (noise_refs[nid], [s for s in scenarios if s.noise_id == nid]) for nid in noise_ids
     ]
 
-    # (source index, first song, end song) per task, largest first; sorted is stable.
     n_runs = min(len(songs), -(-jobs // len(sources)))
-    runs = [(len(songs) * i // n_runs, len(songs) * (i + 1) // n_runs) for i in range(n_runs)]
-    plan = sorted(
-        ((src, lo, hi) for src in range(len(sources)) for lo, hi in runs),
-        key=lambda p: (p[2] - p[1]) * len(sources[p[0]][1]),
-        reverse=True,
-    )
-    tasks = [(songs[lo:hi], *sources[src]) for src, lo, hi in plan]
+    tasks = []
+    for src, (ref, conditions) in enumerate(sources):
+        for r in range(n_runs):
+            lo, hi = len(songs) * r // n_runs, len(songs) * (r + 1) // n_runs
+            tasks.append((src, ref, conditions, lo, songs[lo:hi]))
+    tasks.sort(key=lambda t: len(t[2]) * len(t[4]), reverse=True)  # largest first; stable
     score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(score, tasks, chunksize=1))
     else:
         results = [score(t) for t in tasks]
+    outcomes = {key: outcome for result in results for key, outcome in result.items()}
 
-    # outcomes[song][source]: each condition's outcome, back in song-major order.
-    outcomes: list[list] = [[None] * len(sources) for _ in songs]
-    for (src, lo, _), per_song in zip(plan, results):
-        for i, song_outcomes in enumerate(per_song, lo):
-            outcomes[i][src] = song_outcomes
-
-    # Each cell's errors over songs, in song order.
+    # Each cell's errors over songs, in song order; failures in song-major order.
     errors: dict[tuple, list[float]] = defaultdict(list)
     failures = []
-    for song, per_source in zip(songs, outcomes):
-        for (_, conditions), song_outcomes in zip(sources, per_source):
-            for scenario, outcome in zip(conditions, song_outcomes):
+    for i, song in enumerate(songs):
+        for src, (_, conditions) in enumerate(sources):
+            for c, scenario in enumerate(conditions):
+                outcome = outcomes[i, src, c]
                 if isinstance(outcome, str):
                     failures.append(BenchmarkFailure(song.song_id, scenario, outcome))
                     continue

@@ -138,13 +138,10 @@ def mix_at_snr(signal: AudioBuffer, noise: NoiseSource, snr_db: float) -> AudioB
 
 
 def measure_snr(signal, noise_component) -> float:
-    """10 log10(P_signal / P_noise) over two equal-length sample arrays."""
+    """10 log10(P_signal / P_noise): signal is an AudioBuffer or a sample
+    array, noise_component a sample array of the same length."""
     s = signal.samples if isinstance(signal, AudioBuffer) else np.asarray(signal, dtype=np.float64)
-    n = (
-        noise_component.samples
-        if isinstance(noise_component, AudioBuffer)
-        else np.asarray(noise_component, dtype=np.float64)
-    )
+    n = np.asarray(noise_component, dtype=np.float64)
     if s.size != n.size:
         raise ValueError(f"signal and noise lengths differ ({s.size} vs {n.size})")
     p_noise = float(np.mean(n**2))

@@ -56,6 +56,32 @@ def test_overrange_float_is_kept(tmp_path, caplog):
                for r in caplog.records)
 
 
+@pytest.mark.parametrize("peak, readable", [
+    (3e37, True), (float(np.finfo(np.float32).max), True), (3.5e38, False), (3e151, False),
+])
+def test_float64_samples_are_bounded_by_the_largest_float32(tmp_path, peak, readable):
+    # every float32 WAV reads back; float64 samples past float32's range are
+    # rejected, as their frames' energies overflow near 1e150
+    path = tmp_path / "f64.wav"
+    samples = np.array([0.0, peak, -peak / 2])
+    path.write_bytes(wav_bytes(samples.astype("<f8").tobytes(), bits=64))
+    if readable:
+        assert read_wav(path).samples.tolist() == samples.tolist()
+    else:
+        with pytest.raises(ValueError, match="the largest float32"):
+            read_wav(path)
+
+
+def test_channels_whose_mean_overflows_are_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "f64.wav"
+    frames = np.full((10, 2), 1.7e308)
+    path.write_bytes(wav_bytes(frames.astype("<f8").tobytes(), channels=2, bits=64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            read_wav(path)
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises((OSError, FileNotFoundError)):
         read_wav(tmp_path / "nope.wav")

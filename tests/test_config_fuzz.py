@@ -26,7 +26,7 @@ from conftest import sawtooth
 KEYS = st.sampled_from(
     sorted(DEFAULT_CONFIGS)
     + ["f_min", "f_max", "n_harmonics", "members", "configs", "external", "command",
-       "timeout_s", "songs", "methods", "noises", "snrs_db", "jobs", "seed", "out",
+       "timeout_s", "songs", "methods", "noises", "snrs_db", "seed", "out",
        "annotations", "count", "sample_rate", "dir"]
 ) | st.text(max_size=3)
 

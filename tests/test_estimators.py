@@ -446,6 +446,12 @@ def test_note_median_over_frames():
     assert est.f0 == pytest.approx(float(np.median(voiced)))
 
 
+def test_stft_per_frame_is_its_one_vote():
+    est = estimate_note(saw_buffer(220.0, 0.5), "stft")
+    assert est.per_frame == (est.f0,) and est.voiced
+    assert estimate_note(AudioBuffer(np.zeros(4410), 44100), "stft").per_frame == (None,)
+
+
 def test_note_with_silent_tail_still_voiced():
     samples = np.concatenate([saw_buffer(196.0, 0.3).samples, np.zeros(22050)])
     est = estimate_note(AudioBuffer(samples, 44100), "yin")

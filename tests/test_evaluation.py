@@ -293,6 +293,22 @@ def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path
     assert report.cells == {("hps", "white", 0.0): expected}
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_benchmark_fails_a_nan_snr_per_condition(two_songs, stub_registry, jobs):
+    # a NaN scenario is not equal to its pickled copy, so results that come
+    # back from a worker must not be looked up by scenario
+    bad, good = Scenario("white", math.nan), Scenario("white", 10.0)
+    report = run_benchmark(two_songs, ["hps"], [bad, good], WHITE_REF, jobs=jobs)
+
+    assert [(f.song_id, f.scenario) for f in report.failures] == [
+        (song.song_id, bad) for song in two_songs
+    ]
+    assert all(f.message.startswith("ValueError: SNR must be finite") for f in report.failures)
+    expected = np.mean([pitch_error([100.0] * len(s.notes), s.truths()) for s in two_songs])
+    assert report.clean["hps"] == pytest.approx(expected)
+    assert report.cells == {("hps", "white", 10.0): pytest.approx(expected)}
+
+
 def counting_resolves(monkeypatch) -> list[tuple]:
     """Patch NoiseRef.resolve to record (noise_id, sample_rate) per call."""
     calls = []
@@ -387,8 +403,13 @@ def test_run_benchmark_isolates_noise_failures(two_songs, stub_registry, tmp_pat
 
 
 def test_run_benchmark_rejects_unknown_method(two_songs):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown method 'autotune'"):
         run_benchmark(two_songs, ["autotune"], [], {})
+
+
+def test_run_benchmark_rejects_no_method(two_songs):
+    with pytest.raises(ValueError, match="at least one method"):
+        run_benchmark(two_songs, [], [], {})
 
 
 @pytest.mark.parametrize("methods", [["hps", "hps"], ["ensemble", "ml", "ensemble"]])

@@ -43,11 +43,10 @@ def test_one_song_under_one_noise(quality):
 
 
 def test_gross_counts_unvoiced_and_off_by_more_than_a_quarter_tone(quality):
-    pool = quality.Pool()
     f0 = 200.0
     sharp = f0 * 2.0 ** (1.0 / 24.0)
-    pool.add([None, f0, sharp * 0.999, sharp * 1.001], [f0] * 4)
-    assert pool.summary() == {
+    pairs = list(zip([None, f0, sharp * 0.999, sharp * 1.001], [f0] * 4))
+    assert quality.summary(pairs) == {
         "error": round((math.sqrt(f0) + math.sqrt(sharp * 0.999 - f0)
                         + math.sqrt(sharp * 1.001 - f0)) / 4, 6),
         "gross": 0.5,
