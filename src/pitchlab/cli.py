@@ -1,8 +1,8 @@
 """Command line front end: estimate, mix, bench and report subcommands.
 
 Exit codes: 0 success, 2 unreadable or out-of-range input, an output
-path that cannot be written, an option that does not apply to the chosen
-method, sample-rate mismatch, an external command (PITCHLAB_EXTERNAL or
+path that cannot be written, an --ensemble-spec with a plain method,
+sample-rate mismatch, an external command (PITCHLAB_EXTERNAL or
 a spec's) that splits into no program, or a mix into a silent or empty
 signal or of a silent noise, 3 invalid annotation (non-UTF-8 text
 included, or a note past the end of the audio), 4 benchmark with zero
@@ -31,7 +31,7 @@ from .ensemble import (
     load_ensemble_spec,
 )
 from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNoise
-from .estimators import REGISTRY, check_json, load_estimator_configs
+from .estimators import check_json, load_estimator_configs
 from .evaluation import (
     ENSEMBLE_METHOD,
     check_run,
@@ -97,25 +97,25 @@ def _load_spec(path: str | None) -> EnsembleSpec:
 
 def cmd_estimate(args) -> int:
     method = args.method
-    if method != ENSEMBLE_METHOD and method not in REGISTRY:
-        known = sorted(REGISTRY) + [ENSEMBLE_METHOD]
-        return _fail(EX_INPUT, f"unknown method {method!r}; known: {known}")
-    if method == ENSEMBLE_METHOD and args.config:
-        return _fail(EX_INPUT, "--config does not apply to the ensemble; give member "
-                     "overrides under the \"configs\" key of an --ensemble-spec")
+    try:
+        check_run([method], 1)
+    except ValueError as exc:
+        return _fail(EX_INPUT, str(exc))
     if method != ENSEMBLE_METHOD and args.ensemble_spec:
         return _fail(EX_INPUT, f"--ensemble-spec applies only to --method {ENSEMBLE_METHOD}; "
-                     f"give {method} overrides with --config, in the shape of the spec's "
-                     "\"configs\" key")
+                     f"give {method} overrides with --config")
 
     try:
-        spec = _load_spec(args.ensemble_spec) if method == ENSEMBLE_METHOD else None
         configs = load_estimator_configs(args.config) if args.config else {}
+        spec = _load_spec(args.ensemble_spec) if method == ENSEMBLE_METHOD else None
+        if spec is not None:  # --config entries for methods that do not run are ignored
+            members = {m: configs[m] for m in spec.members if m in configs}
+            spec = dataclasses.replace(spec, configs=members)
     except (OSError, ValueError, PitchlabError) as exc:
         return _fail(EX_INPUT, f"bad configuration: {exc}")
 
     try:
-        annotation = read_annotation(args.notes, audio_path=args.audio)
+        annotation = read_annotation(args.notes)
     except OSError as exc:
         return _fail(EX_INPUT, f"cannot read annotation {args.notes}: {exc}")
     except InvalidAnnotation as exc:
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--method", default=ENSEMBLE_METHOD,
                      help="estimator name or 'ensemble' (default)")
     est.add_argument("--ensemble-spec", help="JSON ensemble description")
-    est.add_argument("--config", help="JSON per-method estimator overrides")
+    est.add_argument("--config", help="JSON overrides of the method or the ensemble's members")
     est.set_defaults(func=cmd_estimate)
 
     mix = sub.add_parser("mix", help="mix a noise into a signal at a target SNR")

@@ -25,7 +25,6 @@ from .estimators import (
     PitchEstimate,
     check_json,
     estimate_note_many,
-    parse_config_overrides,
     refine_f0,
     vote_median,
 )
@@ -93,10 +92,9 @@ class EnsembleSpec:
             raise ValueError("an ensemble needs at least two voting members")
 
 
-# The JSON shape of an ensemble spec file; "configs" is checked as overrides.
+# The JSON shape of an ensemble spec file.
 SPEC_FIELDS = {
     "members": [str],
-    "configs": dict,
     "external": {"command": str, "f_min": float, "f_max": float, "timeout_s": float},
 }
 
@@ -104,9 +102,9 @@ SPEC_FIELDS = {
 def load_ensemble_spec(path) -> EnsembleSpec:
     """Read an ensemble description from a JSON file.
 
-    Recognized keys: "members" (list of estimator names), "configs"
-    (per-member {f_min, f_max, n_harmonics} overrides) and "external"
-    ({command, f_min, f_max, timeout_s}).
+    Recognized keys: "members" (list of estimator names) and "external"
+    ({command, f_min, f_max, timeout_s}). Member config overrides are not
+    read here: pitchlab estimate takes them from its --config file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -114,7 +112,6 @@ def load_ensemble_spec(path) -> EnsembleSpec:
         raw = check_json(raw, SPEC_FIELDS)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    configs = parse_config_overrides(raw.get("configs", {}), f"{path}: \"configs\"")
     external = raw.get("external")
     if external is not None:
         if "command" not in external:
@@ -123,7 +120,7 @@ def load_ensemble_spec(path) -> EnsembleSpec:
             external = ExternalEstimator(**external)
         except ValueError as exc:
             raise ValueError(f"{path}: bad external estimator: {exc}") from None
-    return EnsembleSpec(raw.get("members", DEFAULT_MEMBERS), configs, external)
+    return EnsembleSpec(raw.get("members", DEFAULT_MEMBERS), external=external)
 
 
 def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstimate:

@@ -126,7 +126,7 @@ class SongAnnotation:
         return [n.f0_truth for n in self.notes]
 
 
-def read_annotation(path, audio_path: str | None = None) -> SongAnnotation:
+def read_annotation(path) -> SongAnnotation:
     """Parse a sidecar annotation: one "onset_sec offset_sec f0_hz" per line.
 
     The song's id is the file's stem. Raises InvalidAnnotation on any
@@ -155,7 +155,7 @@ def read_annotation(path, audio_path: str | None = None) -> SongAnnotation:
         raise InvalidAnnotation(f"{path}: no notes found")
     return SongAnnotation(
         song_id=path.stem,
-        audio_path=audio_path or str(path.with_suffix(".wav")),
+        audio_path=str(path.with_suffix(".wav")),
         notes=tuple(notes),
     )
 
@@ -453,8 +453,9 @@ def render_long_csv(report: ErrorReport) -> str:
 def parse_long_csv(text: str) -> ErrorReport:
     """Rebuild a report from its long-form CSV (for re-rendering).
 
-    Raises ValueError on a bad header or row, SNR (check_snr) or error (not
-    finite and non-negative), a clean row with an SNR, or a repeated cell.
+    Raises ValueError on a bad header or row, an empty or space-padded
+    method or noise_id, SNR (check_snr) or error (not finite and
+    non-negative), a clean row with an SNR, or a repeated cell.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "method,noise_id,snr_db,error":
@@ -469,6 +470,8 @@ def parse_long_csv(text: str) -> ErrorReport:
         if len(parts) != 4:
             raise ValueError(f"bad CSV row: {ln!r}")
         m, nid_raw, snr_raw, err_raw = parts
+        if any(not name or name != name.strip() for name in (m, nid_raw)):
+            raise ValueError(f"an empty or space-padded method or noise_id: {ln!r}")
         err = float(err_raw)
         if not 0.0 <= err < math.inf:
             raise ValueError(f"the error must be finite and non-negative: {ln!r}")

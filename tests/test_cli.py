@@ -15,7 +15,7 @@ from pitchlab.ensemble import (
     EnsembleSpec,
     ExternalEstimator,
 )
-from pitchlab.estimators import REGISTRY, NoteMethod
+from pitchlab.estimators import REGISTRY, NoteMethod, parse_config_overrides
 from pitchlab.evaluation import materialize_songs, read_annotation, write_annotation
 from pitchlab.evaluation import NoteSegment, estimate_song, pitch_error, run_benchmark
 from pitchlab.noise import mix_at_snr, synth_noise
@@ -179,16 +179,17 @@ class TestEstimate:
 
     @pytest.mark.parametrize("spec", [
         {"external": {"f_min": 50}},
-        {"configs": {"hps": 3}},
-        {"configs": [1]},
-        {"configs": {"hps": {"n_harmonic": 7}}},
-        {"configs": {"hps": {"n_harmonics": 2.9}}},
-        {"configs": {"hps": {"n_harmonics": True}}},
-        {"configs": {"hps": {"f_min": "80"}}},
-        {"configs": {"ml": {"f_max": False}}},
+        # member overrides come from --config, not from the spec
+        {"configs": {"ml": {"f_max": 600}}},
+        [1],
+        {"members": "hps"},
+        {"members": ["hps"]},
+        {"members": ["hps", "hps"]},
+        {"members": ["autotune", "hps"]},
+        {"external": {"command": "true", "f_min": 500, "f_max": 100}},
         {"external": {"command": "true", "timeout_s": float("nan")}},
-        {"members": ["yin", "hps"], "configs": {"yin": {"n_harmonics": 7}}},
-        {"members": ["acf", "nsdf", "cepstrum"], "configs": {"cepstrum": {"n_harmonics": 2}}},
+        {"external": {"command": 3}},
+        {"external": {"command": "true", "timeout_s": 0}},
         {"external": {}},
         {"external": {"command": "foo \"bar"}},
         # poll() takes the pipe wait in milliseconds as a C int
@@ -227,24 +228,49 @@ class TestEstimate:
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", "yin", "--config", str(path)))
 
-    def test_config_with_the_ensemble_is_exit_2(self, song, tmp_path, capsys):
-        # the ensemble reads member configs only from a spec, so --config did nothing
+    @pytest.mark.parametrize("config", [
+        {"hps": 3},
+        [1],
+        {"hps": {"n_harmonic": 7}},
+        {"hps": {"n_harmonics": 2.9}},
+        {"hps": {"n_harmonics": True}},
+        {"hps": {"f_min": "80"}},
+        {"ml": {"f_max": False}},
+        # an entry for a method that does not run must still be well formed
+        {"yin": {"n_harmonics": 7}},
+        {"ensemble": {"f_max": 150}},
+    ])
+    def test_malformed_config_with_the_ensemble_is_exit_2(self, config, song, tmp_path,
+                                                          capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"hps": {"f_min": 5000}}))
-        code, out, err = run_cli(
+        path.write_text(json.dumps(config))
+        assert_one_line_input_error(*run_cli(
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
-            "--method", "ensemble", "--config", str(path))
-        assert_one_line_input_error(code, out, err)
-        assert '"configs"' in err
+            "--method", "ensemble", "--config", str(path)))
+
+    def test_config_reaches_the_ensemble_members(self, song, tmp_path, capsys):
+        # the members take their entries; yin does not run, so its entry is ignored
+        ranges = {"hps": {"f_max": 150}, "ml": {"f_max": 150}, "stft": {"f_max": 150}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**ranges, "yin": {"f_min": 300}}))
+        spec = EnsembleSpec(configs=parse_config_overrides(ranges, "ranges"))
+        buffer = read_wav(song.audio_path)
+        f0s = estimate_song(buffer, song.notes, {"ensemble": None}, spec)["ensemble"]
+        assert f0s != estimate_song(buffer, song.notes, {"ensemble": None})["ensemble"]
+        code, out, _ = run_cli(capsys, "estimate", song.audio_path,
+                               song.audio_path.replace(".wav", ".notes"), "--config", str(path))
+        assert code == 0
+        printed = [line.split()[2] for line in out.splitlines()]
+        assert printed == ["0" if f0 is None else f"{f0:.6g}" for f0 in f0s]
 
     def test_ensemble_spec_with_one_method_is_exit_2(self, song, tmp_path, capsys):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"configs": {"hps": {"f_min": 5000}}}))
+        path.write_text(json.dumps({"members": ["hps", "ml"]}))
         code, out, err = run_cli(
             capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"),
             "--method", "hps", "--ensemble-spec", str(path))
         assert_one_line_input_error(code, out, err)
-        assert '"configs"' in err
+        assert "--ensemble-spec" in err and "--config" in err
 
     @pytest.mark.parametrize("method", ["acf", "nsdf", "yin", "cepstrum"])
     def test_n_harmonics_outside_the_combs_is_exit_2(self, method, song, tmp_path, capsys):

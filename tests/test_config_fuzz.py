@@ -25,7 +25,7 @@ from conftest import sawtooth
 # documents reach the field checks rather than stopping at "unknown key".
 KEYS = st.sampled_from(
     sorted(DEFAULT_CONFIGS)
-    + ["f_min", "f_max", "n_harmonics", "members", "configs", "external", "command",
+    + ["f_min", "f_max", "n_harmonics", "members", "external", "command",
        "timeout_s", "songs", "methods", "noises", "snrs_db", "seed", "out",
        "annotations", "count", "sample_rate", "dir"]
 ) | st.text(max_size=3)

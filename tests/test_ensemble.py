@@ -1,6 +1,7 @@
 import json
 import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from pitchlab.estimators import (
 from pitchlab.sigproc import AudioBuffer
 
 from conftest import saw_buffer, sine_buffer
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0
 
@@ -120,12 +123,11 @@ def test_load_spec_from_json(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
         "members": ["hps", "ml"],
-        "configs": {"ml": {"f_max": 600}},
         "external": {"command": "mypitch --quiet", "f_min": 40, "f_max": 2000},
     }))
     spec = load_ensemble_spec(path)
     assert spec.members == ("hps", "ml")
-    assert spec.configs["ml"].f_max == 600.0
+    assert spec.configs == {}
     assert spec.external.command == "mypitch --quiet"
     assert spec.external.timeout_s == 10.0
 
@@ -135,6 +137,24 @@ def test_load_spec_rejects_unknown_keys(tmp_path):
     path.write_text('{"members": ["hps", "ml"], "quorum": 3}')
     with pytest.raises(ValueError):
         load_ensemble_spec(path)
+
+
+def test_load_spec_rejects_member_configs(tmp_path):
+    # member overrides come from estimate's --config file alone
+    path = tmp_path / "spec.json"
+    path.write_text('{"members": ["hps", "ml"], "configs": {"ml": {"f_max": 600}}}')
+    with pytest.raises(ValueError, match="configs"):
+        load_ensemble_spec(path)
+
+
+def test_readme_spec_example_loads(tmp_path):
+    # building the external member only splits its command; no process starts
+    section = README.split("\n## The ensemble\n", 1)[1].split("\n## ", 1)[0]
+    path = tmp_path / "spec.json"
+    path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    spec = load_ensemble_spec(path)
+    assert spec.members == DEFAULT_MEMBERS
+    assert spec.external == ExternalEstimator("/path/to/estimator --quiet", timeout_s=10.0)
 
 
 @pytest.mark.parametrize("command", ["", "   ", "foo \"bar", "'unclosed", "trailing\\", "a\0b"])

@@ -507,6 +507,13 @@ def test_parse_rejects_bad_csv():
         # a repeated cell, noisy or clean
         header + "hps,white,0,1.0\nhps,white,0,2.0\n",
         header + "hps,clean,,1.0\nhps,clean,,2.0\n",
+        # an empty or space-padded name, which rendered a nameless row or a
+        # second column for the same noise
+        header + ",clean,,0.5\n",
+        header + "hps,,0,0.5\n",
+        header + " hps,clean,,0.5\n",
+        header + "hps,white,0,0.6\nhps, white,0,0.7\n",
+        header + "hps,white ,0,0.6\n",
     ]
     for text in bad:
         with pytest.raises(ValueError):
