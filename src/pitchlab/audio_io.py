@@ -34,6 +34,10 @@ _SAMPLE_TYPES = {(_PCM, 16): "<i2", (_FLOAT, 32): "<f4", (_FLOAT, 64): "<f8"}
 # An extensible sub-format GUID is {tag-0000-0010-8000-00AA00389B71}
 # (RFC 2361); these are its bytes after the 4-byte tag.
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# write_wav's header fields are 32 bits: they hold the byte rate, 4 bytes
+# a sample times the sample rate, and the RIFF size, 50 + the data bytes.
+_MAX_WRITE_RATE = 0xFFFFFFFF // 4
+_MAX_WRITE_BYTES = 0xFFFFFFFF - 50
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
@@ -139,10 +143,15 @@ def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
 
     The layout is the one scipy.io.wavfile.write gives float32 samples:
     a RIFF header, an 18-byte fmt chunk (format tag 3, cbSize 0), a fact
-    chunk holding the frame count, then the data chunk.
+    chunk holding the frame count, then the data chunk. A sample rate or a
+    sample count that those 32-bit fields cannot hold raises ValueError
+    before the file is opened.
     """
-    samples = buffer.samples.astype("<f4")
     rate = buffer.sample_rate
+    if rate > _MAX_WRITE_RATE or 4 * len(buffer) > _MAX_WRITE_BYTES:
+        raise ValueError(f"a float32 WAV header holds at most {_MAX_WRITE_RATE} Hz and "
+                         f"{_MAX_WRITE_BYTES // 4} samples; got {rate} Hz and {len(buffer)} samples")
+    samples = buffer.samples.astype("<f4")
     header = struct.pack(
         "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
         b"RIFF", 50 + samples.nbytes, b"WAVE",

@@ -1,10 +1,13 @@
 """Command line front end: estimate, mix, bench and report subcommands.
 
-Exit codes: 0 success, 2 unreadable or out-of-range input, an output
-path that cannot be written, an --ensemble-spec with a plain method,
-sample-rate mismatch, an external command (PITCHLAB_EXTERNAL or
-a spec's) that splits into no program, or a mix into a silent or empty
-signal or of a silent noise, 3 invalid annotation (non-UTF-8 text
+estimate runs one config map, --config, for its method or the ensemble's
+members, and PITCHLAB_EXTERNAL is the external command of the one spec
+it builds. Exit codes: 0 success, 2 unreadable (JSON nested too deep
+included) or out-of-range input, an output path that cannot be written,
+an --ensemble-spec with a plain method, sample-rate mismatch, an external
+command (PITCHLAB_EXTERNAL or a spec's) that splits into no program, a mix
+into a silent or empty signal, of a silent noise or too large for a WAV
+header, 3 invalid annotation (non-UTF-8 text
 included, or a note past the end of the audio), 4 benchmark with zero
 successful songs, or one whose worker process died before it finished
 (no results are written).
@@ -13,10 +16,7 @@ successful songs, or one whose worker process died before it finished
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import logging
-import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -25,13 +25,11 @@ from pathlib import Path
 from .audio_io import read_wav, write_wav
 from .ensemble import (
     DEFAULT_MEMBERS,
-    EnsembleSpec,
-    ExternalEstimator,
     ensemble_estimate,  # unused here, but perfbench's tracer patches it in this module
     load_ensemble_spec,
 )
 from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNoise
-from .estimators import check_json, load_estimator_configs
+from .estimators import load_estimator_configs, read_json
 from .evaluation import (
     ENSEMBLE_METHOD,
     check_run,
@@ -61,33 +59,10 @@ EX_INPUT = 2
 EX_ANNOTATION = 3
 EX_NO_SONGS = 4
 
-EXTERNAL_ENV_VAR = "PITCHLAB_EXTERNAL"
-
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _apply_external_env(spec: EnsembleSpec) -> EnsembleSpec:
-    """Let PITCHLAB_EXTERNAL override or install the external member; a
-    command that splits into no program raises ValueError naming it."""
-    command = os.environ.get(EXTERNAL_ENV_VAR)
-    if not command:
-        return spec
-    try:
-        if spec.external is None:
-            external = ExternalEstimator(command)
-        else:
-            external = dataclasses.replace(spec.external, command=command)
-    except ValueError as exc:
-        raise ValueError(f"{EXTERNAL_ENV_VAR}: {exc}") from None
-    return dataclasses.replace(spec, external=external)
-
-
-def _load_spec(path: str | None) -> EnsembleSpec:
-    spec = load_ensemble_spec(path) if path else EnsembleSpec()
-    return _apply_external_env(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +82,7 @@ def cmd_estimate(args) -> int:
 
     try:
         configs = load_estimator_configs(args.config) if args.config else {}
-        spec = _load_spec(args.ensemble_spec) if method == ENSEMBLE_METHOD else None
-        if spec is not None:  # --config entries for methods that do not run are ignored
-            members = {m: configs[m] for m in spec.members if m in configs}
-            spec = dataclasses.replace(spec, configs=members)
+        spec = load_ensemble_spec(args.ensemble_spec) if method == ENSEMBLE_METHOD else None
     except (OSError, ValueError, PitchlabError) as exc:
         return _fail(EX_INPUT, f"bad configuration: {exc}")
 
@@ -128,7 +100,7 @@ def cmd_estimate(args) -> int:
         return _fail(EX_INPUT, f"cannot read audio {args.audio}: {exc}")
 
     try:
-        f0s = estimate_song(buffer, annotation.notes, {method: configs.get(method)}, spec)[method]
+        f0s = estimate_song(buffer, annotation.notes, [method], configs, spec)[method]
     except ConfigOutOfRange as exc:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
     except (PitchlabError, ValueError) as exc:
@@ -184,7 +156,7 @@ def cmd_mix(args) -> int:
 
     try:
         write_wav(args.out, mixed)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: the header cannot hold the mix
         return _fail(EX_INPUT, f"cannot write {args.out}: {exc}")
     print(f"achieved_snr_db {achieved:.4f}")
     return EX_OK
@@ -214,8 +186,7 @@ def _bench_config(path: str, out: str | None = None) -> dict:
     """The benchmark config at path, with out (--out) put over its "out"
     unless None, every field type- and range-checked, and "methods" set to
     its default when absent."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = check_json(json.load(fh), BENCH_FIELDS)
+    config = read_json(path, BENCH_FIELDS)
     if out is not None:
         config["out"] = out
     # songs are read or synthesized, noises read from a directory or synthesized
@@ -246,13 +217,13 @@ def cmd_bench(args) -> int:
     try:
         config = _bench_config(args.config, out=args.out)
     except (OSError, ValueError) as exc:
-        return _fail(EX_INPUT, f"cannot read benchmark config {args.config}: {exc}")
+        return _fail(EX_INPUT, f"bad benchmark config: {exc}")
     try:
         check_run(config["methods"], args.jobs)
     except ValueError as exc:
         return _fail(EX_INPUT, f"cannot run the benchmark: {exc}")
     try:
-        spec = _load_spec(None)
+        spec = load_ensemble_spec()
     except ValueError as exc:
         return _fail(EX_INPUT, f"bad configuration: {exc}")
 

@@ -11,11 +11,12 @@ that vote to unvoiced; they never abort the ensemble.
 
 from __future__ import annotations
 
-import json
 import logging
+import os
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .estimators import (
     REGISTRY,
     NoteAnalysis,
     PitchEstimate,
-    check_json,
     estimate_note_many,
+    read_json,
     refine_f0,
     vote_median,
 )
@@ -43,6 +44,9 @@ DEFAULT_EXTERNAL_TIMEOUT_S = 10.0
 MAX_EXTERNAL_TIMEOUT_S = 1e6
 
 MIN_VOICED_VOTES = 2
+
+# A command line in this variable is the external member's command.
+EXTERNAL_ENV_VAR = "PITCHLAB_EXTERNAL"
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,9 @@ class ExternalEstimator:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which estimators vote, with any per-member config overrides."""
+    """Which estimators vote: registry members and an optional external one."""
 
     members: tuple[str, ...] = DEFAULT_MEMBERS
-    configs: dict = field(default_factory=dict)
     external: ExternalEstimator | None = None
 
     def __post_init__(self):
@@ -84,9 +87,6 @@ class EnsembleSpec:
         unknown = [m for m in self.members if m not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown ensemble members {unknown}; known: {sorted(REGISTRY)}")
-        for name in self.configs:
-            if name not in self.members:
-                raise ValueError(f"config override for non-member {name!r}")
         n_voters = len(self.members) + (1 if self.external else 0)
         if n_voters < MIN_VOICED_VOTES:
             raise ValueError("an ensemble needs at least two voting members")
@@ -99,27 +99,30 @@ SPEC_FIELDS = {
 }
 
 
-def load_ensemble_spec(path) -> EnsembleSpec:
-    """Read an ensemble description from a JSON file.
+def load_ensemble_spec(path=None) -> EnsembleSpec:
+    """The ensemble in the JSON file at path, or the default one without a
+    path, with PITCHLAB_EXTERNAL put in place before the spec is checked.
 
     Recognized keys: "members" (list of estimator names) and "external"
-    ({command, f_min, f_max, timeout_s}). Member config overrides are not
-    read here: pitchlab estimate takes them from its --config file.
+    ({command, f_min, f_max, timeout_s}). PITCHLAB_EXTERNAL, when set,
+    replaces the file's external command, keeping its range and timeout,
+    or adds an external with the default range. Member configs are no part
+    of a spec: a run passes them to estimate_song. Anything malformed
+    raises ValueError naming the path, and the variable when it is set.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        raw = check_json(raw, SPEC_FIELDS)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    raw = read_json(path, SPEC_FIELDS) if path else {}
     external = raw.get("external")
+    if external is not None and "command" not in external:
+        raise ValueError(f"{path}: \"external\" needs a \"command\" string")
+    command = os.environ.get(EXTERNAL_ENV_VAR)
+    if command:
+        external = {**(external or {}), "command": command}
     if external is not None:
-        if "command" not in external:
-            raise ValueError(f"{path}: \"external\" needs a \"command\" string")
         try:
             external = ExternalEstimator(**external)
         except ValueError as exc:
-            raise ValueError(f"{path}: bad external estimator: {exc}") from None
+            where = ", ".join(str(s) for s in (path, command and EXTERNAL_ENV_VAR) if s)
+            raise ValueError(f"{where}: bad external estimator: {exc}") from None
     return EnsembleSpec(raw.get("members", DEFAULT_MEMBERS), external=external)
 
 
@@ -185,25 +188,25 @@ def fuse_votes(votes) -> float | None:
     return vote_median(voiced)
 
 
-def member_votes(analysis: NoteAnalysis, spec: EnsembleSpec) -> dict[str, PitchEstimate]:
-    """Per-member note estimates in spec order, the external one last.
-
-    A member already estimated on the analysis under the same config is
-    reused rather than estimated again.
-    """
-    votes = estimate_note_many(analysis, {m: spec.configs.get(m) for m in spec.members})
+def member_votes(analysis: NoteAnalysis, spec: EnsembleSpec,
+                 configs: Mapping) -> dict[str, PitchEstimate]:
+    """Per-member note estimates in spec order, the external one last. A
+    member runs its config in configs (method -> config), its default when
+    configs has none, and one already estimated on the analysis under that
+    config is reused rather than estimated again."""
+    votes = estimate_note_many(analysis, {m: configs.get(m) for m in spec.members})
     if spec.external is not None:
         votes["external"] = run_external(spec.external, analysis.note)
     return votes
 
 
-def ensemble_f0(analysis: NoteAnalysis, spec: EnsembleSpec) -> float | None:
-    """The ensemble's f0 on one note: the median of its members' votes
-    (fuse_votes), refined below the bin grid on the note's spectra."""
-    f0 = fuse_votes([v.f0 for v in member_votes(analysis, spec).values()])
+def ensemble_f0(analysis: NoteAnalysis, spec: EnsembleSpec, configs: Mapping) -> float | None:
+    """The ensemble's f0 on one note: the median of its members' votes under
+    configs (fuse_votes), refined below the bin grid on the note's spectra."""
+    f0 = fuse_votes([v.f0 for v in member_votes(analysis, spec, configs).values()])
     return None if f0 is None else refine_f0(analysis, f0)
 
 
 def ensemble_estimate(note: AudioBuffer, spec: EnsembleSpec | None = None) -> PitchEstimate:
-    """Fused note-level estimate over the spec's members."""
-    return PitchEstimate(ensemble_f0(NoteAnalysis(note), spec or EnsembleSpec()))
+    """Fused note-level estimate over the spec's members, each at its default config."""
+    return PitchEstimate(ensemble_f0(NoteAnalysis(note), spec or EnsembleSpec(), {}))

@@ -158,6 +158,17 @@ def check_json(value, kind, what: str = ""):
         raise ValueError(f"{name} is too large for a float") from None
 
 
+def read_json(path, kind):
+    """The JSON document in the file at path, if it has the shape kind
+    (check_json); else ValueError naming the path, nesting too deep to parse
+    included. OSError only when the file cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return check_json(json.load(fh), kind)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8 is a ValueError
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # The JSON shape of per-method config overrides. Only the comb scorers read
 # n_harmonics, so only they accept it.
 _RANGE_FIELDS = {"f_min": float, "f_max": float}
@@ -191,9 +202,7 @@ def parse_config_overrides(raw, source) -> dict[str, EstimatorConfig]:
 
 def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
     """Read per-method config overrides from a JSON file (the overrides alone)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return parse_config_overrides(raw, path)
+    return parse_config_overrides(read_json(path, dict), path)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,8 @@ def materialize_songs(
     out_dir,
     sample_rate: int = 44100,
 ) -> list[SongAnnotation]:
-    """Write n synthetic songs (WAV plus .notes sidecar) into a directory."""
+    """Write n synthetic songs (WAV plus .notes sidecar) into a directory;
+    they come back as read from their sidecars, so they score as on disk."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     songs = []
@@ -229,7 +230,7 @@ def materialize_songs(
         wav_path = out_dir / f"{stem}.wav"
         write_wav(wav_path, buffer)
         write_annotation(out_dir / f"{stem}.notes", notes)
-        songs.append(SongAnnotation(stem, str(wav_path), notes))
+        songs.append(read_annotation(out_dir / f"{stem}.notes"))
     return songs
 
 
@@ -274,14 +275,16 @@ class ErrorReport:
 def estimate_song(
     buffer: AudioBuffer,
     notes: Sequence[NoteSegment],
-    methods: Mapping[str, EstimatorConfig | None],
+    methods: Sequence[str],
+    configs: Mapping[str, EstimatorConfig],
     spec: EnsembleSpec | None = None,
 ) -> dict[str, list[float | None]]:
-    """Per-note f0s (None: unvoiced) of one audio take, for each method
-    named in methods, which maps it to a config or None as estimate_note_many
-    does. "ensemble" fuses spec's members (EnsembleSpec() when None) on the
-    same NoteAnalysis. A note with no sample in the audio raises InvalidAnnotation."""
-    plain = {name: cfg for name, cfg in methods.items() if name != ENSEMBLE_METHOD}
+    """Per-note f0s (None: unvoiced) of one audio take, for each of methods.
+    A method's row and the ensemble member of its name both run its config
+    in configs, its default when configs has none, once per note. "ensemble"
+    fuses spec's members (EnsembleSpec() when None) on the same NoteAnalysis.
+    A note with no sample in the audio raises InvalidAnnotation."""
+    plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
     spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
     out: dict[str, list[float | None]] = {name: [] for name in methods}
     for note in notes:
@@ -295,7 +298,7 @@ def estimate_song(
         for name, estimate in estimate_note_many(analysis, plain).items():
             out[name].append(estimate.f0)
         if spec is not None:
-            out[ENSEMBLE_METHOD].append(ensemble_f0(analysis, spec))
+            out[ENSEMBLE_METHOD].append(ensemble_f0(analysis, spec, configs))
     return out
 
 
@@ -344,7 +347,7 @@ def _benchmark_task(task, methods, ensemble_spec) -> dict[tuple, dict[str, float
             try:
                 t0 = time.perf_counter()
                 audio = buffer if scenario is None else mix_at_snr(buffer, noise, scenario.snr_db)
-                per_method = estimate_song(audio, song.notes, dict.fromkeys(methods), ensemble_spec)
+                per_method = estimate_song(audio, song.notes, methods, {}, ensemble_spec)
                 outcomes[i, src, c] = {m: pitch_error(f0s, truths) for m, f0s in per_method.items()}
                 logger.debug(
                     "song %s %s: %.3f s",
@@ -373,10 +376,9 @@ def run_benchmark(
     each song and scores it through estimate_song at each of the source's
     SNRs. Each source's songs are cut into min(songs, ceil(jobs / sources))
     runs, so there are at least min(jobs, songs x sources) tasks, and the
-    tasks with the most conditions start first. methods may include
-    "ensemble"; its members reuse the estimates of plain methods that
-    share their config, and a plain method listed next to it runs its own
-    default config, not the spec's override. No method, a method named
+    tasks with the most conditions start first. Every method runs its
+    default config. methods may include "ensemble", whose members reuse the
+    estimates of the plain methods of the same name. No method, a method named
     twice or unknown, or jobs < 1 raises ValueError (check_run). Results
     and failures come back in song-major order, so they are deterministic
     for a fixed input regardless of jobs. A worker process that dies raises

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,17 +9,19 @@ import numpy as np
 import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
-from pitchlab.cli import EXTERNAL_ENV_VAR, _bench_config, _load_spec, main
+from pitchlab.cli import _bench_config, main
 from pitchlab.ensemble import (
     DEFAULT_EXTERNAL_F_MAX,
     DEFAULT_EXTERNAL_F_MIN,
     DEFAULT_EXTERNAL_TIMEOUT_S,
+    EXTERNAL_ENV_VAR,
     EnsembleSpec,
     ExternalEstimator,
+    load_ensemble_spec,
 )
 from pitchlab.estimators import REGISTRY, NoteMethod, parse_config_overrides
 from pitchlab.evaluation import materialize_songs, read_annotation, write_annotation
-from pitchlab.evaluation import NoteSegment, estimate_song, pitch_error, run_benchmark
+from pitchlab.evaluation import NoteSegment, estimate_song, hz_to_midi, pitch_error, run_benchmark
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
@@ -135,7 +139,7 @@ class TestEstimate:
     def test_disk_round_trip_matches_estimate_song(self, method, song, capsys):
         # the CLI reads the song's WAV and .notes from disk; estimate_song and
         # run_benchmark start from the annotation that materialize_songs returned
-        f0s = estimate_song(read_wav(song.audio_path), song.notes, {method: None})[method]
+        f0s = estimate_song(read_wav(song.audio_path), song.notes, [method], {})[method]
         code, out, _ = run_cli(capsys, "estimate", song.audio_path,
                                song.audio_path.replace(".wav", ".notes"), "--method", method)
         assert code == 0
@@ -207,8 +211,36 @@ class TestEstimate:
     def test_external_env_that_names_no_program_is_exit_2(self, command, song, monkeypatch,
                                                           capsys):
         monkeypatch.setenv(EXTERNAL_ENV_VAR, command)
-        assert_one_line_input_error(*run_cli(
-            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes")))
+        code, out, err = run_cli(
+            capsys, "estimate", song.audio_path, song.audio_path.replace(".wav", ".notes"))
+        assert_one_line_input_error(code, out, err)
+        assert EXTERNAL_ENV_VAR in err
+
+    def test_one_member_spec_and_the_external_env_are_two_voters(self, song, tmp_path,
+                                                                  monkeypatch, capsys):
+        stub = tmp_path / "stub.py"
+        stub.write_text("import sys\n"
+                        "rate = int(sys.stdin.buffer.readline().split()[1])\n"
+                        "sys.stdin.buffer.read()\n"
+                        "print(f'F0 {rate / 100}')\n")
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))}"
+        monkeypatch.setenv(EXTERNAL_ENV_VAR, command)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"members": ["hps"]}))
+        notes = song.audio_path.replace(".wav", ".notes")
+        code, out, _ = run_cli(capsys, "estimate", song.audio_path, notes,
+                               "--ensemble-spec", str(spec_path))
+        assert code == 0
+        spec = EnsembleSpec(("hps",), ExternalEstimator(command))
+        f0s = estimate_song(read_wav(song.audio_path), song.notes, ["ensemble"], {}, spec)
+        assert out.splitlines() == [
+            f"{n.onset:.6f} {n.offset:.6f} " + (f"{f0:.6g} {hz_to_midi(f0):.6g}" if f0 else "0 0")
+            for n, f0 in zip(song.notes, f0s["ensemble"])
+        ]
+        # with no member the external is the one voter
+        spec_path.write_text(json.dumps({"members": []}))
+        assert_one_line_input_error(*run_cli(capsys, "estimate", song.audio_path, notes,
+                                             "--ensemble-spec", str(spec_path)))
 
     @pytest.mark.parametrize("method", ["hps", "srh", "ensemble"])
     def test_search_range_beyond_nyquist_is_exit_2(self, method, tmp_path, capsys):
@@ -253,10 +285,10 @@ class TestEstimate:
         ranges = {"hps": {"f_max": 150}, "ml": {"f_max": 150}, "stft": {"f_max": 150}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**ranges, "yin": {"f_min": 300}}))
-        spec = EnsembleSpec(configs=parse_config_overrides(ranges, "ranges"))
+        configs = parse_config_overrides(ranges, "ranges")
         buffer = read_wav(song.audio_path)
-        f0s = estimate_song(buffer, song.notes, {"ensemble": None}, spec)["ensemble"]
-        assert f0s != estimate_song(buffer, song.notes, {"ensemble": None})["ensemble"]
+        f0s = estimate_song(buffer, song.notes, ["ensemble"], configs)["ensemble"]
+        assert f0s != estimate_song(buffer, song.notes, ["ensemble"], {})["ensemble"]
         code, out, _ = run_cli(capsys, "estimate", song.audio_path,
                                song.audio_path.replace(".wav", ".notes"), "--config", str(path))
         assert code == 0
@@ -435,6 +467,16 @@ class TestMix:
             capsys, "mix", song.audio_path, "synth:white", "--snr", "0",
             "--out", str(tmp_path / "file" / "x.wav")))
 
+    def test_rate_the_wav_header_cannot_hold_is_exit_2_and_writes_nothing(self, capsys,
+                                                                          tmp_path):
+        # 2**31 Hz reads back, but the byte rate written, 4 x 2**31, needs 33 bits
+        signal = tmp_path / "fast.wav"
+        signal.write_bytes(wav_bytes(np.full(100, 0.1, dtype="<f4").tobytes(), rate=2**31))
+        out_path = tmp_path / "o.wav"
+        assert_one_line_input_error(*run_cli(
+            capsys, "mix", str(signal), "synth:white", "--snr", "0", "--out", str(out_path)))
+        assert not out_path.exists()
+
 
 class TestBench:
     def bench_config(self, tmp_path, **overrides):
@@ -475,14 +517,25 @@ class TestBench:
 
     def test_plain_methods_keep_their_rows_on_the_acceptance_10_grid(self, tmp_path, capsys):
         # the spectral members score the decimated band, yet every plain
-        # method's row is byte for byte the one the full-rate 8192-point
-        # spectrum gave, kept in tests/data
+        # method's row stays byte for byte the one kept in tests/data,
+        # scored on the songs as read back from their sidecars
         path = self.bench_config(tmp_path, songs={"count": 2, "sample_rate": 44100},
                                  methods=list(REGISTRY), snrs_db=[0, 20], seed=55)
         code, _, _ = run_cli(capsys, "bench", str(path))
         assert code == 0
         expected = (Path(__file__).parent / "data" / "bench_grid_10_plain_methods.csv").read_text()
         assert (tmp_path / "out" / "results.csv").read_text() == expected
+
+    def test_songs_score_as_their_sidecars_do(self, tmp_path, capsys):
+        # bench over songs.count and bench over the sidecars it wrote agree
+        path = self.bench_config(tmp_path, methods=["yin", "ensemble"])
+        assert run_cli(capsys, "bench", str(path))[0] == 0
+        sidecars = sorted(str(p) for p in (tmp_path / "out" / "songs").glob("*.notes"))
+        again = self.bench_config(tmp_path, songs={"annotations": sidecars},
+                                  methods=["yin", "ensemble"], out=str(tmp_path / "again"))
+        assert run_cli(capsys, "bench", str(again))[0] == 0
+        results = [(tmp_path / d / "results.csv").read_text() for d in ("out", "again")]
+        assert results[0] == results[1]
 
     def test_unknown_method_is_exit_2(self, tmp_path, capsys):
         path = self.bench_config(tmp_path, methods=["vamp"])
@@ -561,7 +614,9 @@ class TestBench:
                                                                     monkeypatch, capsys):
         monkeypatch.setenv(EXTERNAL_ENV_VAR, command)
         path = self.bench_config(tmp_path)
-        assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
+        code, out, err = run_cli(capsys, "bench", str(path))
+        assert_one_line_input_error(code, out, err)
+        assert EXTERNAL_ENV_VAR in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
@@ -666,25 +721,36 @@ class TestBench:
         assert [row.split(",")[:3] for row in rows] == [["yin", "clean", ""]]
 
 
+def test_a_deeply_nested_config_file_is_exit_2(song, tmp_path, capsys):
+    # json gives up on deep nesting with RecursionError, which is no ValueError
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    notes = song.audio_path.replace(".wav", ".notes")
+    for argv in (["estimate", song.audio_path, notes, "--config", str(nested)],
+                 ["estimate", song.audio_path, notes, "--ensemble-spec", str(nested)],
+                 ["bench", str(nested)]):
+        assert_one_line_input_error(*run_cli(capsys, *argv))
+
+
 class TestExternalEnv:
     def test_overrides_the_command_and_keeps_the_range(self, monkeypatch, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"external": {
             "command": "old-pitch", "f_min": 50, "f_max": 900, "timeout_s": 2.5}}))
         monkeypatch.setenv(EXTERNAL_ENV_VAR, "new-pitch --fast")
-        assert _load_spec(str(spec_path)).external == ExternalEstimator(
+        assert load_ensemble_spec(str(spec_path)).external == ExternalEstimator(
             "new-pitch --fast", f_min=50.0, f_max=900.0, timeout_s=2.5)
 
     def test_installs_a_default_range_member(self, monkeypatch):
         monkeypatch.setenv(EXTERNAL_ENV_VAR, "new-pitch")
-        external = _load_spec(None).external
+        external = load_ensemble_spec().external
         assert external == ExternalEstimator("new-pitch")
         assert (external.f_min, external.f_max, external.timeout_s) == (
             DEFAULT_EXTERNAL_F_MIN, DEFAULT_EXTERNAL_F_MAX, DEFAULT_EXTERNAL_TIMEOUT_S)
 
     def test_unset_leaves_the_spec_alone(self, monkeypatch):
         monkeypatch.delenv(EXTERNAL_ENV_VAR, raising=False)
-        assert _load_spec(None) == EnsembleSpec()
+        assert load_ensemble_spec() == EnsembleSpec()
 
 
 class TestReport:

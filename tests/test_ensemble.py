@@ -103,16 +103,13 @@ class TestEnsembleSpec:
         spec = EnsembleSpec(members=("hps",), external=external)
         assert spec.members == ("hps",)
 
-    def test_rejects_config_for_non_member(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(configs={"yin": EstimatorConfig(50.0, 500.0)})
-
     def test_member_configs_fill_defaults(self):
-        # the override applies to its member alone; the others keep their defaults
+        # the override applies to its member alone; the others keep their
+        # defaults, and an entry for a method that does not vote is ignored
         custom = EstimatorConfig(50.0, 700.0, 3)
-        spec = EnsembleSpec(configs={"hps": custom})
+        configs = {"hps": custom, "yin": EstimatorConfig(50.0, 500.0)}
         note = saw_buffer(110.0, 0.3)
-        votes = member_votes(NoteAnalysis(note), spec)
+        votes = member_votes(NoteAnalysis(note), EnsembleSpec(), configs)
         expected = estimate_note_many(
             NoteAnalysis(note), {"hps": custom, "stft": None, "ml": None, "srh": None}
         )
@@ -127,7 +124,6 @@ def test_load_spec_from_json(tmp_path):
     }))
     spec = load_ensemble_spec(path)
     assert spec.members == ("hps", "ml")
-    assert spec.configs == {}
     assert spec.external.command == "mypitch --quiet"
     assert spec.external.timeout_s == 10.0
 
@@ -315,7 +311,7 @@ def test_external_vote_joins_the_median(tmp_path):
     note = saw_buffer(220.0, 0.3)
     est = ensemble_estimate(note, spec)
     analysis = NoteAnalysis(note)
-    votes = member_votes(analysis, spec)
+    votes = member_votes(analysis, spec, {})
     assert set(votes) == {"hps", "stft", "external"}
     assert votes["external"].f0 == 220.0
     median = float(np.median([v.f0 for v in votes.values() if v.f0 is not None]))
@@ -329,14 +325,14 @@ def test_ensemble_refines_below_the_bin_grid():
     for f in rng.uniform(110.0, 440.0, 10):
         note = saw_buffer(f, 0.3)
         analysis = NoteAnalysis(note)
-        assert all(abs(v.f0 - f) > 0.2 for v in member_votes(analysis, EnsembleSpec()).values())
+        assert all(abs(v.f0 - f) > 0.2 for v in member_votes(analysis, EnsembleSpec(), {}).values())
         assert abs(ensemble_estimate(note).f0 - f) < 0.2
 
 
 def test_member_votes_reuses_precomputed():
     analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
     earlier = estimate_note_many(analysis, {"hps": None, "ml": None})
-    votes = member_votes(analysis, EnsembleSpec())
+    votes = member_votes(analysis, EnsembleSpec(), {})
     assert votes["hps"] is earlier["hps"]
     assert votes["ml"] is earlier["ml"]
     assert votes["srh"].voiced

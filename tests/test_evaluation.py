@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
-from pitchlab.ensemble import EnsembleSpec
+from pitchlab.ensemble import EnsembleSpec, member_votes
 from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
 from pitchlab.estimators import (
     REGISTRY,
@@ -240,13 +240,25 @@ def test_run_benchmark_fuses_ensemble_from_members(two_songs, stub_registry):
     assert report.clean["ensemble"] == np.mean(expected)
 
 
-def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
-    # the spec's ml override is the ensemble's alone: the plain ml row must
-    # not change when the ensemble runs beside it
-    spec = EnsembleSpec(configs={"ml": EstimatorConfig(300.0, 800.0, 5)})
-    alone = run_benchmark(two_songs, ["ml"], [], {})
-    beside = run_benchmark(two_songs, ["ml", "ensemble"], [], {}, ensemble_spec=spec)
-    assert beside.clean["ml"] == alone.clean["ml"]
+def test_a_method_and_its_member_run_the_one_config_once(two_songs, stub_registry, monkeypatch):
+    # one config map serves the ml row and the ml member, so ml runs once a note
+    calls = []
+
+    def ml(analysis, cfg):
+        calls.append(cfg)
+        return PitchEstimate(cfg.f_min)
+
+    monkeypatch.setitem(REGISTRY, "ml", NoteMethod(ml))
+    song = two_songs[0]
+    cfg = EstimatorConfig(300.0, 800.0, 5)
+    buffer = read_wav(song.audio_path)
+    f0s = estimate_song(buffer, song.notes, ["ml", "ensemble"], {"ml": cfg})
+    assert calls == [cfg] * len(song.notes)
+    notes = [buffer.slice_seconds(n.onset, n.offset) for n in song.notes]
+    votes = [member_votes(NoteAnalysis(note), EnsembleSpec(), {"ml": cfg}) for note in notes]
+    assert f0s["ml"] == [v["ml"].f0 for v in votes] == [300.0] * len(notes)
+    # the members vote 100, 100, 300, 200: the fused median is 150
+    assert f0s["ensemble"] == [refine_f0(NoteAnalysis(note), 150.0) for note in notes]
 
 
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
@@ -255,7 +267,7 @@ def test_plain_method_next_to_ensemble_keeps_its_own_config(two_songs):
 def test_estimate_song_rejects_a_note_without_samples(two_songs, stub_registry, note):
     song = two_songs[0]
     with pytest.raises(InvalidAnnotation, match=rf"note \[{note.onset:g}, {note.offset:g}\]"):
-        estimate_song(read_wav(song.audio_path), [note], {"hps": None})
+        estimate_song(read_wav(song.audio_path), [note], ["hps"], {})
 
 
 def _failure_message(load) -> str:
@@ -279,7 +291,7 @@ def test_run_benchmark_isolates_song_failures(two_songs, stub_registry, tmp_path
 
     # each fails its own conditions, in task order, with the same message at any jobs
     def score_past_end():
-        estimate_song(read_wav(past_end.audio_path), past_end.notes, {"hps": None})
+        estimate_song(read_wav(past_end.audio_path), past_end.notes, ["hps"], {})
 
     assert report.failures == tuple(
         BenchmarkFailure(song.song_id, scenario, _failure_message(load))

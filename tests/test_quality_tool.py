@@ -35,7 +35,7 @@ def test_one_song_under_one_noise(quality):
     # with one song the pooled clean error is that song's pitch_error
     buffer, notes = synth_song(1000)
     truths = [n.f0_truth for n in notes]
-    f0s = estimate_song(buffer, notes, {"ensemble": None, "hps": None})
+    f0s = estimate_song(buffer, notes, ["ensemble", "hps"], {})
     for method in ("ensemble", "hps"):
         assert methods[method]["clean"]["error"] == round(pitch_error(f0s[method], truths), 6)
     assert methods["ensemble"]["clean"]["gross"] == 0.0

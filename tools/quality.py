@@ -54,17 +54,16 @@ def evaluate(first_seed: int, n_songs: int, refs) -> dict:
     """Per-method pools of (f0, reference f0) pairs over songs first_seed..
     and the noise refs by kind."""
     pools = {m: {k: [] for k in ("clean", "noisy", *refs)} for m in METHODS}
-    wanted = dict.fromkeys(METHODS)
     for seed in range(first_seed, first_seed + n_songs):
         buffer, notes = synth_song(seed)
         truths = [n.f0_truth for n in notes]
-        for method, f0s in estimate_song(buffer, notes, wanted).items():
+        for method, f0s in estimate_song(buffer, notes, METHODS, {}).items():
             pools[method]["clean"] += zip(f0s, truths)
         for kind, ref in refs.items():
             noise = ref.resolve(buffer.sample_rate)
             for snr_db in DEFAULT_SNRS_DB:
                 mixed = mix_at_snr(buffer, noise, snr_db)
-                for method, f0s in estimate_song(mixed, notes, wanted).items():
+                for method, f0s in estimate_song(mixed, notes, METHODS, {}).items():
                     pools[method]["noisy"] += zip(f0s, truths)
                     pools[method][kind] += zip(f0s, truths)
     return {
