@@ -29,7 +29,7 @@ from .sigproc import (
     SILENCE_RMS,
     AudioBuffer,
     Spectrum,
-    autocorr_matrix,
+    block_autocorr,
     cmnd_matrix,
     frame_signal,
     hann_window,
@@ -753,7 +753,8 @@ class NoteAnalysis:
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
         """Autocorrelation and overlap-energy matrices of the rectangular frames."""
         mat = self.rect_matrix
-        return autocorr_matrix(mat, _CORR_MAX_LAG), overlap_energy_matrix(mat, _CORR_MAX_LAG)
+        r = block_autocorr(self.note.samples, FRAME_LEN, HOP, len(mat), _CORR_MAX_LAG)
+        return r, overlap_energy_matrix(mat, _CORR_MAX_LAG)
 
 
 def vote_median(votes: list[float]) -> float:

@@ -1,8 +1,9 @@
 """Core signal types, framing and the spectral and lag transforms.
 
 Audio is handled as mono float64 throughout. A note's frames are the rows
-of one (n_frames x frame_len) matrix, and the transforms work on whole
-matrices along their last axis.
+of one (n_frames x frame_len) matrix, which the spectral transforms take
+whole along its last axis. The autocorrelation instead transforms each
+hop-long block of the samples once, so a frame must be whole hops.
 """
 
 from __future__ import annotations
@@ -155,21 +156,47 @@ def magnitude_spectrum(frame: AudioBuffer) -> Spectrum:
     return Spectrum(magnitude_spectra(frame.samples), bin_hz=frame.sample_rate / len(frame))
 
 
-def autocorr_matrix(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """r(tau) = sum_t x(t) x(t+tau) of each row, tau = 0..max_lag.
+def block_autocorr(samples, frame_len: int, hop: int, n_frames: int, max_lag: int) -> np.ndarray:
+    """r(tau) = sum_t x(t) x(t+tau) of each frame, tau = 0..max_lag.
 
-    One rFFT over all rows, zero-padded to a power of two of at least twice
-    the frame length so that no lag wraps around.
+    Frame f is samples[f hop : f hop + frame_len], zero-padded: B whole
+    blocks of hop samples, each rFFT'd once at 2 hop points (sectioned
+    correlation, Stockham 1966). Blocks d < k = max_lag // hop + 1 apart give
+    lags (d-1) hop + 1 .. (d+1) hop - 1 by their cross-spectra, summed over
+    each frame's B - d pairs and inverted; blocks k apart, by direct products.
     """
-    size = 1 << (2 * frames.shape[1] - 1).bit_length()
-    spec = np.fft.rfft(frames, n=size, axis=1)
-    return np.fft.irfft(spec * np.conj(spec), n=size, axis=1)[:, : max_lag + 1]
+    if max_lag < 0 or max_lag >= frame_len:
+        raise LagOutOfRange(
+            f"max_lag {max_lag} outside [0, {frame_len - 1}] for frame of length {frame_len}"
+        )
+    if hop < 1 or frame_len % hop:
+        raise ValueError(f"frame length {frame_len} is not a whole number of hops of {hop}")
+    per_frame, span, k = frame_len // hop, (n_frames - 1) * hop + frame_len, max_lag // hop + 1
+    blocks = np.concatenate([samples[:span], np.zeros(max(0, span - samples.size))]).reshape(-1, hop)
+    spec = np.fft.rfft(blocks, n=2 * hop, axis=1)
+    cross = np.empty((k, n_frames, hop + 1), dtype=np.complex128)
+    for d in range(k):
+        pairs = np.conj(spec[: len(spec) - d]) * spec[d:]
+        cross[d] = pairs[:n_frames]
+        for i in range(1, per_frame - d):
+            cross[d] += pairs[i : i + n_frames]
+    # c[f, d, u] is lag d hop + u for u < hop, and lag d hop + u - 2 hop for u > hop
+    c = np.fft.irfft(cross, n=2 * hop, axis=2).transpose(1, 0, 2)
+    r = c[:, :, :hop].copy()
+    r[:, :-1, 1:] += c[:, 1:, hop + 1 :]
+    for w in range(1, max_lag % hop + 1 if k < per_frame else 1):
+        ends = (blocks[: len(blocks) - k, hop - w :] * blocks[k:, :w]).sum(axis=1)
+        for i in range(per_frame - k):
+            r[:, -1, w] += ends[i : i + n_frames]
+    return r.reshape(n_frames, k * hop)[:, : max_lag + 1]
 
 
 def overlap_energy_matrix(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """m(tau) = sum_t (x(t)^2 + x(t+tau)^2) over each row's overlapping region."""
-    c = np.cumsum(frames * frames, axis=1)
     n = frames.shape[1]
+    if max_lag < 0 or max_lag >= n:
+        raise LagOutOfRange(f"max_lag {max_lag} outside [0, {n - 1}] for frames of length {n}")
+    c = np.cumsum(frames * frames, axis=1)
     taus = np.arange(max_lag + 1)
     head = c[:, n - 1 - taus]
     tail = c[:, -1:] - np.concatenate([np.zeros((c.shape[0], 1)), c[:, :max_lag]], axis=1)
@@ -206,11 +233,8 @@ def cmnd_matrix(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 def autocorrelation(frame: AudioBuffer, max_lag: int) -> CorrelationFunction:
     """Raw autocorrelation r(tau) = sum_t x(t) x(t+tau), tau = 0..max_lag.
 
-    One row of autocorr_matrix. Acceptance 6 checks it against a
-    quadratic-time sum, which is why a one-frame entry point remains.
+    block_autocorr's one-frame case (hop = frame length). Acceptance 6 checks
+    it against a quadratic-time sum, which is why this entry point remains.
     """
-    if max_lag < 0 or max_lag >= len(frame):
-        raise LagOutOfRange(
-            f"max_lag {max_lag} outside [0, {len(frame) - 1}] for frame of length {len(frame)}"
-        )
-    return CorrelationFunction(autocorr_matrix(frame.samples[None], max_lag)[0])
+    n = len(frame)
+    return CorrelationFunction(block_autocorr(frame.samples, n, n, 1, max_lag)[0])

@@ -277,6 +277,22 @@ def test_ensemble_all_silent_is_unvoiced():
     assert est.voiced is False
 
 
+def test_the_ensemble_never_computes_lag_matrices(monkeypatch):
+    # the default members are all spectral, so estimate-ensemble must not
+    # pay for rect_corr, which only acf, nsdf and yin read
+    from pitchlab.evaluation import estimate_song, synth_song
+
+    def refuse(analysis):
+        raise AssertionError("rect_corr evaluated")
+
+    monkeypatch.setattr(NoteAnalysis, "rect_corr", property(refuse))
+    song, notes = synth_song(404)
+    f0s = estimate_song(song, notes, ["ensemble"], {})["ensemble"]
+    assert len(f0s) == len(notes) and all(f0s)
+    with pytest.raises(AssertionError, match="rect_corr evaluated"):
+        estimate_song(song, notes[:1], ["ensemble", "yin"], {})
+
+
 def test_click_where_the_hann_window_is_zero_is_unvoiced():
     # one click at sample 0 of a 4096-sample note: the periodic Hann window
     # is 0 there, so the rectangular frame holds energy and the windowed one

@@ -8,11 +8,11 @@ import pytest
 
 import pitchlab
 from pitchlab.errors import EmptyBuffer, LagOutOfRange
-from pitchlab.estimators import NoteAnalysis
+from pitchlab.estimators import _CORR_MAX_LAG, FRAME_LEN, HOP, NoteAnalysis
 from pitchlab.sigproc import (
     AudioBuffer,
-    autocorr_matrix,
     autocorrelation,
+    block_autocorr,
     cmnd_matrix,
     frame_signal,
     hann_window,
@@ -32,10 +32,19 @@ def brute_autocorr(x, max_lag):
     )
 
 
+def brute_frame_lags(frames, max_lag):
+    """Per-frame direct sums r(tau) = x[: n - tau] . x[tau:], tau = 0..max_lag."""
+    n = frames.shape[1]
+    return np.array([[row[: n - tau] @ row[tau:] for tau in range(max_lag + 1)] for row in frames])
+
+
 def lag_matrices(rows, max_lag):
-    """(r, m) lag matrices of the rows of a frame matrix (or of one frame)."""
+    """(r, m) lag matrices of the rows of a frame matrix (or of one frame):
+    block_autocorr reads the rows laid end to end, one frame per hop."""
     rows = np.atleast_2d(rows)
-    return autocorr_matrix(rows, max_lag), overlap_energy_matrix(rows, max_lag)
+    n = rows.shape[1]
+    r = block_autocorr(rows.ravel(), n, n, len(rows), max_lag)
+    return r, overlap_energy_matrix(rows, max_lag)
 
 
 class TestAudioBuffer:
@@ -190,12 +199,14 @@ class TestAutocorrelation:
         assert corr.values[6] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force(self, rng):
-        for n in (32, 100, 256):
+        for n in (1, 2, 3, 17, 32, 97, 100, 256, 257, 1000):
             x = rng.standard_normal(n)
             max_lag = n - 1
             got = autocorrelation(rect_frame(x, 8000), max_lag).values
             ref = brute_autocorr(x, max_lag)
             assert np.allclose(got, ref, rtol=1e-9, atol=1e-9)
+            # acceptance 6's tolerance
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
 
     def test_lag_bounds(self):
         frame = rect_frame(np.ones(64), 8000)
@@ -204,6 +215,56 @@ class TestAutocorrelation:
         with pytest.raises(LagOutOfRange):
             autocorrelation(frame, -1)
         assert autocorrelation(frame, 0).values.shape == (1,)
+
+
+class TestBlockAutocorr:
+    """NoteAnalysis.rect_corr's r, taken from the note's HOP-long blocks,
+    against the direct per-frame sum."""
+
+    @pytest.mark.parametrize("rate", [8000, 44100, 192000])
+    def test_rows_match_the_per_frame_sum(self, rate):
+        rng = np.random.default_rng(rate)
+        lengths = [1, 333, FRAME_LEN - 1, FRAME_LEN]
+        lengths += [FRAME_LEN + k * HOP + r for k, r in [(0, 1), (1, 0), (2, HOP - 1), (5, 17)]]
+        lengths += [FRAME_LEN + int(rng.integers(0, 8)) * HOP + int(rng.integers(0, HOP))]
+        for n in lengths:
+            analysis = NoteAnalysis(AudioBuffer(0.5 * rng.standard_normal(n), rate))
+            r, _ = analysis.rect_corr
+            ref = brute_frame_lags(analysis.rect_matrix, _CORR_MAX_LAG)
+            assert r.shape == ref.shape == (len(analysis.rect_matrix), _CORR_MAX_LAG + 1)
+            assert np.all(np.abs(r - ref) <= 1e-12 * ref[:, :1]), n
+
+    def test_a_silent_frame_inside_a_loud_note_is_exactly_zero(self, rng):
+        x = 0.9 * rng.standard_normal(FRAME_LEN + 8 * HOP)
+        x[3 * HOP : 3 * HOP + FRAME_LEN] = 0.0
+        r, _ = NoteAnalysis(AudioBuffer(x, 44100)).rect_corr
+        assert np.all(r[3] == 0.0)
+        assert np.all(np.delete(r, 3, axis=0)[:, 0] > 0.0)
+
+    def test_any_geometry_of_whole_hops(self, rng):
+        x = rng.standard_normal(61)
+        for frame_len, hop in [(12, 3), (10, 5), (9, 1), (8, 8), (16, 4)]:
+            frames = frame_signal(AudioBuffer(x, 8000), frame_len, hop)
+            for max_lag in range(frame_len):
+                got = block_autocorr(x, frame_len, hop, len(frames), max_lag)
+                ref = brute_frame_lags(frames, max_lag)
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * ref[:, 0].max())
+
+    def test_lags_past_the_frame_raise(self):
+        rows = np.ones((1, 8))
+        for max_lag in (-1, 8, 20):
+            with pytest.raises(LagOutOfRange):
+                block_autocorr(rows[0], 8, 8, 1, max_lag)
+            with pytest.raises(LagOutOfRange):
+                overlap_energy_matrix(rows, max_lag)
+        r, m = lag_matrices(rows, 7)
+        assert r.shape == m.shape == (1, 8)
+        assert r[0, 7] == pytest.approx(1.0) and m[0, 7] == 2.0
+
+    def test_a_frame_must_be_whole_hops(self):
+        for hop in (0, 3, 5, 16):
+            with pytest.raises(ValueError, match="whole number of hops"):
+                block_autocorr(np.ones(32), 8, hop, 1, 4)
 
 
 class TestNsdf:
