@@ -65,24 +65,20 @@ def read_wav(path: str | Path) -> AudioBuffer:
             path, present, size, n_frames,
         )
     raw = np.frombuffer(data, dtype=dtype, count=n_frames * channels, offset=offset)
+    samples = raw.astype(np.float64)
+    del raw, data  # the file's bytes; only the float64 samples are held from here
     if dtype.kind == "i":
-        samples = raw.astype(np.float64) / 32768.0
-    else:
-        samples = raw.astype(np.float64)
+        samples /= 32768.0
     if channels > 1:
         with np.errstate(over="ignore"):  # a mean that overflows is rejected below
             samples = samples.reshape(n_frames, channels).mean(axis=1)
-    magnitude = np.abs(samples)
-    if not np.max(magnitude, initial=0.0) <= _SAMPLE_LIMIT:  # NaN fails too
+    # min and max propagate NaN, so two reductions catch every bad value
+    if samples.size and not (-_SAMPLE_LIMIT <= samples.min() and samples.max() <= _SAMPLE_LIMIT):
         raise ValueError(f"{path}: WAV contains non-finite samples or samples beyond "
                          f"±{_SAMPLE_LIMIT:.4g}, the largest float32")
-    over = magnitude > _RANGE_LIMIT
-    if np.any(over):
-        logger.warning(
-            "%s: %d samples beyond full scale (kept as read)",
-            path,
-            int(np.count_nonzero(over)),
-        )
+    n_over = np.count_nonzero(samples > _RANGE_LIMIT) + np.count_nonzero(samples < -_RANGE_LIMIT)
+    if n_over:
+        logger.warning("%s: %d samples beyond full scale (kept as read)", path, n_over)
     return AudioBuffer(samples, rate)
 
 

@@ -149,6 +149,7 @@ def cmd_mix(args) -> int:
 
     try:
         mixed = mix_at_snr(signal, noise, args.snr)
+        del noise  # the achieved SNR is measured on the mix, not the noise
         # a silent signal takes no noise at any SNR, and measure_snr rejects that
         achieved = measure_snr(signal.samples, mixed.samples - signal.samples)
     except PitchlabError as exc:

@@ -185,32 +185,31 @@ def synth_song(
     n_notes = int(rng.integers(SONG_NOTE_COUNT[0], SONG_NOTE_COUNT[1] + 1))
     midi = int(rng.integers(lo, hi + 1))
     fade = int(0.005 * sample_rate)
+    gap = int(SONG_GAP_SECONDS * sample_rate)
 
-    chunks: list[np.ndarray] = []
-    notes: list[NoteSegment] = []
+    # every note's start, length and pitch first, then one buffer to render into
+    layout: list[tuple[int, int, float]] = []
     cursor = 0
-    i = 0
-    while True:
-        if i >= n_notes and (min_duration_s is None or cursor / sample_rate >= min_duration_s):
-            break
-        duration = float(rng.uniform(*SONG_NOTE_SECONDS))
-        n = int(round(duration * sample_rate))
-        t = np.arange(n) / sample_rate
-        f0 = midi_to_hz(midi)
-        wave = SONG_AMPLITUDE * (2.0 * ((f0 * t) % 1.0) - 1.0)
+    while len(layout) < n_notes or (
+        min_duration_s is not None and cursor / sample_rate < min_duration_s
+    ):
+        n = int(round(float(rng.uniform(*SONG_NOTE_SECONDS)) * sample_rate))
+        layout.append((cursor, n, midi_to_hz(midi)))
+        cursor += n + gap
+        midi = int(np.clip(midi + rng.integers(-4, 5), lo, hi))
+
+    samples = np.zeros(cursor)
+    for start, n, f0 in layout:
+        wave = samples[start : start + n]
+        wave[:] = SONG_AMPLITUDE * (2.0 * ((f0 * (np.arange(n) / sample_rate)) % 1.0) - 1.0)
         if fade and n > 2 * fade:
             ramp = np.linspace(0.0, 1.0, fade)
             wave[:fade] *= ramp
             wave[-fade:] *= ramp[::-1]
-        notes.append(NoteSegment(cursor / sample_rate, (cursor + n) / sample_rate, f0))
-        chunks.append(wave)
-        gap = int(SONG_GAP_SECONDS * sample_rate)
-        chunks.append(np.zeros(gap))
-        cursor += n + gap
-        midi = int(np.clip(midi + rng.integers(-4, 5), lo, hi))
-        i += 1
-
-    return AudioBuffer(np.concatenate(chunks), sample_rate), tuple(notes)
+    notes = tuple(
+        NoteSegment(start / sample_rate, (start + n) / sample_rate, f0) for start, n, f0 in layout
+    )
+    return AudioBuffer(samples, sample_rate), notes
 
 
 def materialize_songs(

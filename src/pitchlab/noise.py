@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ class NoiseSource:
     buffer: AudioBuffer
 
     def __post_init__(self):
-        if len(self.buffer) == 0 or float(np.max(np.abs(self.buffer.samples))) == 0.0:
+        if not self.buffer.samples.any():
             raise SilentNoise(f"noise source {self.noise_id!r} has no energy")
 
 
@@ -92,13 +92,23 @@ def default_scenario_grid() -> list[Scenario]:
 
 
 def extend_to_length(samples: np.ndarray, n: int) -> np.ndarray:
-    """Loop (wrap around) or truncate a noise signal to exactly n samples."""
+    """Loop (wrap around) or truncate a noise signal to exactly n samples.
+
+    The result is a new array; a loop is filled by doubling the part
+    already written, so no repeat is built beyond the n samples.
+    """
     if samples.size == 0:
         raise SilentNoise("cannot extend an empty noise signal")
     if samples.size >= n:
         return samples[:n].copy()
-    reps = -(-n // samples.size)
-    return np.tile(samples, reps)[:n]
+    out = np.empty(n, dtype=samples.dtype)
+    out[: samples.size] = samples
+    filled = samples.size
+    while filled < n:
+        step = min(filled, n - filled)
+        out[filled : filled + step] = out[:step]
+        filled += step
+    return out
 
 
 def check_snr(snr_db: float) -> None:
@@ -124,14 +134,17 @@ def mix_at_snr(signal: AudioBuffer, noise: NoiseSource, snr_db: float) -> AudioB
         raise SampleRateMismatch(
             f"noise rate {noise.buffer.sample_rate} != signal rate {signal.sample_rate}"
         )
-    extended = extend_to_length(noise.buffer.samples, len(signal))
     p_signal = float(np.mean(signal.samples**2))
-    p_noise = float(np.mean(extended**2))
+    # the looped noise's buffer becomes the mix: the signal, one copy of
+    # the noise and one square at a time are all that is held
+    mixed = extend_to_length(noise.buffer.samples, len(signal))
+    p_noise = float(np.mean(mixed**2))
     if p_noise == 0.0:
         raise SilentNoise("noise has zero power over the mixed extent")
     gain = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
-    mixed = signal.samples + gain * extended
-    n_clipped = int(np.count_nonzero(np.abs(mixed) > 1.0))
+    mixed *= gain
+    mixed += signal.samples
+    n_clipped = np.count_nonzero(mixed > 1.0) + np.count_nonzero(mixed < -1.0)
     if n_clipped:
         logger.info("mix at %+g dB SNR: %d samples beyond full scale", snr_db, n_clipped)
     return AudioBuffer(mixed, signal.sample_rate)
@@ -163,18 +176,34 @@ def measure_snr(signal, noise_component) -> float:
 _PINK_KNEE_HZ = 20.0
 
 
-def _peak_normalize(x: np.ndarray) -> np.ndarray:
-    top = float(np.max(np.abs(x)))
-    return x * (0.95 / top) if top > 0 else x
+# Samples per chunk where a noise is built piece by piece (hum50, and
+# babble's envelopes), so its work arrays stay small beside the output.
+_CHUNK = 1 << 14
 
 
-def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> NoiseSource:
+def _chunks(n: int):
+    """(start, stop) of consecutive _CHUNK-long pieces of range(n)."""
+    return ((i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK))
+
+
+def _peak_normalize(x: np.ndarray) -> None:
+    """Scale x in place to a peak magnitude of 0.95, unless it is all zero."""
+    top = max(x.max(), -x.min())
+    if top > 0:
+        x *= 0.95 / top
+
+
+def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int,
+                noise_id: int | str | None = None) -> NoiseSource:
     """Deterministically synthesize one of the built-in noise kinds.
 
     kinds: "white" (uniform iid), "pink" (-3 dB per octave), "hum50"
     (50 Hz plus decaying odd harmonics) and "babble" (eight amplitude-
     modulated band-limited streams). The same arguments always produce
-    the same samples.
+    the same samples. The source is named noise_id, or kind when None.
+    Beside the output, pink holds one full-length work array at a time (the
+    white noise or its spectrum), babble two (a stream and its spectrum),
+    and white and hum50 none.
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}; known: {SYNTH_KINDS}")
@@ -186,49 +215,69 @@ def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> Noise
         samples = rng.uniform(-1.0, 1.0, n_samples)
 
     elif kind == "pink":
-        white = rng.standard_normal(n_samples)
-        spec = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+        spec = np.fft.rfft(rng.standard_normal(n_samples))
         # 1/f power above an audibility knee; flat below it. Recorded
         # noise has no infrasonic energy ramp, and an untamed 1/f shape
         # would put almost half the power below 20 Hz.
-        spec /= np.sqrt(np.maximum(freqs, _PINK_KNEE_HZ))
+        scale = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+        np.maximum(scale, _PINK_KNEE_HZ, out=scale)
+        np.sqrt(scale, out=scale)
+        spec /= scale
+        del scale
         spec[0] = 0.0
-        samples = _peak_normalize(np.fft.irfft(spec, n=n_samples))
+        samples = np.fft.irfft(spec, n=n_samples)
+        del spec
+        _peak_normalize(samples)
 
     elif kind == "hum50":
-        t = np.arange(n_samples) / sample_rate
-        samples = np.zeros(n_samples)
+        phases = []
         harmonic = 1
         while harmonic * 50.0 < sample_rate / 2 and harmonic <= 31:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            samples += np.sin(2.0 * np.pi * 50.0 * harmonic * t + phase) / harmonic
+            phases.append((harmonic, rng.uniform(0.0, 2.0 * np.pi)))
             harmonic += 2
-        samples = _peak_normalize(samples)
+        samples = np.zeros(n_samples)
+        for start, stop in _chunks(n_samples):
+            t = np.arange(start, stop) / sample_rate
+            wave = np.empty_like(t)
+            for harmonic, phase in phases:
+                # sin(2 pi 50 harmonic t + phase) / harmonic, built in place
+                np.multiply(2.0 * np.pi * 50.0 * harmonic, t, out=wave)
+                wave += phase
+                np.sin(wave, out=wave)
+                wave /= harmonic
+                samples[start:stop] += wave
+        _peak_normalize(samples)
 
     else:  # babble
         edges = np.geomspace(100.0, min(4000.0, sample_rate / 2 * 0.9), 9)
-        t = np.arange(n_samples) / sample_rate
+        # each band keeps the bins lo <= f <= hi of the ascending rfft grid
         freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-        total = np.zeros(n_samples)
-        envelope = np.empty(n_samples)
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        bands = zip(np.searchsorted(freqs, edges[:-1], "left"),
+                    np.searchsorted(freqs, edges[1:], "right"))
+        del freqs
+        samples = np.zeros(n_samples)
+        for keep_from, keep_to in bands:
             spec = np.fft.rfft(rng.standard_normal(n_samples))
-            spec[(freqs < lo) | (freqs > hi)] = 0.0
+            spec[:keep_from] = 0.0
+            spec[keep_to:] = 0.0
             stream = np.fft.irfft(spec, n=n_samples)
+            del spec
             rate = rng.uniform(2.0, 8.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            # envelope = 0.5 * (1 + sin(2 pi rate t + phase)), built in place
-            np.multiply(2.0 * np.pi * rate, t, out=envelope)
-            envelope += phase
-            np.sin(envelope, out=envelope)
-            envelope += 1.0
-            envelope *= 0.5
-            stream *= envelope
-            total += stream
-        samples = _peak_normalize(total)
+            for start, stop in _chunks(n_samples):
+                # envelope = 0.5 * (1 + sin(2 pi rate t + phase))
+                envelope = np.arange(start, stop) / sample_rate
+                envelope *= 2.0 * np.pi * rate
+                envelope += phase
+                np.sin(envelope, out=envelope)
+                envelope += 1.0
+                envelope *= 0.5
+                envelope *= stream[start:stop]
+                samples[start:stop] += envelope
+            del stream
+        _peak_normalize(samples)
 
-    return NoiseSource(noise_id=kind, buffer=AudioBuffer(samples, sample_rate))
+    return NoiseSource(kind if noise_id is None else noise_id, AudioBuffer(samples, sample_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +311,7 @@ class NoiseRef:
         if self.path is not None:
             return NoiseSource(noise_id=self.noise_id, buffer=read_wav(self.path))
         n = int(round(SYNTH_NOISE_S * sample_rate))
-        source = synth_noise(self.synth_kind, n, sample_rate, self.seed)
-        return replace(source, noise_id=self.noise_id)
+        return synth_noise(self.synth_kind, n, sample_rate, self.seed, self.noise_id)
 
 
 def synthetic_noise_refs(seed: int = 0) -> dict[str, NoiseRef]:

@@ -196,11 +196,14 @@ def overlap_energy_matrix(frames: np.ndarray, max_lag: int) -> np.ndarray:
     n = frames.shape[1]
     if max_lag < 0 or max_lag >= n:
         raise LagOutOfRange(f"max_lag {max_lag} outside [0, {n - 1}] for frames of length {n}")
-    c = np.cumsum(frames * frames, axis=1)
-    taus = np.arange(max_lag + 1)
-    head = c[:, n - 1 - taus]
-    tail = c[:, -1:] - np.concatenate([np.zeros((c.shape[0], 1)), c[:, :max_lag]], axis=1)
-    return head + tail
+    c = frames * frames
+    np.cumsum(c, axis=1, out=c)
+    # m(tau) = c[n - 1 - tau] + (c[n - 1] - c[tau - 1]), with c[-1] read as 0
+    m = np.empty((c.shape[0], max_lag + 1))
+    m[:, 0] = c[:, -1]
+    np.subtract(c[:, -1:], c[:, :max_lag], out=m[:, 1:])
+    m += c[:, n - 1 - max_lag :][:, ::-1]
+    return m
 
 
 def nsdf_matrix(r: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import subprocess
 import sys
@@ -128,6 +129,24 @@ def test_read_matches_scipy(tmp_path, dtype, channels):
     buf = read_wav(path)
     assert buf.sample_rate == rate == 16000
     assert np.array_equal(buf.samples, expected)
+
+
+@pytest.mark.parametrize("dtype, channels, digest", [
+    ("<i2", 1, "124e365ddadf03177dd243033f6a27d25450be7897db6b717380a9e71ea43807"),
+    ("<i2", 2, "9e02b310762566511ecce074ba63be6e0a9fb51ed03a217c7d07ab9f39d8cbe1"),
+    ("<f4", 1, "c76ef9bacc4391da07b5fb4fe9d205eb16de8399def391a346febe026af78b2e"),
+])
+def test_samples_read_are_pinned(tmp_path, dtype, channels, digest):
+    # SHA-256 of the float64 samples read; the float file has 941 samples
+    # beyond full scale
+    if dtype == "<i2":
+        payload = np.random.default_rng(9).integers(-32768, 32768, 20010 + channels).astype(dtype)
+    else:
+        payload = (np.random.default_rng(10).standard_normal(20011) * 0.5).astype(dtype)
+    tag, bits = (1, 16) if dtype == "<i2" else (3, 32)
+    path = tmp_path / "pinned.wav"
+    path.write_bytes(wav_bytes(payload.tobytes(), tag=tag, bits=bits, channels=channels))
+    assert hashlib.sha256(read_wav(path).samples.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("sub_tag, bits, dtype", [(1, 16, "<i2"), (3, 32, "<f4")])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -165,6 +166,15 @@ class TestSynthSong:
             for a, b in zip(notes, notes[1:]):
                 assert b.onset >= a.offset
             assert np.max(np.abs(buf.samples)) <= 0.3 + 1e-9
+
+    def test_samples_and_notes_are_pinned(self):
+        # SHA-256 of the float64 samples and of the notes' repr
+        buf, notes = synth_song(5, 44100, 15.0)
+        assert len(buf) == 673273 and len(notes) == 38
+        assert hashlib.sha256(buf.samples.tobytes()).hexdigest() == (
+            "590d863761c5566088735f4f91721c1331fb85ea7ea237409adeb4a6aa418309")
+        assert hashlib.sha256(repr(notes).encode()).hexdigest() == (
+            "26dad1f209352c499a8708fcfde44a5cb8be3d9cda86ec2076947740feedb58b")
 
     def test_min_duration_extends_song(self):
         buf, notes = synth_song(3, min_duration_s=15.0)

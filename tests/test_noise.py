@@ -6,6 +6,7 @@ from scipy import signal as sps
 
 from pitchlab.audio_io import write_wav
 from pitchlab.errors import EmptyBuffer, SampleRateMismatch, SilentNoise
+from pitchlab.evaluation import synth_song
 from pitchlab.noise import (
     DEFAULT_SNRS_DB,
     SYNTH_NOISE_S,
@@ -52,6 +53,17 @@ class TestMixAtSnr:
         gain = np.sqrt(np.mean(x**2) / (np.mean(n**2) * 10.0 ** (snr / 10.0)))
         assert np.array_equal(mixed.samples, x + gain * n)
 
+    @pytest.mark.parametrize("kind, n_noise, seed, snr, digest", [
+        ("pink", 5003, 3, 0.0, "1988cee9e7f6492306053de6d221d3f12e4ca4628d054fbaae1c754005ce1370"),
+        ("white", 52727, 4, -5.0, "8b3d7a4c0fd07bc766656ae0db655a4999bf2710719a704a94d8f4088ca47489"),
+    ])
+    def test_mixes_are_pinned(self, kind, n_noise, seed, snr, digest):
+        # SHA-256 of the float64 mix of synth_song(5, 8000), 51,493 samples
+        # long, with a noise looped up to that length and one cut down to it
+        song, _ = synth_song(5, 8000)
+        mixed = mix_at_snr(song, synth_noise(kind, n_noise, 8000, seed), snr)
+        assert hashlib.sha256(mixed.samples.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("snr", DEFAULT_SNRS_DB)
     def test_round_trip_within_hundredth_db(self, snr, rng):
         for _ in range(25):
@@ -92,8 +104,9 @@ class TestMixAtSnr:
         late = NoiseSource("late", AudioBuffer(np.r_[np.zeros(100), 1.0], 8000))
         with pytest.raises(SilentNoise):
             mix_at_snr(signal, late, 0.0)
-        with pytest.raises(SilentNoise):
-            NoiseSource("z", AudioBuffer(np.zeros(100), 8000))
+        for silent in (np.zeros(100), np.full(100, -0.0), np.zeros(0)):
+            with pytest.raises(SilentNoise):
+                NoiseSource("z", AudioBuffer(silent, 8000))
 
     def test_empty_signal_rejected(self):
         # no samples have no power to measure an SNR against
@@ -204,6 +217,21 @@ class TestSynthNoise:
         samples = synth_noise("babble", n_samples, rate, seed).buffer.samples
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind, seed, rate, n_samples, digest", [
+        ("white", 3, 8000, 16007, "548a6673dafdbf8b759a11e7146247672ccbf9c84069e7f7a254fba04f1c4333"),
+        ("white", 11, 22050, 22057, "01755af289759feb1b6a64e287be24a49fdfe74f1909e1568c04c2fd3a598342"),
+        ("white", 77, 22050, 22057, "e32b5c0d5e5fd92bc37a2efcc8ff7efca40a066d10f8582e427437823473e8e7"),
+        ("pink", 3, 8000, 16007, "cbb87554b06f4ff78598539dc029005a0e1b8707224ee07b2f071f5a6fe219d2"),
+        ("pink", 11, 22050, 22057, "c3a050f38628eefa3dc6c3bfc76b1810a137c86366c46a0b13bb9d474a49319e"),
+        ("pink", 77, 22050, 22057, "281e936ddd67e1f1e830a2b6883c3c0482b5a74f47623e1d6205c045e3b701b6"),
+        ("hum50", 3, 8000, 16007, "2360a9539dfbf001a74769a9f0bcb63de8f9e5f63bf15ccd0e309c34f2a6d88d"),
+        ("hum50", 11, 22050, 22057, "b6a8e12648f2c181ba0275def26343c7644064c07e8864617146411be6067e4d"),
+        ("hum50", 77, 22050, 22057, "e52f4a6c63e3b0a2b0ebe5c2a2ffe701a7d0db50ee3dbd1ce251c1ca825150cd"),
+    ])
+    def test_other_kinds_are_pinned(self, kind, seed, rate, n_samples, digest):
+        samples = synth_noise(kind, n_samples, rate, seed).buffer.samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
 
 class TestScenarios:
     def test_default_grid_is_68(self):
@@ -232,6 +260,14 @@ class TestNoiseRefs:
         assert a.noise_id == "pink"
         assert np.array_equal(a.buffer.samples, b.buffer.samples)
         assert len(a.buffer) == 16000 * SYNTH_NOISE_S
+
+    def test_synth_ref_checks_its_energy_once(self, monkeypatch):
+        checks = []
+        check = NoiseSource.__post_init__
+        monkeypatch.setattr(NoiseSource, "__post_init__", lambda source: checks.append(check(source)))
+        source = NoiseRef(noise_id=7, synth_kind="white", seed=1).resolve(8000)
+        assert source.noise_id == 7
+        assert len(checks) == 1
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
