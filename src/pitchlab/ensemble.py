@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass
 from typing import Mapping
@@ -131,6 +132,8 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
 
     Any failure mode (timeout, crash, malformed or out-of-range reply)
     yields an unvoiced vote with a logged warning; errors never propagate.
+    The plug-in runs in a session of its own, and a timeout ends its whole
+    process group, so no worker it started outlives its vote.
     """
     payload = (
         f"RATE {note.sample_rate} COUNT {len(note)}\n".encode("ascii")
@@ -138,13 +141,14 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
     )
     argv = shlex.split(estimator.command)
     try:
-        proc = subprocess.run(
-            argv,
-            input=payload,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            timeout=estimator.timeout_s,
-        )
+        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+            try:
+                stdout = proc.communicate(payload, timeout=estimator.timeout_s)[0]
+            finally:
+                if proc.returncode is None:  # timed out, or interrupted while waiting
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
     except subprocess.TimeoutExpired:
         logger.warning("external estimator timed out after %.1f s: %s", estimator.timeout_s, estimator.command)
         return PitchEstimate(None)
@@ -154,7 +158,7 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
     if proc.returncode != 0:
         logger.warning("external estimator exited with %d: %s", proc.returncode, estimator.command)
         return PitchEstimate(None)
-    reply = proc.stdout.split(b"\n", 1)[0].decode("ascii", errors="replace").strip()
+    reply = stdout.split(b"\n", 1)[0].decode("ascii", errors="replace").strip()
     if reply == "UNVOICED":
         return PitchEstimate(None)
     parts = reply.split()

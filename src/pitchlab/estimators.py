@@ -1,9 +1,9 @@
 """Fundamental-frequency estimators.
 
-Eight methods share one note-level contract: estimate f0 on each analysis
-frame of the note, drop silent/unvoiced frames, and report the median of
-the surviving frame estimates (the energy-summation method works on the
-whole note directly). One geometry serves every method and sample rate:
+Eight methods share one note-level contract: estimate f0 on the analysis
+frames of the note that vote, never on a silent one, mark the others
+unvoiced, and report the median of the frame estimates (the
+energy-summation method works on the whole note directly). One geometry serves every method and sample rate:
 frames of FRAME_LEN samples, HOP apart. Frequency-domain methods window
 with a periodic Hann and zero-pad frames to N_FFT points for a fine
 candidate grid; the comb members read it on the note's band, the note
@@ -259,85 +259,63 @@ _CORR_MAX_LAG = FRAME_LEN // 2 + 1
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain kernels
+# the kernel contract
 #
-# Each kernel scores a whole (n_frames x n) matrix at once and returns one
-# f0 per row, NaN where the row votes unvoiced; rows not marked live are
-# never voiced. The note-level entries below are their only callers, apart
-# from the one-spectrum functions that acceptance 6 pins.
+# Each kernel takes a matrix of only the rows it votes on and returns one f0
+# per row; _votes hands it those rows and marks every other row unvoiced, so
+# no kernel sees a silent row, fills NaN or reads a mask. Transforms run over
+# all of a note's rows before the rows are taken: a batched FFT over fewer
+# rows may differ in its last bits. The spectral kernels pick through one
+# comb scorer, _comb_scores, summing terms that _comb keeps per config.
 # ---------------------------------------------------------------------------
 
 
-def _gather(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """mags[:, idx] as a new array, with 0 wherever idx runs past the last
-    bin. idx ascends, so the bins in range are a prefix of it."""
-    n_in = idx.searchsorted(mags.shape[1])
-    if n_in == idx.size:
-        return mags[:, idx]
-    out = np.zeros((mags.shape[0], idx.size))
-    out[:, :n_in] = mags[:, idx[:n_in]]
-    return out
-
-
-def _log_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
-    """Harmonic product, as a sum of logs: log|X(k)| + log|X(2k)| + ...
-
-    A comb that skips a harmonic lands on near-empty bins and its product
-    collapses, which is what makes the method selective. A relative floor
-    keeps the log finite on empty bins without breaking amplitude
-    invariance.
-    """
-    log_mags = np.add(mags, 1e-12 * mags.max(axis=1, keepdims=True))
-    with np.errstate(divide="ignore"):
-        np.log(log_mags, out=log_mags)
-    scores = log_mags[:, bins]
-    for h in range(2, n_harmonics + 1):
-        scores += log_mags[:, bins * h]
-    return scores
-
-
-def _sum_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
-    """Comb sum: |X(k)| + |X(2k)| + ..., harmonics past the last bin add 0,
-    so the sum stops at the first harmonic that lies past it for every bin."""
-    scores = _gather(mags, bins)
-    for h in range(2, n_harmonics + 1):
-        if bins[0] * h >= mags.shape[1]:
+@lru_cache(maxsize=16)
+def _comb(n_bins: int, bin_hz: float, cfg: EstimatorConfig, residual=False, harmonic_cap=1):
+    """A config's comb on spectra of n_bins bins: its candidate bins
+    (_spectral_band) and the terms _comb_scores adds to them, as (index
+    array, +1 or -1) pairs. The plain comb adds the bins k b, and the
+    residual comb (Drugman & Alwan 2011) adds E(k f) and subtracts
+    E((k - 1/2) f) at the nearest bins, for k = 2..n. Index arrays are cut
+    to the bins that exist, so harmonics past the last bin add 0, and a
+    comb stops at the first k whose term lies past it at every candidate.
+    Computed on first use for each argument set and kept for the process,
+    so the arrays are read-only."""
+    bins = _spectral_band(n_bins, bin_hz, cfg, harmonic_cap)
+    terms = []
+    for k in range(2, cfg.n_harmonics + 1):
+        pairs = [(bins * k, 1)]
+        if residual:
+            pairs.append((np.floor((k - 0.5) * bins + 0.5).astype(int), -1))
+        if pairs[-1][0][0] >= n_bins:  # the lowest bin the term reads
             break
-        scores += _gather(mags, bins * h)
+        for idx, sign in pairs:
+            idx = idx[: idx.searchsorted(n_bins)]
+            idx.flags.writeable = False
+            terms.append((idx, sign))
+    return bins, tuple(terms)
+
+
+def _comb_scores(mags: np.ndarray, bins: np.ndarray, terms) -> np.ndarray:
+    """Each row's comb score at each candidate bin: mags at the bin, then
+    each term of _comb added or subtracted in turn. The one place a comb is
+    summed: hps sums log magnitudes, ml and stft plain ones, srh whitened
+    ones."""
+    scores = mags[:, bins]
+    for idx, sign in terms:
+        reached = scores[:, : idx.size]
+        if sign > 0:
+            reached += mags[:, idx]
+        else:
+            reached -= mags[:, idx]
     return scores
 
 
-def _residual_comb(mags: np.ndarray, bins: np.ndarray, n_harmonics: int) -> np.ndarray:
-    """E(f) + sum_k [E(k f) - E((k - 1/2) f)] for k = 2..n, at the nearest bins;
-    bins past the last add 0, so it stops at the first k past it at every f."""
-    scores = _gather(mags, bins)
-    for k in range(2, n_harmonics + 1):
-        below = np.floor((k - 0.5) * bins + 0.5).astype(int)
-        if below[0] >= mags.shape[1]:
-            break
-        scores += _gather(mags, bins * k)
-        scores -= _gather(mags, below)
-    return scores
-
-
-def _comb_f0s(
-    mags: np.ndarray,
-    live: np.ndarray,
-    bin_hz: float,
-    cfg: EstimatorConfig,
-    scorer: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
-    harmonic_cap: int = 1,
-) -> np.ndarray:
-    """Per-row f0 of the best-scoring candidate bin, ties to the lowest.
-
-    harmonic_cap is passed to _spectral_band (hps needs every harmonic).
-    """
-    f0s = np.full(mags.shape[0], np.nan)
-    if live.any():
-        bins = _spectral_band(mags.shape[1], bin_hz, cfg, harmonic_cap)
-        best = bins[np.argmax(scorer(mags, bins, cfg.n_harmonics), axis=1)]
-        f0s[live] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)[live]
-    return f0s
+def _comb_f0s(mags: np.ndarray, comb, bin_hz: float, cfg: EstimatorConfig) -> np.ndarray:
+    """Per-row f0 of the best-scoring candidate of comb = (bins, terms),
+    ties to the lowest, clipped to the config's range."""
+    best = comb[0][np.argmax(_comb_scores(mags, *comb), axis=1)]
+    return np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
 
 
 # refine_f0 reads the peaks of harmonics 1..REFINE_HARMONICS of a fused f0,
@@ -384,19 +362,6 @@ def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
             estimates.append(estimate)
             weights.append(summed[k])
     return float(np.average(estimates, weights=weights)) if estimates else f0
-
-
-def _cepstrum_f0s(
-    mags: np.ndarray, live: np.ndarray, sample_rate: int, cfg: EstimatorConfig
-) -> np.ndarray:
-    """Per-row quefrency peak of the log-magnitude spectrum's inverse transform.
-
-    mags holds the un-padded spectra of FRAME_LEN-sample frames. The search
-    window spans the lags for [f_min, f_max], capped at half the frame;
-    ties go to the longest lag (lowest frequency).
-    """
-    ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=FRAME_LEN, axis=1)
-    return _lag_f0s(ceps, live, sample_rate, cfg, _acf_lag)
 
 
 def _lpc_coefficients(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,42 +428,24 @@ def _whitened(a: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return mags * np.abs(A.view(complex))
 
 
-def _srh_f0s(
-    frames: np.ndarray,
-    mags: np.ndarray,
-    live: np.ndarray,
-    sample_rate: int,
-    cfg: EstimatorConfig,
-) -> np.ndarray:
-    """Per-frame residual-harmonics f0 (Drugman & Alwan 2011).
-
-    frames are the full-rate Hann frames, and mags holds the leading bins
-    of their magnitude spectra at the grid of an N_FFT-point transform, as
-    the band's spectrogram does. Each live frame's row is whitened by its
-    own 12th-order predictor, fitted to its full-rate frame (_whitened),
-    on the bins the comb reads, and _residual_comb scores the result.
-    Frames whose recursion breaks down vote unvoiced.
-    """
-    f0s = np.full(frames.shape[0], np.nan)
-    a, stable = _lpc_coefficients(frames)
-    rows = np.flatnonzero(live & stable)
-    if rows.size:
-        n_bins, bin_hz = mags.shape[1], sample_rate / N_FFT
-        bins = _spectral_band(n_bins, bin_hz, cfg)
-        top = min(n_bins, int(bins[-1]) * cfg.n_harmonics + 1)
-        whitened = _whitened(a[rows], mags[rows, :top])
-        _check_magnitudes(whitened)
-        best = bins[np.argmax(_residual_comb(whitened, bins, cfg.n_harmonics), axis=1)]
-        f0s[rows] = np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
-    return f0s
+def _srh_f0s(a: np.ndarray, mags: np.ndarray, bin_hz: float, cfg: EstimatorConfig) -> np.ndarray:
+    """Per-row residual-harmonics f0 (Drugman & Alwan 2011): each row of
+    mags, leading bins of a spectrum at the grid of an N_FFT-point
+    transform, whitened by its predictor in a (_whitened) on the bins the
+    residual comb reads, then scored by that comb."""
+    comb = _comb(mags.shape[1], bin_hz, cfg, residual=True)
+    top = min(mags.shape[1], int(comb[0][-1]) * cfg.n_harmonics + 1)
+    whitened = _whitened(a, mags[:, :top])
+    _check_magnitudes(whitened)
+    return _comb_f0s(whitened, comb, bin_hz, cfg)
 
 
 # ---------------------------------------------------------------------------
 # lag-domain kernels
 #
-# _lag_f0s scores a whole (n_frames x lags) matrix of autocorrelation, NSDF
-# or CMND rows, with the same contract as the frequency-domain kernels.
-# Each picker returns one (possibly fractional) lag per row.
+# _lag_f0s scores a matrix of autocorrelation, NSDF, CMND or cepstrum rows
+# under the kernel contract. Each picker returns one (possibly fractional)
+# lag per row.
 # ---------------------------------------------------------------------------
 
 
@@ -553,31 +500,17 @@ def _yin_lag(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return _refined(d, np.where(dip.any(axis=1), lo + np.argmax(floor, axis=1), last_min))
 
 
-def _lag_f0s(
-    values: np.ndarray,
-    live: np.ndarray,
-    sample_rate: int,
-    cfg: EstimatorConfig,
-    picker: Callable[[np.ndarray, int, int], np.ndarray],
-) -> np.ndarray:
-    """Per-row f0 = sample_rate / lag, the lag picked inside the config's window.
-
-    values holds lags 0.._CORR_MAX_LAG of each frame.
-    """
-    f0s = np.full(values.shape[0], np.nan)
-    if live.any():
-        lo, hi = _lag_window(sample_rate, cfg)
-        f0s[live] = np.clip(sample_rate / picker(values, lo, hi), cfg.f_min, cfg.f_max)[live]
-    return f0s
+def _lag_f0s(values: np.ndarray, sample_rate: int, cfg: EstimatorConfig, picker) -> np.ndarray:
+    """Per-row f0 = sample_rate / lag, the lag picked inside the config's
+    window, clipped to its range. values holds lags 0.._CORR_MAX_LAG of
+    each row."""
+    lo, hi = _lag_window(sample_rate, cfg)
+    return np.clip(sample_rate / picker(values, lo, hi), cfg.f_min, cfg.f_max)
 
 
 # ---------------------------------------------------------------------------
 # one-frame entry points, each kept for the caller its docstring names
 # ---------------------------------------------------------------------------
-
-
-def _has_energy(mags: np.ndarray) -> np.ndarray:
-    return np.array([np.any(mags > 0)])
 
 
 def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> PitchEstimate:
@@ -587,8 +520,9 @@ def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> 
     it against an exhaustive search.
     """
     cfg = cfg or DEFAULT_CONFIGS["ml"]
-    mags = spectrum.magnitudes
-    return _frame_votes(_comb_f0s(mags[None], _has_energy(mags), spectrum.bin_hz, cfg, _sum_comb))
+    mags, bin_hz = spectrum.magnitudes[None], spectrum.bin_hz
+    return _votes(mags.any(axis=1), lambda rows: _comb_f0s(
+        mags[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
 
 
 def lpc_residual(frame: AudioBuffer) -> AudioBuffer:
@@ -617,8 +551,8 @@ def srh_scores(
     because acceptance 6 checks the scores on hand-built spectra.
     """
     cfg = cfg or DEFAULT_CONFIGS["srh"]
-    bins = _spectral_band(len(spectrum), spectrum.bin_hz, cfg)
-    scores = _residual_comb(spectrum.magnitudes[None], bins, cfg.n_harmonics)[0]
+    bins, terms = _comb(len(spectrum), spectrum.bin_hz, cfg, residual=True)
+    scores = _comb_scores(spectrum.magnitudes[None], bins, terms)[0]
     return CandidateGrid(bins * spectrum.bin_hz), scores
 
 
@@ -665,9 +599,9 @@ class NoteAnalysis:
     """Shared per-note framing, spectra and correlations.
 
     Built once per note so the estimators (and the ensemble) never repeat
-    FFT work. Each quantity is one (n_frames x n) matrix that the method
-    kernels score whole, voting only on the rows that live marks. Frames
-    start HOP samples apart.
+    FFT work. Each quantity is one (n_frames x n) matrix, of which the
+    method kernels are handed only the rows that live marks (_votes).
+    Frames start HOP samples apart.
 
     Frames are FRAME_LEN samples at every rate; a note of at most
     FRAME_LEN samples is one zero-padded frame. The spectral members read
@@ -765,63 +699,88 @@ def vote_median(votes: list[float]) -> float:
     return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _frame_votes(f0s: np.ndarray) -> PitchEstimate:
-    """Median of per-frame kernel f0s, NaN marking unvoiced frames."""
-    per_frame = tuple(None if math.isnan(f) else f for f in f0s.tolist())
-    voiced = [f for f in per_frame if f is not None]
-    return PitchEstimate(vote_median(voiced) if voiced else None, per_frame)
+def _votes(rows: np.ndarray, f0s_of: Callable[[slice | np.ndarray], np.ndarray]) -> PitchEstimate:
+    """The median of a kernel's f0s on the rows it votes on, which rows
+    marks; every other row is unvoiced. f0s_of(picked) returns those rows'
+    f0s from matrices indexed by picked: slice(None), which copies nothing,
+    when every row votes, else the voting rows' indices. It is not called
+    when no row votes."""
+    voting = np.flatnonzero(rows)
+    picked = slice(None) if voting.size == len(rows) else voting
+    f0s = f0s_of(picked).tolist() if voting.size else []
+    per_frame: list[float | None] = [None] * len(rows)
+    for i, f0 in zip(voting.tolist(), f0s):
+        per_frame[i] = f0
+    return PitchEstimate(vote_median(f0s) if f0s else None, tuple(per_frame))
 
 
 def _note_hps(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    mags = analysis.spectrogram
-    f0s = _comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _log_comb, cfg.n_harmonics)
-    return _frame_votes(f0s)
+    """Harmonic product, as a sum of logs: log|X(k)| + log|X(2k)| + ...
+
+    A comb that skips a harmonic lands on near-empty bins and its product
+    collapses, which is what makes the method selective; every harmonic of
+    a candidate lies in the band. A relative floor keeps the log finite on
+    empty bins without breaking amplitude invariance.
+    """
+    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
+
+    def f0s_of(rows):
+        logs = mags[rows]
+        logs = np.add(logs, 1e-12 * logs.max(axis=1, keepdims=True))
+        with np.errstate(divide="ignore"):
+            np.log(logs, out=logs)
+        comb = _comb(mags.shape[1], bin_hz, cfg, harmonic_cap=cfg.n_harmonics)
+        return _comb_f0s(logs, comb, bin_hz, cfg)
+
+    return _votes(analysis.live, f0s_of)
 
 
 def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    mags = analysis.spectrogram
-    return _frame_votes(_comb_f0s(mags, analysis.live, analysis.bin_hz, cfg, _sum_comb))
+    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
+    return _votes(analysis.live, lambda rows: _comb_f0s(
+        mags[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     """One vote per note, its only per_frame entry, if any frame is live:
     the comb sum over the frames' summed magnitudes."""
-    energy = analysis.spectrogram.sum(axis=0)
-    live = analysis.live.any(keepdims=True)
-    return _frame_votes(_comb_f0s(energy[None], live, analysis.bin_hz, cfg, _sum_comb))
+    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
+    return _votes(analysis.live.any(keepdims=True), lambda rows: _comb_f0s(
+        mags.sum(axis=0, keepdims=True)[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    """The cepstrum reads the spectrum up to the full-rate Nyquist, past the
-    band, so it takes its own un-padded rFFT of hann_frames."""
+    """Each frame's quefrency peak, ties to the longest lag. The cepstrum
+    reads past the band, so it takes its own un-padded rFFT of hann_frames."""
     mags = magnitude_spectra(analysis.hann_frames)
-    f0s = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, cfg)
-    return _frame_votes(f0s)
+    ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=FRAME_LEN, axis=1)
+    return _votes(analysis.live, lambda rows: _lag_f0s(
+        ceps[rows], analysis.sample_rate, cfg, _acf_lag))
 
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    f0s = _srh_f0s(
-        analysis.hann_frames, analysis.spectrogram, analysis.live, analysis.sample_rate, cfg
-    )
-    return _frame_votes(f0s)
+    """Frames whose LPC recursion breaks down vote unvoiced, as silent ones do."""
+    a, stable = _lpc_coefficients(analysis.hann_frames)
+    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
+    return _votes(analysis.live & stable, lambda rows: _srh_f0s(a[rows], mags[rows], bin_hz, cfg))
 
 
 def _note_acf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     r, _ = analysis.rect_corr
-    f0s = _lag_f0s(r, analysis.live, analysis.sample_rate, cfg, _acf_lag)
-    return _frame_votes(f0s)
+    return _votes(analysis.live, lambda rows: _lag_f0s(
+        r[rows], analysis.sample_rate, cfg, _acf_lag))
 
 
 def _note_nsdf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    n = nsdf_matrix(*analysis.rect_corr)
-    f0s = _lag_f0s(n, analysis.live, analysis.sample_rate, cfg, _nsdf_lag)
-    return _frame_votes(f0s)
+    r, m = analysis.rect_corr
+    return _votes(analysis.live, lambda rows: _lag_f0s(
+        nsdf_matrix(r[rows], m[rows]), analysis.sample_rate, cfg, _nsdf_lag))
 
 
 def _note_yin(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    d = cmnd_matrix(*analysis.rect_corr)
-    f0s = _lag_f0s(d, analysis.live, analysis.sample_rate, cfg, _yin_lag)
-    return _frame_votes(f0s)
+    r, m = analysis.rect_corr
+    return _votes(analysis.live, lambda rows: _lag_f0s(
+        cmnd_matrix(r[rows], m[rows]), analysis.sample_rate, cfg, _yin_lag))
 
 
 @dataclass(frozen=True)

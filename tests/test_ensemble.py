@@ -1,6 +1,9 @@
 import json
+import os
 import shlex
+import signal
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from pitchlab.estimators import (
     REGISTRY,
     EstimatorConfig,
     NoteAnalysis,
-    _frame_votes,
+    _votes,
     estimate_note_many,
     refine_f0,
 )
@@ -75,7 +78,7 @@ def test_medians_equal_numpys_to_the_float(votes, n_unvoiced):
     fused = fuse_votes(votes + [None] * n_unvoiced)
     assert fused is None if len(votes) < 2 else (type(fused) is float and fused == expected)
     f0s = np.array(votes + [np.nan] * n_unvoiced)
-    estimate = _frame_votes(f0s)
+    estimate = _votes(~np.isnan(f0s), lambda rows: f0s[rows])
     assert type(estimate.f0) is float and estimate.f0 == expected
     assert estimate.per_frame == tuple(votes) + (None,) * n_unvoiced
 
@@ -229,6 +232,36 @@ def test_external_timeout_is_unvoiced(tmp_path, caplog):
         est = run_external(estimator, sine_buffer(220.0, 0.05))
     assert est.voiced is False
     assert any("timed out" in r.message for r in caplog.records)
+
+
+def _running(pid):
+    """True while pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_a_timed_out_plugins_children_do_not_outlive_it(tmp_path):
+    # a shell wrapper whose worker writes its PID and sleeps: the timeout
+    # ends the wrapper's whole process group, the worker with it
+    pid_file = tmp_path / "worker.pid"
+    script = tmp_path / "plugin.sh"
+    script.write_text(f"sleep 5 & echo $! > {shlex.quote(str(pid_file))}; wait\n")
+    estimator = ExternalEstimator(command=f"sh {shlex.quote(str(script))}", timeout_s=0.5)
+    est = run_external(estimator, sine_buffer(220.0, 0.05))
+    pid = int(pid_file.read_text())
+    try:
+        assert est.voiced is False
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_external_out_of_range_is_unvoiced(tmp_path, caplog):

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pitchlab import estimators
 from pitchlab.ensemble import DEFAULT_MEMBERS
 from pitchlab.errors import ConfigOutOfRange, LpcUnstable
 from pitchlab.estimators import (
@@ -23,15 +25,12 @@ from pitchlab.estimators import (
     REFINE_WINDOW,
     REGISTRY,
     _acf_lag,
-    _cepstrum_f0s,
+    _comb,
     _comb_f0s,
+    _comb_scores,
     _lag_window,
-    _log_comb,
     _lpc_coefficients,
-    _residual_comb,
     _spectral_band,
-    _srh_f0s,
-    _sum_comb,
     _whitened,
     _yin_lag,
     estimate_note,
@@ -46,7 +45,6 @@ from pitchlab.sigproc import (
     AudioBuffer,
     Spectrum,
     cmnd_matrix,
-    magnitude_spectra,
     nsdf_matrix,
 )
 
@@ -185,16 +183,27 @@ def test_lag_methods_respect_range(method, rng):
 HPS = DEFAULT_CONFIGS["hps"]
 
 
-def comb_vote(mags, bin_hz, cfg, scorer, harmonic_cap=1):
-    """The comb picker's f0 for one live spectrum row."""
+def comb_vote(mags, bin_hz, cfg, residual=False):
+    """The comb picker's f0 for one spectrum row."""
     row = np.asarray(mags, dtype=np.float64)[None]
-    return float(_comb_f0s(row, np.ones(1, dtype=bool), bin_hz, cfg, scorer, harmonic_cap)[0])
+    return float(_comb_f0s(row, _comb(row.shape[1], bin_hz, cfg, residual), bin_hz, cfg)[0])
+
+
+def one_frame(**quantities):
+    """A stand-in NoteAnalysis of one live frame, holding only the
+    quantities (spectrogram, bin_hz, hann_frames, ...) a kernel reads."""
+    return SimpleNamespace(live=np.ones(1, dtype=bool), **quantities)
+
+
+def hps_vote(mags, bin_hz):
+    analysis = one_frame(spectrogram=np.asarray(mags, dtype=np.float64)[None], bin_hz=bin_hz)
+    return REGISTRY["hps"].note_fn(analysis, HPS).f0
 
 
 def test_hps_picks_fundamental_of_harmonic_comb():
     mags = np.zeros(64)
     mags[10], mags[20], mags[30] = 1.0, 0.5, 0.25
-    assert comb_vote(mags, 10.0, HPS, _log_comb, 3) == pytest.approx(100.0)
+    assert hps_vote(mags, 10.0) == pytest.approx(100.0)
 
 
 def test_hps_all_zero_unvoiced():
@@ -204,19 +213,17 @@ def test_hps_all_zero_unvoiced():
 def test_hps_amplitude_invariant_on_scaled_spectrum():
     mags = np.zeros(128)
     mags[[7, 14, 21]] = [1.0, 0.4, 0.2]
-    a = comb_vote(mags, 10.0, HPS, _log_comb, 3)
-    b = comb_vote(mags * 1000.0, 10.0, HPS, _log_comb, 3)
-    assert a == b
+    assert hps_vote(mags, 10.0) == hps_vote(mags * 1000.0, 10.0)
 
 
 def test_stft_sums_over_frames():
     row = np.zeros(128)
     row[12], row[24], row[36] = 1.0, 0.6, 0.3
-    assert comb_vote(3.0 * row, 10.0, DEFAULT_CONFIGS["stft"], _sum_comb) == pytest.approx(120.0)
+    assert comb_vote(3.0 * row, 10.0, DEFAULT_CONFIGS["stft"]) == pytest.approx(120.0)
     # the note's one vote is the comb over its spectrogram's column sums
     analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
     energy = analysis.spectrogram.sum(axis=0)
-    expected = comb_vote(energy, analysis.bin_hz, DEFAULT_CONFIGS["stft"], _sum_comb)
+    expected = comb_vote(energy, analysis.bin_hz, DEFAULT_CONFIGS["stft"])
     assert REGISTRY["stft"].note_fn(analysis, DEFAULT_CONFIGS["stft"]).f0 == expected
 
 
@@ -225,7 +232,7 @@ def test_stft_subdivision_tie_goes_to_lowest():
     # the one nonzero magnitude, and the tie resolves to the lowest
     row = np.zeros(128)
     row[40] = 1.0
-    assert comb_vote(row, 10.0, DEFAULT_CONFIGS["stft"], _sum_comb) == pytest.approx(100.0)
+    assert comb_vote(row, 10.0, DEFAULT_CONFIGS["stft"]) == pytest.approx(100.0)
 
 
 def test_ml_comb_tie_goes_to_lowest():
@@ -259,18 +266,20 @@ def test_ml_matches_exhaustive_search(rng):
 
 
 @pytest.mark.parametrize("n_bins", [128, 4097])
-@pytest.mark.parametrize("scorer", [_sum_comb, _residual_comb])
-def test_combs_score_harmonics_past_the_last_bin_as_zero(scorer, n_bins, rng):
+@pytest.mark.parametrize("residual", [False, True], ids=["sum", "residual"])
+def test_combs_score_harmonics_past_the_last_bin_as_zero(residual, n_bins, rng):
     # the reference pads every row with zeros past each harmonic, so none of
     # its indices runs out; at 128 bins of 10 Hz the upper harmonics of the
     # high candidates do run past the last bin, at 4097 bins none does
     cfg = EstimatorConfig(20.0, 1000.0, 5)
-    bins = _spectral_band(n_bins, 10.0, cfg)
+    bins, terms = _comb(n_bins, 10.0, cfg, residual)
     assert (bins * cfg.n_harmonics >= n_bins).any() == (n_bins == 128)
     mags = rng.uniform(0.0, 1.0, (3, n_bins))
     padded = np.concatenate([mags, np.zeros((3, cfg.n_harmonics * n_bins))], axis=1)
-    expected = scorer(padded, bins, cfg.n_harmonics)
-    assert np.array_equal(scorer(mags, bins, cfg.n_harmonics), expected)
+    padded_bins, padded_terms = _comb(padded.shape[1], 10.0, cfg, residual)
+    assert np.array_equal(padded_bins, bins) and all(i.size == bins.size for i, _ in padded_terms)
+    expected = _comb_scores(padded, padded_bins, padded_terms)
+    assert np.array_equal(_comb_scores(mags, bins, terms), expected)
 
 
 @pytest.mark.parametrize("method", ["ml", "stft", "srh"])
@@ -303,7 +312,7 @@ def test_srh_scores_reward_harmonics():
     assert list(grid.frequencies) == [100.0, 200.0, 300.0, 400.0, 500.0]
     assert scores[4] == pytest.approx(5.0)
     assert np.all(scores[:4] <= 0.5)
-    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], _residual_comb) == pytest.approx(500.0)
+    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], residual=True) == pytest.approx(500.0)
 
 
 def test_srh_interharmonic_energy_penalized():
@@ -315,7 +324,7 @@ def test_srh_interharmonic_energy_penalized():
     grid, scores = srh_scores(Spectrum(mags, 100.0))
     assert scores[4] == pytest.approx(-3.0)
     assert scores[2] == pytest.approx(4.0)
-    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], _residual_comb) == pytest.approx(300.0)
+    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], residual=True) == pytest.approx(300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +336,9 @@ def test_cepstrum_impulse_train_exact():
     # period of 100 samples at 16 kHz, on the unwindowed spectrum
     x = np.zeros(2048)
     x[::100] = 1.0
-    f0s = _cepstrum_f0s(magnitude_spectra(x[None]), np.ones(1, dtype=bool), 16000,
-                        DEFAULT_CONFIGS["cepstrum"])
-    assert f0s[0] == pytest.approx(160.0, abs=1e-9)
+    analysis = one_frame(hann_frames=x[None], sample_rate=16000)
+    est = REGISTRY["cepstrum"].note_fn(analysis, DEFAULT_CONFIGS["cepstrum"])
+    assert est.f0 == pytest.approx(160.0, abs=1e-9)
 
 
 def test_cepstrum_noise_stays_in_range(rng):
@@ -507,10 +516,6 @@ def _mixed_note(fs=44100):
     ]), fs)
 
 
-def _votes(f0s):
-    return tuple(None if math.isnan(f) else float(f) for f in f0s)
-
-
 def _lpc_breaks_down(frame):
     try:
         lpc_residual(frame)
@@ -519,35 +524,31 @@ def _lpc_breaks_down(frame):
         return True
 
 
-def _row_by_row(kernel, matrix, live):
-    """kernel(rows, live) applied to one-row slices of matrix, concatenated."""
-    return np.concatenate([kernel(matrix[i : i + 1], live[i : i + 1]) for i in range(len(matrix))])
+def _frame(analysis, i):
+    """A stand-in NoteAnalysis holding frame i of analysis alone."""
+    one = slice(i, i + 1)
+    return SimpleNamespace(
+        sample_rate=analysis.sample_rate, bin_hz=analysis.bin_hz, live=analysis.live[one],
+        spectrogram=analysis.spectrogram[one], hann_frames=analysis.hann_frames[one],
+        rect_corr=tuple(matrix[one] for matrix in analysis.rect_corr),
+    )
 
 
 def test_note_kernels_match_frame_level_functions():
     analysis = NoteAnalysis(_mixed_note())
     methods = ("hps", "ml", "srh", "cepstrum", "acf", "nsdf", "yin")
     got = estimate_note_many(analysis, {m: None for m in methods})
-    fs, bin_hz, cfgs = analysis.sample_rate, analysis.bin_hz, DEFAULT_CONFIGS
+    fs, live = analysis.sample_rate, analysis.live
 
-    # Spectral members: the whole-note kernel equals its one-row calls exactly.
-    mags, live = analysis.spectrogram, analysis.live
-    hps = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["hps"], _log_comb, cfgs["hps"].n_harmonics)
-    ml = lambda m, v: _comb_f0s(m, v, bin_hz, cfgs["ml"], _sum_comb)
-    assert got["hps"].per_frame == _votes(_row_by_row(hps, mags, live))
-    assert got["ml"].per_frame == _votes(_row_by_row(ml, mags, live))
-    hann = analysis.hann_frames
-    cepstrum = lambda m, v: _cepstrum_f0s(magnitude_spectra(m), v, fs, cfgs["cepstrum"])
-    assert got["cepstrum"].per_frame == _votes(_row_by_row(cepstrum, hann, live))
-    srh = [
-        _srh_f0s(hann[i : i + 1], mags[i : i + 1], live[i : i + 1], fs, cfgs["srh"])
-        for i in range(len(hann))
-    ]
-    assert got["srh"].per_frame == _votes(np.concatenate(srh))
+    # Each kernel on the whole note equals its one-row calls exactly.
+    for method in methods:
+        rows = [REGISTRY[method].note_fn(_frame(analysis, i), DEFAULT_CONFIGS[method])
+                for i in range(len(live))]
+        assert got[method].per_frame == tuple(row.per_frame[0] for row in rows), method
 
     # srh votes unvoiced exactly on silent frames and where the one-frame
     # LPC breaks down, which happens on some live frames
-    broken = [_lpc_breaks_down(rect_frame(row, fs)) for row in hann]
+    broken = [_lpc_breaks_down(rect_frame(row, fs)) for row in analysis.hann_frames]
     assert any(b and row_live for b, row_live in zip(broken, live))
     unvoiced = [b or not row_live for b, row_live in zip(broken, live)]
     assert [v is None for v in got["srh"].per_frame] == unvoiced
@@ -562,6 +563,30 @@ def test_note_kernels_match_frame_level_functions():
         assert [e is None for e in expected] == silent
         voiced = [v for v in got[method].per_frame if v is not None]
         assert voiced == pytest.approx([e for e in expected if e is not None], rel=1e-12)
+
+
+def test_no_kernel_is_handed_a_silent_row(monkeypatch):
+    # a note with silent frames between loud ones: every kernel gets the
+    # live rows alone (srh those whose LPC is stable too, here all of
+    # them), and stft its one summed row
+    fs = 44100
+    note = AudioBuffer(np.concatenate([
+        sawtooth(220.0, int(0.2 * fs), fs), np.zeros(int(0.2 * fs)), sawtooth(330.0, int(0.2 * fs), fs),
+    ]), fs)
+    analysis = NoteAnalysis(note)
+    n_live = int(analysis.live.sum())
+    assert 0 < n_live < len(analysis.live) - 5
+    handed = []
+    for name in ("_comb_f0s", "_lag_f0s", "_srh_f0s"):
+        kernel = getattr(estimators, name)
+        monkeypatch.setattr(estimators, name, lambda values, *args, _kernel=kernel, _name=name: (
+            handed.append((_name, len(values))) or _kernel(values, *args)))
+    for method in ALL_METHODS:
+        handed.clear()
+        estimate = estimate_note_many(analysis, {method: None})[method]
+        expected = 1 if method == "stft" else n_live
+        assert handed and all(n == expected for _, n in handed), (method, handed)
+        assert sum(v is not None for v in estimate.per_frame) == expected, method
 
 
 # 8 harmonics of up to 1 kHz: a comb reaching 8 kHz, past the band's
@@ -694,15 +719,15 @@ def test_band_spectrum_is_the_full_rate_one_below_4_khz():
     assert q == 4 and np.all(error[live] <= 2e-4 * full[live].max(axis=1))
 
 
-def test_cepstrum_votes_match_the_padded_full_rate_spectrum():
+def test_cepstrum_votes_match_the_padded_full_rate_spectrum(monkeypatch):
     # every (N_FFT / FRAME_LEN)-th bin of the full-rate spectrum zero-padded
     # to N_FFT is the frame's own spectrum, which cepstrum takes itself
-    analysis = NoteAnalysis(_mixed_note())
-    padded = np.abs(np.fft.rfft(analysis.hann_frames, n=N_FFT, axis=1))
-    mags = padded[:, :: N_FFT // FRAME_LEN]
-    expected = _cepstrum_f0s(mags, analysis.live, analysis.sample_rate, DEFAULT_CONFIGS["cepstrum"])
-    got = estimate_note_many(analysis, {"cepstrum": None})["cepstrum"].per_frame
-    assert got == _votes(expected) and any(v is not None for v in got)
+    note = _mixed_note()
+    got = estimate_note_many(NoteAnalysis(note), {"cepstrum": None})["cepstrum"].per_frame
+    padded = lambda frames: np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))[:, :: N_FFT // FRAME_LEN]
+    monkeypatch.setattr(estimators, "magnitude_spectra", padded)
+    expected = estimate_note_many(NoteAnalysis(note), {"cepstrum": None})["cepstrum"].per_frame
+    assert got == expected and any(v is not None for v in got)
 
 
 def test_stft_comb_past_the_band_finds_a_high_note():
@@ -742,6 +767,14 @@ def test_spectral_band_is_kept_read_only():
     bins = _spectral_band(1025, 44100 / N_FFT, cfg)
     assert _spectral_band(1025, 44100 / N_FFT, cfg) is bins
     assert not bins.flags.writeable
+    for residual in (False, True):
+        comb = _comb(1025, 44100 / N_FFT, cfg, residual)
+        again = _comb(1025, 44100 / N_FFT, cfg, residual)
+        assert again[0] is comb[0] and np.array_equal(comb[0], bins)
+        assert not comb[0].flags.writeable
+        assert all(a is b for (a, _), (b, _) in zip(again[1], comb[1]))
+        assert len(comb[1]) == (6 if residual else 3)
+        assert not any(idx.flags.writeable for idx, _ in comb[1])
 
 
 class TestRefineF0:

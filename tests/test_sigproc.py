@@ -108,6 +108,7 @@ def test_importing_the_cli_fills_no_cache():
         "pitchlab.sigproc.hann_window",
         "pitchlab.estimators._dft_rows",
         "pitchlab.estimators._spectral_band",
+        "pitchlab.estimators._comb",
         "pitchlab.estimators._band_filter",
     } <= set(caches)
     assert set(caches.values()) == {0}
