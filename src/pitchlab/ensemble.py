@@ -11,11 +11,13 @@ that vote to unvoiced; they never abort the ensemble.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import shlex
 import signal
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -132,8 +134,9 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
 
     Any failure mode (timeout, crash, malformed or out-of-range reply)
     yields an unvoiced vote with a logged warning; errors never propagate.
-    The plug-in runs in a session of its own, and a timeout ends its whole
-    process group, so no worker it started outlives its vote.
+    The plug-in runs in a session of its own, its reply is read from a
+    temporary file once it exits, and every call ends by killing its process
+    group, so no worker it started outlives its vote or holds it up.
     """
     payload = (
         f"RATE {note.sample_rate} COUNT {len(note)}\n".encode("ascii")
@@ -141,14 +144,17 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
     )
     argv = shlex.split(estimator.command)
     try:
-        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        with tempfile.TemporaryFile() as out, subprocess.Popen(
+                argv, stdin=subprocess.PIPE, stdout=out, stderr=subprocess.DEVNULL,
+                start_new_session=True) as proc:
             try:
-                stdout = proc.communicate(payload, timeout=estimator.timeout_s)[0]
-            finally:
-                if proc.returncode is None:  # timed out, or interrupted while waiting
+                proc.communicate(payload, timeout=estimator.timeout_s)
+            finally:  # also on a timeout, or an interruption while waiting
+                with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
-                    proc.wait()
+                proc.wait()
+            out.seek(0)
+            reply = out.readline().decode("ascii", errors="replace").strip()
     except subprocess.TimeoutExpired:
         logger.warning("external estimator timed out after %.1f s: %s", estimator.timeout_s, estimator.command)
         return PitchEstimate(None)
@@ -158,7 +164,6 @@ def run_external(estimator: ExternalEstimator, note: AudioBuffer) -> PitchEstima
     if proc.returncode != 0:
         logger.warning("external estimator exited with %d: %s", proc.returncode, estimator.command)
         return PitchEstimate(None)
-    reply = stdout.split(b"\n", 1)[0].decode("ascii", errors="replace").strip()
     if reply == "UNVOICED":
         return PitchEstimate(None)
     parts = reply.split()

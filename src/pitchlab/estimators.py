@@ -3,8 +3,9 @@
 Eight methods share one note-level contract: estimate f0 on the analysis
 frames of the note that vote, never on a silent one, mark the others
 unvoiced, and report the median of the frame estimates (the
-energy-summation method works on the whole note directly). One geometry serves every method and sample rate:
-frames of FRAME_LEN samples, HOP apart. Frequency-domain methods window
+energy-summation method votes once, on the live frames' summed spectra).
+One geometry serves every method and sample rate: frames of FRAME_LEN
+samples, HOP apart. Frequency-domain methods window
 with a periodic Hann and zero-pad frames to N_FFT points for a fine
 candidate grid; the comb members read it on the note's band, the note
 low-passed and decimated to about 11 kHz. Time-domain methods work on
@@ -206,21 +207,30 @@ def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
 
 
 # ---------------------------------------------------------------------------
-# search ranges
+# the kernel contract
+#
+# Each kernel takes a matrix of only the rows it votes on and returns one f0
+# per row; _votes hands it those rows and marks every other row unvoiced, so
+# no kernel sees a silent row, fills NaN or reads a mask. Transforms run over
+# all of a note's rows before the rows are taken: a batched FFT over fewer
+# rows may differ in its last bits. The spectral kernels pick through one
+# comb scorer, _comb_scores, summing terms that _comb keeps per config.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=16)
-def _spectral_band(
-    n_bins: int, bin_hz: float, cfg: EstimatorConfig, harmonic_cap: int = 1
-) -> np.ndarray:
-    """Candidate bin indices for spectra of n_bins bins under a config.
-
-    harmonic_cap > 1 keeps every candidate's highest harmonic inside the
-    spectrum (needed when all terms of a product must exist). Computed on
-    first use for each argument set and kept for the process, so the
-    array is read-only.
-    """
+def _comb(n_bins: int, bin_hz: float, cfg: EstimatorConfig, residual=False, harmonic_cap=1):
+    """A config's comb on spectra of n_bins bins: its candidate bins, those
+    in its range below the Nyquist, and the terms _comb_scores adds to them,
+    as (index array, +1 or -1) pairs. harmonic_cap > 1 keeps every
+    candidate's highest harmonic inside the spectrum (needed when all terms
+    of a product must exist). The plain comb adds the bins k b, and the
+    residual comb (Drugman & Alwan 2011) adds E(k f) and subtracts
+    E((k - 1/2) f) at the nearest bins, for k = 2..n. Index arrays are cut
+    to the bins that exist, so harmonics past the last bin add 0, and a
+    comb stops at the first k whose term lies past it at every candidate.
+    Computed on first use for each argument set and kept for the process,
+    so the arrays are read-only."""
     top_bin = n_bins - 1
     nyquist = bin_hz * top_bin
     if cfg.f_min >= nyquist:
@@ -237,51 +247,6 @@ def _spectral_band(
         )
     bins = np.arange(b_lo, b_hi + 1)
     bins.flags.writeable = False
-    return bins
-
-
-def _lag_window(sample_rate: int, cfg: EstimatorConfig) -> tuple[int, int]:
-    """Inclusive lag bounds for a config; long lags stop at half the frame.
-    Both are clamped before rounding: sample_rate / f is inf at a subnormal f."""
-    cap = FRAME_LEN // 2
-    lo = math.ceil(min(sample_rate / min(cfg.f_max, sample_rate / 2.0), cap + 1))
-    hi = math.floor(min(cap, sample_rate / cfg.f_min)) if cfg.f_min > 0 else cap
-    if lo > hi:
-        raise ConfigOutOfRange(
-            f"no usable lags for [{cfg.f_min}, {cfg.f_max}] Hz with frame length {FRAME_LEN}"
-        )
-    return lo, hi
-
-
-# Longest lag any lag window reaches (half the frame), plus the right
-# neighbour that parabolic refinement reads.
-_CORR_MAX_LAG = FRAME_LEN // 2 + 1
-
-
-# ---------------------------------------------------------------------------
-# the kernel contract
-#
-# Each kernel takes a matrix of only the rows it votes on and returns one f0
-# per row; _votes hands it those rows and marks every other row unvoiced, so
-# no kernel sees a silent row, fills NaN or reads a mask. Transforms run over
-# all of a note's rows before the rows are taken: a batched FFT over fewer
-# rows may differ in its last bits. The spectral kernels pick through one
-# comb scorer, _comb_scores, summing terms that _comb keeps per config.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _comb(n_bins: int, bin_hz: float, cfg: EstimatorConfig, residual=False, harmonic_cap=1):
-    """A config's comb on spectra of n_bins bins: its candidate bins
-    (_spectral_band) and the terms _comb_scores adds to them, as (index
-    array, +1 or -1) pairs. The plain comb adds the bins k b, and the
-    residual comb (Drugman & Alwan 2011) adds E(k f) and subtracts
-    E((k - 1/2) f) at the nearest bins, for k = 2..n. Index arrays are cut
-    to the bins that exist, so harmonics past the last bin add 0, and a
-    comb stops at the first k whose term lies past it at every candidate.
-    Computed on first use for each argument set and kept for the process,
-    so the arrays are read-only."""
-    bins = _spectral_band(n_bins, bin_hz, cfg, harmonic_cap)
     terms = []
     for k in range(2, cfg.n_harmonics + 1):
         pairs = [(bins * k, 1)]
@@ -327,29 +292,27 @@ REFINE_WINDOW = 0.03
 def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
     """f0 moved below the bin grid by quadratic interpolation of spectral peaks.
 
-    Sums the magnitude rows of the note's live frames and takes the
-    log. For each harmonic h it picks the largest bin k whose frequency
-    lies within REFINE_WINDOW of h f0. Where k is a local maximum and the
-    parabola through the log magnitudes at k-1, k, k+1 is concave, its
-    vertex k + d gives the estimate (k + d) bin_hz / h, kept if it lies in
-    the window too (QIFFT: Smith & Serra 1987; Abe & Smith 2004). Returns
-    the mean of the kept estimates weighted by their peaks' summed
-    magnitudes, so never more than REFINE_WINDOW from f0, or f0 itself when
-    no frame is live or no harmonic gives an estimate. Takes no FFT.
+    Takes the log of the note's live_spectrum. For each harmonic h it picks
+    the largest bin k whose frequency lies within REFINE_WINDOW of h f0.
+    Where k is a local maximum and the parabola through the log magnitudes
+    at k-1, k, k+1 is concave, its vertex k + d gives the estimate
+    (k + d) bin_hz / h, kept if it lies in the window too (QIFFT: Smith &
+    Serra 1987; Abe & Smith 2004). Returns the mean of the kept estimates
+    weighted by their peaks' summed magnitudes, so never more than
+    REFINE_WINDOW from f0, or f0 itself when no frame is live or no
+    harmonic gives an estimate. Takes no FFT.
     """
-    live = analysis.live
-    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
-    lo_hz, hi_hz = f0 * (1.0 - REFINE_WINDOW), f0 * (1.0 + REFINE_WINDOW)
-    top = min(mags.shape[1], math.floor(REFINE_HARMONICS * hi_hz / bin_hz) + 2)
-    if not live.any():
+    if not analysis.live.any():
         return f0
-    summed = mags[live, :top].sum(axis=0)
+    bin_hz = analysis.bin_hz
+    lo_hz, hi_hz = f0 * (1.0 - REFINE_WINDOW), f0 * (1.0 + REFINE_WINDOW)
+    summed = analysis.live_spectrum[: math.floor(REFINE_HARMONICS * hi_hz / bin_hz) + 2]
     with np.errstate(divide="ignore"):
         log_mags = np.log(summed)
     estimates, weights = [], []
     for h in range(1, REFINE_HARMONICS + 1):
         lo = max(1, math.ceil(h * lo_hz / bin_hz))
-        hi = min(top - 2, math.floor(h * hi_hz / bin_hz))
+        hi = min(summed.size - 2, math.floor(h * hi_hz / bin_hz))
         if lo > hi:
             continue
         k = lo + int(np.argmax(summed[lo : hi + 1]))
@@ -364,8 +327,9 @@ def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
     return float(np.average(estimates, weights=weights)) if estimates else f0
 
 
-def _lpc_coefficients(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row order-LPC_ORDER predictors by the Levinson-Durbin recursion.
+def _lpc_coefficients(frames: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row order-LPC_ORDER predictors by the Levinson-Durbin recursion,
+    energy holding each row's sum of squares (its lag-0 autocorrelation).
 
     Returns (a, stable): a is (n_frames x LPC_ORDER+1) with a[:, 0] = 1, and
     stable is False on rows that have no energy or whose prediction error
@@ -374,10 +338,8 @@ def _lpc_coefficients(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = frames.shape[1]
     if LPC_ORDER >= n:
         raise ValueError(f"order {LPC_ORDER} must be smaller than the frame length {n}")
-    r = np.stack(
-        [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(LPC_ORDER + 1)],
-        axis=1,
-    )
+    lags = [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(1, LPC_ORDER + 1)]
+    r = np.stack([energy, *lags], axis=1)
     a = np.zeros_like(r)
     a[:, 0] = 1.0
     # errs[:, i] is the prediction error after step i; step 0's is r(0)
@@ -449,6 +411,24 @@ def _srh_f0s(a: np.ndarray, mags: np.ndarray, bin_hz: float, cfg: EstimatorConfi
 # ---------------------------------------------------------------------------
 
 
+def _lag_window(sample_rate: int, cfg: EstimatorConfig) -> tuple[int, int]:
+    """Inclusive lag bounds for a config; long lags stop at half the frame.
+    Both are clamped before rounding: sample_rate / f is inf at a subnormal f."""
+    cap = FRAME_LEN // 2
+    lo = math.ceil(min(sample_rate / min(cfg.f_max, sample_rate / 2.0), cap + 1))
+    hi = math.floor(min(cap, sample_rate / cfg.f_min)) if cfg.f_min > 0 else cap
+    if lo > hi:
+        raise ConfigOutOfRange(
+            f"no usable lags for [{cfg.f_min}, {cfg.f_max}] Hz with frame length {FRAME_LEN}"
+        )
+    return lo, hi
+
+
+# Longest lag any lag window reaches (half the frame), plus the right
+# neighbour that parabolic refinement reads.
+_CORR_MAX_LAG = FRAME_LEN // 2 + 1
+
+
 def _refined(values: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """tau moved to the vertex of the parabola through values at tau-1..tau+1.
 
@@ -480,8 +460,7 @@ def _nsdf_lag(n: np.ndarray, lo: int, hi: int) -> np.ndarray:
     window = n[:, lo : hi + 1]
     threshold = NSDF_PEAK_FRACTION * window.max(axis=1, keepdims=True)
     peak = (window >= threshold) & (window > n[:, lo - 1 : hi]) & (window >= n[:, lo + 1 : hi + 2])
-    last_max = hi - np.argmax(window[:, ::-1], axis=1)
-    return _refined(n, np.where(peak.any(axis=1), lo + np.argmax(peak, axis=1), last_max))
+    return _refined(n, np.where(peak.any(axis=1), lo + np.argmax(peak, axis=1), _acf_lag(n, lo, hi)))
 
 
 def _yin_lag(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -534,7 +513,8 @@ def lpc_residual(frame: AudioBuffer) -> AudioBuffer:
     tracer patches it.
     """
     x = frame.samples
-    a, stable = _lpc_coefficients(x[None])
+    frames = x[None]
+    a, stable = _lpc_coefficients(frames, np.einsum("ij,ij->i", frames, frames))
     if not stable[0]:
         raise LpcUnstable("frame has no energy to predict, or the prediction error collapsed")
     return AudioBuffer(np.convolve(x, a[0])[: x.size], frame.sample_rate)
@@ -608,9 +588,10 @@ class NoteAnalysis:
     the note's band: the note low-passed and decimated by q (_decimation),
     framed at FRAME_LEN / q with hop HOP / q, so band frame k spans
     full-rate frame k, and Hann-windowed. One rFFT of those frames,
-    zero-padded to N_FFT / q points, gives spectrogram, which hps, ml, stft
-    and refine_f0 read, and on which srh whitens by a predictor fitted to
-    the full-rate hann_frames. Its bins are bin_hz = sample_rate / N_FFT
+    zero-padded to N_FFT / q points, gives spectrogram, which hps and ml
+    read, whose live rows' sum, live_spectrum, stft and refine_f0 read, and
+    on which srh whitens by a predictor fitted to the full-rate hann_frames
+    and their energy. Its bins are bin_hz = sample_rate / N_FFT
     apart at every q. At q = 1 the band frames are hann_frames. cepstrum
     takes its own un-padded rFFT of hann_frames. All properties are lazy,
     and estimate_note_many keeps each (method, config) estimate here so
@@ -647,10 +628,16 @@ class NoteAnalysis:
         return self.rect_matrix * hann_window(FRAME_LEN)
 
     @cached_property
+    def energy(self) -> np.ndarray:
+        """Each Hann frame's sum of squares: live's test, and the lag-0
+        autocorrelation that srh's predictors start from."""
+        return np.einsum("ij,ij->i", self.hann_frames, self.hann_frames)
+
+    @cached_property
     def live(self) -> np.ndarray:
         """True on the frames whose Hann-windowed RMS reaches SILENCE_RMS:
         the one silence mask that every kernel and refine_f0 read."""
-        return np.sqrt(np.mean(self.hann_frames**2, axis=1)) >= SILENCE_RMS
+        return self.energy >= FRAME_LEN * SILENCE_RMS**2
 
     @cached_property
     def band_frames(self) -> np.ndarray:
@@ -682,6 +669,12 @@ class NoteAnalysis:
         bin_hz apart, rows checked by spectra."""
         self.spectra
         return self._band_spectra
+
+    @cached_property
+    def live_spectrum(self) -> np.ndarray:
+        """The live frames' spectrogram rows summed: stft's one row, and the
+        peaks refine_f0 reads."""
+        return self.spectrogram[self.live].sum(axis=0)
 
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -743,10 +736,10 @@ def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     """One vote per note, its only per_frame entry, if any frame is live:
-    the comb sum over the frames' summed magnitudes."""
-    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
+    the comb sum over the live frames' summed magnitudes (live_spectrum)."""
+    mags, bin_hz = analysis.live_spectrum[None], analysis.bin_hz
     return _votes(analysis.live.any(keepdims=True), lambda rows: _comb_f0s(
-        mags.sum(axis=0, keepdims=True)[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
+        mags[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
@@ -760,7 +753,7 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     """Frames whose LPC recursion breaks down vote unvoiced, as silent ones do."""
-    a, stable = _lpc_coefficients(analysis.hann_frames)
+    a, stable = _lpc_coefficients(analysis.hann_frames, analysis.energy)
     mags, bin_hz = analysis.spectrogram, analysis.bin_hz
     return _votes(analysis.live & stable, lambda rows: _srh_f0s(a[rows], mags[rows], bin_hz, cfg))
 

@@ -264,6 +264,30 @@ def test_a_timed_out_plugins_children_do_not_outlive_it(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_a_plugin_is_heard_when_it_exits_though_a_child_holds_its_stdout(tmp_path):
+    # the plug-in replies and exits, leaving a worker that keeps its stdout
+    # open: the vote counts at the plug-in's exit, and the worker is killed
+    pid_file = tmp_path / "worker.pid"
+    script = tmp_path / "plugin.sh"
+    script.write_text(f"cat >/dev/null; echo 'F0 220'; sleep 3 & echo $! > {shlex.quote(str(pid_file))}\n")
+    estimator = ExternalEstimator(command=f"sh {shlex.quote(str(script))}", timeout_s=1.0)
+    start = time.monotonic()
+    est = run_external(estimator, sine_buffer(220.0, 0.05))
+    elapsed = time.monotonic() - start
+    pid = int(pid_file.read_text())
+    try:
+        assert est.f0 == 220.0
+        assert elapsed < 0.5
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_external_out_of_range_is_unvoiced(tmp_path, caplog):
     command = _stub(tmp_path, 'import sys; sys.stdin.buffer.read(); print("F0 9999.0")\n')
     with caplog.at_level("WARNING"):

@@ -30,7 +30,6 @@ from pitchlab.estimators import (
     _comb_scores,
     _lag_window,
     _lpc_coefficients,
-    _spectral_band,
     _whitened,
     _yin_lag,
     estimate_note,
@@ -42,6 +41,7 @@ from pitchlab.estimators import (
     srh_scores,
 )
 from pitchlab.sigproc import (
+    SILENCE_RMS,
     AudioBuffer,
     Spectrum,
     cmnd_matrix,
@@ -220,9 +220,11 @@ def test_stft_sums_over_frames():
     row = np.zeros(128)
     row[12], row[24], row[36] = 1.0, 0.6, 0.3
     assert comb_vote(3.0 * row, 10.0, DEFAULT_CONFIGS["stft"]) == pytest.approx(120.0)
-    # the note's one vote is the comb over its spectrogram's column sums
+    # the note's one vote is the comb over its live spectrogram rows' sums
     analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
+    assert analysis.live.all()
     energy = analysis.spectrogram.sum(axis=0)
+    assert np.array_equal(analysis.live_spectrum, energy)
     expected = comb_vote(energy, analysis.bin_hz, DEFAULT_CONFIGS["stft"])
     assert REGISTRY["stft"].note_fn(analysis, DEFAULT_CONFIGS["stft"]).f0 == expected
 
@@ -288,7 +290,7 @@ def test_a_huge_harmonic_count_stops_past_the_band(method):
     # add only zeros, so 10^9 of them vote as that count does, at once
     analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
     n_bins = analysis.spectrogram.shape[1]
-    b_lo = int(_spectral_band(n_bins, analysis.bin_hz, DEFAULT_CONFIGS[method])[0])
+    b_lo = int(_comb(n_bins, analysis.bin_hz, DEFAULT_CONFIGS[method])[0][0])
     if method == "srh":  # its k-th term also reads the bin nearest (k - 1/2) f
         reach = max(k for k in range(1, n_bins) if math.floor((k - 0.5) * b_lo + 0.5) < n_bins)
     else:
@@ -530,6 +532,7 @@ def _frame(analysis, i):
     return SimpleNamespace(
         sample_rate=analysis.sample_rate, bin_hz=analysis.bin_hz, live=analysis.live[one],
         spectrogram=analysis.spectrogram[one], hann_frames=analysis.hann_frames[one],
+        energy=analysis.energy[one],
         rect_corr=tuple(matrix[one] for matrix in analysis.rect_corr),
     )
 
@@ -565,15 +568,17 @@ def test_note_kernels_match_frame_level_functions():
         assert voiced == pytest.approx([e for e in expected if e is not None], rel=1e-12)
 
 
-def test_no_kernel_is_handed_a_silent_row(monkeypatch):
-    # a note with silent frames between loud ones: every kernel gets the
-    # live rows alone (srh those whose LPC is stable too, here all of
-    # them), and stft its one summed row
-    fs = 44100
-    note = AudioBuffer(np.concatenate([
+def _gapped_note(fs=44100):
+    """A note with silent frames between loud ones."""
+    return AudioBuffer(np.concatenate([
         sawtooth(220.0, int(0.2 * fs), fs), np.zeros(int(0.2 * fs)), sawtooth(330.0, int(0.2 * fs), fs),
     ]), fs)
-    analysis = NoteAnalysis(note)
+
+
+def test_no_kernel_is_handed_a_silent_row(monkeypatch):
+    # every kernel gets the live rows alone (srh those whose LPC is stable
+    # too, here all of them), and stft its one summed row
+    analysis = NoteAnalysis(_gapped_note())
     n_live = int(analysis.live.sum())
     assert 0 < n_live < len(analysis.live) - 5
     handed = []
@@ -587,6 +592,40 @@ def test_no_kernel_is_handed_a_silent_row(monkeypatch):
         expected = 1 if method == "stft" else n_live
         assert handed and all(n == expected for _, n in handed), (method, handed)
         assert sum(v is not None for v in estimate.per_frame) == expected, method
+
+
+def test_stft_votes_on_the_live_frames_alone():
+    # an analysis whose spectrogram and silence mask are set by hand: its
+    # silent rows peak, louder, at another pitch than its live row, and
+    # stft votes the live row's pitch
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
+    live_row, silent_row = np.zeros(1025), np.zeros(1025)
+    live_row[[41, 82, 123]] = 1.0
+    silent_row[[61, 122, 183]] = 100.0
+    analysis.__dict__.update(spectrogram=np.stack([silent_row, live_row, silent_row]),
+                             live=np.array([False, True, False]))
+    cfg, bin_hz = DEFAULT_CONFIGS["stft"], analysis.bin_hz
+    expected = comb_vote(live_row, bin_hz, cfg)
+    assert expected == 41 * bin_hz != comb_vote(2 * silent_row + live_row, bin_hz, cfg)
+    assert REGISTRY["stft"].note_fn(analysis, cfg).per_frame == (expected,)
+    assert np.array_equal(analysis.live_spectrum, live_row)
+
+
+def test_live_and_srh_share_one_frame_energy(monkeypatch):
+    # live thresholds each Hann frame's sum of squares, and srh's LPC takes
+    # that same array as its lag 0
+    analysis = NoteAnalysis(_gapped_note())
+    hann = analysis.hann_frames
+    assert np.array_equal(analysis.energy, np.einsum("ij,ij->i", hann, hann))
+    assert np.array_equal(analysis.live, analysis.energy >= FRAME_LEN * SILENCE_RMS**2)
+    assert analysis.live.any() and not analysis.live.all()
+    assert np.array_equal(analysis.live, np.sqrt(np.mean(hann**2, axis=1)) >= SILENCE_RMS)
+    received = []
+    lpc = estimators._lpc_coefficients
+    monkeypatch.setattr(estimators, "_lpc_coefficients",
+                        lambda frames, energy: received.append(energy) or lpc(frames, energy))
+    estimate_note_many(analysis, {"srh": None})
+    assert len(received) == 1 and received[0] is analysis.energy
 
 
 # 8 harmonics of up to 1 kHz: a comb reaching 8 kHz, past the band's
@@ -632,9 +671,9 @@ def check_residual_against_a_second_fft(cfg, fs):
     pad, hann, q = N_FFT, analysis.hann_frames, analysis.decimation
     assert q == (4 if fs == 44100 else 1)
     mags = analysis.spectrogram
-    a, stable = _lpc_coefficients(hann)
+    a, stable = _lpc_coefficients(hann, analysis.energy)
     rows = np.flatnonzero(analysis.live & stable)
-    bins = _spectral_band(mags.shape[1], fs / pad, cfg)
+    bins = _comb(mags.shape[1], fs / pad, cfg)[0]
     top = min(mags.shape[1], bins[-1] * cfg.n_harmonics + 1)
     edge = math.floor(4000.0 / analysis.bin_hz) + 1
     in_band = bins[-1] * cfg.n_harmonics + 1 <= edge
@@ -762,11 +801,10 @@ def test_comb_range_above_the_band_is_out_of_range(method):
         estimate_note_many(analysis, {method: EstimatorConfig(6000.0, 7000.0, 2)})
 
 
-def test_spectral_band_is_kept_read_only():
+def test_comb_is_kept_read_only():
     cfg = EstimatorConfig(80.0, 1000.0, 4)
-    bins = _spectral_band(1025, 44100 / N_FFT, cfg)
-    assert _spectral_band(1025, 44100 / N_FFT, cfg) is bins
-    assert not bins.flags.writeable
+    bin_hz = 44100 / N_FFT
+    bins = np.arange(math.ceil(80.0 / bin_hz), math.floor(1000.0 / bin_hz) + 1)
     for residual in (False, True):
         comb = _comb(1025, 44100 / N_FFT, cfg, residual)
         again = _comb(1025, 44100 / N_FFT, cfg, residual)

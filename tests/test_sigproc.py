@@ -107,7 +107,6 @@ def test_importing_the_cli_fills_no_cache():
     assert {
         "pitchlab.sigproc.hann_window",
         "pitchlab.estimators._dft_rows",
-        "pitchlab.estimators._spectral_band",
         "pitchlab.estimators._comb",
         "pitchlab.estimators._band_filter",
     } <= set(caches)

@@ -19,7 +19,10 @@ The battery:
               noise seed 77) and grid H1 (4 songs from 6000, noise seed 11);
     quality   tools/quality.py --set A, H1 and H2;
     rates     per-note f0s of all 9 rows on song 31 at 8, 22.05, 96 and
-              192 kHz, clean and in each synthetic noise (seed 77) at 0 dB.
+              192 kHz, clean and in each synthetic noise (seed 77) at 0 dB;
+    silence   per-note f0s of all 9 rows on song 1000, clean, padded with
+              1 s of zeros into which its last note runs 0.5 s, so that
+              note holds silent frames.
 It takes a few minutes on 2 cores. --quick runs only per-note f0s of all
 9 rows on the first 8 notes of songs 1000 and 1001, clean and in pink
 noise at 0 dB, in about a second.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -44,6 +48,7 @@ ESTIMATE_SEEDS = (404, 9001, 5)
 GRIDS = {"A": (1000, 5, 77), "H1": (6000, 4, 11)}
 QUALITY_SETS = ("A", "H1", "H2")
 RATES = (8000, 22050, 96000, 192000)
+SILENCE_SEED = 1000
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
@@ -81,6 +86,21 @@ def _cli(argv) -> str:
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return out.getvalue() + f"exit {code}\n"
+
+
+def padded_song(seed: int):
+    """Song seed with 1 s of zeros appended and its last note stretched
+    0.5 s into them: (name, buffer, notes)."""
+    import numpy as np
+
+    from pitchlab.evaluation import synth_song
+    from pitchlab.sigproc import AudioBuffer
+
+    buffer, notes = synth_song(seed)
+    rate = buffer.sample_rate
+    padded = AudioBuffer(np.concatenate([buffer.samples, np.zeros(rate)]), rate)
+    last = dataclasses.replace(notes[-1], offset=len(buffer) / rate + 0.5)
+    return f"{seed}+silence", padded, (*notes[:-1], last)
 
 
 def emit(tree: Path, out: Path, quick: bool) -> None:
@@ -127,6 +147,7 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
         save(f"quality/{name}", quality.stdout)
     songs = [(f"31@{rate}", *synth_song(31, rate)) for rate in RATES]
     save("rates", f0_lines(songs, noises))
+    save("silence", f0_lines([padded_song(SILENCE_SEED)], {}))
 
 
 # ---------------------------------------------------------------------------
