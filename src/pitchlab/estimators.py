@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigOutOfRange, LpcUnstable
 from .sigproc import (
@@ -39,6 +38,7 @@ from .sigproc import (
     nsdf_matrix,
     overlap_energy_matrix,
     _check_magnitudes,
+    _frames,
 )
 
 FRAME_LEN = 2048
@@ -581,10 +581,10 @@ class NoteAnalysis:
     Built once per note so the estimators (and the ensemble) never repeat
     FFT work. Each quantity is one (n_frames x n) matrix, of which the
     method kernels are handed only the rows that live marks (_votes).
-    Frames start HOP samples apart.
 
-    Frames are FRAME_LEN samples at every rate; a note of at most
-    FRAME_LEN samples is one zero-padded frame. The spectral members read
+    sigproc._frames cuts every frame matrix: the note's frames (rect_matrix,
+    FRAME_LEN samples HOP apart at every rate, a view of the note, itself a
+    view of its song), the band's and rect_corr's. The spectral members read
     the note's band: the note low-passed and decimated by q (_decimation),
     framed at FRAME_LEN / q with hop HOP / q, so band frame k spans
     full-rate frame k, and Hann-windowed. One rFFT of those frames,
@@ -619,7 +619,7 @@ class NoteAnalysis:
 
     @cached_property
     def rect_matrix(self) -> np.ndarray:
-        """The rectangular frames as one (n_frames x FRAME_LEN) matrix."""
+        """The rectangular frames, a read-only (n_frames x FRAME_LEN) view."""
         return frame_signal(self.note, FRAME_LEN, HOP)
 
     @cached_property
@@ -649,10 +649,8 @@ class NoteAnalysis:
         q = self.decimation
         if q == 1:
             return self.hann_frames
-        length = FRAME_LEN // q
-        band = _decimated(self.note.samples, q)
-        band = np.pad(band, (0, max(0, length - band.size)))
-        return sliding_window_view(band, length)[:: HOP // q] * hann_window(length)
+        band = _frames(_decimated(self.note.samples, q), FRAME_LEN // q, HOP // q)
+        return band * hann_window(FRAME_LEN // q)
 
     @cached_property
     def _band_spectra(self) -> np.ndarray:
@@ -679,9 +677,8 @@ class NoteAnalysis:
     @cached_property
     def rect_corr(self) -> tuple[np.ndarray, np.ndarray]:
         """Autocorrelation and overlap-energy matrices of the rectangular frames."""
-        mat = self.rect_matrix
-        r = block_autocorr(self.note.samples, FRAME_LEN, HOP, len(mat), _CORR_MAX_LAG)
-        return r, overlap_energy_matrix(mat, _CORR_MAX_LAG)
+        r = block_autocorr(self.note.samples, FRAME_LEN, HOP, _CORR_MAX_LAG)
+        return r, overlap_energy_matrix(self.rect_matrix, _CORR_MAX_LAG)
 
 
 def vote_median(votes: list[float]) -> float:

@@ -1,9 +1,9 @@
 """Core signal types, framing and the spectral and lag transforms.
 
-Audio is handled as mono float64 throughout. A note's frames are the rows
-of one (n_frames x frame_len) matrix, which the spectral transforms take
-whole along its last axis. The autocorrelation instead transforms each
-hop-long block of the samples once, so a frame must be whole hops.
+Audio is handled as mono float64 throughout. Every frame matrix is a
+read-only view cut by _frames, whose rows the spectral transforms take whole
+along the last axis. The autocorrelation instead transforms each hop-long
+block of the frames once, so a frame must be whole hops.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
     def slice_seconds(self, start: float, stop: float) -> "AudioBuffer":
-        """Return the samples between two time points as a new buffer; the
+        """A view of the samples between two time points, as a buffer; the
         indices are clamped as floats, so a time of inf samples selects none."""
         n = self.samples.size
         i = int(round(min(max(0.0, start * self.sample_rate), n)))
         j = int(round(min(stop * self.sample_rate, n)))
-        return AudioBuffer(self.samples[i:j].copy(), self.sample_rate)
+        return AudioBuffer(self.samples[i:j], self.sample_rate)
 
 
 def _check_magnitudes(mags: np.ndarray) -> None:
@@ -113,25 +113,24 @@ def hann_window(n: int) -> np.ndarray:
     return w
 
 
-def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
-    """The buffer's frames as the rows of one (n_frames x frame_len) matrix.
+def _frames(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """The one framing rule: x's frames, the rows of a read-only view, frame
+    k being x[k hop : k hop + frame_len] for k = 0..(len - frame_len) // hop.
+    An x shorter than a frame is zero-padded to one frame."""
+    if x.size < frame_len:
+        x = np.pad(x, (0, frame_len - x.size))
+    return sliding_window_view(x, frame_len)[::hop]
 
-    There are floor((len - frame_len) / hop) + 1 frames, each a copy of
-    frame_len samples starting hop after the last. A buffer shorter than
-    frame_len yields exactly one zero-padded frame.
-    """
+
+def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
+    """The buffer's frames (_frames), a read-only view of its samples."""
     if len(buffer) == 0:
         raise EmptyBuffer("cannot frame an empty buffer")
     if frame_len < 1:
         raise ValueError("frame_len must be >= 1")
     if hop < 1:
         raise ValueError("hop must be >= 1")
-    x = buffer.samples
-    if x.size < frame_len:
-        frames = np.zeros((1, frame_len), dtype=np.float64)
-        frames[0, : x.size] = x
-        return frames
-    return sliding_window_view(x, frame_len)[::hop].copy()
+    return _frames(buffer.samples, frame_len, hop)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +155,14 @@ def magnitude_spectrum(frame: AudioBuffer) -> Spectrum:
     return Spectrum(magnitude_spectra(frame.samples), bin_hz=frame.sample_rate / len(frame))
 
 
-def block_autocorr(samples, frame_len: int, hop: int, n_frames: int, max_lag: int) -> np.ndarray:
-    """r(tau) = sum_t x(t) x(t+tau) of each frame, tau = 0..max_lag.
+def block_autocorr(samples, frame_len: int, hop: int, max_lag: int) -> np.ndarray:
+    """r(tau) = sum_t x(t) x(t+tau) of each frame (_frames), tau = 0..max_lag.
 
-    Frame f is samples[f hop : f hop + frame_len], zero-padded: B whole
-    blocks of hop samples, each rFFT'd once at 2 hop points (sectioned
-    correlation, Stockham 1966). Blocks d < k = max_lag // hop + 1 apart give
-    lags (d-1) hop + 1 .. (d+1) hop - 1 by their cross-spectra, summed over
-    each frame's B - d pairs and inverted; blocks k apart, by direct products.
+    A frame is B whole blocks of hop samples, each rFFT'd once at 2 hop
+    points (sectioned correlation, Stockham 1966). Blocks d < k = max_lag //
+    hop + 1 apart give lags (d-1) hop + 1 .. (d+1) hop - 1 by their
+    cross-spectra, summed over each frame's B - d pairs and inverted; blocks
+    k apart, by direct products.
     """
     if max_lag < 0 or max_lag >= frame_len:
         raise LagOutOfRange(
@@ -171,8 +170,10 @@ def block_autocorr(samples, frame_len: int, hop: int, n_frames: int, max_lag: in
         )
     if hop < 1 or frame_len % hop:
         raise ValueError(f"frame length {frame_len} is not a whole number of hops of {hop}")
-    per_frame, span, k = frame_len // hop, (n_frames - 1) * hop + frame_len, max_lag // hop + 1
-    blocks = np.concatenate([samples[:span], np.zeros(max(0, span - samples.size))]).reshape(-1, hop)
+    frames = _frames(samples, frame_len, hop)
+    n_frames, per_frame, k = len(frames), frame_len // hop, max_lag // hop + 1
+    # each frame's first block, then the last frame's later ones
+    blocks = np.concatenate([frames[:, :hop], frames[-1, hop:].reshape(-1, hop)])
     spec = np.fft.rfft(blocks, n=2 * hop, axis=1)
     cross = np.empty((k, n_frames, hop + 1), dtype=np.complex128)
     for d in range(k):
@@ -240,4 +241,4 @@ def autocorrelation(frame: AudioBuffer, max_lag: int) -> CorrelationFunction:
     it against a quadratic-time sum, which is why this entry point remains.
     """
     n = len(frame)
-    return CorrelationFunction(block_autocorr(frame.samples, n, n, 1, max_lag)[0])
+    return CorrelationFunction(block_autocorr(frame.samples, n, n, max_lag)[0])

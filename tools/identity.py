@@ -21,11 +21,12 @@ The battery:
     rates     per-note f0s of all 9 rows on song 31 at 8, 22.05, 96 and
               192 kHz, clean and in each synthetic noise (seed 77) at 0 dB;
     silence   per-note f0s of all 9 rows on song 1000, clean, padded with
-              1 s of zeros into which its last note runs 0.5 s, so that
-              note holds silent frames.
+              1 s of noise at 1e-7 peak into which its last note runs
+              0.5 s, so that note holds silent frames whose spectra are
+              not zero: a kernel that scores them moves its f0s.
 It takes a few minutes on 2 cores. --quick runs only per-note f0s of all
 9 rows on the first 8 notes of songs 1000 and 1001, clean and in pink
-noise at 0 dB, in about a second.
+noise at 0 dB, and the silence artefact, in a second or two.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def _cli(argv) -> str:
 
 
 def padded_song(seed: int):
-    """Song seed with 1 s of zeros appended and its last note stretched
-    0.5 s into them: (name, buffer, notes)."""
+    """Song seed with 1 s of noise at 1e-7 peak appended and its last note
+    stretched 0.5 s into it: (name, buffer, notes). The noise's Hann RMS,
+    about 4e-8, keeps those frames silent (SILENCE_RMS is 1e-5)."""
     import numpy as np
 
     from pitchlab.evaluation import synth_song
@@ -98,7 +100,8 @@ def padded_song(seed: int):
 
     buffer, notes = synth_song(seed)
     rate = buffer.sample_rate
-    padded = AudioBuffer(np.concatenate([buffer.samples, np.zeros(rate)]), rate)
+    tail = 1e-7 * np.random.default_rng(seed).uniform(-1.0, 1.0, rate)
+    padded = AudioBuffer(np.concatenate([buffer.samples, tail]), rate)
     last = dataclasses.replace(notes[-1], offset=len(buffer) / rate + 0.5)
     return f"{seed}+silence", padded, (*notes[:-1], last)
 
@@ -116,6 +119,7 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
         path.write_text(text, encoding="utf-8")
 
     noises = synthetic_noise_refs(77)
+    save("silence", f0_lines([padded_song(SILENCE_SEED)], {}))
     if quick:
         songs = [(str(seed), buffer, notes[:8])
                  for seed in (1000, 1001) for buffer, notes in [synth_song(seed)]]
@@ -147,7 +151,6 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
         save(f"quality/{name}", quality.stdout)
     songs = [(f"31@{rate}", *synth_song(31, rate)) for rate in RATES]
     save("rates", f0_lines(songs, noises))
-    save("silence", f0_lines([padded_song(SILENCE_SEED)], {}))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +234,7 @@ def export(rev: str, dest: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare the working tree against")
-    parser.add_argument("--quick", action="store_true", help="the one-second subset")
+    parser.add_argument("--quick", action="store_true", help="the quick subset")
     parser.add_argument("--emit", nargs=2, metavar=("TREE", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit:
