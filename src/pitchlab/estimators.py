@@ -327,32 +327,29 @@ def refine_f0(analysis: NoteAnalysis, f0: float) -> float:
     return float(np.average(estimates, weights=weights)) if estimates else f0
 
 
-def _lpc_coefficients(frames: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row order-LPC_ORDER predictors by the Levinson-Durbin recursion,
-    energy holding each row's sum of squares (its lag-0 autocorrelation).
+def _lpc(frames: np.ndarray, r0: float) -> np.ndarray | None:
+    """The one order-LPC_ORDER predictor of all rows of frames, by the
+    Levinson-Durbin recursion on their autocorrelation lags summed over the
+    rows, r0 being lag 0 (the rows' summed sums of squares).
 
-    Returns (a, stable): a is (n_frames x LPC_ORDER+1) with a[:, 0] = 1, and
-    stable is False on rows that have no energy or whose prediction error
-    stops being positive and finite at any step; their a is meaningless.
+    Returns a with a[0] = 1, or None when the prediction error stops being
+    positive and finite at any step (as it does when a lag is not). The lags
+    are einsum sums, not BLAS products, whose last bits would depend on
+    the BLAS thread count; the recursion runs on 13 Python floats.
     """
     n = frames.shape[1]
     if LPC_ORDER >= n:
         raise ValueError(f"order {LPC_ORDER} must be smaller than the frame length {n}")
-    lags = [np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:]) for k in range(1, LPC_ORDER + 1)]
-    r = np.stack([energy, *lags], axis=1)
-    a = np.zeros_like(r)
-    a[:, 0] = 1.0
-    # errs[:, i] is the prediction error after step i; step 0's is r(0)
-    errs = np.empty_like(r)
-    errs[:, 0] = r[:, 0]
-    with np.errstate(all="ignore"):
-        for i in range(1, LPC_ORDER + 1):
-            acc = r[:, i] + (a[:, 1:i] * r[:, i - 1 : 0 : -1]).sum(axis=1)
-            k = -acc / errs[:, i - 1]
-            a[:, 1 : i + 1] += k[:, None] * a[:, i - 1 :: -1]
-            np.multiply(errs[:, i - 1], 1.0 - k * k, out=errs[:, i])
-    stable = np.all(np.isfinite(r), axis=1) & np.all((errs > 0) & np.isfinite(errs), axis=1)
-    return a, stable
+    r = [r0] + [float(np.einsum("ij,ij->", frames[:, : n - k], frames[:, k:]))
+                for k in range(1, LPC_ORDER + 1)]
+    a, err = [1.0], r[0]
+    for i in range(1, LPC_ORDER + 1):
+        if not 0.0 < err < math.inf:
+            return None
+        k = -(r[i] + sum(a[j] * r[i - j] for j in range(1, i))) / err
+        a = [1.0] + [a[j] + k * a[i - j] for j in range(1, i)] + [k]
+        err *= 1.0 - k * k
+    return np.array(a) if 0.0 < err < math.inf else None
 
 
 @lru_cache(maxsize=4)
@@ -370,31 +367,31 @@ def _dft_rows(order: int, top: int) -> np.ndarray:
 
 
 def _whitened(a: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """mags times |A|, A the DFT of each row's predictor a zero-padded to
-    N_FFT points, on the bins mags holds (Makhoul 1975).
+    """Each row of mags times |A|, A the DFT of the one predictor a
+    zero-padded to N_FFT points, on the bins mags holds (Makhoul 1975).
 
     mags holds the leading bins of frames' magnitude spectra at the grid
-    of an N_FFT-point transform: srh passes the band's bins, since its
-    predictors are fitted at full rate. On a full-rate spectrum
-    zero-padded to N_FFT points, the product is the magnitude spectrum of
-    each frame's full convolution with its predictor. The residual cut to
-    the frame's length lacks only the order samples past the frame's end,
-    which sum over its last order samples; there a periodic Hann window
-    of FRAME_LEN points is at most (order pi / FRAME_LEN)^2, 3.4e-4 at
-    order 12. The band's bins below 4 kHz are the full-rate ones over q,
-    to 2e-4 of a frame's peak.
+    of an N_FFT-point transform: srh passes the band's bins of its note's
+    live frames, since its predictor is fitted at full rate. On a
+    full-rate spectrum zero-padded to N_FFT points, the product is the
+    magnitude spectrum of each frame's full convolution with a. The
+    residual cut to the frame's length lacks only the order samples past
+    the frame's end, which sum over its last order samples; there a
+    periodic Hann window of FRAME_LEN points is at most
+    (order pi / FRAME_LEN)^2, 3.4e-4 at order 12. The band's bins below
+    4 kHz are the full-rate ones over q, to 2e-4 of a frame's peak.
     """
     # einsum rather than @: a BLAS product faults in its work buffer, which
     # stays resident.
-    A = np.einsum("im,mk->ik", a, _dft_rows(a.shape[1] - 1, mags.shape[1]))
+    A = np.einsum("m,mk->k", a, _dft_rows(a.size - 1, mags.shape[1]))
     return mags * np.abs(A.view(complex))
 
 
 def _srh_f0s(a: np.ndarray, mags: np.ndarray, bin_hz: float, cfg: EstimatorConfig) -> np.ndarray:
     """Per-row residual-harmonics f0 (Drugman & Alwan 2011): each row of
     mags, leading bins of a spectrum at the grid of an N_FFT-point
-    transform, whitened by its predictor in a (_whitened) on the bins the
-    residual comb reads, then scored by that comb."""
+    transform, whitened by the note's one predictor a (_whitened) on the
+    bins the residual comb reads, then scored by that comb."""
     comb = _comb(mags.shape[1], bin_hz, cfg, residual=True)
     top = min(mags.shape[1], int(comb[0][-1]) * cfg.n_harmonics + 1)
     whitened = _whitened(a, mags[:, :top])
@@ -508,16 +505,15 @@ def lpc_residual(frame: AudioBuffer) -> AudioBuffer:
     """Inverse-filter a frame by its own order-LPC_ORDER linear predictor.
 
     Raises LpcUnstable when the frame has no energy or the recursion loses
-    positive definiteness. Kept as the one-frame view of _lpc_coefficients
-    that the scalar Levinson reference test compares against; perfbench's
-    tracer patches it.
+    positive definiteness. Kept as the one-frame view of _lpc, srh's
+    recursion, that the scalar Levinson reference test compares against;
+    perfbench's tracer patches it.
     """
     x = frame.samples
-    frames = x[None]
-    a, stable = _lpc_coefficients(frames, np.einsum("ij,ij->i", frames, frames))
-    if not stable[0]:
+    a = _lpc(x[None], float(np.einsum("i,i->", x, x)))
+    if a is None:
         raise LpcUnstable("frame has no energy to predict, or the prediction error collapsed")
-    return AudioBuffer(np.convolve(x, a[0])[: x.size], frame.sample_rate)
+    return AudioBuffer(np.convolve(x, a)[: x.size], frame.sample_rate)
 
 
 def srh_scores(
@@ -590,9 +586,9 @@ class NoteAnalysis:
     full-rate frame k, and Hann-windowed. One rFFT of those frames,
     zero-padded to N_FFT / q points, gives spectrogram, which hps and ml
     read, whose live rows' sum, live_spectrum, stft and refine_f0 read, and
-    on which srh whitens by a predictor fitted to the full-rate hann_frames
-    and their energy. Its bins are bin_hz = sample_rate / N_FFT
-    apart at every q. At q = 1 the band frames are hann_frames. cepstrum
+    whose live rows srh whitens by one predictor per note, fitted to the
+    live rows of the full-rate hann_frames and their energy. Its bins are
+    bin_hz = sample_rate / N_FFT apart at every q. At q = 1 the band frames are hann_frames. cepstrum
     takes its own un-padded rFFT of hann_frames. All properties are lazy,
     and estimate_note_many keeps each (method, config) estimate here so
     that it runs at most once.
@@ -629,8 +625,8 @@ class NoteAnalysis:
 
     @cached_property
     def energy(self) -> np.ndarray:
-        """Each Hann frame's sum of squares: live's test, and the lag-0
-        autocorrelation that srh's predictors start from."""
+        """Each Hann frame's sum of squares: live's test, and, summed over
+        the live frames, the lag-0 autocorrelation of srh's predictor."""
         return np.einsum("ij,ij->i", self.hann_frames, self.hann_frames)
 
     @cached_property
@@ -749,10 +745,13 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
 
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    """Frames whose LPC recursion breaks down vote unvoiced, as silent ones do."""
-    a, stable = _lpc_coefficients(analysis.hann_frames, analysis.energy)
+    """One predictor per note, fitted to the live frames (_lpc), whitens
+    every live frame. A note whose recursion breaks down, an all-silent one
+    among them (its lag 0 is 0), votes unvoiced on every frame."""
+    live = analysis.live
+    a = _lpc(analysis.hann_frames[live], float(analysis.energy[live].sum()))
     mags, bin_hz = analysis.spectrogram, analysis.bin_hz
-    return _votes(analysis.live & stable, lambda rows: _srh_f0s(a[rows], mags[rows], bin_hz, cfg))
+    return _votes(live & (a is not None), lambda rows: _srh_f0s(a, mags[rows], bin_hz, cfg))
 
 
 def _note_acf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:

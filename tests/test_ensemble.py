@@ -16,6 +16,7 @@ from pitchlab.ensemble import (
     EnsembleSpec,
     ExternalEstimator,
     ensemble_estimate,
+    ensemble_f0,
     fuse_votes,
     load_ensemble_spec,
     member_votes,
@@ -400,6 +401,22 @@ def test_ensemble_refines_below_the_bin_grid():
         analysis = NoteAnalysis(note)
         assert all(abs(v.f0 - f) > 0.2 for v in member_votes(analysis, EnsembleSpec(), {}).values())
         assert abs(ensemble_estimate(note).f0 - f) < 0.2
+
+
+def test_a_note_whose_lpc_breaks_down_silences_srh_alone():
+    # energy set to zeros by hand under an all-true live: srh's lag 0 is 0,
+    # so the note's one recursion breaks down, srh votes unvoiced on every
+    # frame, and the ensemble fuses the other three members
+    analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
+    n = len(analysis.rect_matrix)
+    analysis.__dict__.update(energy=np.zeros(n), live=np.ones(n, dtype=bool))
+    votes = member_votes(analysis, EnsembleSpec(), {})
+    assert n > 1 and votes["srh"].per_frame == (None,) * n
+    others = [votes[name].f0 for name in DEFAULT_MEMBERS if name != "srh"]
+    assert len(others) == 3 and None not in others
+    f0 = ensemble_f0(analysis, EnsembleSpec(), {})
+    assert f0 == refine_f0(analysis, fuse_votes(others))
+    assert abs(f0 / 220.0 - 1.0) < QUARTER_TONE
 
 
 def test_member_votes_reuses_precomputed():

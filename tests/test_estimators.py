@@ -29,7 +29,6 @@ from pitchlab.estimators import (
     _comb_f0s,
     _comb_scores,
     _lag_window,
-    _lpc_coefficients,
     _whitened,
     _yin_lag,
     estimate_note,
@@ -543,18 +542,30 @@ def test_note_kernels_match_frame_level_functions():
     got = estimate_note_many(analysis, {m: None for m in methods})
     fs, live = analysis.sample_rate, analysis.live
 
-    # Each kernel on the whole note equals its one-row calls exactly.
+    # Each kernel but srh on the whole note equals its one-row calls exactly.
     for method in methods:
+        if method == "srh":
+            continue
         rows = [REGISTRY[method].note_fn(_frame(analysis, i), DEFAULT_CONFIGS[method])
                 for i in range(len(live))]
         assert got[method].per_frame == tuple(row.per_frame[0] for row in rows), method
 
-    # srh votes unvoiced exactly on silent frames and where the one-frame
-    # LPC breaks down, which happens on some live frames
+    # srh fits one predictor to the note's live frames, so a frame's vote
+    # reads the other frames' samples but no other frame's spectrum: it is
+    # the vote it gets when every frame's spectrum is its own.
+    srh = got["srh"].per_frame
+    for i in np.flatnonzero(live):
+        alike = SimpleNamespace(
+            sample_rate=fs, bin_hz=analysis.bin_hz, live=live, hann_frames=analysis.hann_frames,
+            energy=analysis.energy,
+            spectrogram=np.broadcast_to(analysis.spectrogram[i], analysis.spectrogram.shape))
+        assert REGISTRY["srh"].note_fn(alike, DEFAULT_CONFIGS["srh"]).per_frame[i] == srh[i], i
+
+    # srh votes unvoiced exactly on silent frames: the one-frame LPC breaks
+    # down on some live frames (the pure tone), but the note's does not
     broken = [_lpc_breaks_down(rect_frame(row, fs)) for row in analysis.hann_frames]
     assert any(b and row_live for b, row_live in zip(broken, live))
-    unvoiced = [b or not row_live for b, row_live in zip(broken, live)]
-    assert [v is None for v in got["srh"].per_frame] == unvoiced
+    assert [v is None for v in srh] == list(~live)
 
     # Lag members: each frame as a one-frame note. The note path transforms
     # all frames in one batched rFFT, whose last bits may differ from a
@@ -576,16 +587,17 @@ def _gapped_note(fs=44100):
 
 
 def test_no_kernel_is_handed_a_silent_row(monkeypatch):
-    # every kernel gets the live rows alone (srh those whose LPC is stable
-    # too, here all of them), and stft its one summed row
+    # every kernel gets the live rows alone (srh's are the rows of mags, its
+    # second argument; its first is the note's one predictor), and stft its
+    # one summed row
     analysis = NoteAnalysis(_gapped_note())
     n_live = int(analysis.live.sum())
     assert 0 < n_live < len(analysis.live) - 5
     handed = []
-    for name in ("_comb_f0s", "_lag_f0s", "_srh_f0s"):
+    for name, matrix in (("_comb_f0s", 0), ("_lag_f0s", 0), ("_srh_f0s", 1)):
         kernel = getattr(estimators, name)
-        monkeypatch.setattr(estimators, name, lambda values, *args, _kernel=kernel, _name=name: (
-            handed.append((_name, len(values))) or _kernel(values, *args)))
+        monkeypatch.setattr(estimators, name, lambda *args, _kernel=kernel, _name=name, _i=matrix: (
+            handed.append((_name, len(args[_i]))) or _kernel(*args)))
     for method in ALL_METHODS:
         handed.clear()
         estimate = estimate_note_many(analysis, {method: None})[method]
@@ -611,21 +623,78 @@ def test_stft_votes_on_the_live_frames_alone():
     assert np.array_equal(analysis.live_spectrum, live_row)
 
 
+def srh_predictor(analysis, monkeypatch):
+    """The one predictor by which srh whitens analysis's live frames."""
+    seen = []
+    kernel = estimators._srh_f0s
+    monkeypatch.setattr(estimators, "_srh_f0s", lambda a, *args: seen.append(a) or kernel(a, *args))
+    estimate_note_many(analysis, {"srh": None})
+    (a,) = seen
+    return a
+
+
+def textbook_predictor(rows, r0=None):
+    """Textbook Levinson-Durbin on autocorrelation lags 0..LPC_ORDER summed
+    over rows by direct products, with r0 for lag 0 when given."""
+    n = rows.shape[1]
+    r = [sum(np.dot(row[: n - k], row[k:]) for row in rows) for k in range(LPC_ORDER + 1)]
+    r[0] = r[0] if r0 is None else r0
+    a = np.zeros(LPC_ORDER + 1)
+    a[0], err = 1.0, r[0]
+    for i in range(1, LPC_ORDER + 1):
+        k = -(r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])) / err
+        a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1]
+        err *= 1.0 - k * k
+    return a
+
+
 def test_live_and_srh_share_one_frame_energy(monkeypatch):
-    # live thresholds each Hann frame's sum of squares, and srh's LPC takes
-    # that same array as its lag 0
+    # live thresholds each Hann frame's sum of squares, and srh's predictor
+    # takes that same array, summed over the live frames, as its lag 0: with
+    # energy raised by hand on every frame, silent ones too, the predictor
+    # is the textbook one on that sum and the live frames' own lags 1-12
     analysis = NoteAnalysis(_gapped_note())
     hann = analysis.hann_frames
     assert np.array_equal(analysis.energy, np.einsum("ij,ij->i", hann, hann))
     assert np.array_equal(analysis.live, analysis.energy >= FRAME_LEN * SILENCE_RMS**2)
     assert analysis.live.any() and not analysis.live.all()
     assert np.array_equal(analysis.live, np.sqrt(np.mean(hann**2, axis=1)) >= SILENCE_RMS)
-    received = []
-    lpc = estimators._lpc_coefficients
-    monkeypatch.setattr(estimators, "_lpc_coefficients",
-                        lambda frames, energy: received.append(energy) or lpc(frames, energy))
-    estimate_note_many(analysis, {"srh": None})
-    assert len(received) == 1 and received[0] is analysis.energy
+    energy = analysis.energy + 1.0
+    analysis.__dict__["energy"] = energy
+    expected = textbook_predictor(hann[analysis.live], energy[analysis.live].sum())
+    assert not np.allclose(expected, textbook_predictor(hann[analysis.live]), rtol=1e-3)
+    np.testing.assert_allclose(srh_predictor(analysis, monkeypatch), expected, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("first_only", [False, True], ids=["live", "hand_set_live"])
+def test_srh_fits_one_predictor_to_the_live_frames(first_only, monkeypatch):
+    # the note's one predictor is the textbook one on the lags of its live
+    # Hann frames alone; with live set by hand to the first sawtooth's
+    # frames, the loud frames of the second add nothing to it
+    analysis = NoteAnalysis(_gapped_note())
+    live = analysis.live.copy()
+    if first_only:
+        live[len(live) // 2 :] = False
+        analysis.__dict__["live"] = live
+    expected = textbook_predictor(analysis.hann_frames[live])
+    np.testing.assert_allclose(srh_predictor(analysis, monkeypatch), expected, rtol=1e-9, atol=1e-12)
+
+
+def test_padding_a_note_with_silent_frames_leaves_srh_voiced_votes(rng):
+    # a note that starts and ends in a frame of silence, padded with whole
+    # hops of noise below the silence threshold: every frame of the note is
+    # a frame of the padded note, and the new frames are silent, so the
+    # predictor, and with it every voiced vote, stays
+    fs = 44100
+    note = np.concatenate([np.zeros(FRAME_LEN), sawtooth(220.0, int(0.2 * fs), fs), np.zeros(FRAME_LEN)])
+    hops = lambda n: 2e-5 * rng.uniform(-1.0, 1.0, n * HOP)
+    padded = NoteAnalysis(AudioBuffer(np.concatenate([hops(3), note, hops(5)]), fs))
+    plain = NoteAnalysis(AudioBuffer(note, fs))
+    assert len(padded.live) == len(plain.live) + 8 and plain.live.sum() == padded.live.sum()
+    assert not padded.live[:3].any() and padded.energy[:3].all()
+    votes = [[v for v in estimate_note_many(a, {"srh": None})["srh"].per_frame if v is not None]
+             for a in (plain, padded)]
+    assert votes[0] and votes[0] == votes[1]
 
 
 # 8 harmonics of up to 1 kHz: a comb reaching 8 kHz, past the band's
@@ -642,27 +711,28 @@ PAST_THE_BAND = EstimatorConfig(80.0, 1000.0, 8)
     (DEFAULT_CONFIGS["srh"], 16000),
 ], ids=["default", "past_the_band", "default_at_16k"])
 def test_srh_residual_spectrum_matches_a_second_fft(cfg, fs):
-    # the comb past the band scores its harmonics there as 0, so 14 of its
+    # the comb past the band scores its harmonics there as 0, so 12 of its
     # frames vote otherwise than on the full-rate residual
     differ = check_residual_against_a_second_fft(cfg, fs)
-    assert differ == (14 if cfg == PAST_THE_BAND else 0)
+    assert differ == (12 if cfg == PAST_THE_BAND else 0)
 
 
 def check_residual_against_a_second_fft(cfg, fs):
-    # srh whitens the band's Hann magnitudes by |A|, the DFT of a predictor
-    # fitted to the full-rate Hann frame and zero-padded to the full-rate
-    # FFT length. Two references, each from a second FFT:
+    # srh whitens the band's Hann magnitudes by |A|, the DFT of the note's
+    # one predictor, fitted to its live full-rate Hann frames
+    # (textbook_predictor), zero-padded to the full-rate FFT length. Two
+    # references, each from a second FFT:
     # - the band's magnitudes times |A| taken by an rFFT of the predictor;
-    # - the full-rate residual spectrum: each Hann frame convolved with its
-    #   predictor in full, which fits in the FFT length, and transformed
+    # - the full-rate residual spectrum: each Hann frame convolved with the
+    #   note's predictor in full, which fits in the FFT length, and transformed
     #   again. The band's magnitudes are the full-rate ones over q to
     #   1.6e-4 of the frame's peak below 4 kHz, so the product matches
-    #   there to 2e-4; at q = 1 it is the residual spectrum itself, to
-    #   rounding.
-    # On frames that the predictor all but cancels (the pure tone), the
-    # product falls to 1e-7 of the frame's spectrum, and either way of
-    # computing it rounds at the frame's scale, so the tolerances have a
-    # floor there.
+    #   there to 2e-4 of it times |A|'s largest gain there, where that
+    #   gain is above 1 (1.35 at 3.7 kHz at 44.1 kHz); at q = 1 it is the
+    #   residual spectrum itself, to rounding.
+    # Where the predictor attenuates a frame's spectrum most, either way of
+    # computing the product rounds at the frame's scale, so the tolerances
+    # have a floor there.
     # srh's votes must be those picked from the full-rate residual spectrum
     # when its comb stays below 4 kHz. A comb reaching past the band votes
     # on the band product, and the frames where that differs from the
@@ -671,14 +741,15 @@ def check_residual_against_a_second_fft(cfg, fs):
     pad, hann, q = N_FFT, analysis.hann_frames, analysis.decimation
     assert q == (4 if fs == 44100 else 1)
     mags = analysis.spectrogram
-    a, stable = _lpc_coefficients(hann, analysis.energy)
-    rows = np.flatnonzero(analysis.live & stable)
+    rows = np.flatnonzero(analysis.live)
+    a = textbook_predictor(hann[rows])
     bins = _comb(mags.shape[1], fs / pad, cfg)[0]
     top = min(mags.shape[1], bins[-1] * cfg.n_harmonics + 1)
     edge = math.floor(4000.0 / analysis.bin_hz) + 1
     in_band = bins[-1] * cfg.n_harmonics + 1 <= edge
     flat = min(top, edge)
-    got = _whitened(a[rows], mags[rows, :top])
+    got = _whitened(a, mags[rows, :top])
+    gain = np.abs(np.fft.rfft(a, n=pad))
 
     def vote(spectrum):
         grid, scores = srh_scores(Spectrum(spectrum, fs / pad), cfg)
@@ -687,11 +758,11 @@ def check_residual_against_a_second_fft(cfg, fs):
     votes = [None] * len(hann)
     differ = 0
     for j, i in enumerate(rows):
-        product = mags[i, :top] * np.abs(np.fft.rfft(a[i], n=pad))[:top]
+        product = mags[i, :top] * gain[:top]
         np.testing.assert_allclose(got[j], product, rtol=1e-9, atol=1e-9 * mags[i].max())
-        residual = np.abs(np.fft.rfft(np.convolve(hann[i], a[i]), n=pad))
+        residual = np.abs(np.fft.rfft(np.convolve(hann[i], a), n=pad))
         peak = np.abs(np.fft.rfft(hann[i], n=pad)).max()
-        bound = (2e-4 if q > 1 else 1e-9) * peak
+        bound = (2e-4 if q > 1 else 1e-9) * peak * max(1.0, gain[:flat].max())
         assert np.abs(q * got[j, :flat] - residual[:flat]).max() <= bound
         votes[i] = vote(residual) if in_band else vote(product)
         differ += votes[i] != vote(residual)
