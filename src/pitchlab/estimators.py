@@ -749,7 +749,8 @@ def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     every live frame. A note whose recursion breaks down, an all-silent one
     among them (its lag 0 is 0), votes unvoiced on every frame."""
     live = analysis.live
-    a = _lpc(analysis.hann_frames[live], float(analysis.energy[live].sum()))
+    fit = slice(None) if live.all() else live  # _votes' rule: no copy when every row is live
+    a = _lpc(analysis.hann_frames[fit], float(analysis.energy[fit].sum()))
     mags, bin_hz = analysis.spectrogram, analysis.bin_hz
     return _votes(live & (a is not None), lambda rows: _srh_f0s(a, mags[rows], bin_hz, cfg))
 

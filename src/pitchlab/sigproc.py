@@ -50,12 +50,11 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
     def slice_seconds(self, start: float, stop: float) -> "AudioBuffer":
-        """A view of the samples between two time points, as a buffer; the
-        indices are clamped as floats, so a time of inf samples selects none."""
-        n = self.samples.size
-        i = int(round(min(max(0.0, start * self.sample_rate), n)))
-        j = int(round(min(stop * self.sample_rate, n)))
-        return AudioBuffer(self.samples[i:j], self.sample_rate)
+        """A view of the samples between two time points, as a buffer; the start is
+        clamped to [0, n] samples and the stop to [start, n], as floats, inf and NaN too."""
+        start = min(max(0.0, start * self.sample_rate), self.samples.size)
+        stop = min(max(start, stop * self.sample_rate), self.samples.size)
+        return AudioBuffer(self.samples[int(round(start)) : int(round(stop))], self.sample_rate)
 
 
 def _check_magnitudes(mags: np.ndarray) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
-from pitchlab.cli import _bench_config, main
+from pitchlab.cli import main
 from pitchlab.ensemble import (
     DEFAULT_EXTERNAL_F_MAX,
     DEFAULT_EXTERNAL_F_MIN,
@@ -25,9 +25,7 @@ from pitchlab.evaluation import NoteSegment, estimate_song, hz_to_midi, pitch_er
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import sawtooth, wav_bytes
-
-QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0
+from conftest import QUARTER_TONE, sawtooth, wav_bytes
 
 # A 0.1 s float WAV: a 12-byte RIFF header, fmt (16-byte body) at 12, data at 36.
 VALID_WAV = wav_bytes(np.full(2205, 0.1, dtype=np.float32).tobytes(), rate=22050)
@@ -604,10 +602,13 @@ class TestBench:
         assert_one_line_input_error(*run_cli(capsys, "bench", str(path), "--jobs", jobs))
         assert not (tmp_path / "out").exists()
 
-    def test_command_line_overrides_replace_the_config_unless_none(self, tmp_path):
-        path = str(self.bench_config(tmp_path))
-        assert _bench_config(path)["out"] == str(tmp_path / "out")
-        assert _bench_config(path, out="elsewhere")["out"] == "elsewhere"
+    def test_command_line_overrides_replace_the_config_unless_none(self, tmp_path, capsys):
+        # a missing annotation stops the run just after it makes its output directory
+        path = self.bench_config(tmp_path, songs={"annotations": [str(tmp_path / "none.notes")]})
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path), "--out", str(tmp_path / "else")))
+        assert (tmp_path / "else").is_dir() and not (tmp_path / "out").exists()
+        assert_one_line_input_error(*run_cli(capsys, "bench", str(path)))
+        assert (tmp_path / "out").is_dir()
 
     @pytest.mark.parametrize("command", ["   ", "foo \"bar"])
     def test_external_env_that_names_no_program_is_exit_2_before_out(self, command, tmp_path,

@@ -26,17 +26,14 @@ from pitchlab.estimators import (
     REGISTRY,
     EstimatorConfig,
     NoteAnalysis,
-    _votes,
     estimate_note_many,
     refine_f0,
 )
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import saw_buffer, sine_buffer
+from conftest import QUARTER_TONE, saw_buffer, sine_buffer
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-
-QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0
 
 
 class TestFuseVotes:
@@ -73,15 +70,22 @@ VOTE_LISTS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(votes=VOTE_LISTS, n_unvoiced=st.integers(0, 3))
 def test_medians_equal_numpys_to_the_float(votes, n_unvoiced):
-    # sorting and taking the middle gives np.median's float, for odd and
-    # even counts; unvoiced votes and the quorum of two are unchanged
+    # sorting and taking the middle gives np.median's float, for odd and even
+    # counts; unvoiced votes and the quorum of two are unchanged. A kernel's
+    # note f0 is that median of its frames' votes: acf's at 8 kHz, on rows each
+    # peaking at one lag in [2, 1024] drawn from the votes, then silent rows
     expected = float(np.median(votes))
     fused = fuse_votes(votes + [None] * n_unvoiced)
     assert fused is None if len(votes) < 2 else (type(fused) is float and fused == expected)
-    f0s = np.array(votes + [np.nan] * n_unvoiced)
-    estimate = _votes(~np.isnan(f0s), lambda rows: f0s[rows])
-    assert type(estimate.f0) is float and estimate.f0 == expected
-    assert estimate.per_frame == tuple(votes) + (None,) * n_unvoiced
+    lags = [2 + int(v) % 1023 for v in votes]
+    r = np.zeros((len(lags) + n_unvoiced, 1026))
+    r[np.arange(len(lags)), lags] = 1.0
+    analysis = NoteAnalysis(AudioBuffer(np.zeros(1), 8000))
+    analysis.__dict__.update(rect_corr=(r, None), live=np.arange(len(r)) < len(lags))
+    estimate = REGISTRY["acf"].note_fn(analysis, EstimatorConfig(8000 / 1024, 4000.0))
+    f0s = [8000 / lag for lag in lags]
+    assert type(estimate.f0) is float and estimate.f0 == float(np.median(f0s))
+    assert estimate.per_frame == tuple(f0s) + (None,) * n_unvoiced
 
 
 class TestEnsembleSpec:

@@ -24,12 +24,6 @@ from pitchlab.estimators import (
     PitchEstimate,
     REFINE_WINDOW,
     REGISTRY,
-    _acf_lag,
-    _comb,
-    _comb_f0s,
-    _comb_scores,
-    _lag_window,
-    _whitened,
     _yin_lag,
     estimate_note,
     estimate_note_many,
@@ -47,9 +41,13 @@ from pitchlab.sigproc import (
     nsdf_matrix,
 )
 
+from conftest import QUARTER_TONE
 from conftest import one_frame_estimate, rect_frame, saw_buffer, sawtooth, sine, sine_buffer
 
-QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0  # about 2.93 percent
+
+def stand_in(**quantities):
+    """A stand-in NoteAnalysis holding only the quantities a kernel reads; one live frame by default."""
+    return SimpleNamespace(**{"live": np.ones(1, dtype=bool), **quantities})
 
 
 def test_default_search_ranges():
@@ -66,23 +64,17 @@ def test_default_search_ranges():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(-1.0, 100.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(200.0, 100.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(100.0, 100.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(20.0, 1000.0, 0)
+    for bad in [(-1.0, 100.0), (200.0, 100.0), (100.0, 100.0), (20.0, 1000.0, 0)]:
+        with pytest.raises(ValueError):
+            EstimatorConfig(*bad)
 
 
 def test_pitch_estimate_validation():
     assert PitchEstimate(None).voiced is False
     assert PitchEstimate(440.0).voiced is True
-    with pytest.raises(ValueError):
-        PitchEstimate(0.0)
-    with pytest.raises(ValueError):
-        PitchEstimate(-5.0)
+    for f0 in (0.0, -5.0):
+        with pytest.raises(ValueError):
+            PitchEstimate(f0)
 
 
 def test_load_configs_partial_override(tmp_path):
@@ -96,12 +88,10 @@ def test_load_configs_partial_override(tmp_path):
 
 def test_load_configs_rejects_unknown(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"swipe": {"f_max": 600}}')
-    with pytest.raises(ValueError):
-        load_estimator_configs(path)
-    path.write_text('{"yin": {"threshold": 0.1}}')
-    with pytest.raises(ValueError):
-        load_estimator_configs(path)
+    for text in ('{"swipe": {"f_max": 600}}', '{"yin": {"threshold": 0.1}}'):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_estimator_configs(path)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +106,17 @@ def test_acf_exact_on_integer_period():
 
 
 def test_acf_prefers_longest_lag_on_tie():
-    # hand-built autocorrelation rows over lags 0..6, window [1, 5]: the
-    # first ties at lags 2 and 4 and the second at every lag, so the longest
-    # tied lag (lowest frequency) wins; the third has a single peak
+    # hand-built autocorrelation rows over lags 0..6, window [2, 5] (1600-4000
+    # Hz at 8 kHz): the first ties at lags 2 and 4 and the second at every lag,
+    # so the longest tied lag (lowest frequency) wins; the third has one peak
     r = np.array([
         [10.0, 2.0, 5.0, 1.0, 5.0, 0.0, 9.0],
         [10.0, 3.0, 3.0, 3.0, 3.0, 3.0, 9.0],
         [10.0, 1.0, 6.0, 1.0, 5.0, 0.0, 9.0],
     ])
-    assert _acf_lag(r, 1, 5).tolist() == [4, 5, 2]
+    analysis = stand_in(live=np.ones(3, dtype=bool), rect_corr=(r, None), sample_rate=8000)
+    est = REGISTRY["acf"].note_fn(analysis, EstimatorConfig(1600.0, 4000.0))
+    assert est.per_frame == (8000 / 4, 8000 / 5, 8000 / 2)
 
 
 def test_yin_follows_first_dip_to_its_floor():
@@ -159,11 +151,16 @@ def test_nsdf_interpolates_fractional_period():
 
 @pytest.mark.parametrize("tiny", [5e-324, 1e-320])
 def test_lag_window_takes_subnormal_bounds(tiny):
-    # sample_rate / tiny is inf: a tiny f_min searches up to the half-frame
-    # cap, and a tiny f_max leaves no usable lag
-    assert _lag_window(8000, EstimatorConfig(tiny, 1000.0)) == (8, FRAME_LEN // 2)
+    # sample_rate / tiny is inf: a tiny f_min searches up to the half-frame cap,
+    # and a tiny f_max leaves no usable lag. At 8 kHz up to 1000 Hz the window
+    # is [8, FRAME_LEN / 2]: hand-built rows peak at its ends, by larger values outside
+    r = np.zeros((2, FRAME_LEN // 2 + 2))
+    r[0, -2:], r[1, 7:9] = [1.0, 2.0], [2.0, 1.0]
+    analysis = stand_in(live=np.ones(2, dtype=bool), rect_corr=(r, None), sample_rate=8000)
+    est = REGISTRY["acf"].note_fn(analysis, EstimatorConfig(tiny, 1000.0))
+    assert est.per_frame == (8000 / (FRAME_LEN // 2), 1000.0)
     with pytest.raises(ConfigOutOfRange, match="no usable lags"):
-        _lag_window(8000, EstimatorConfig(0.0, tiny))
+        estimate_note(AudioBuffer(sine(100.0, FRAME_LEN, 8000), 8000), "acf", EstimatorConfig(0.0, tiny))
 
 
 @pytest.mark.parametrize("method", ["acf", "nsdf", "yin"])
@@ -179,30 +176,21 @@ def test_lag_methods_respect_range(method, rng):
 # spectral kernels on hand-built one-row matrices
 # ---------------------------------------------------------------------------
 
-HPS = DEFAULT_CONFIGS["hps"]
 
-
-def comb_vote(mags, bin_hz, cfg, residual=False):
-    """The comb picker's f0 for one spectrum row."""
-    row = np.asarray(mags, dtype=np.float64)[None]
-    return float(_comb_f0s(row, _comb(row.shape[1], bin_hz, cfg, residual), bin_hz, cfg)[0])
-
-
-def one_frame(**quantities):
-    """A stand-in NoteAnalysis of one live frame, holding only the
-    quantities (spectrogram, bin_hz, hann_frames, ...) a kernel reads."""
-    return SimpleNamespace(live=np.ones(1, dtype=bool), **quantities)
-
-
-def hps_vote(mags, bin_hz):
-    analysis = one_frame(spectrogram=np.asarray(mags, dtype=np.float64)[None], bin_hz=bin_hz)
-    return REGISTRY["hps"].note_fn(analysis, HPS).f0
+def vote(method, mags, bin_hz, cfg=None):
+    """method's vote on one live frame whose spectrogram row is mags. srh's
+    predictor, fitted to a unit impulse, is [1, 0, ..., 0], so srh scores
+    mags unwhitened."""
+    row = np.asarray(mags, dtype=np.float64)
+    analysis = stand_in(spectrogram=row[None], live_spectrum=row, bin_hz=bin_hz,
+                        hann_frames=np.eye(1, FRAME_LEN), energy=np.ones(1))
+    return REGISTRY[method].note_fn(analysis, cfg or DEFAULT_CONFIGS[method]).f0
 
 
 def test_hps_picks_fundamental_of_harmonic_comb():
     mags = np.zeros(64)
     mags[10], mags[20], mags[30] = 1.0, 0.5, 0.25
-    assert hps_vote(mags, 10.0) == pytest.approx(100.0)
+    assert vote("hps", mags, 10.0) == pytest.approx(100.0)
 
 
 def test_hps_all_zero_unvoiced():
@@ -212,19 +200,20 @@ def test_hps_all_zero_unvoiced():
 def test_hps_amplitude_invariant_on_scaled_spectrum():
     mags = np.zeros(128)
     mags[[7, 14, 21]] = [1.0, 0.4, 0.2]
-    assert hps_vote(mags, 10.0) == hps_vote(mags * 1000.0, 10.0)
+    assert vote("hps", mags, 10.0) == vote("hps", mags * 1000.0, 10.0)
 
 
 def test_stft_sums_over_frames():
     row = np.zeros(128)
     row[12], row[24], row[36] = 1.0, 0.6, 0.3
-    assert comb_vote(3.0 * row, 10.0, DEFAULT_CONFIGS["stft"]) == pytest.approx(120.0)
-    # the note's one vote is the comb over its live spectrogram rows' sums
+    assert vote("stft", 3.0 * row, 10.0) == pytest.approx(120.0)
+    # the note's one vote is the plain comb's (ml's, one row) over its live
+    # spectrogram rows' sums
     analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
     assert analysis.live.all()
     energy = analysis.spectrogram.sum(axis=0)
     assert np.array_equal(analysis.live_spectrum, energy)
-    expected = comb_vote(energy, analysis.bin_hz, DEFAULT_CONFIGS["stft"])
+    expected = vote("ml", energy, analysis.bin_hz, DEFAULT_CONFIGS["stft"])
     assert REGISTRY["stft"].note_fn(analysis, DEFAULT_CONFIGS["stft"]).f0 == expected
 
 
@@ -233,7 +222,7 @@ def test_stft_subdivision_tie_goes_to_lowest():
     # the one nonzero magnitude, and the tie resolves to the lowest
     row = np.zeros(128)
     row[40] = 1.0
-    assert comb_vote(row, 10.0, DEFAULT_CONFIGS["stft"]) == pytest.approx(100.0)
+    assert vote("stft", row, 10.0) == pytest.approx(100.0)
 
 
 def test_ml_comb_tie_goes_to_lowest():
@@ -269,18 +258,18 @@ def test_ml_matches_exhaustive_search(rng):
 @pytest.mark.parametrize("n_bins", [128, 4097])
 @pytest.mark.parametrize("residual", [False, True], ids=["sum", "residual"])
 def test_combs_score_harmonics_past_the_last_bin_as_zero(residual, n_bins, rng):
-    # the reference pads every row with zeros past each harmonic, so none of
-    # its indices runs out; at 128 bins of 10 Hz the upper harmonics of the
-    # high candidates do run past the last bin, at 4097 bins none does
+    # the reference pads every row with zeros past each harmonic; at 128 bins
+    # of 10 Hz the high candidates' upper harmonics run past the last bin, at
+    # 4097 none does. The residual comb compares srh_scores' grid and scores,
+    # the plain one ml's votes on random rows, which move if such terms wrapped
     cfg = EstimatorConfig(20.0, 1000.0, 5)
-    bins, terms = _comb(n_bins, 10.0, cfg, residual)
-    assert (bins * cfg.n_harmonics >= n_bins).any() == (n_bins == 128)
-    mags = rng.uniform(0.0, 1.0, (3, n_bins))
-    padded = np.concatenate([mags, np.zeros((3, cfg.n_harmonics * n_bins))], axis=1)
-    padded_bins, padded_terms = _comb(padded.shape[1], 10.0, cfg, residual)
-    assert np.array_equal(padded_bins, bins) and all(i.size == bins.size for i, _ in padded_terms)
-    expected = _comb_scores(padded, padded_bins, padded_terms)
-    assert np.array_equal(_comb_scores(mags, bins, terms), expected)
+    reach = cfg.f_max / 10.0 * cfg.n_harmonics  # the top candidate's top harmonic, in bins
+    assert (reach >= n_bins) == (n_bins == 128) and reach < (1 + cfg.n_harmonics) * n_bins
+    comb = ((lambda s: np.stack([srh_scores(s, cfg)[0].frequencies, srh_scores(s, cfg)[1]]))
+            if residual else (lambda s: ml_comb_estimate(s, cfg).f0))
+    for mags in rng.uniform(0.0, 1.0, (20, n_bins)):
+        padded = np.concatenate([mags, np.zeros(cfg.n_harmonics * n_bins)])
+        assert np.array_equal(comb(Spectrum(mags, 10.0)), comb(Spectrum(padded, 10.0)))
 
 
 @pytest.mark.parametrize("method", ["ml", "stft", "srh"])
@@ -289,7 +278,7 @@ def test_a_huge_harmonic_count_stops_past_the_band(method):
     # add only zeros, so 10^9 of them vote as that count does, at once
     analysis = NoteAnalysis(saw_buffer(220.0, 0.3))
     n_bins = analysis.spectrogram.shape[1]
-    b_lo = int(_comb(n_bins, analysis.bin_hz, DEFAULT_CONFIGS[method])[0][0])
+    b_lo = math.ceil(DEFAULT_CONFIGS[method].f_min / analysis.bin_hz)
     if method == "srh":  # its k-th term also reads the bin nearest (k - 1/2) f
         reach = max(k for k in range(1, n_bins) if math.floor((k - 0.5) * b_lo + 0.5) < n_bins)
     else:
@@ -313,7 +302,7 @@ def test_srh_scores_reward_harmonics():
     assert list(grid.frequencies) == [100.0, 200.0, 300.0, 400.0, 500.0]
     assert scores[4] == pytest.approx(5.0)
     assert np.all(scores[:4] <= 0.5)
-    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], residual=True) == pytest.approx(500.0)
+    assert vote("srh", mags, 100.0) == pytest.approx(500.0)
 
 
 def test_srh_interharmonic_energy_penalized():
@@ -325,7 +314,7 @@ def test_srh_interharmonic_energy_penalized():
     grid, scores = srh_scores(Spectrum(mags, 100.0))
     assert scores[4] == pytest.approx(-3.0)
     assert scores[2] == pytest.approx(4.0)
-    assert comb_vote(mags, 100.0, DEFAULT_CONFIGS["srh"], residual=True) == pytest.approx(300.0)
+    assert vote("srh", mags, 100.0) == pytest.approx(300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +326,7 @@ def test_cepstrum_impulse_train_exact():
     # period of 100 samples at 16 kHz, on the unwindowed spectrum
     x = np.zeros(2048)
     x[::100] = 1.0
-    analysis = one_frame(hann_frames=x[None], sample_rate=16000)
+    analysis = stand_in(hann_frames=x[None], sample_rate=16000)
     est = REGISTRY["cepstrum"].note_fn(analysis, DEFAULT_CONFIGS["cepstrum"])
     assert est.f0 == pytest.approx(160.0, abs=1e-9)
 
@@ -376,19 +365,26 @@ def test_lpc_gain_at_least_one_on_noise(rng):
         assert np.var(frame.samples) / np.var(residual.samples) >= 0.99
 
 
+def textbook_predictor(rows, r0=None):
+    """Textbook Levinson-Durbin on autocorrelation lags 0..LPC_ORDER summed
+    over rows by direct products, with r0 for lag 0 when given."""
+    n = rows.shape[1]
+    r = [sum(np.dot(row[: n - k], row[k:]) for row in rows) for k in range(LPC_ORDER + 1)]
+    r[0] = r[0] if r0 is None else r0
+    a = np.zeros(LPC_ORDER + 1)
+    a[0], err = 1.0, r[0]
+    for i in range(1, LPC_ORDER + 1):
+        k = -(r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])) / err
+        a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1]
+        err *= 1.0 - k * k
+    return a
+
+
 def test_lpc_matches_scalar_levinson_recursion(rng):
     # textbook Levinson-Durbin, one frame at a time, then a direct-form FIR
-    order = LPC_ORDER
     for _ in range(5):
         x = np.convolve(rng.standard_normal(2100), [1.0, 1.5, 0.9, 0.3])[:2048]
-        r = np.array([np.dot(x[: x.size - k], x[k:]) for k in range(order + 1)])
-        a = np.zeros(order + 1)
-        a[0], err = 1.0, r[0]
-        for i in range(1, order + 1):
-            k = -(r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])) / err
-            a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1]
-            err *= 1.0 - k * k
-        expected = np.convolve(x, a)[: x.size]
+        expected = np.convolve(x, textbook_predictor(x[None]))[: x.size]
         got = lpc_residual(rect_frame(x, 8000)).samples
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * np.max(np.abs(x)))
 
@@ -528,12 +524,9 @@ def _lpc_breaks_down(frame):
 def _frame(analysis, i):
     """A stand-in NoteAnalysis holding frame i of analysis alone."""
     one = slice(i, i + 1)
-    return SimpleNamespace(
-        sample_rate=analysis.sample_rate, bin_hz=analysis.bin_hz, live=analysis.live[one],
-        spectrogram=analysis.spectrogram[one], hann_frames=analysis.hann_frames[one],
-        energy=analysis.energy[one],
-        rect_corr=tuple(matrix[one] for matrix in analysis.rect_corr),
-    )
+    rows = {k: getattr(analysis, k)[one] for k in ("live", "spectrogram", "hann_frames", "energy")}
+    return stand_in(sample_rate=analysis.sample_rate, bin_hz=analysis.bin_hz,
+                    rect_corr=tuple(matrix[one] for matrix in analysis.rect_corr), **rows)
 
 
 def test_note_kernels_match_frame_level_functions():
@@ -555,10 +548,9 @@ def test_note_kernels_match_frame_level_functions():
     # the vote it gets when every frame's spectrum is its own.
     srh = got["srh"].per_frame
     for i in np.flatnonzero(live):
-        alike = SimpleNamespace(
-            sample_rate=fs, bin_hz=analysis.bin_hz, live=live, hann_frames=analysis.hann_frames,
-            energy=analysis.energy,
-            spectrogram=np.broadcast_to(analysis.spectrogram[i], analysis.spectrogram.shape))
+        rows = np.broadcast_to(analysis.spectrogram[i], analysis.spectrogram.shape)
+        alike = stand_in(sample_rate=fs, bin_hz=analysis.bin_hz, live=live, spectrogram=rows,
+                         hann_frames=analysis.hann_frames, energy=analysis.energy)
         assert REGISTRY["srh"].note_fn(alike, DEFAULT_CONFIGS["srh"]).per_frame[i] == srh[i], i
 
     # srh votes unvoiced exactly on silent frames: the one-frame LPC breaks
@@ -587,22 +579,20 @@ def _gapped_note(fs=44100):
 
 
 def test_no_kernel_is_handed_a_silent_row(monkeypatch):
-    # every kernel gets the live rows alone (srh's are the rows of mags, its
-    # second argument; its first is the note's one predictor), and stft its
-    # one summed row
+    # every kernel picks its frames' votes by a row-wise argmax over the
+    # rows it is handed: the live rows alone, and for stft its one summed row
     analysis = NoteAnalysis(_gapped_note())
     n_live = int(analysis.live.sum())
     assert 0 < n_live < len(analysis.live) - 5
     handed = []
-    for name, matrix in (("_comb_f0s", 0), ("_lag_f0s", 0), ("_srh_f0s", 1)):
-        kernel = getattr(estimators, name)
-        monkeypatch.setattr(estimators, name, lambda *args, _kernel=kernel, _name=name, _i=matrix: (
-            handed.append((_name, len(args[_i]))) or _kernel(*args)))
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda a, *args, **kw: (
+        handed.append(np.shape(a)[0]) or argmax(a, *args, **kw)))
     for method in ALL_METHODS:
         handed.clear()
         estimate = estimate_note_many(analysis, {method: None})[method]
         expected = 1 if method == "stft" else n_live
-        assert handed and all(n == expected for _, n in handed), (method, handed)
+        assert handed and set(handed) == {expected}, (method, handed)
         assert sum(v is not None for v in estimate.per_frame) == expected, method
 
 
@@ -617,42 +607,29 @@ def test_stft_votes_on_the_live_frames_alone():
     analysis.__dict__.update(spectrogram=np.stack([silent_row, live_row, silent_row]),
                              live=np.array([False, True, False]))
     cfg, bin_hz = DEFAULT_CONFIGS["stft"], analysis.bin_hz
-    expected = comb_vote(live_row, bin_hz, cfg)
-    assert expected == 41 * bin_hz != comb_vote(2 * silent_row + live_row, bin_hz, cfg)
+    expected = vote("ml", live_row, bin_hz, cfg)
+    assert expected == 41 * bin_hz != vote("ml", 2 * silent_row + live_row, bin_hz, cfg)
     assert REGISTRY["stft"].note_fn(analysis, cfg).per_frame == (expected,)
     assert np.array_equal(analysis.live_spectrum, live_row)
 
 
-def srh_predictor(analysis, monkeypatch):
-    """The one predictor by which srh whitens analysis's live frames."""
-    seen = []
-    kernel = estimators._srh_f0s
-    monkeypatch.setattr(estimators, "_srh_f0s", lambda a, *args: seen.append(a) or kernel(a, *args))
-    estimate_note_many(analysis, {"srh": None})
-    (a,) = seen
-    return a
+def whitening_probe_votes(analysis, rng, *predictors):
+    """Sets analysis's spectrogram to rows the first predictor whitens to 1 + 1e-6 u, u uniform
+    in [0, 1), and returns srh's per-frame votes were its predictor each of predictors: its votes
+    on each live row times |A|, unwhitened (vote). They move with |A|'s shape, not its rounding."""
+    shape = analysis.spectrogram.shape
+    gains = [np.abs(np.fft.rfft(a, n=N_FFT))[: shape[1]] for a in predictors]
+    analysis.__dict__["spectrogram"] = (1.0 + 1e-6 * rng.uniform(size=shape)) / gains[0]
+    return [tuple(vote("srh", row * g, analysis.bin_hz) if live else None
+                  for row, live in zip(analysis.spectrogram, analysis.live)) for g in gains]
 
 
-def textbook_predictor(rows, r0=None):
-    """Textbook Levinson-Durbin on autocorrelation lags 0..LPC_ORDER summed
-    over rows by direct products, with r0 for lag 0 when given."""
-    n = rows.shape[1]
-    r = [sum(np.dot(row[: n - k], row[k:]) for row in rows) for k in range(LPC_ORDER + 1)]
-    r[0] = r[0] if r0 is None else r0
-    a = np.zeros(LPC_ORDER + 1)
-    a[0], err = 1.0, r[0]
-    for i in range(1, LPC_ORDER + 1):
-        k = -(r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])) / err
-        a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1]
-        err *= 1.0 - k * k
-    return a
-
-
-def test_live_and_srh_share_one_frame_energy(monkeypatch):
+def test_live_and_srh_share_one_frame_energy(rng):
     # live thresholds each Hann frame's sum of squares, and srh's predictor
     # takes that same array, summed over the live frames, as its lag 0: with
-    # energy raised by hand on every frame, silent ones too, the predictor
-    # is the textbook one on that sum and the live frames' own lags 1-12
+    # energy raised by hand on every frame, silent ones too, srh votes as
+    # the textbook predictor on that sum and the live frames' own lags 1-12
+    # does, and not as the one on their own sums of squares
     analysis = NoteAnalysis(_gapped_note())
     hann = analysis.hann_frames
     assert np.array_equal(analysis.energy, np.einsum("ij,ij->i", hann, hann))
@@ -661,23 +638,28 @@ def test_live_and_srh_share_one_frame_energy(monkeypatch):
     assert np.array_equal(analysis.live, np.sqrt(np.mean(hann**2, axis=1)) >= SILENCE_RMS)
     energy = analysis.energy + 1.0
     analysis.__dict__["energy"] = energy
-    expected = textbook_predictor(hann[analysis.live], energy[analysis.live].sum())
-    assert not np.allclose(expected, textbook_predictor(hann[analysis.live]), rtol=1e-3)
-    np.testing.assert_allclose(srh_predictor(analysis, monkeypatch), expected, rtol=1e-9, atol=1e-12)
+    expected, own_energy = whitening_probe_votes(analysis, rng, textbook_predictor(
+        hann[analysis.live], energy[analysis.live].sum()), textbook_predictor(hann[analysis.live]))
+    assert expected != own_energy
+    assert estimate_note_many(analysis, {"srh": None})["srh"].per_frame == expected
 
 
 @pytest.mark.parametrize("first_only", [False, True], ids=["live", "hand_set_live"])
-def test_srh_fits_one_predictor_to_the_live_frames(first_only, monkeypatch):
-    # the note's one predictor is the textbook one on the lags of its live
-    # Hann frames alone; with live set by hand to the first sawtooth's
-    # frames, the loud frames of the second add nothing to it
+def test_srh_fits_one_predictor_to_the_live_frames(first_only, rng):
+    # srh votes as the textbook predictor on the lags of the note's live
+    # Hann frames alone does; with live set by hand to the first sawtooth's
+    # frames, the loud frames of the second add nothing to it. The note's
+    # silent frames are zeros, so only then does a fit over every frame vote
+    # otherwise
     analysis = NoteAnalysis(_gapped_note())
     live = analysis.live.copy()
     if first_only:
         live[len(live) // 2 :] = False
         analysis.__dict__["live"] = live
-    expected = textbook_predictor(analysis.hann_frames[live])
-    np.testing.assert_allclose(srh_predictor(analysis, monkeypatch), expected, rtol=1e-9, atol=1e-12)
+    expected, every_frame = whitening_probe_votes(analysis, rng, textbook_predictor(
+        analysis.hann_frames[live]), textbook_predictor(analysis.hann_frames))
+    assert (expected != every_frame) == first_only
+    assert estimate_note_many(analysis, {"srh": None})["srh"].per_frame == expected
 
 
 def test_padding_a_note_with_silent_frames_leaves_srh_voiced_votes(rng):
@@ -719,53 +701,42 @@ def test_srh_residual_spectrum_matches_a_second_fft(cfg, fs):
 
 def check_residual_against_a_second_fft(cfg, fs):
     # srh whitens the band's Hann magnitudes by |A|, the DFT of the note's
-    # one predictor, fitted to its live full-rate Hann frames
-    # (textbook_predictor), zero-padded to the full-rate FFT length. Two
-    # references, each from a second FFT:
-    # - the band's magnitudes times |A| taken by an rFFT of the predictor;
-    # - the full-rate residual spectrum: each Hann frame convolved with the
-    #   note's predictor in full, which fits in the FFT length, and transformed
-    #   again. The band's magnitudes are the full-rate ones over q to
-    #   1.6e-4 of the frame's peak below 4 kHz, so the product matches
-    #   there to 2e-4 of it times |A|'s largest gain there, where that
-    #   gain is above 1 (1.35 at 3.7 kHz at 44.1 kHz); at q = 1 it is the
-    #   residual spectrum itself, to rounding.
-    # Where the predictor attenuates a frame's spectrum most, either way of
-    # computing the product rounds at the frame's scale, so the tolerances
-    # have a floor there.
-    # srh's votes must be those picked from the full-rate residual spectrum
-    # when its comb stays below 4 kHz. A comb reaching past the band votes
-    # on the band product, and the frames where that differs from the
-    # full-rate pick are counted.
+    # one predictor (textbook_predictor over its live full-rate Hann frames)
+    # zero-padded to the full-rate FFT length, and votes on that product;
+    # here |A| is an rFFT of the predictor. Below 4 kHz the band's magnitudes
+    # are the full-rate ones over q to 1.6e-4 of the frame's peak, so the
+    # product is the full-rate residual spectrum (the Hann frame convolved
+    # with the predictor in full, which fits in the FFT length, transformed
+    # again) to 2e-4 of that peak times |A|'s largest gain there if above 1
+    # (1.35 at 3.7 kHz at 44.1 kHz); at q = 1, to rounding at the frame's
+    # scale. srh votes as on the residual spectrum when its comb stays below
+    # 4 kHz; a comb past the band votes on the product, and the frames where
+    # that pick differs are counted.
     analysis = NoteAnalysis(_mixed_note(fs))
     pad, hann, q = N_FFT, analysis.hann_frames, analysis.decimation
     assert q == (4 if fs == 44100 else 1)
     mags = analysis.spectrogram
     rows = np.flatnonzero(analysis.live)
     a = textbook_predictor(hann[rows])
-    bins = _comb(mags.shape[1], fs / pad, cfg)[0]
-    top = min(mags.shape[1], bins[-1] * cfg.n_harmonics + 1)
+    reach = math.floor(cfg.f_max / analysis.bin_hz) * cfg.n_harmonics + 1
+    top = min(mags.shape[1], reach)
     edge = math.floor(4000.0 / analysis.bin_hz) + 1
-    in_band = bins[-1] * cfg.n_harmonics + 1 <= edge
     flat = min(top, edge)
-    got = _whitened(a, mags[rows, :top])
-    gain = np.abs(np.fft.rfft(a, n=pad))
+    a_gain = np.abs(np.fft.rfft(a, n=pad))[:top]
 
-    def vote(spectrum):
-        grid, scores = srh_scores(Spectrum(spectrum, fs / pad), cfg)
+    def pick(spectrum):  # the residual comb's best candidate, ties to the lowest, by srh_scores
+        grid, scores = srh_scores(Spectrum(spectrum, analysis.bin_hz), cfg)
         return min(max(float(grid.frequencies[np.argmax(scores)]), cfg.f_min), cfg.f_max)
 
-    votes = [None] * len(hann)
-    differ = 0
-    for j, i in enumerate(rows):
-        product = mags[i, :top] * gain[:top]
-        np.testing.assert_allclose(got[j], product, rtol=1e-9, atol=1e-9 * mags[i].max())
+    votes, differ = [None] * len(hann), 0
+    for i in rows:
+        product = mags[i, :top] * a_gain
         residual = np.abs(np.fft.rfft(np.convolve(hann[i], a), n=pad))
         peak = np.abs(np.fft.rfft(hann[i], n=pad)).max()
-        bound = (2e-4 if q > 1 else 1e-9) * peak * max(1.0, gain[:flat].max())
-        assert np.abs(q * got[j, :flat] - residual[:flat]).max() <= bound
-        votes[i] = vote(residual) if in_band else vote(product)
-        differ += votes[i] != vote(residual)
+        bound = (2e-4 if q > 1 else 1e-9) * peak * max(1.0, a_gain[:flat].max())
+        assert np.abs(q * product[:flat] - residual[:flat]).max() <= bound
+        votes[i] = pick(residual) if reach <= edge else pick(product)
+        differ += votes[i] != pick(residual)
     assert rows.size and REGISTRY["srh"].note_fn(analysis, cfg).per_frame == tuple(votes)
     return differ
 
@@ -877,8 +848,7 @@ def test_comb_is_kept_read_only():
     bin_hz = 44100 / N_FFT
     bins = np.arange(math.ceil(80.0 / bin_hz), math.floor(1000.0 / bin_hz) + 1)
     for residual in (False, True):
-        comb = _comb(1025, 44100 / N_FFT, cfg, residual)
-        again = _comb(1025, 44100 / N_FFT, cfg, residual)
+        comb, again = (estimators._comb(1025, bin_hz, cfg, residual) for _ in range(2))
         assert again[0] is comb[0] and np.array_equal(comb[0], bins)
         assert not comb[0].flags.writeable
         assert all(a is b for (a, _), (b, _) in zip(again[1], comb[1]))
