@@ -209,12 +209,15 @@ def load_estimator_configs(path) -> dict[str, EstimatorConfig]:
 # ---------------------------------------------------------------------------
 # the kernel contract
 #
-# Each kernel takes a matrix of only the rows it votes on and returns one f0
-# per row; _votes hands it those rows and marks every other row unvoiced, so
-# no kernel sees a silent row, fills NaN or reads a mask. Transforms run over
-# all of a note's rows before the rows are taken: a batched FFT over fewer
-# rows may differ in its last bits. The spectral kernels pick through one
-# comb scorer, _comb_scores, summing terms that _comb keeps per config.
+# Each kernel votes through one of two shapes, _comb_votes (spectral) or
+# _lag_votes (lag domain). Each resolves the config's search range first, so
+# a range that cannot fit raises on every note, silent ones included, and
+# then hands _votes a pick over only the rows that vote; _votes marks every
+# other row unvoiced, so no kernel sees a silent row, fills NaN or reads a
+# mask. Transforms run over all of a note's rows before the rows are taken:
+# a batched FFT over fewer rows may differ in its last bits. The spectral
+# kernels pick through one comb scorer, _comb_scores, summing terms that
+# _comb keeps per config.
 # ---------------------------------------------------------------------------
 
 
@@ -276,11 +279,22 @@ def _comb_scores(mags: np.ndarray, bins: np.ndarray, terms) -> np.ndarray:
     return scores
 
 
-def _comb_f0s(mags: np.ndarray, comb, bin_hz: float, cfg: EstimatorConfig) -> np.ndarray:
-    """Per-row f0 of the best-scoring candidate of comb = (bins, terms),
-    ties to the lowest, clipped to the config's range."""
-    best = comb[0][np.argmax(_comb_scores(mags, *comb), axis=1)]
-    return np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
+def _comb_votes(rows, mags: np.ndarray, bin_hz: float, cfg: EstimatorConfig, score=None,
+                **comb) -> PitchEstimate:
+    """_votes of the rows that rows marks, each row of mags (bins bin_hz
+    apart) voting for the best-scoring candidate of _comb(..., **comb),
+    ties to the lowest, clipped to the config's range. The comb is resolved
+    before any row votes. score, when given, maps the voting rows and top,
+    the number of leading bins the comb reads, to the values it sums."""
+    bins, terms = _comb(mags.shape[1], bin_hz, cfg, **comb)
+    top = min(mags.shape[1], int(bins[-1]) * cfg.n_harmonics + 1)
+
+    def f0s_of(picked):
+        summed = mags[picked] if score is None else score(mags[picked], top)
+        best = bins[np.argmax(_comb_scores(summed, bins, terms), axis=1)]
+        return np.clip(best * bin_hz, cfg.f_min, cfg.f_max)
+
+    return _votes(rows, f0s_of)
 
 
 # refine_f0 reads the peaks of harmonics 1..REFINE_HARMONICS of a fused f0,
@@ -384,25 +398,15 @@ def _whitened(a: np.ndarray, mags: np.ndarray) -> np.ndarray:
     # einsum rather than @: a BLAS product faults in its work buffer, which
     # stays resident.
     A = np.einsum("m,mk->k", a, _dft_rows(a.size - 1, mags.shape[1]))
-    return mags * np.abs(A.view(complex))
-
-
-def _srh_f0s(a: np.ndarray, mags: np.ndarray, bin_hz: float, cfg: EstimatorConfig) -> np.ndarray:
-    """Per-row residual-harmonics f0 (Drugman & Alwan 2011): each row of
-    mags, leading bins of a spectrum at the grid of an N_FFT-point
-    transform, whitened by the note's one predictor a (_whitened) on the
-    bins the residual comb reads, then scored by that comb."""
-    comb = _comb(mags.shape[1], bin_hz, cfg, residual=True)
-    top = min(mags.shape[1], int(comb[0][-1]) * cfg.n_harmonics + 1)
-    whitened = _whitened(a, mags[:, :top])
+    whitened = mags * np.abs(A.view(complex))
     _check_magnitudes(whitened)
-    return _comb_f0s(whitened, comb, bin_hz, cfg)
+    return whitened
 
 
 # ---------------------------------------------------------------------------
 # lag-domain kernels
 #
-# _lag_f0s scores a matrix of autocorrelation, NSDF, CMND or cepstrum rows
+# _lag_votes scores matrices of autocorrelation, NSDF, CMND or cepstrum rows
 # under the kernel contract. Each picker returns one (possibly fractional)
 # lag per row.
 # ---------------------------------------------------------------------------
@@ -476,12 +480,14 @@ def _yin_lag(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return _refined(d, np.where(dip.any(axis=1), lo + np.argmax(floor, axis=1), last_min))
 
 
-def _lag_f0s(values: np.ndarray, sample_rate: int, cfg: EstimatorConfig, picker) -> np.ndarray:
-    """Per-row f0 = sample_rate / lag, the lag picked inside the config's
-    window, clipped to its range. values holds lags 0.._CORR_MAX_LAG of
-    each row."""
-    lo, hi = _lag_window(sample_rate, cfg)
-    return np.clip(sample_rate / picker(values, lo, hi), cfg.f_min, cfg.f_max)
+def _lag_votes(analysis: NoteAnalysis, values_of, cfg: EstimatorConfig, picker) -> PitchEstimate:
+    """_votes of analysis.live, each live row voting f0 = sample_rate / lag,
+    the lag picked inside the config's window (resolved before any row
+    votes), clipped to its range. values_of(picked) returns the voting
+    rows' lags 0.._CORR_MAX_LAG."""
+    lo, hi = _lag_window(analysis.sample_rate, cfg)
+    return _votes(analysis.live, lambda picked: np.clip(
+        analysis.sample_rate / picker(values_of(picked), lo, hi), cfg.f_min, cfg.f_max))
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +501,8 @@ def ml_comb_estimate(spectrum: Spectrum, cfg: EstimatorConfig | None = None) -> 
     A one-spectrum call of the ml kernel, kept because acceptance 6 checks
     it against an exhaustive search.
     """
-    cfg = cfg or DEFAULT_CONFIGS["ml"]
-    mags, bin_hz = spectrum.magnitudes[None], spectrum.bin_hz
-    return _votes(mags.any(axis=1), lambda rows: _comb_f0s(
-        mags[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
+    mags = spectrum.magnitudes[None]
+    return _comb_votes(mags.any(axis=1), mags, spectrum.bin_hz, cfg or DEFAULT_CONFIGS["ml"])
 
 
 def lpc_residual(frame: AudioBuffer) -> AudioBuffer:
@@ -588,10 +592,10 @@ class NoteAnalysis:
     read, whose live rows' sum, live_spectrum, stft and refine_f0 read, and
     whose live rows srh whitens by one predictor per note, fitted to the
     live rows of the full-rate hann_frames and their energy. Its bins are
-    bin_hz = sample_rate / N_FFT apart at every q. At q = 1 the band frames are hann_frames. cepstrum
-    takes its own un-padded rFFT of hann_frames. All properties are lazy,
-    and estimate_note_many keeps each (method, config) estimate here so
-    that it runs at most once.
+    bin_hz = sample_rate / N_FFT apart at every q. At q = 1 the band frames
+    are hann_frames. cepstrum takes its own un-padded rFFT of hann_frames.
+    All properties are lazy, and estimate_note_many keeps each (method,
+    config) estimate here so that it runs at most once.
 
     perfbench's tracer patches hann_frames, spectra, spectrogram and
     rect_corr by name, counts frame_signal's rows as frames and counts
@@ -708,31 +712,24 @@ def _note_hps(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     a candidate lies in the band. A relative floor keeps the log finite on
     empty bins without breaking amplitude invariance.
     """
-    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
-
-    def f0s_of(rows):
-        logs = mags[rows]
-        logs = np.add(logs, 1e-12 * logs.max(axis=1, keepdims=True))
+    def floored_log(mags, _top):
+        logs = np.add(mags, 1e-12 * mags.max(axis=1, keepdims=True))
         with np.errstate(divide="ignore"):
-            np.log(logs, out=logs)
-        comb = _comb(mags.shape[1], bin_hz, cfg, harmonic_cap=cfg.n_harmonics)
-        return _comb_f0s(logs, comb, bin_hz, cfg)
+            return np.log(logs, out=logs)
 
-    return _votes(analysis.live, f0s_of)
+    return _comb_votes(analysis.live, analysis.spectrogram, analysis.bin_hz, cfg, floored_log,
+                       harmonic_cap=cfg.n_harmonics)
 
 
 def _note_ml(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
-    return _votes(analysis.live, lambda rows: _comb_f0s(
-        mags[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
+    return _comb_votes(analysis.live, analysis.spectrogram, analysis.bin_hz, cfg)
 
 
 def _note_stft(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     """One vote per note, its only per_frame entry, if any frame is live:
     the comb sum over the live frames' summed magnitudes (live_spectrum)."""
-    mags, bin_hz = analysis.live_spectrum[None], analysis.bin_hz
-    return _votes(analysis.live.any(keepdims=True), lambda rows: _comb_f0s(
-        mags[rows], _comb(mags.shape[1], bin_hz, cfg), bin_hz, cfg))
+    return _comb_votes(analysis.live.any(keepdims=True), analysis.live_spectrum[None],
+                       analysis.bin_hz, cfg)
 
 
 def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
@@ -740,37 +737,35 @@ def _note_cepstrum(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimat
     reads past the band, so it takes its own un-padded rFFT of hann_frames."""
     mags = magnitude_spectra(analysis.hann_frames)
     ceps = np.fft.irfft(np.log(mags + _CEPSTRUM_FLOOR), n=FRAME_LEN, axis=1)
-    return _votes(analysis.live, lambda rows: _lag_f0s(
-        ceps[rows], analysis.sample_rate, cfg, _acf_lag))
+    return _lag_votes(analysis, lambda rows: ceps[rows], cfg, _acf_lag)
 
 
 def _note_srh(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
-    """One predictor per note, fitted to the live frames (_lpc), whitens
-    every live frame. A note whose recursion breaks down, an all-silent one
-    among them (its lag 0 is 0), votes unvoiced on every frame."""
+    """Residual harmonics (Drugman & Alwan 2011): the residual comb on each
+    live row's band spectrum, whitened (_whitened) by one predictor per
+    note, fitted to the live frames (_lpc), on the bins the comb reads. A
+    note whose recursion breaks down, an all-silent one among them (its lag
+    0 is 0), votes unvoiced on every frame."""
     live = analysis.live
     fit = slice(None) if live.all() else live  # _votes' rule: no copy when every row is live
     a = _lpc(analysis.hann_frames[fit], float(analysis.energy[fit].sum()))
-    mags, bin_hz = analysis.spectrogram, analysis.bin_hz
-    return _votes(live & (a is not None), lambda rows: _srh_f0s(a, mags[rows], bin_hz, cfg))
+    return _comb_votes(live & (a is not None), analysis.spectrogram, analysis.bin_hz, cfg,
+                       lambda mags, top: _whitened(a, mags[:, :top]), residual=True)
 
 
 def _note_acf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     r, _ = analysis.rect_corr
-    return _votes(analysis.live, lambda rows: _lag_f0s(
-        r[rows], analysis.sample_rate, cfg, _acf_lag))
+    return _lag_votes(analysis, lambda rows: r[rows], cfg, _acf_lag)
 
 
 def _note_nsdf(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     r, m = analysis.rect_corr
-    return _votes(analysis.live, lambda rows: _lag_f0s(
-        nsdf_matrix(r[rows], m[rows]), analysis.sample_rate, cfg, _nsdf_lag))
+    return _lag_votes(analysis, lambda rows: nsdf_matrix(r[rows], m[rows]), cfg, _nsdf_lag)
 
 
 def _note_yin(analysis: NoteAnalysis, cfg: EstimatorConfig) -> PitchEstimate:
     r, m = analysis.rect_corr
-    return _votes(analysis.live, lambda rows: _lag_f0s(
-        cmnd_matrix(r[rows], m[rows]), analysis.sample_rate, cfg, _yin_lag))
+    return _lag_votes(analysis, lambda rows: cmnd_matrix(r[rows], m[rows]), cfg, _yin_lag)
 
 
 @dataclass(frozen=True)

@@ -193,14 +193,13 @@ def _peak_normalize(x: np.ndarray) -> None:
         x *= 0.95 / top
 
 
-def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int,
-                noise_id: int | str | None = None) -> NoiseSource:
+def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int) -> NoiseSource:
     """Deterministically synthesize one of the built-in noise kinds.
 
     kinds: "white" (uniform iid), "pink" (-3 dB per octave), "hum50"
     (50 Hz plus decaying odd harmonics) and "babble" (eight amplitude-
     modulated band-limited streams). The same arguments always produce
-    the same samples. The source is named noise_id, or kind when None.
+    the same samples. The source is named kind.
     Beside the output, pink holds one full-length work array at a time (the
     white noise or its spectrum), babble two (a stream and its spectrum),
     and white and hum50 none.
@@ -277,7 +276,7 @@ def synth_noise(kind: str, n_samples: int, sample_rate: int, seed: int,
             del stream
         _peak_normalize(samples)
 
-    return NoiseSource(kind if noise_id is None else noise_id, AudioBuffer(samples, sample_rate))
+    return NoiseSource(kind, AudioBuffer(samples, sample_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +292,10 @@ class NoiseRef:
 
     Exactly one of path or synth_kind must be set. Synthetic noises are
     regenerated on demand from (kind, seed), SYNTH_NOISE_S long, so two
-    resolves with the same recipe produce identical samples.
+    resolves with the same recipe produce identical samples. A resolved
+    source is named by its kind or its file's stem.
     """
 
-    noise_id: object
     path: str | None = None
     synth_kind: str | None = None
     seed: int = 0
@@ -309,15 +308,15 @@ class NoiseRef:
 
     def resolve(self, sample_rate: int) -> NoiseSource:
         if self.path is not None:
-            return NoiseSource(noise_id=self.noise_id, buffer=read_wav(self.path))
+            return NoiseSource(noise_id=Path(self.path).stem, buffer=read_wav(self.path))
         n = int(round(SYNTH_NOISE_S * sample_rate))
-        return synth_noise(self.synth_kind, n, sample_rate, self.seed, self.noise_id)
+        return synth_noise(self.synth_kind, n, sample_rate, self.seed)
 
 
 def synthetic_noise_refs(seed: int = 0) -> dict[str, NoiseRef]:
     """One synthetic NoiseRef per kind, keyed by kind name."""
     return {
-        kind: NoiseRef(noise_id=kind, synth_kind=kind, seed=seed * 1009 + i)
+        kind: NoiseRef(synth_kind=kind, seed=seed * 1009 + i)
         for i, kind in enumerate(SYNTH_KINDS)
     }
 
@@ -335,5 +334,5 @@ def refs_from_dir(path) -> dict[int, NoiseRef]:
         noise_id = int(m.group(1))
         if noise_id in out:
             raise ValueError(f"noise id {m.group(1)} names both {out[noise_id].path} and {entry}")
-        out[noise_id] = NoiseRef(noise_id=noise_id, path=str(entry))
+        out[noise_id] = NoiseRef(path=str(entry))
     return out

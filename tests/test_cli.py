@@ -251,6 +251,25 @@ class TestEstimate:
         member = "hps" if method == "ensemble" else method
         assert f"{member}: [80, " in err and "Nyquist frequency 50 Hz" in err
 
+    @pytest.mark.parametrize("method, config", [
+        ("hps", {"hps": {"f_min": 30000}}),
+        ("ensemble", {"hps": {"f_min": 30000}}),
+        ("acf", {"acf": {"f_min": 0, "f_max": 1e-300}}),
+    ])
+    def test_range_that_cannot_fit_is_exit_2_on_a_silent_song(self, method, config, tmp_path,
+                                                              capsys):
+        # no frame of either note votes, yet the range is checked on each
+        write_wav(tmp_path / "quiet.wav", AudioBuffer(np.zeros(44100), 44100))
+        write_annotation(tmp_path / "quiet.notes",
+                         [NoteSegment(0.0, 0.4, 220.0), NoteSegment(0.5, 0.9, 220.0)])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "estimate", str(tmp_path / "quiet.wav"),
+                                 str(tmp_path / "quiet.notes"), "--method", method,
+                                 "--config", str(path))
+        assert_one_line_input_error(code, out, err)
+        assert f"{next(iter(config))}: " in err
+
     def test_malformed_config_is_exit_2(self, song, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"yin": {"f_min": "80"}}))

@@ -233,28 +233,6 @@ def test_ml_comb_tie_goes_to_lowest():
     assert est.f0 == pytest.approx(40.0)
 
 
-def test_ml_matches_exhaustive_search(rng):
-    cfg = DEFAULT_CONFIGS["ml"]
-    for _ in range(50):
-        n = int(rng.integers(64, 400))
-        mags = rng.uniform(0.0, 1.0, n)
-        bin_hz = float(rng.uniform(2.0, 12.0))
-        spectrum = Spectrum(mags, bin_hz)
-
-        nyquist = bin_hz * (n - 1)
-        b_lo = max(1, math.ceil(cfg.f_min / bin_hz))
-        b_hi = min(int(math.floor(min(cfg.f_max, nyquist) / bin_hz)), n - 1)
-        best_b, best_score = None, -1.0
-        for b in range(b_lo, b_hi + 1):
-            score = sum(mags[b * h] for h in range(1, 6) if b * h < n)
-            if score > best_score:
-                best_b, best_score = b, score
-        expected = min(max(best_b * bin_hz, cfg.f_min), cfg.f_max)
-
-        est = ml_comb_estimate(spectrum, cfg)
-        assert est.f0 == pytest.approx(expected, rel=1e-12)
-
-
 @pytest.mark.parametrize("n_bins", [128, 4097])
 @pytest.mark.parametrize("residual", [False, True], ids=["sum", "residual"])
 def test_combs_score_harmonics_past_the_last_bin_as_zero(residual, n_bins, rng):
@@ -837,10 +815,31 @@ def test_hps_default_ceiling_is_the_bands():
 @pytest.mark.parametrize("method", ["hps", "stft", "ml", "srh"])
 def test_comb_range_above_the_band_is_out_of_range(method):
     # at 44.1 kHz the band's Nyquist is 5512.5 Hz: a range starting above
-    # it has no candidate, though it lies below the full-rate Nyquist
-    analysis = NoteAnalysis(saw_buffer(2500.0, 0.3, 44100))
-    with pytest.raises(ConfigOutOfRange, match="5512.5 Hz"):
-        estimate_note_many(analysis, {method: EstimatorConfig(6000.0, 7000.0, 2)})
+    # it has no candidate, though it lies below the full-rate Nyquist, on a
+    # voiced note and on a silent one, where no frame votes, alike
+    for note in (saw_buffer(2500.0, 0.3, 44100), AudioBuffer(np.zeros(44100 // 4), 44100)):
+        with pytest.raises(ConfigOutOfRange, match=f"^{method}: .*5512.5 Hz"):
+            estimate_note_many(NoteAnalysis(note), {method: EstimatorConfig(6000.0, 7000.0, 2)})
+
+
+@pytest.mark.parametrize("method", ["acf", "nsdf", "yin", "cepstrum"])
+def test_lag_range_that_cannot_fit_raises_on_a_silent_note(method):
+    # no frame of the note votes, yet an f_max that leaves no lag raises
+    note = AudioBuffer(np.zeros(44100 // 4), 44100)
+    assert set(estimate_note(note, method).per_frame) == {None}
+    with pytest.raises(ConfigOutOfRange, match=f"^{method}: no usable lags"):
+        estimate_note(note, method, EstimatorConfig(0.0, 1e-300))
+
+
+def test_srh_range_is_checked_when_the_predictor_breaks_down():
+    # a pure sine is predicted exactly by 12 taps, so the recursion breaks
+    # down and srh votes unvoiced on every live frame; a range that cannot
+    # fit raises all the same
+    note = AudioBuffer(sine(220.0, 8000, 44100, amp=1.0), 44100)
+    assert NoteAnalysis(note).live.all()
+    assert set(estimate_note(note, "srh").per_frame) == {None}
+    with pytest.raises(ConfigOutOfRange, match="^srh: .*5512.5 Hz"):
+        estimate_note(note, "srh", EstimatorConfig(30000.0, 40000.0, 5))
 
 
 def test_comb_is_kept_read_only():

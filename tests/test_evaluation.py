@@ -212,7 +212,7 @@ def two_songs(tmp_path):
     return materialize_songs(2, 31, tmp_path, sample_rate=22050)
 
 
-WHITE_REF = {"white": NoiseRef(noise_id="white", synth_kind="white", seed=1)}
+WHITE_REF = {"white": NoiseRef(synth_kind="white", seed=1)}
 
 
 def test_run_benchmark_per_method_errors(two_songs, stub_registry):
@@ -332,13 +332,14 @@ def test_run_benchmark_fails_a_nan_snr_per_condition(two_songs, stub_registry, j
 
 
 def counting_resolves(monkeypatch) -> list[tuple]:
-    """Patch NoiseRef.resolve to record (noise_id, sample_rate) per call."""
+    """Patch NoiseRef.resolve to record (the source's noise_id, sample_rate) per call."""
     calls = []
     resolve = NoiseRef.resolve
 
     def counting_resolve(self, sample_rate):
-        calls.append((self.noise_id, sample_rate))
-        return resolve(self, sample_rate)
+        source = resolve(self, sample_rate)
+        calls.append((source.noise_id, sample_rate))
+        return source
 
     monkeypatch.setattr(NoiseRef, "resolve", counting_resolve)
     return calls
@@ -361,7 +362,7 @@ def test_run_benchmark_report_is_the_same_at_any_jobs(two_songs, stub_registry, 
         "broken", str(tmp_path / "missing.wav"), (NoteSegment(0.0, 0.5, 220.0),)
     )
     songs = [two_songs[0], broken, two_songs[1]]
-    refs = {**WHITE_REF, "lost": NoiseRef(noise_id="lost", path=str(tmp_path / "lost.wav"))}
+    refs = {**WHITE_REF, "lost": NoiseRef(path=str(tmp_path / "lost.wav"))}
     scenarios = scenario_grid(("white", "lost"), (0.0, 10.0))
     report = run_benchmark(songs, ["hps", "ml"], scenarios, refs, jobs=jobs)
 
@@ -409,7 +410,7 @@ def test_run_benchmark_resolves_once_per_sample_rate(two_songs, tmp_path, monkey
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_benchmark_isolates_noise_failures(two_songs, stub_registry, tmp_path, jobs):
-    refs = {**WHITE_REF, "lost": NoiseRef(noise_id="lost", path=str(tmp_path / "lost.wav"))}
+    refs = {**WHITE_REF, "lost": NoiseRef(path=str(tmp_path / "lost.wav"))}
     scenarios = scenario_grid(("white", "lost"), (0.0, 10.0))
     report = run_benchmark(two_songs, ["hps"], scenarios, refs, jobs=jobs)
 

@@ -254,7 +254,7 @@ class TestScenarios:
 
 class TestNoiseRefs:
     def test_synth_ref_resolves_deterministically(self):
-        ref = NoiseRef(noise_id="pink", synth_kind="pink", seed=5)
+        ref = NoiseRef(synth_kind="pink", seed=5)
         a = ref.resolve(16000)
         b = ref.resolve(16000)
         assert a.noise_id == "pink"
@@ -265,15 +265,15 @@ class TestNoiseRefs:
         checks = []
         check = NoiseSource.__post_init__
         monkeypatch.setattr(NoiseSource, "__post_init__", lambda source: checks.append(check(source)))
-        source = NoiseRef(noise_id=7, synth_kind="white", seed=1).resolve(8000)
-        assert source.noise_id == 7
+        source = NoiseRef(synth_kind="white", seed=1).resolve(8000)
+        assert source.noise_id == "white"
         assert len(checks) == 1
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
-            NoiseRef(noise_id=1)
+            NoiseRef()
         with pytest.raises(ValueError):
-            NoiseRef(noise_id=1, path="x.wav", synth_kind="white")
+            NoiseRef(path="x.wav", synth_kind="white")
 
     def test_synthetic_refs_cover_all_kinds(self):
         refs = synthetic_noise_refs(seed=3)
@@ -292,6 +292,7 @@ class TestNoiseRefs:
         assert set(refs) == {1, 7}
         assert refs[1].resolve(rate).buffer.sample_rate == rate
         resolved = refs[7].resolve(rate)
+        assert resolved.noise_id == "07_vacuum"  # named as `pitchlab mix` names it
         assert np.allclose(resolved.buffer.samples, 0.25, atol=1e-6)
 
     def test_corpus_rejects_a_repeated_id(self, tmp_path):

@@ -23,10 +23,14 @@ The battery:
     silence   per-note f0s of all 9 rows on song 1000, clean, padded with
               1 s of noise at 1e-7 peak into which its last note runs
               0.5 s, so that note holds silent frames whose spectra are
-              not zero: a kernel that scores them moves its f0s.
+              not zero: a kernel that scores them moves its f0s;
+    overrides per-note f0s of all 9 rows on songs 1000 and 1001, clean,
+              under OVERRIDES, a config for every method off its default:
+              combs of 6 to 8 harmonics and narrowed lag ranges, which the
+              default configs never run.
 It takes a few minutes on 2 cores. --quick runs only per-note f0s of all
 9 rows on the first 8 notes of songs 1000 and 1001, clean and in pink
-noise at 0 dB, and the silence artefact, in a second or two.
+noise at 0 dB, and the silence and overrides artefacts, in a few seconds.
 """
 
 from __future__ import annotations
@@ -51,6 +55,17 @@ QUALITY_SETS = ("A", "H1", "H2")
 RATES = (8000, 22050, 96000, 192000)
 SILENCE_SEED = 1000
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+# The overrides artefact's config map, as `pitchlab estimate --config` reads it.
+OVERRIDES = {
+    "acf": {"f_min": 60.0, "f_max": 700.0},
+    "nsdf": {"f_min": 70.0, "f_max": 800.0},
+    "yin": {"f_min": 50.0, "f_max": 600.0},
+    "cepstrum": {"f_min": 60.0, "f_max": 900.0},
+    "hps": {"f_min": 90.0, "f_max": 1200.0, "n_harmonics": 4},
+    "stft": {"n_harmonics": 6},
+    "ml": {"f_max": 900.0, "n_harmonics": 7},
+    "srh": {"f_min": 70.0, "f_max": 600.0, "n_harmonics": 8},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +73,11 @@ NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 # ---------------------------------------------------------------------------
 
 
-def f0_lines(songs, noises) -> str:
+def f0_lines(songs, noises, configs=None) -> str:
     """One line per note of each (name, buffer, notes) song, clean and in
     each noise at 0 dB: the song, its condition, the note's index and the
-    f0s of every registered method and the ensemble (0: unvoiced)."""
+    f0s of every registered method and the ensemble (0: unvoiced), each
+    method run under its config in configs or its default."""
     from pitchlab import REGISTRY
     from pitchlab.evaluation import ENSEMBLE_METHOD, estimate_song
     from pitchlab.noise import mix_at_snr
@@ -73,7 +89,7 @@ def f0_lines(songs, noises) -> str:
         for kind, ref in noises.items():
             takes[kind] = mix_at_snr(buffer, ref.resolve(buffer.sample_rate), 0.0)
         for condition, take in takes.items():
-            f0s = estimate_song(take, notes, methods, {})
+            f0s = estimate_song(take, notes, methods, configs or {})
             for i in range(len(notes)):
                 lines.append(" ".join([name, condition, str(i), *(repr(f0s[m][i] or 0.0) for m in methods)]))
     return "\n".join(lines) + "\n"
@@ -110,6 +126,7 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
     """Write every artefact of the battery under out, one file each."""
     from pitchlab import REGISTRY
     from pitchlab.audio_io import write_wav
+    from pitchlab.estimators import parse_config_overrides
     from pitchlab.evaluation import ENSEMBLE_METHOD, synth_song, write_annotation
     from pitchlab.noise import synthetic_noise_refs
 
@@ -120,6 +137,8 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
 
     noises = synthetic_noise_refs(77)
     save("silence", f0_lines([padded_song(SILENCE_SEED)], {}))
+    songs = [(str(seed), *synth_song(seed)) for seed in (1000, 1001)]
+    save("overrides", f0_lines(songs, {}, parse_config_overrides(OVERRIDES, "OVERRIDES")))
     if quick:
         songs = [(str(seed), buffer, notes[:8])
                  for seed in (1000, 1001) for buffer, notes in [synth_song(seed)]]
