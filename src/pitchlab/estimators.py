@@ -136,8 +136,8 @@ def check_json(value, kind, what: str = ""):
 
     kind is str, int, dict (any object) or float (any JSON number, returned
     as a float), [k] for a list of k, or {key: k} for an object whose keys
-    are all optional. Bools are never numbers. what is the dotted path of
-    value in its document.
+    are all optional. Bools are never numbers, and no string may hold a NUL
+    byte, as no file path or argument can. what is the dotted path of value.
     """
     name = what or "the top level"
     if isinstance(kind, dict):
@@ -153,6 +153,8 @@ def check_json(value, kind, what: str = ""):
         return [check_json(v, kind[0], f"{what}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is str and "\0" in value:
+        raise ValueError(f"{name} holds a NUL byte")
     try:
         return float(value) if kind is float else value
     except OverflowError:

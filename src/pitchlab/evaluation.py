@@ -78,6 +78,15 @@ def pitch_error(estimates, truths) -> float:
     return float(np.mean(np.sqrt(np.abs(est - tru))))
 
 
+# MIREX's raw pitch accuracy counts a note within a quarter tone as right (Salamon et al. 2014).
+QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0  # about 2.93 percent
+
+
+def is_gross(f0: float | None, truth: float) -> bool:
+    """True when f0 is None (unvoiced) or |f0 - truth| / truth > QUARTER_TONE."""
+    return f0 is None or abs(f0 - truth) / truth > QUARTER_TONE
+
+
 # ---------------------------------------------------------------------------
 # annotations
 # ---------------------------------------------------------------------------
@@ -470,18 +479,17 @@ def parse_long_csv(text: str) -> ErrorReport:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"bad CSV row: {ln!r}")
-        m, nid_raw, snr_raw, err_raw = parts
-        if any(not name or name != name.strip() for name in (m, nid_raw)):
+        m, nid, snr_raw, err_raw = parts
+        if any(not name or name != name.strip() for name in (m, nid)):
             raise ValueError(f"an empty or space-padded method or noise_id: {ln!r}")
         err = float(err_raw)
         if not 0.0 <= err < math.inf:
             raise ValueError(f"the error must be finite and non-negative: {ln!r}")
-        if nid_raw == "clean":
+        if nid == "clean":
             if snr_raw != "":
                 raise ValueError(f"a clean row has no SNR: {ln!r}")
             table, key = clean, m
         else:
-            nid = int(nid_raw) if nid_raw.isdigit() else nid_raw
             snr = float(snr_raw)
             check_snr(snr)
             if nid not in noise_ids:

@@ -94,20 +94,15 @@ def default_scenario_grid() -> list[Scenario]:
 def extend_to_length(samples: np.ndarray, n: int) -> np.ndarray:
     """Loop (wrap around) or truncate a noise signal to exactly n samples.
 
-    The result is a new array; a loop is filled by doubling the part
-    already written, so no repeat is built beyond the n samples.
+    The result is a new array, filled in place: a broadcast copy of the
+    n // size whole repeats, then the first n % size samples.
     """
     if samples.size == 0:
         raise SilentNoise("cannot extend an empty noise signal")
-    if samples.size >= n:
-        return samples[:n].copy()
     out = np.empty(n, dtype=samples.dtype)
-    out[: samples.size] = samples
-    filled = samples.size
-    while filled < n:
-        step = min(filled, n - filled)
-        out[filled : filled + step] = out[:step]
-        filled += step
+    whole, rest = divmod(n, samples.size)
+    out[: n - rest].reshape(whole, samples.size)[...] = samples
+    out[n - rest :] = samples[:rest]
     return out
 
 

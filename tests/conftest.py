@@ -6,8 +6,6 @@ import pytest
 from pitchlab.estimators import FRAME_LEN, NoteAnalysis, estimate_note_many
 from pitchlab.sigproc import AudioBuffer
 
-QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0  # about 2.93 percent
-
 
 def sine(freq, n_samples, sample_rate=44100, amp=0.8, phase=0.0):
     t = np.arange(n_samples) / sample_rate

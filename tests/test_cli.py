@@ -20,12 +20,12 @@ from pitchlab.ensemble import (
     load_ensemble_spec,
 )
 from pitchlab.estimators import REGISTRY, NoteMethod, parse_config_overrides
-from pitchlab.evaluation import materialize_songs, read_annotation, write_annotation
-from pitchlab.evaluation import NoteSegment, estimate_song, hz_to_midi, pitch_error, run_benchmark
+from pitchlab.evaluation import NoteSegment, estimate_song, hz_to_midi, is_gross, materialize_songs
+from pitchlab.evaluation import pitch_error, read_annotation, run_benchmark, write_annotation
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import QUARTER_TONE, sawtooth, wav_bytes
+from conftest import sawtooth, wav_bytes
 
 # A 0.1 s float WAV: a 12-byte RIFF header, fmt (16-byte body) at 12, data at 36.
 VALID_WAV = wav_bytes(np.full(2205, 0.1, dtype=np.float32).tobytes(), rate=22050)
@@ -74,7 +74,7 @@ class TestEstimate:
             onset, offset, f0, midi = (float(tok) for tok in line.split())
             assert onset == pytest.approx(note.onset, abs=1e-6)
             assert offset == pytest.approx(note.offset, abs=1e-6)
-            assert abs(f0 - note.f0_truth) / note.f0_truth <= QUARTER_TONE
+            assert not is_gross(f0, note.f0_truth)
             assert midi > 0
         assert "wall_time_s" in err
 
@@ -602,6 +602,17 @@ class TestBench:
         first, second = keys
         assert f"{group}.{first} and {group}.{second} exclude each other" in err
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"out": "a\0b"}, "out"),
+        ({"songs": {"annotations": ["a\0b.notes"]}}, "songs.annotations[0]"),
+    ])
+    def test_a_nul_byte_in_a_string_is_exit_2(self, overrides, key, tmp_path, capsys):
+        path = self.bench_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "bench", str(path))
+        assert_one_line_input_error(code, out, err)
+        assert f"{key} holds a NUL byte" in err
+        assert not (tmp_path / "out").exists()
+
     def test_jobs_is_an_option_not_a_config_key(self, tmp_path, capsys):
         path = self.bench_config(tmp_path, jobs=2)
         code, out, err = run_cli(capsys, "bench", str(path))
@@ -787,6 +798,16 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", str(csv_path), "--format", "csv")
         assert code == 0
         assert out == csv_path.read_text()
+
+    def test_noise_ids_read_back_as_written(self, tmp_path, capsys):
+        # a noise id is its text: 007 stays 007, and 1 and 01 are two noises
+        ids = ["007", "\u0663", "\u00b2", "1", "01"]
+        rows = [f"hps,{nid},0,{k}" for k, nid in enumerate(ids, 1)]
+        csv_path = tmp_path / "results.csv"
+        csv_path.write_text("\n".join(["method,noise_id,snr_db,error", *rows]) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "report", str(csv_path), "--format", "csv")
+        assert code == 0
+        assert out == csv_path.read_text(encoding="utf-8")
 
     def test_missing_csv_is_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "no.csv"))

@@ -29,9 +29,10 @@ from pitchlab.estimators import (
     estimate_note_many,
     refine_f0,
 )
+from pitchlab.evaluation import QUARTER_TONE, is_gross
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import QUARTER_TONE, saw_buffer, sine_buffer
+from conftest import saw_buffer, sine_buffer
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -315,7 +316,7 @@ def test_external_missing_binary_is_unvoiced(caplog):
 
 def test_ensemble_on_clean_tone():
     est = ensemble_estimate(saw_buffer(220.0, 0.4))
-    assert abs(est.f0 - 220.0) / 220.0 <= QUARTER_TONE
+    assert not is_gross(est.f0, 220.0)
 
 
 def test_default_ensemble_survives_mains_hum():
@@ -330,7 +331,7 @@ def test_default_ensemble_survives_mains_hum():
     hits = 0
     for note in notes:
         est = ensemble_estimate(mixed.slice_seconds(note.onset, note.offset))
-        hits += est.voiced and abs(est.f0 - note.f0_truth) / note.f0_truth <= QUARTER_TONE
+        hits += not is_gross(est.f0, note.f0_truth)
     assert hits >= 0.9 * len(notes), f"{hits}/{len(notes)} notes within a quarter tone"
 
 

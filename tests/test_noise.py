@@ -8,12 +8,10 @@ from pitchlab.audio_io import write_wav
 from pitchlab.errors import EmptyBuffer, SampleRateMismatch, SilentNoise
 from pitchlab.evaluation import synth_song
 from pitchlab.noise import (
-    DEFAULT_SNRS_DB,
     SYNTH_NOISE_S,
     NoiseRef,
     NoiseSource,
     Scenario,
-    default_scenario_grid,
     extend_to_length,
     measure_snr,
     mix_at_snr,
@@ -63,16 +61,6 @@ class TestMixAtSnr:
         song, _ = synth_song(5, 8000)
         mixed = mix_at_snr(song, synth_noise(kind, n_noise, 8000, seed), snr)
         assert hashlib.sha256(mixed.samples.tobytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("snr", DEFAULT_SNRS_DB)
-    def test_round_trip_within_hundredth_db(self, snr, rng):
-        for _ in range(25):
-            x = rng.standard_normal(3000) * rng.uniform(0.05, 0.5)
-            n = rng.standard_normal(5000) * rng.uniform(0.05, 0.5)
-            signal = AudioBuffer(x, 16000)
-            mixed = mix_at_snr(signal, NoiseSource("n", AudioBuffer(n, 16000)), snr)
-            achieved = measure_snr(signal, mixed.samples - x)
-            assert abs(achieved - snr) <= 0.01
 
     def test_short_noise_is_looped(self):
         signal = AudioBuffer(np.ones(1000), 8000)
@@ -234,11 +222,6 @@ class TestSynthNoise:
 
 
 class TestScenarios:
-    def test_default_grid_is_68(self):
-        grid = default_scenario_grid()
-        assert len(grid) == 68
-        assert len({(s.noise_id, s.snr_db) for s in grid}) == 68
-
     def test_noise_major_ordering(self):
         grid = scenario_grid((1, 2), (-5.0, 0.0, 10.0))
         assert [(s.noise_id, s.snr_db) for s in grid] == [

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pitchlab.estimators import REGISTRY
-from pitchlab.evaluation import estimate_song, pitch_error, synth_song
+from pitchlab.evaluation import QUARTER_TONE, estimate_song, pitch_error, synth_song
 from pitchlab.noise import synthetic_noise_refs
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "quality.py"
@@ -44,7 +44,7 @@ def test_one_song_under_one_noise(quality):
 
 def test_gross_counts_unvoiced_and_off_by_more_than_a_quarter_tone(quality):
     f0 = 200.0
-    sharp = f0 * 2.0 ** (1.0 / 24.0)
+    sharp = f0 * (1.0 + QUARTER_TONE)
     pairs = list(zip([None, f0, sharp * 0.999, sharp * 1.001], [f0] * 4))
     assert quality.summary(pairs) == {
         "error": round((math.sqrt(f0) + math.sqrt(sharp * 0.999 - f0)

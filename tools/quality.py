@@ -13,10 +13,9 @@ Sets (first song seed, song count, noise seed):
 
 Errors are pitch_error, E[sqrt|f - f0|], over a pool's notes, an unvoiced
 note scored as 0 Hz (bench averages per song first, so its figures differ
-a little). A note is gross when it is unvoiced or |f - f0| / f0 exceeds a
-quarter tone, 2^(1/24) - 1. Per method the line gives the clean and the
-noisy pool, and the noisy pool of each noise kind. The script times
-nothing.
+a little). A note is gross by evaluation.is_gross: unvoiced, or off by more
+than a quarter tone. Per method the line gives the clean and the noisy
+pool, and the noisy pool of each noise kind. The script times nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from pitchlab import REGISTRY  # noqa: E402
 from pitchlab.evaluation import (  # noqa: E402
     ENSEMBLE_METHOD,
     estimate_song,
+    is_gross,
     pitch_error,
     synth_song,
 )
@@ -39,14 +39,13 @@ from pitchlab.noise import DEFAULT_SNRS_DB, mix_at_snr, synthetic_noise_refs  # 
 
 SETS = {"A": (1000, 5, 77), "H1": (6000, 4, 11), "H2": (7000, 6, 23)}
 METHODS = (*REGISTRY, ENSEMBLE_METHOD)
-QUARTER_TONE = 2.0 ** (1.0 / 24.0) - 1.0
 
 
 def summary(pairs) -> dict:
     """A pool's pitch_error and the share of its notes that are gross, over
     its (f0, reference f0) pairs."""
     f0s, truths = zip(*pairs)
-    gross = sum(f is None or abs(f - f0) / f0 > QUARTER_TONE for f, f0 in pairs)
+    gross = sum(is_gross(f, f0) for f, f0 in pairs)
     return {"error": round(pitch_error(f0s, truths), 6), "gross": round(gross / len(pairs), 6)}
 
 
