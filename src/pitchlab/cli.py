@@ -9,14 +9,19 @@ command (PITCHLAB_EXTERNAL or a spec's) that splits into no program, a mix
 into a silent or empty signal, of a silent noise or too large for a WAV
 header, 3 invalid annotation (non-UTF-8 text
 included, or a note past the end of the audio), 4 benchmark with zero
-successful songs, or one whose worker process died before it finished
-(no results are written).
+successful songs, or a bench or estimate whose worker process died before
+it finished (bench writes no results, estimate prints no note line).
+
+estimate spreads the song's notes over the CPUs the process may use
+(os.sched_getaffinity): the first run of notes in this process, the others
+in forked workers. Its output and its errors do not depend on their number.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -100,11 +105,14 @@ def cmd_estimate(args) -> int:
         return _fail(EX_INPUT, f"cannot read audio {args.audio}: {exc}")
 
     try:
-        f0s = estimate_song(buffer, annotation.notes, [method], configs, spec)[method]
+        f0s = estimate_song(buffer, annotation.notes, [method], configs, spec,
+                            jobs=len(os.sched_getaffinity(0)))[method]
     except ConfigOutOfRange as exc:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
     except (PitchlabError, ValueError) as exc:
         return _fail(EX_ANNOTATION, f"the notes do not fit {args.audio}: {exc}")
+    except BrokenExecutor as exc:  # a worker died: BrokenProcessPool
+        return _fail(EX_NO_SONGS, f"an estimate worker process died: {exc}")
     for note, f0 in zip(annotation.notes, f0s):
         if f0 is not None:
             f0_text = f"{f0:.6g}"

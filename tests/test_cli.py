@@ -1,6 +1,8 @@
 import json
+import multiprocessing
 import os
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pitchlab
 from pitchlab.audio_io import read_wav, write_wav
 from pitchlab.cli import main
 from pitchlab.ensemble import (
@@ -21,7 +24,8 @@ from pitchlab.ensemble import (
 )
 from pitchlab.estimators import REGISTRY, NoteMethod, parse_config_overrides
 from pitchlab.evaluation import NoteSegment, estimate_song, hz_to_midi, is_gross, materialize_songs
-from pitchlab.evaluation import pitch_error, read_annotation, run_benchmark, write_annotation
+from pitchlab.evaluation import pitch_error, read_annotation, run_benchmark, synth_song
+from pitchlab.evaluation import write_annotation
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
@@ -364,6 +368,123 @@ class TestEstimate:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "UTF-8" in err
+
+
+def use_cpus(monkeypatch, n):
+    """Make the process see n usable CPUs, as estimate counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def long_song(tmp_path):
+    """A 22.05 kHz song of 20+ notes: its WAV and .notes paths, and its notes."""
+    buffer, notes = synth_song(35, 22050, min_duration_s=8.0)
+    assert len(notes) >= 20
+    write_wav(tmp_path / "long.wav", buffer)
+    write_annotation(tmp_path / "long.notes", notes)
+    return str(tmp_path / "long.wav"), str(tmp_path / "long.notes"), notes
+
+
+class TestEstimateOverCpus:
+    """estimate estimates the first run of notes itself and forks a worker
+    for each other run; nothing it prints may tell how many ran."""
+
+    @pytest.mark.parametrize("method", ["ensemble", "yin"])
+    @pytest.mark.parametrize("n_notes", [None, 1], ids=["all_notes", "one_note"])
+    def test_stdout_does_not_depend_on_the_cpus(self, method, n_notes, long_song, tmp_path,
+                                                monkeypatch, capsys):
+        wav, notes_path, notes = long_song
+        if n_notes is not None:
+            notes_path = str(tmp_path / "short.notes")
+            write_annotation(notes_path, notes[:n_notes])
+        outs = []
+        for n in (1, 2, 3):
+            use_cpus(monkeypatch, n)
+            code, out, _ = run_cli(capsys, "estimate", wav, notes_path, "--method", method)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0].splitlines()) == len(notes[:n_notes])
+
+    @pytest.mark.parametrize("case", ["past_the_end", "first_of_two_past_the_end",
+                                      "subnormal_lengths", "range_ensemble", "range_yin"])
+    def test_errors_do_not_depend_on_the_cpus(self, case, long_song, tmp_path, monkeypatch,
+                                              capsys):
+        wav, notes_path, notes = long_song
+        method, config = "yin", None
+        if case == "past_the_end":  # the last note, so in the last run
+            write_annotation(notes_path, [*notes, NoteSegment(100.0, 101.0, 220.0)])
+        elif case == "first_of_two_past_the_end":
+            # the first of these notes holds the middle of the summed length,
+            # so it falls in the caller's run and the second in a worker's
+            write_annotation(notes_path, [*notes[:2], NoteSegment(100.0, 104.0, 220.0),
+                                          NoteSegment(105.0, 109.0, 220.0)])
+        elif case == "subnormal_lengths":
+            Path(notes_path).write_text("0 5e-324 220\n5e-324 1e-323 220\n1e-323 2e-323 220\n")
+        else:
+            method = case.split("_")[1]
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"hps": {"f_min": 30000}} if method == "ensemble"
+                                         else {"yin": {"f_min": 0, "f_max": 1e-300}}))
+        argv = ["estimate", wav, notes_path, "--method", method]
+        argv += ["--config", str(config)] if config else []
+        results = []
+        with warnings.catch_warnings():  # none from cutting the runs, subnormal lengths included
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in (1, 2, 3):
+                use_cpus(monkeypatch, n)
+                results.append(run_cli(capsys, *argv))
+        assert results[0] == results[1] == results[2]
+        code, out, err = results[0]
+        assert code == (2 if config else 3)
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        if case.startswith("first"):
+            assert "note [100, 104]" in err
+
+    def test_a_dead_worker_is_exit_4_with_one_line(self, long_song, monkeypatch, capsys):
+        # yin dies in any process but this one; the workers fork from this
+        # process, so they see the patched registry
+        wav, notes_path, _ = long_song
+        caller, yin = os.getpid(), REGISTRY["yin"].note_fn
+
+        def die_in_a_worker(analysis, cfg):
+            if os.getpid() != caller:
+                os._exit(1)
+            return yin(analysis, cfg)
+
+        monkeypatch.setitem(REGISTRY, "yin", NoteMethod(die_in_a_worker))
+        use_cpus(monkeypatch, 2)
+        code, out, err = run_cli(capsys, "estimate", wav, notes_path, "--method", "yin")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "worker process died" in err
+        assert multiprocessing.active_children() == []
+
+    def test_each_line_is_printed_once_through_a_pipe(self, long_song):
+        # stdout is block-buffered on a pipe: a forked worker that flushed a
+        # copy of it would print the lines before the fork again
+        wav, notes_path, notes = long_song
+        src = str(Path(pitchlab.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "pitchlab.cli", "estimate", wav, notes_path],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        f0s = estimate_song(read_wav(wav), notes, ["ensemble"], {})["ensemble"]
+        assert result.stdout.splitlines() == [
+            f"{n.onset:.6f} {n.offset:.6f} {f0:.6g} {hz_to_midi(f0):.6g}"
+            for n, f0 in zip(notes, f0s)
+        ]
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # estimate and bench load it when they first make a pool
+    src = str(Path(pitchlab.__file__).resolve().parents[1])
+    code = "import sys, pitchlab.cli; print(sorted(m for m in sys.modules if 'multiproc' in m))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={"PYTHONPATH": src}, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 class TestMix:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from pitchlab.evaluation import (
     write_annotation,
 )
 from pitchlab.noise import NoiseRef, Scenario, scenario_grid
+from pitchlab.sigproc import AudioBuffer
 
 
 class TestHzMidi:
@@ -261,6 +263,32 @@ def test_a_method_and_its_member_run_the_one_config_once(two_songs, stub_registr
     assert f0s["ml"] == [v["ml"].f0 for v in votes] == [300.0] * len(notes)
     # the members vote 100, 100, 300, 200: the fused median is 150
     assert f0s["ensemble"] == [refine_f0(NoteAnalysis(note), 150.0) for note in notes]
+
+
+def test_estimate_song_rows_do_not_depend_on_jobs():
+    # every row keeps its notes in order and its place among methods, with
+    # more jobs than notes included
+    buffer, notes = synth_song(36, 22050)
+    methods = ["hps", "ensemble", "yin"]
+    serial = estimate_song(buffer, notes, methods, {})
+    assert list(serial) == methods and all(len(row) == len(notes) for row in serial.values())
+    for jobs in (2, 3, len(notes) + 5):
+        assert estimate_song(buffer, notes, methods, {}, jobs=jobs) == serial
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        estimate_song(buffer, notes, methods, {}, jobs=0)
+
+
+def test_estimate_song_forks_at_most_jobs_minus_one_workers(stub_registry, monkeypatch):
+    # a last note too short to move the summed length must not open a run
+    # of its own; the worker's error still reaches the caller
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    buffer = AudioBuffer(np.zeros(4 * 8000), 8000)
+    notes = [NoteSegment(0.0, 1.5, 220.0), NoteSegment(1.5, 3.0, 220.0),
+             NoteSegment(3.0, math.nextafter(3.0, 4.0), 220.0)]
+    with pytest.raises(InvalidAnnotation, match=r"note \[3, 3\] holds no sample"):
+        estimate_song(buffer, notes, ["hps"], {}, jobs=2)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
