@@ -13,8 +13,9 @@ successful songs, or a bench or estimate whose worker process died before
 it finished (bench writes no results, estimate prints no note line).
 
 estimate spreads the song's notes over the CPUs the process may use
-(os.sched_getaffinity): the first run of notes in this process, the others
-in forked workers. Its output and its errors do not depend on their number.
+(os.sched_getaffinity; one where the platform cannot say): the first run
+of notes in this process, the others in forked workers. Its output and
+its errors do not depend on their number.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def cmd_estimate(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read audio {args.audio}: {exc}")
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:
-        f0s = estimate_song(buffer, annotation.notes, [method], configs, spec,
-                            jobs=len(os.sched_getaffinity(0)))[method]
+        f0s = estimate_song(buffer, annotation.notes, [method], configs, spec, jobs=cpus)[method]
     except ConfigOutOfRange as exc:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
     except (PitchlabError, ValueError) as exc:

@@ -293,10 +293,11 @@ def estimate_song(
     in configs, its default when configs has none, once per note. "ensemble"
     fuses spec's members (EnsembleSpec() when None) on the same NoteAnalysis.
 
-    The notes are cut into at most min(jobs, notes) contiguous runs of
-    about equal length (_note_runs). The caller estimates the first run,
-    and a worker process forked from the caller estimates each other run,
-    so the caller must run no other thread when jobs > 1. The f0s, and the
+    The notes are cut into min(jobs, notes) contiguous runs whose sizes
+    differ by at most one note. The caller estimates the first run, and a
+    worker process estimates each other run. The workers are forked from
+    the caller where the platform can fork, so the caller must then run no
+    other thread when jobs > 1, and spawned elsewhere. The f0s, and the
     exception that the first failing note raises, do not depend on jobs:
     a note with no sample in the audio raises InvalidAnnotation. methods
     or jobs that check_run rejects raise ValueError, and a worker process
@@ -306,32 +307,24 @@ def estimate_song(
     plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
     spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
     song = (buffer, notes, plain, spec, configs)
-    first, *rest = _note_runs(notes, jobs)
+    n_runs = max(1, min(jobs, len(notes)))
+    cuts = [len(notes) * r // n_runs for r in range(n_runs + 1)]
+    first, *rest = zip(cuts, cuts[1:])
     if not rest:
         parts = [_estimate_run(song, *first)]
     else:
-        # the workers inherit the song at fork; each task sends only its bounds
-        with _process_pool(len(rest), _inherit_song, (song,)) as pool:
+        import multiprocessing  # here, so that importing pitchlab loads no multiprocessing
+
+        # forked workers inherit the song; each task sends only its bounds
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with concurrent.futures.ProcessPoolExecutor(
+            len(rest), mp_context=multiprocessing.get_context(method),
+            initializer=_inherit_song, initargs=(song,),
+        ) as pool:
             shares = [pool.submit(_estimate_share, *run) for run in rest]
             parts = [_estimate_run(song, *first)]
             parts += [share.result() for share in shares]
     return {name: [f0 for part in parts for f0 in part[name]] for name in methods}
-
-
-def _note_runs(notes: Sequence[NoteSegment], jobs: int) -> list[tuple[int, int]]:
-    """(start, stop) bounds of at most min(jobs, notes) contiguous, non-empty
-    runs of notes, of about equal summed note length: each note joins the
-    equal share of the summed length that holds its middle."""
-    n_runs = min(jobs, len(notes))
-    if n_runs <= 1:
-        return [(0, len(notes))]
-    lengths = np.array([note.offset - note.onset for note in notes])
-    lengths /= lengths.max()  # else subnormal lengths overflow n_runs / ends[-1]
-    ends = np.cumsum(lengths)
-    # a last note too short to move ends[-1] would round into share n_runs
-    share = np.minimum(np.floor((ends - lengths / 2) * (n_runs / ends[-1])), n_runs - 1)
-    cuts = [0, *(np.flatnonzero(np.diff(share)) + 1).tolist(), len(notes)]
-    return list(zip(cuts, cuts[1:]))
 
 
 def _estimate_run(song: tuple, start: int, stop: int) -> dict[str, list[float | None]]:
@@ -354,8 +347,8 @@ def _estimate_run(song: tuple, start: int, stop: int) -> dict[str, list[float | 
     return out
 
 
-# The song a forked estimate_song worker estimates a share of; set only in
-# the workers, by _inherit_song, the pool's initializer.
+# The song an estimate_song worker estimates a share of; set only in the
+# workers, by _inherit_song, the pool's initializer.
 _worker_song: tuple | None = None
 
 
@@ -366,17 +359,6 @@ def _inherit_song(song: tuple) -> None:
 
 def _estimate_share(start: int, stop: int) -> dict[str, list[float | None]]:
     return _estimate_run(_worker_song, start, stop)
-
-
-def _process_pool(workers: int, initializer=None, initargs=()) -> concurrent.futures.Executor:
-    """A pool of workers forked from this process: they start from its
-    memory, initargs included, rather than receive them pickled."""
-    import multiprocessing  # here, so that importing pitchlab loads no multiprocessing
-
-    return concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer, initargs=initargs,
-    )
 
 
 def _failure(exc: Exception) -> str:
@@ -479,7 +461,7 @@ def run_benchmark(
     tasks.sort(key=lambda t: len(t[2]) * len(t[4]), reverse=True)  # largest first; stable
     score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
     if jobs > 1 and len(tasks) > 1:
-        with _process_pool(min(jobs, len(tasks))) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(score, tasks, chunksize=1))
     else:
         results = [score(t) for t in tasks]

@@ -1,6 +1,6 @@
 import hashlib
 import math
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -37,7 +37,6 @@ from pitchlab.evaluation import (
     write_annotation,
 )
 from pitchlab.noise import NoiseRef, Scenario, scenario_grid
-from pitchlab.sigproc import AudioBuffer
 
 
 class TestHzMidi:
@@ -278,17 +277,13 @@ def test_estimate_song_rows_do_not_depend_on_jobs():
         estimate_song(buffer, notes, methods, {}, jobs=0)
 
 
-def test_estimate_song_forks_at_most_jobs_minus_one_workers(stub_registry, monkeypatch):
-    # a last note too short to move the summed length must not open a run
-    # of its own; the worker's error still reaches the caller
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    buffer = AudioBuffer(np.zeros(4 * 8000), 8000)
-    notes = [NoteSegment(0.0, 1.5, 220.0), NoteSegment(1.5, 3.0, 220.0),
-             NoteSegment(3.0, math.nextafter(3.0, 4.0), 220.0)]
-    with pytest.raises(InvalidAnnotation, match=r"note \[3, 3\] holds no sample"):
-        estimate_song(buffer, notes, ["hps"], {}, jobs=2)
-    assert len(forks) == 1
+def test_estimate_song_runs_where_the_platform_cannot_fork(monkeypatch):
+    # the workers are then spawned and receive the song pickled
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    buffer, notes = synth_song(36, 22050)
+    notes = notes[:4]
+    assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == estimate_song(
+        buffer, notes, ["yin"], {})
 
 
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
