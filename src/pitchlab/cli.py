@@ -12,10 +12,11 @@ included, or a note past the end of the audio), 4 benchmark with zero
 successful songs, or a bench or estimate whose worker process died before
 it finished (bench writes no results, estimate prints no note line).
 
-estimate spreads the song's notes over the CPUs the process may use
-(os.sched_getaffinity; one where the platform cannot say): the first run
-of notes in this process, the others in forked workers. Its output and
-its errors do not depend on their number.
+estimate forks or stays serial. It spreads the song's notes over the CPUs
+the process may use (os.sched_getaffinity): the first run of notes in
+this process, the others in forked workers. Where the platform cannot say
+how many CPUs it may use, or cannot fork, it estimates every note in this
+process. Its output and its errors do not depend on the number of CPUs.
 """
 
 from __future__ import annotations

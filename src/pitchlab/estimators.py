@@ -348,16 +348,19 @@ def _lpc(frames: np.ndarray, r0: float) -> np.ndarray | None:
     Levinson-Durbin recursion on their autocorrelation lags summed over the
     rows, r0 being lag 0 (the rows' summed sums of squares).
 
-    Returns a with a[0] = 1, or None when the prediction error stops being
-    positive and finite at any step (as it does when a lag is not). The lags
+    Lag 0 is first raised by 1e-4 of itself (ITU-T G.729's white-noise
+    correction), so rounding cannot break down the fit of a pure tone,
+    which 12 taps predict almost exactly. Returns a with a[0] = 1, or None
+    when the prediction error stops being positive and finite at any step,
+    as it then does only when lag 0 is 0 or a lag is not finite. The lags
     are einsum sums, not BLAS products, whose last bits would depend on
     the BLAS thread count; the recursion runs on 13 Python floats.
     """
     n = frames.shape[1]
     if LPC_ORDER >= n:
         raise ValueError(f"order {LPC_ORDER} must be smaller than the frame length {n}")
-    r = [r0] + [float(np.einsum("ij,ij->", frames[:, : n - k], frames[:, k:]))
-                for k in range(1, LPC_ORDER + 1)]
+    r = [r0 * (1.0 + 1e-4)] + [float(np.einsum("ij,ij->", frames[:, : n - k], frames[:, k:]))
+                               for k in range(1, LPC_ORDER + 1)]
     a, err = [1.0], r[0]
     for i in range(1, LPC_ORDER + 1):
         if not 0.0 < err < math.inf:

@@ -293,33 +293,34 @@ def estimate_song(
     in configs, its default when configs has none, once per note. "ensemble"
     fuses spec's members (EnsembleSpec() when None) on the same NoteAnalysis.
 
-    The notes are cut into min(jobs, notes) contiguous runs whose sizes
-    differ by at most one note. The caller estimates the first run, and a
-    worker process estimates each other run. The workers are forked from
-    the caller where the platform can fork, so the caller must then run no
-    other thread when jobs > 1, and spawned elsewhere. The f0s, and the
-    exception that the first failing note raises, do not depend on jobs:
-    a note with no sample in the audio raises InvalidAnnotation. methods
-    or jobs that check_run rejects raise ValueError, and a worker process
-    that dies raises concurrent.futures.process.BrokenProcessPool.
+    Where the platform can fork, the notes are cut into min(jobs, notes)
+    runs (_runs): the caller estimates the first run, and a forked worker
+    each other run, so the caller must run no other thread when jobs > 1.
+    Where it cannot fork, the caller estimates every note and builds no
+    pool. The f0s, and the exception that the first failing note raises,
+    do not depend on jobs: a note with no sample in the audio raises
+    InvalidAnnotation. methods or jobs that check_run rejects raise
+    ValueError, and a worker process that dies raises
+    concurrent.futures.process.BrokenProcessPool.
     """
     check_run(methods, jobs)
     plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
     spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
     song = (buffer, notes, plain, spec, configs)
-    n_runs = max(1, min(jobs, len(notes)))
-    cuts = [len(notes) * r // n_runs for r in range(n_runs + 1)]
-    first, *rest = zip(cuts, cuts[1:])
-    if not rest:
-        parts = [_estimate_run(song, *first)]
-    else:
+    fork = None
+    if jobs > 1:
         import multiprocessing  # here, so that importing pitchlab loads no multiprocessing
 
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+    runs = _runs(len(notes), jobs if fork else 1)
+    if len(runs) < 2:
+        parts = [_estimate_run(song, *run) for run in runs]
+    else:
+        first, *rest = runs
         # forked workers inherit the song; each task sends only its bounds
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         with concurrent.futures.ProcessPoolExecutor(
-            len(rest), mp_context=multiprocessing.get_context(method),
-            initializer=_inherit_song, initargs=(song,),
+            len(rest), mp_context=fork, initializer=_inherit_song, initargs=(song,),
         ) as pool:
             shares = [pool.submit(_estimate_share, *run) for run in rest]
             parts = [_estimate_run(song, *first)]
@@ -345,6 +346,13 @@ def _estimate_run(song: tuple, start: int, stop: int) -> dict[str, list[float | 
         if spec is not None:
             out[ENSEMBLE_METHOD].append(ensemble_f0(analysis, spec, configs))
     return out
+
+
+def _runs(n: int, k: int) -> list[tuple[int, int]]:
+    """The (start, stop) bounds of n items cut into min(n, k) contiguous
+    runs whose sizes differ by at most one, in order; none when n is 0."""
+    k = min(n, k)
+    return [(n * r // k, n * (r + 1) // k) for r in range(k)]
 
 
 # The song an estimate_song worker estimates a share of; set only in the
@@ -452,12 +460,9 @@ def run_benchmark(
         (noise_refs[nid], [s for s in scenarios if s.noise_id == nid]) for nid in noise_ids
     ]
 
-    n_runs = min(len(songs), -(-jobs // len(sources)))
-    tasks = []
-    for src, (ref, conditions) in enumerate(sources):
-        for r in range(n_runs):
-            lo, hi = len(songs) * r // n_runs, len(songs) * (r + 1) // n_runs
-            tasks.append((src, ref, conditions, lo, songs[lo:hi]))
+    runs = _runs(len(songs), -(-jobs // len(sources)))
+    tasks = [(src, ref, conditions, lo, songs[lo:hi])
+             for src, (ref, conditions) in enumerate(sources) for lo, hi in runs]
     tasks.sort(key=lambda t: len(t[2]) * len(t[4]), reverse=True)  # largest first; stable
     score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
     if jobs > 1 and len(tasks) > 1:

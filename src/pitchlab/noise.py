@@ -21,27 +21,9 @@ from .sigproc import AudioBuffer
 
 logger = logging.getLogger(__name__)
 
-# Names for the default 17-source corpus, keyed by the two-digit prefix
-# used in corpus filenames (01_white.wav .. 17_office.wav).
-DEFAULT_NOISE_NAMES: dict[int, str] = {
-    1: "white",
-    2: "babble",
-    3: "insect",
-    4: "surf",
-    5: "subway",
-    6: "campus",
-    7: "ventilation",
-    8: "car",
-    9: "train",
-    10: "conservator",
-    11: "exhibition",
-    12: "gaussian",
-    13: "wilderness",
-    14: "restaurant",
-    15: "airport",
-    16: "street",
-    17: "office",
-}
+# The default corpus's 17 noise ids: the two-digit prefixes of its file
+# names (01_white.wav .. 17_office.wav; README's "The noise lab" lists them).
+DEFAULT_NOISE_IDS = tuple(range(1, 18))
 
 DEFAULT_SNRS_DB = (-5.0, 0.0, 10.0, 20.0)
 
@@ -83,7 +65,7 @@ def scenario_grid(noise_ids, snrs_db) -> list[Scenario]:
 
 def default_scenario_grid() -> list[Scenario]:
     """The full corpus grid: 17 noise sources times 4 SNR levels."""
-    return scenario_grid(sorted(DEFAULT_NOISE_NAMES), DEFAULT_SNRS_DB)
+    return scenario_grid(DEFAULT_NOISE_IDS, DEFAULT_SNRS_DB)
 
 
 # ---------------------------------------------------------------------------

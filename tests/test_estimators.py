@@ -358,11 +358,20 @@ def textbook_predictor(rows, r0=None):
     return a
 
 
+def srh_predictor(rows, r0=None):
+    """textbook_predictor fed srh's lag 0: r0 (by default the rows' summed
+    sums of squares) raised by 1e-4 of itself, ITU-T G.729's white-noise
+    correction."""
+    r0 = np.einsum("ij,ij->", rows, rows) if r0 is None else r0
+    return textbook_predictor(rows, r0 * (1.0 + 1e-4))
+
+
 def test_lpc_matches_scalar_levinson_recursion(rng):
-    # textbook Levinson-Durbin, one frame at a time, then a direct-form FIR
+    # textbook Levinson-Durbin on the corrected lag 0, one frame at a time,
+    # then a direct-form FIR
     for _ in range(5):
         x = np.convolve(rng.standard_normal(2100), [1.0, 1.5, 0.9, 0.3])[:2048]
-        expected = np.convolve(x, textbook_predictor(x[None]))[: x.size]
+        expected = np.convolve(x, srh_predictor(x[None]))[: x.size]
         got = lpc_residual(rect_frame(x, 8000)).samples
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * np.max(np.abs(x)))
 
@@ -413,6 +422,17 @@ def test_amplitude_invariance(method):
     loud = estimate_note(saw_buffer(220.0, 0.3, amp=0.5), method)
     soft = estimate_note(saw_buffer(220.0, 0.3, amp=0.005), method)
     assert loud.f0 == pytest.approx(soft.f0, rel=1e-9)
+
+
+@pytest.mark.parametrize("wave, freq", [
+    (sine, 220.0), (sine, 330.0), (sine, 440.0), (sine, 523.25), (sawtooth, 220.0)])
+def test_srh_votes_one_f0_at_every_amplitude(wave, freq):
+    # 12 taps predict a pure tone almost exactly, so without lag 0's
+    # correction rounding alone decided at which amplitudes the recursion
+    # broke down and srh went unvoiced
+    votes = {estimate_note(AudioBuffer(wave(freq, 8000, 44100, amp=amp), 44100), "srh").f0
+             for amp in (1.0, 0.5, 0.1, 0.01)}
+    assert len(votes) == 1 and None not in votes, votes
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -531,10 +551,11 @@ def test_note_kernels_match_frame_level_functions():
                          hann_frames=analysis.hann_frames, energy=analysis.energy)
         assert REGISTRY["srh"].note_fn(alike, DEFAULT_CONFIGS["srh"]).per_frame[i] == srh[i], i
 
-    # srh votes unvoiced exactly on silent frames: the one-frame LPC breaks
-    # down on some live frames (the pure tone), but the note's does not
+    # srh votes unvoiced exactly on silent frames. The one-frame LPC breaks
+    # down on the all-zero frames (lag 0 is 0) alone: with lag 0 corrected,
+    # no frame with energy breaks it down, the pure tone's included
     broken = [_lpc_breaks_down(rect_frame(row, fs)) for row in analysis.hann_frames]
-    assert any(b and row_live for b, row_live in zip(broken, live))
+    assert any(broken) and broken == list(analysis.energy == 0.0)
     assert [v is None for v in srh] == list(~live)
 
     # Lag members: each frame as a one-frame note. The note path transforms
@@ -606,8 +627,8 @@ def test_live_and_srh_share_one_frame_energy(rng):
     # live thresholds each Hann frame's sum of squares, and srh's predictor
     # takes that same array, summed over the live frames, as its lag 0: with
     # energy raised by hand on every frame, silent ones too, srh votes as
-    # the textbook predictor on that sum and the live frames' own lags 1-12
-    # does, and not as the one on their own sums of squares
+    # the corrected textbook predictor on that sum and the live frames' own
+    # lags 1-12 does, and not as the one on their own sums of squares
     analysis = NoteAnalysis(_gapped_note())
     hann = analysis.hann_frames
     assert np.array_equal(analysis.energy, np.einsum("ij,ij->i", hann, hann))
@@ -616,26 +637,26 @@ def test_live_and_srh_share_one_frame_energy(rng):
     assert np.array_equal(analysis.live, np.sqrt(np.mean(hann**2, axis=1)) >= SILENCE_RMS)
     energy = analysis.energy + 1.0
     analysis.__dict__["energy"] = energy
-    expected, own_energy = whitening_probe_votes(analysis, rng, textbook_predictor(
-        hann[analysis.live], energy[analysis.live].sum()), textbook_predictor(hann[analysis.live]))
+    expected, own_energy = whitening_probe_votes(analysis, rng, srh_predictor(
+        hann[analysis.live], energy[analysis.live].sum()), srh_predictor(hann[analysis.live]))
     assert expected != own_energy
     assert estimate_note_many(analysis, {"srh": None})["srh"].per_frame == expected
 
 
 @pytest.mark.parametrize("first_only", [False, True], ids=["live", "hand_set_live"])
 def test_srh_fits_one_predictor_to_the_live_frames(first_only, rng):
-    # srh votes as the textbook predictor on the lags of the note's live
-    # Hann frames alone does; with live set by hand to the first sawtooth's
-    # frames, the loud frames of the second add nothing to it. The note's
-    # silent frames are zeros, so only then does a fit over every frame vote
-    # otherwise
+    # srh votes as the corrected textbook predictor on the lags of the note's
+    # live Hann frames alone does; with live set by hand to the first
+    # sawtooth's frames, the loud frames of the second add nothing to it.
+    # The note's silent frames are zeros, so only then does a fit over every
+    # frame vote otherwise
     analysis = NoteAnalysis(_gapped_note())
     live = analysis.live.copy()
     if first_only:
         live[len(live) // 2 :] = False
         analysis.__dict__["live"] = live
-    expected, every_frame = whitening_probe_votes(analysis, rng, textbook_predictor(
-        analysis.hann_frames[live]), textbook_predictor(analysis.hann_frames))
+    expected, every_frame = whitening_probe_votes(analysis, rng, srh_predictor(
+        analysis.hann_frames[live]), srh_predictor(analysis.hann_frames))
     assert (expected != every_frame) == first_only
     assert estimate_note_many(analysis, {"srh": None})["srh"].per_frame == expected
 
@@ -679,7 +700,7 @@ def test_srh_residual_spectrum_matches_a_second_fft(cfg, fs):
 
 def check_residual_against_a_second_fft(cfg, fs):
     # srh whitens the band's Hann magnitudes by |A|, the DFT of the note's
-    # one predictor (textbook_predictor over its live full-rate Hann frames)
+    # one predictor (srh_predictor over its live full-rate Hann frames)
     # zero-padded to the full-rate FFT length, and votes on that product;
     # here |A| is an rFFT of the predictor. Below 4 kHz the band's magnitudes
     # are the full-rate ones over q to 1.6e-4 of the frame's peak, so the
@@ -695,7 +716,7 @@ def check_residual_against_a_second_fft(cfg, fs):
     assert q == (4 if fs == 44100 else 1)
     mags = analysis.spectrogram
     rows = np.flatnonzero(analysis.live)
-    a = textbook_predictor(hann[rows])
+    a = srh_predictor(hann[rows])
     reach = math.floor(cfg.f_max / analysis.bin_hz) * cfg.n_harmonics + 1
     top = min(mags.shape[1], reach)
     edge = math.floor(4000.0 / analysis.bin_hz) + 1
@@ -832,14 +853,15 @@ def test_lag_range_that_cannot_fit_raises_on_a_silent_note(method):
 
 
 def test_srh_range_is_checked_when_the_predictor_breaks_down():
-    # a pure sine is predicted exactly by 12 taps, so the recursion breaks
-    # down and srh votes unvoiced on every live frame; a range that cannot
-    # fit raises all the same
-    note = AudioBuffer(sine(220.0, 8000, 44100, amp=1.0), 44100)
-    assert NoteAnalysis(note).live.all()
-    assert set(estimate_note(note, "srh").per_frame) == {None}
-    with pytest.raises(ConfigOutOfRange, match="^srh: .*5512.5 Hz"):
-        estimate_note(note, "srh", EstimatorConfig(30000.0, 40000.0, 5))
+    # a finite sine so loud that its frames' sums of squares overflow: lag 0
+    # is not finite, so the recursion breaks down and srh votes unvoiced on
+    # every live frame; a range that cannot fit raises all the same
+    note = AudioBuffer(sine(220.0, 8000, 44100, amp=1e160), 44100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert NoteAnalysis(note).live.all()
+        assert set(estimate_note(note, "srh").per_frame) == {None}
+        with pytest.raises(ConfigOutOfRange, match="^srh: .*5512.5 Hz"):
+            estimate_note(note, "srh", EstimatorConfig(30000.0, 40000.0, 5))
 
 
 def test_comb_is_kept_read_only():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import multiprocessing
@@ -277,13 +278,35 @@ def test_estimate_song_rows_do_not_depend_on_jobs():
         estimate_song(buffer, notes, methods, {}, jobs=0)
 
 
-def test_estimate_song_runs_where_the_platform_cannot_fork(monkeypatch):
-    # the workers are then spawned and receive the song pickled
+def test_estimate_song_stays_serial_where_the_platform_cannot_fork(monkeypatch):
+    # the caller then estimates every note and builds no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("estimate_song built a process pool")
+
+    buffer, notes = synth_song(36, 22050)
+    notes = notes[:4]
+    serial = estimate_song(buffer, notes, ["yin"], {})
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == serial
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+def test_estimate_song_builds_its_pool_with_the_fork_context(monkeypatch):
+    built = []
+
+    def pool(*args, mp_context, **kwargs):
+        built.append(mp_context.get_start_method())
+        return real(*args, mp_context=mp_context, **kwargs)
+
+    real = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     buffer, notes = synth_song(36, 22050)
     notes = notes[:4]
     assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == estimate_song(
         buffer, notes, ["yin"], {})
+    assert built == ["fork"]
 
 
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
