@@ -14,9 +14,12 @@ it finished (bench writes no results, estimate prints no note line).
 
 estimate forks or stays serial. It spreads the song's notes over the CPUs
 the process may use (os.sched_getaffinity): the first run of notes in
-this process, the others in forked workers. Where the platform cannot say
-how many CPUs it may use, or cannot fork, it estimates every note in this
-process. Its output and its errors do not depend on the number of CPUs.
+this process, each other run in a child forked from it, which returns its
+rows pickled over a pipe; there is no process pool. Where the platform
+cannot say how many CPUs it may use, or cannot fork, it estimates every
+note in this process. Its output and its errors do not depend on the
+number of CPUs. bench keeps a process pool: its tasks are many and long
+beside the pool's start-up.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ from .evaluation import (
 from .noise import (
     DEFAULT_SNRS_DB,
     NoiseSource,
+    achieved_snr,
     check_snr,
     mix_at_snr,
-    measure_snr,
     refs_from_dir,
     scenario_grid,
     synth_noise,
@@ -113,7 +116,7 @@ def cmd_estimate(args) -> int:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
     except (PitchlabError, ValueError) as exc:
         return _fail(EX_ANNOTATION, f"the notes do not fit {args.audio}: {exc}")
-    except BrokenExecutor as exc:  # a worker died: BrokenProcessPool
+    except BrokenExecutor as exc:  # a child exited without a reply: BrokenProcessPool
         return _fail(EX_NO_SONGS, f"an estimate worker process died: {exc}")
     for note, f0 in zip(annotation.notes, f0s):
         if f0 is not None:
@@ -160,8 +163,8 @@ def cmd_mix(args) -> int:
     try:
         mixed = mix_at_snr(signal, noise, args.snr)
         del noise  # the achieved SNR is measured on the mix, not the noise
-        # a silent signal takes no noise at any SNR, and measure_snr rejects that
-        achieved = measure_snr(signal.samples, mixed.samples - signal.samples)
+        # a silent signal takes no noise at any SNR, and achieved_snr rejects that
+        achieved = achieved_snr(signal, mixed)
     except PitchlabError as exc:
         return _fail(EX_INPUT, f"cannot mix at {args.snr:g} dB SNR: {exc}")
 

@@ -10,11 +10,14 @@ import concurrent.futures
 import functools
 import logging
 import math
+import os
+import pickle
+import signal
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -294,37 +297,27 @@ def estimate_song(
     fuses spec's members (EnsembleSpec() when None) on the same NoteAnalysis.
 
     Where the platform can fork, the notes are cut into min(jobs, notes)
-    runs (_runs): the caller estimates the first run, and a forked worker
-    each other run, so the caller must run no other thread when jobs > 1.
-    Where it cannot fork, the caller estimates every note and builds no
-    pool. The f0s, and the exception that the first failing note raises,
-    do not depend on jobs: a note with no sample in the audio raises
+    runs (_runs): the caller estimates the first run, and a child forked
+    from it each other run, so the caller must run no other thread when
+    jobs > 1. There is no pool: each child inherits the song at the fork
+    and sends its rows back pickled over a pipe of its own (_forked_runs).
+    Where the platform cannot fork, the caller estimates every note. The
+    f0s, and the exception that the first failing note raises, do not
+    depend on jobs: a note with no sample in the audio raises
     InvalidAnnotation. methods or jobs that check_run rejects raise
-    ValueError, and a worker process that dies raises
-    concurrent.futures.process.BrokenProcessPool.
+    ValueError, and a child that exits without a reply raises
+    concurrent.futures.process.BrokenProcessPool. No child outlives the
+    call.
     """
     check_run(methods, jobs)
     plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
     spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
     song = (buffer, notes, plain, spec, configs)
-    fork = None
-    if jobs > 1:
-        import multiprocessing  # here, so that importing pitchlab loads no multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-    runs = _runs(len(notes), jobs if fork else 1)
+    runs = _runs(len(notes), jobs if hasattr(os, "fork") else 1)
     if len(runs) < 2:
         parts = [_estimate_run(song, *run) for run in runs]
     else:
-        first, *rest = runs
-        # forked workers inherit the song; each task sends only its bounds
-        with concurrent.futures.ProcessPoolExecutor(
-            len(rest), mp_context=fork, initializer=_inherit_song, initargs=(song,),
-        ) as pool:
-            shares = [pool.submit(_estimate_share, *run) for run in rest]
-            parts = [_estimate_run(song, *first)]
-            parts += [share.result() for share in shares]
+        parts = _forked_runs(song, runs)
     return {name: [f0 for part in parts for f0 in part[name]] for name in methods}
 
 
@@ -355,18 +348,60 @@ def _runs(n: int, k: int) -> list[tuple[int, int]]:
     return [(n * r // k, n * (r + 1) // k) for r in range(k)]
 
 
-# The song an estimate_song worker estimates a share of; set only in the
-# workers, by _inherit_song, the pool's initializer.
-_worker_song: tuple | None = None
+def _forked_runs(song: tuple, runs: list[tuple[int, int]]) -> list[dict[str, list[float | None]]]:
+    """_estimate_run's rows for each of runs, in order: the caller estimates
+    runs[0], and one forked child each other run. A child writes its rows,
+    or the exception its first failing note raised, pickled to its own pipe,
+    and always leaves by os._exit, so it runs no cleanup of the caller's
+    and flushes no copy of its buffers. The caller reads the pipes in run
+    order and reaps each child; on every way out it kills and reaps the
+    children still running."""
+    children = {}  # pid: the read end of its pipe, until the child is reaped
+    try:
+        for start, stop in runs[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(song, start, stop, write_end)
+            os.close(write_end)
+            children[pid] = open(read_end, "rb")
+        parts = [_estimate_run(song, *runs[0])]
+        for pid, pipe in list(children.items()):
+            reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if code != 0 or not reply:
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool(
+                    f"estimate worker {pid} exited with code {code} and no reply")
+            part = pickle.loads(reply)
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+        return parts
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
-def _inherit_song(song: tuple) -> None:
-    global _worker_song
-    _worker_song = song
-
-
-def _estimate_share(start: int, stop: int) -> dict[str, list[float | None]]:
-    return _estimate_run(_worker_song, start, stop)
+def _child(song: tuple, start: int, stop: int, write_end: int) -> NoReturn:
+    """A forked child's whole life: estimate notes[start:stop] of song, send
+    the rows or the exception over write_end, and exit, 0 only if the whole
+    reply was written."""
+    status = 1
+    try:
+        try:
+            reply = _estimate_run(song, start, stop)
+        except Exception as exc:  # the caller raises it in this note's place
+            reply = exc
+        with open(write_end, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _failure(exc: Exception) -> str:

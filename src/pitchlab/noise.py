@@ -134,10 +134,38 @@ def measure_snr(signal, noise_component) -> float:
     n = np.asarray(noise_component, dtype=np.float64)
     if s.size != n.size:
         raise ValueError(f"signal and noise lengths differ ({s.size} vs {n.size})")
-    p_noise = float(np.mean(n**2))
+    return _snr_db(float(np.mean(s**2)), float(np.mean(n**2)))
+
+
+def achieved_snr(signal: AudioBuffer, mixed: AudioBuffer) -> float:
+    """measure_snr(signal, mixed.samples - signal.samples), bit for bit,
+    without the full-length difference or a full-length square: the powers
+    are summed piece by piece (_power_sums)."""
+    n = len(signal)
+    if n == 0 or len(mixed) != n:
+        raise ValueError(f"need a signal and a mix of one length > 0, got {n} and {len(mixed)}")
+    p_signal, p_noise = _power_sums(signal.samples, mixed.samples)
+    return _snr_db(p_signal / n, p_noise / n)
+
+
+def _power_sums(s: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    """The sums of s**2 and (m - s)**2. numpy sums a whole array pairwise,
+    halving it at a multiple of 8 down to blocks of 128; this function
+    splits at the same points down to _CHUNK samples, which np.sum then
+    sums, so each sum is np.sum's of the full-length square."""
+    if s.size <= _CHUNK:
+        d = m - s
+        return float(np.sum(s * s)), float(np.sum(d * d))
+    half = s.size // 2 - s.size // 2 % 8
+    (s1, n1), (s2, n2) = _power_sums(s[:half], m[:half]), _power_sums(s[half:], m[half:])
+    return s1 + s2, n1 + n2
+
+
+def _snr_db(p_signal: float, p_noise: float) -> float:
+    """10 log10(p_signal / p_noise); -inf for a silent signal, and
+    SilentNoise for a silent noise."""
     if p_noise == 0.0:
         raise SilentNoise("noise component has zero power")
-    p_signal = float(np.mean(s**2))
     if p_signal == 0.0:
         return -math.inf
     return 10.0 * math.log10(p_signal / p_noise)
@@ -154,7 +182,8 @@ _PINK_KNEE_HZ = 20.0
 
 
 # Samples per chunk where a noise is built piece by piece (hum50, and
-# babble's envelopes), so its work arrays stay small beside the output.
+# babble's envelopes), or a mix's SNR summed (achieved_snr), so that the
+# work arrays stay small beside the output.
 _CHUNK = 1 << 14
 
 

@@ -480,12 +480,22 @@ class TestEstimateOverCpus:
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
-    # estimate and bench load it when they first make a pool
+    # bench loads it when it makes its pool; estimate's forked children
+    # need neither it nor concurrent.futures' pool module
     src = str(Path(pitchlab.__file__).resolve().parents[1])
-    code = "import sys, pitchlab.cli; print(sorted(m for m in sys.modules if 'multiproc' in m))"
+    code = (
+        "import sys, pitchlab.cli\n"
+        "from pitchlab.evaluation import estimate_song, synth_song\n"
+        "def pools(): return sorted(m for m in sys.modules\n"
+        "                         if 'multiproc' in m or m == 'concurrent.futures.process')\n"
+        "print(pools())\n"
+        "buffer, notes = synth_song(36, 22050)\n"
+        "assert len(estimate_song(buffer, notes[:4], ['yin'], {}, jobs=2)['yin']) == 4\n"
+        "print(pools())\n"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={"PYTHONPATH": src}, timeout=60)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestMix:

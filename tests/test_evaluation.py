@@ -1,7 +1,9 @@
 import concurrent.futures
 import hashlib
 import math
-import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -278,35 +280,88 @@ def test_estimate_song_rows_do_not_depend_on_jobs():
         estimate_song(buffer, notes, methods, {}, jobs=0)
 
 
-def test_estimate_song_stays_serial_where_the_platform_cannot_fork(monkeypatch):
-    # the caller then estimates every note and builds no pool
-    def no_pool(*args, **kwargs):
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("estimate_song built a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def test_estimate_song_stays_serial_where_the_platform_cannot_fork(monkeypatch, no_pool):
+    # the caller then estimates every note
+    buffer, notes = synth_song(36, 22050)
+    notes = notes[:4]
+    serial = estimate_song(buffer, notes, ["yin"], {})
+    monkeypatch.delattr(os, "fork")
+    assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == serial
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("jobs", [1, 2, 3, 9])
+def test_estimate_song_forks_one_child_for_each_run_but_the_first(monkeypatch, no_pool, jobs):
+    forks = []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
 
     buffer, notes = synth_song(36, 22050)
     notes = notes[:4]
     serial = estimate_song(buffer, notes, ["yin"], {})
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == serial
+    real = os.fork
+    monkeypatch.setattr(os, "fork", fork)
+    assert estimate_song(buffer, notes, ["yin"], {}, jobs=jobs) == serial
+    assert len(forks) == min(jobs, len(notes)) - 1
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the platform cannot fork")
-def test_estimate_song_builds_its_pool_with_the_fork_context(monkeypatch):
-    built = []
-
-    def pool(*args, mp_context, **kwargs):
-        built.append(mp_context.get_start_method())
-        return real(*args, mp_context=mp_context, **kwargs)
-
-    real = concurrent.futures.ProcessPoolExecutor
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+@needs_fork
+@pytest.mark.parametrize("path", ["returns", "caller_fails", "worker_fails", "worker_exits"])
+def test_no_child_outlives_estimate_song(monkeypatch, path):
+    # at jobs=3 the caller estimates notes 0-1, the first child 2-3 and the
+    # second 4-5; "slow" sleeps in either child, so a caller that waited
+    # for a busy child instead of killing it would take a minute
     buffer, notes = synth_song(36, 22050)
-    notes = notes[:4]
-    assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == estimate_song(
-        buffer, notes, ["yin"], {})
-    assert built == ["fork"]
+    notes = list(notes[:6])
+    caller, yin = os.getpid(), REGISTRY["yin"].note_fn
+    in_children = {"returns": None, "caller_fails": "slow", "worker_fails": "slow",
+                   "worker_exits": "exit"}[path]
+
+    def yin_or_not_in_children(analysis, cfg):
+        if os.getpid() != caller and in_children == "slow":
+            time.sleep(60)
+        if os.getpid() != caller and in_children == "exit":
+            os._exit(1)
+        return yin(analysis, cfg)
+
+    if path == "caller_fails":  # a later note fails in the first child too
+        notes[1], notes[3] = NoteSegment(100.0, 101.0, 220.0), NoteSegment(105.0, 106.0, 220.0)
+    elif path == "worker_fails":  # in the first child, while the second is busy
+        notes[2] = NoteSegment(105.0, 106.0, 220.0)
+    monkeypatch.setitem(REGISTRY, "yin", NoteMethod(yin_or_not_in_children))
+    t0 = time.monotonic()
+    if path == "returns":
+        assert estimate_song(buffer, notes, ["yin"], {}, jobs=3) == estimate_song(
+            buffer, notes, ["yin"], {})
+    elif path == "worker_exits":
+        with pytest.raises(BrokenProcessPool):
+            estimate_song(buffer, notes, ["yin"], {}, jobs=3)
+    else:
+        with pytest.raises(InvalidAnnotation) as serial:
+            estimate_song(buffer, notes, ["yin"], {})
+        with pytest.raises(InvalidAnnotation) as forked:
+            estimate_song(buffer, notes, ["yin"], {}, jobs=3)
+        assert str(forked.value) == str(serial.value)
+        onset = "100" if path == "caller_fails" else "105"
+        assert str(forked.value).startswith(f"note [{onset}, ")
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),

@@ -12,6 +12,7 @@ from pitchlab.noise import (
     NoiseRef,
     NoiseSource,
     Scenario,
+    achieved_snr,
     extend_to_length,
     measure_snr,
     mix_at_snr,
@@ -118,6 +119,19 @@ class TestMeasureSnr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             measure_snr(np.ones(10), np.ones(11))
+        with pytest.raises(ValueError):
+            achieved_snr(AudioBuffer(np.ones(10), 8000), AudioBuffer(np.ones(11), 8000))
+
+    @pytest.mark.parametrize("n", [1, 7, 16384, 16385, 100_003, 661_500])
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 20.0])
+    def test_achieved_snr_is_that_of_the_difference_bit_for_bit(self, n, snr_db):
+        # mix prints it: summed piece by piece, it must not move a digit, nor
+        # the sign of a 0 dB mix's rounding error
+        rng = np.random.default_rng(n)
+        signal = AudioBuffer(rng.uniform(-0.3, 0.3, n), 44100)
+        noise = NoiseSource("n", AudioBuffer(rng.standard_normal(30_000), 44100))
+        mixed = mix_at_snr(signal, noise, snr_db)
+        assert achieved_snr(signal, mixed) == measure_snr(signal, mixed.samples - signal.samples)
 
 
 class TestExtendToLength:
