@@ -10,7 +10,8 @@ into a silent or empty signal, of a silent noise or too large for a WAV
 header, 3 invalid annotation (non-UTF-8 text
 included, or a note past the end of the audio), 4 benchmark with zero
 successful songs, or a bench or estimate whose worker process died before
-it finished (bench writes no results, estimate prints no note line).
+it finished or could not be started (bench writes no results, estimate
+prints no note line).
 
 estimate forks or stays serial. It spreads the song's notes over the CPUs
 the process may use (os.sched_getaffinity): the first run of notes in
@@ -116,8 +117,8 @@ def cmd_estimate(args) -> int:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
     except (PitchlabError, ValueError) as exc:
         return _fail(EX_ANNOTATION, f"the notes do not fit {args.audio}: {exc}")
-    except BrokenExecutor as exc:  # a child exited without a reply: BrokenProcessPool
-        return _fail(EX_NO_SONGS, f"an estimate worker process died: {exc}")
+    except BrokenExecutor as exc:  # a child exited without a reply or could not fork
+        return _fail(EX_NO_SONGS, f"an estimate worker process died or could not start: {exc}")
     for note, f0 in zip(annotation.notes, f0s):
         if f0 is not None:
             f0_text = f"{f0:.6g}"
@@ -282,8 +283,8 @@ def cmd_bench(args) -> int:
 
     try:
         report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=args.jobs)
-    except BrokenExecutor as exc:  # a pool worker died: BrokenProcessPool
-        return _fail(EX_NO_SONGS, f"a benchmark worker process died: {exc}")
+    except BrokenExecutor as exc:  # a pool worker died or could not fork
+        return _fail(EX_NO_SONGS, f"a benchmark worker process died or could not start: {exc}")
 
     for failure in report.failures:
         where = "clean" if failure.scenario is None else (

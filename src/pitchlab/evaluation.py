@@ -305,9 +305,9 @@ def estimate_song(
     f0s, and the exception that the first failing note raises, do not
     depend on jobs: a note with no sample in the audio raises
     InvalidAnnotation. methods or jobs that check_run rejects raise
-    ValueError, and a child that exits without a reply raises
-    concurrent.futures.process.BrokenProcessPool. No child outlives the
-    call.
+    ValueError, and a child that exits without a reply, or cannot be
+    forked, raises concurrent.futures.process.BrokenProcessPool. No child
+    outlives the call.
     """
     check_run(methods, jobs)
     plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
@@ -360,7 +360,12 @@ def _forked_runs(song: tuple, runs: list[tuple[int, int]]) -> list[dict[str, lis
     try:
         for start, stop in runs[1:]:
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # EAGAIN, ENOMEM
+                os.close(read_end)
+                os.close(write_end)
+                raise _broken_pool(f"os.fork failed: {exc}") from exc
             if pid == 0:
                 _child(song, start, stop, write_end)
             os.close(write_end)
@@ -371,10 +376,7 @@ def _forked_runs(song: tuple, runs: list[tuple[int, int]]) -> list[dict[str, lis
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(pid).close()
             if code != 0 or not reply:
-                from concurrent.futures.process import BrokenProcessPool
-
-                raise BrokenProcessPool(
-                    f"estimate worker {pid} exited with code {code} and no reply")
+                raise _broken_pool(f"estimate worker {pid} exited with code {code} and no reply")
             part = pickle.loads(reply)
             if isinstance(part, Exception):
                 raise part
@@ -385,6 +387,14 @@ def _forked_runs(song: tuple, runs: list[tuple[int, int]]) -> list[dict[str, lis
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
+
+
+def _broken_pool(message: str) -> Exception:
+    """A BrokenProcessPool; its module, which loads multiprocessing, is
+    imported only when a worker dies or cannot start."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool(message)
 
 
 def _child(song: tuple, start: int, stop: int, write_end: int) -> NoReturn:
@@ -483,8 +493,8 @@ def run_benchmark(
     estimates of the plain methods of the same name. No method, a method named
     twice or unknown, or jobs < 1 raises ValueError (check_run). Results
     and failures come back in song-major order, so they are deterministic
-    for a fixed input regardless of jobs. A worker process that dies raises
-    concurrent.futures.process.BrokenProcessPool.
+    for a fixed input regardless of jobs. A worker process that dies or
+    cannot start raises concurrent.futures.process.BrokenProcessPool.
     """
     check_run(methods, jobs)
     methods = list(methods)
@@ -502,7 +512,17 @@ def run_benchmark(
     score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(score, tasks, chunksize=1))
+            try:
+                outputs = pool.map(score, tasks, chunksize=1)  # forks every worker
+            except OSError as exc:  # a worker could not be forked (EAGAIN, ENOMEM)
+                # the workers that did start wait for work that never comes, and
+                # would hold up the interpreter's exit; Python < 3.14 offers no
+                # public way to end them
+                for process in pool._processes.values():
+                    process.kill()
+                    process.join()
+                raise _broken_pool(f"os.fork failed: {exc}") from exc
+            results = list(outputs)
     else:
         results = [score(t) for t in tasks]
     outcomes = {key: outcome for result in results for key, outcome in result.items()}

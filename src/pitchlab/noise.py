@@ -111,11 +111,11 @@ def mix_at_snr(signal: AudioBuffer, noise: NoiseSource, snr_db: float) -> AudioB
         raise SampleRateMismatch(
             f"noise rate {noise.buffer.sample_rate} != signal rate {signal.sample_rate}"
         )
-    p_signal = float(np.mean(signal.samples**2))
-    # the looped noise's buffer becomes the mix: the signal, one copy of
-    # the noise and one square at a time are all that is held
+    p_signal = _power(signal.samples)
+    # the looped noise's buffer becomes the mix, and it is the one
+    # full-length array held beside the signal: _power squares by pieces
     mixed = extend_to_length(noise.buffer.samples, len(signal))
-    p_noise = float(np.mean(mixed**2))
+    p_noise = _power(mixed)
     if p_noise == 0.0:
         raise SilentNoise("noise has zero power over the mixed extent")
     gain = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
@@ -134,31 +134,36 @@ def measure_snr(signal, noise_component) -> float:
     n = np.asarray(noise_component, dtype=np.float64)
     if s.size != n.size:
         raise ValueError(f"signal and noise lengths differ ({s.size} vs {n.size})")
-    return _snr_db(float(np.mean(s**2)), float(np.mean(n**2)))
+    return _snr_db(_power(s), _power(n))
 
 
 def achieved_snr(signal: AudioBuffer, mixed: AudioBuffer) -> float:
     """measure_snr(signal, mixed.samples - signal.samples), bit for bit,
-    without the full-length difference or a full-length square: the powers
-    are summed piece by piece (_power_sums)."""
+    without the full-length difference (_power)."""
     n = len(signal)
     if n == 0 or len(mixed) != n:
         raise ValueError(f"need a signal and a mix of one length > 0, got {n} and {len(mixed)}")
-    p_signal, p_noise = _power_sums(signal.samples, mixed.samples)
-    return _snr_db(p_signal / n, p_noise / n)
+    return _snr_db(_power(signal.samples), _power(mixed.samples, signal.samples))
 
 
-def _power_sums(s: np.ndarray, m: np.ndarray) -> tuple[float, float]:
-    """The sums of s**2 and (m - s)**2. numpy sums a whole array pairwise,
+def _power(*xs: np.ndarray) -> float:
+    """np.mean(x**2) of xs = (x,), or np.mean((x - y)**2) of xs = (x, y),
+    bit for bit, holding no full-length square or difference (NaN when x
+    is empty)."""
+    return float(_square_sum(*(x.reshape(-1) for x in xs)) / xs[0].size)
+
+
+def _square_sum(*xs: np.ndarray) -> np.float64:
+    """The sum of x**2, or of (x - y)**2. numpy sums a whole array pairwise,
     halving it at a multiple of 8 down to blocks of 128; this function
     splits at the same points down to _CHUNK samples, which np.sum then
-    sums, so each sum is np.sum's of the full-length square."""
-    if s.size <= _CHUNK:
-        d = m - s
-        return float(np.sum(s * s)), float(np.sum(d * d))
-    half = s.size // 2 - s.size // 2 % 8
-    (s1, n1), (s2, n2) = _power_sums(s[:half], m[:half]), _power_sums(s[half:], m[half:])
-    return s1 + s2, n1 + n2
+    sums, so the sum is np.sum's of the full-length square."""
+    n = xs[0].size
+    if n <= _CHUNK:
+        d = xs[0] if len(xs) == 1 else xs[0] - xs[1]
+        return np.sum(d * d)
+    half = n // 2 - n // 2 % 8
+    return _square_sum(*(x[:half] for x in xs)) + _square_sum(*(x[half:] for x in xs))
 
 
 def _snr_db(p_signal: float, p_noise: float) -> float:
@@ -182,8 +187,8 @@ _PINK_KNEE_HZ = 20.0
 
 
 # Samples per chunk where a noise is built piece by piece (hum50, and
-# babble's envelopes), or a mix's SNR summed (achieved_snr), so that the
-# work arrays stay small beside the output.
+# babble's envelopes), or a power summed (_power), so that the work
+# arrays stay small beside the output.
 _CHUNK = 1 << 14
 
 

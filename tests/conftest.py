@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -34,6 +36,22 @@ def one_frame_estimate(method, samples, rate, cfg=None):
     assert len(samples) == FRAME_LEN
     analysis = NoteAnalysis(AudioBuffer(samples, rate))
     return estimate_note_many(analysis, {method: cfg})[method]
+
+
+def fail_the_second_fork(monkeypatch):
+    """Make os.fork fork for real once, then raise EAGAIN as it does when the
+    system is out of processes; no process is started for the failure."""
+    real = os.fork
+    calls = []
+
+    def fork():
+        calls.append(os.getpid())
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
 
 
 def wav_chunk(chunk_id, body):

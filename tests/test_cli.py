@@ -29,7 +29,7 @@ from pitchlab.evaluation import write_annotation
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import sawtooth, wav_bytes
+from conftest import fail_the_second_fork, sawtooth, wav_bytes
 
 # A 0.1 s float WAV: a 12-byte RIFF header, fmt (16-byte body) at 12, data at 36.
 VALID_WAV = wav_bytes(np.full(2205, 0.1, dtype=np.float32).tobytes(), rate=22050)
@@ -462,6 +462,19 @@ class TestEstimateOverCpus:
         assert "worker process died" in err
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_cannot_fork_is_exit_4_with_one_line(self, long_song, monkeypatch,
+                                                                capsys):
+        wav, notes_path, _ = long_song
+        use_cpus(monkeypatch, 3)
+        fail_the_second_fork(monkeypatch)
+        code, out, err = run_cli(capsys, "estimate", wav, notes_path, "--method", "yin")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "could not start: os.fork failed" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_each_line_is_printed_once_through_a_pipe(self, long_song):
         # stdout is block-buffered on a pipe: a forked worker that flushed a
         # copy of it would print the lines before the fork again
@@ -817,6 +830,18 @@ class TestBench:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "worker process died" in err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_a_worker_that_cannot_fork_is_exit_4_with_one_line(self, tmp_path, capsys,
+                                                                monkeypatch):
+        fail_the_second_fork(monkeypatch)
+        path = self.bench_config(tmp_path, songs={"count": 2, "sample_rate": 8000})
+        code, out, err = run_cli(capsys, "bench", str(path), "--jobs", "3")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "could not start: os.fork failed" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_out_that_is_a_file_is_exit_2_before_scoring(self, tmp_path, capsys, monkeypatch):
         song = materialize_songs(1, 17, tmp_path / "songs", sample_rate=22050)[0]

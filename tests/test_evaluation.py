@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -40,6 +41,8 @@ from pitchlab.evaluation import (
     write_annotation,
 )
 from pitchlab.noise import NoiseRef, Scenario, scenario_grid
+
+from conftest import fail_the_second_fork
 
 
 class TestHzMidi:
@@ -364,6 +367,31 @@ def test_no_child_outlives_estimate_song(monkeypatch, path):
         os.waitpid(-1, os.WNOHANG)
 
 
+@needs_fork
+def test_a_child_that_cannot_fork_is_a_broken_pool_and_leaves_nothing_open(monkeypatch):
+    # at jobs=3 the first child starts and the second cannot: its pipe's two
+    # ends are closed and the first child is reaped
+    buffer, notes = synth_song(36, 22050)
+    pipes = []
+
+    def pipe():
+        ends = real_pipe()
+        pipes.extend(ends)
+        return ends
+
+    real_pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", pipe)
+    forks = fail_the_second_fork(monkeypatch)
+    with pytest.raises(BrokenProcessPool, match="os.fork failed: .*Resource temporarily"):
+        estimate_song(buffer, notes[:6], ["yin"], {}, jobs=3)
+    assert len(forks) == 2 and len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
                                   NoteSegment(0.1, 0.10001, 220.0)],
                          ids=["past-the-end", "under-one-sample"])
@@ -422,6 +450,17 @@ def test_run_benchmark_fails_a_nan_snr_per_condition(two_songs, stub_registry, j
     expected = np.mean([pitch_error([100.0] * len(s.notes), s.truths()) for s in two_songs])
     assert report.clean["hps"] == pytest.approx(expected)
     assert report.cells == {("hps", "white", 10.0): pytest.approx(expected)}
+
+
+@needs_fork
+def test_run_benchmark_whose_worker_cannot_fork_is_a_broken_pool(two_songs, stub_registry,
+                                                                  monkeypatch):
+    # the pool forks its 3 workers at once: the first starts, the second
+    # cannot, and the first must not be left waiting for work
+    fail_the_second_fork(monkeypatch)
+    with pytest.raises(BrokenProcessPool, match="os.fork failed"):
+        run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=3)
+    assert multiprocessing.active_children() == []
 
 
 def counting_resolves(monkeypatch) -> list[tuple]:

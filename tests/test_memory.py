@@ -13,7 +13,7 @@ import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
 from pitchlab.evaluation import synth_song
-from pitchlab.noise import mix_at_snr, synth_noise
+from pitchlab.noise import extend_to_length, measure_snr, mix_at_snr, synth_noise
 
 RATE = 44100
 NOISE_SAMPLES = 441000  # 10 s, what a synthetic NoiseRef resolves to at 44.1 kHz
@@ -41,17 +41,8 @@ def _song_case(tmp_path):
     return _song
 
 
-@pytest.mark.parametrize("case, bound", [
-    pytest.param(_noise_case("white"), 1.25, id="synth_noise-white"),
-    pytest.param(_noise_case("pink"), 2.25, id="synth_noise-pink"),
-    pytest.param(_noise_case("hum50"), 1.25, id="synth_noise-hum50"),
-    pytest.param(_noise_case("babble"), 3.25, id="synth_noise-babble"),
-    pytest.param(_mix_case, 2.25, id="mix_at_snr-15s-song-10s-noise"),
-    pytest.param(_read_case, 1.75, id="read_wav-15s-float32"),
-    pytest.param(_song_case, 1.35, id="synth_song-15s"),
-])
-def test_peak_in_units_of_the_output(tmp_path, case, bound):
-    call = case(tmp_path)
+def _traced_peak(call):
+    """call's output and the bytes it held at most beyond what it started with."""
     call()  # a first call may load and cache what later calls reuse
     tracemalloc.start()
     try:
@@ -60,4 +51,26 @@ def test_peak_in_units_of_the_output(tmp_path, case, bound):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("case, bound", [
+    pytest.param(_noise_case("white"), 1.25, id="synth_noise-white"),
+    pytest.param(_noise_case("pink"), 2.25, id="synth_noise-pink"),
+    pytest.param(_noise_case("hum50"), 1.25, id="synth_noise-hum50"),
+    pytest.param(_noise_case("babble"), 3.25, id="synth_noise-babble"),
+    pytest.param(_mix_case, 1.25, id="mix_at_snr-15s-song-10s-noise"),
+    pytest.param(_read_case, 1.75, id="read_wav-15s-float32"),
+    pytest.param(_song_case, 1.35, id="synth_song-15s"),
+])
+def test_peak_in_units_of_the_output(tmp_path, case, bound):
+    out, peak = _traced_peak(case(tmp_path))
     assert peak / (8 * len(out)) <= bound
+
+
+def test_measure_snr_holds_no_full_length_array():
+    # both powers are summed piece by piece: no square of either input
+    song, noise = _song(), synth_noise("pink", NOISE_SAMPLES, RATE, 1).buffer.samples
+    noise = extend_to_length(noise, len(song))
+    _, peak = _traced_peak(lambda: measure_snr(song, noise))
+    assert peak / (8 * len(song)) < 0.25

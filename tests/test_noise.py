@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ from pitchlab.noise import (
 from pitchlab.sigproc import AudioBuffer
 
 from conftest import sine
+
+
+# Samples per piece where a power is summed piece by piece (README's mixing
+# paragraph): the lengths around it are where a piecewise sum could part
+# from the full-length one.
+PIECE = 1 << 14
 
 
 def constant_noise(value, n=1000, rate=8000):
@@ -122,7 +129,7 @@ class TestMeasureSnr:
         with pytest.raises(ValueError):
             achieved_snr(AudioBuffer(np.ones(10), 8000), AudioBuffer(np.ones(11), 8000))
 
-    @pytest.mark.parametrize("n", [1, 7, 16384, 16385, 100_003, 661_500])
+    @pytest.mark.parametrize("n", [1, 7, PIECE, PIECE + 1, 100_003, 661_500])
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 20.0])
     def test_achieved_snr_is_that_of_the_difference_bit_for_bit(self, n, snr_db):
         # mix prints it: summed piece by piece, it must not move a digit, nor
@@ -132,6 +139,20 @@ class TestMeasureSnr:
         noise = NoiseSource("n", AudioBuffer(rng.standard_normal(30_000), 44100))
         mixed = mix_at_snr(signal, noise, snr_db)
         assert achieved_snr(signal, mixed) == measure_snr(signal, mixed.samples - signal.samples)
+
+    @pytest.mark.parametrize("n", [1, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 8, 661_500])
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 20.0])
+    def test_mix_is_the_full_length_formula_bit_for_bit(self, n, snr_db):
+        # the gain from np.mean of each full-length square, as mixing once
+        # computed it; the powers summed piece by piece must not move a bit
+        rng = np.random.default_rng(n)
+        signal = AudioBuffer(rng.uniform(-0.3, 0.3, n), 44100)
+        noise = NoiseSource("n", AudioBuffer(rng.standard_normal(30_000), 44100))
+        looped = extend_to_length(noise.buffer.samples, n)
+        p_signal, p_noise = float(np.mean(signal.samples**2)), float(np.mean(looped**2))
+        gain = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
+        expected = looped * gain + signal.samples
+        assert np.array_equal(mix_at_snr(signal, noise, snr_db).samples, expected)
 
 
 class TestExtendToLength:

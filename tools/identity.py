@@ -14,6 +14,9 @@ them. Exits 0 only when every artefact is identical.
 The battery:
     estimate  `pitchlab estimate` stdout for the 8 methods and the ensemble
               on the 15 s songs of seeds 404, 9001 and 5;
+    mix       `pitchlab mix` stdout and the SHA-256 of the WAV it writes, for
+              the same songs in each synthetic noise (--seed 77) at -5, 0
+              and 20 dB;
     bench     `pitchlab bench` results.csv, results.txt and stdout, all 9
               rows, at --jobs 1 and 2, on grid A (5 songs from seed 1000,
               noise seed 77) and grid H1 (4 songs from 6000, noise seed 11);
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -50,6 +54,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 ESTIMATE_SEEDS = (404, 9001, 5)
+MIX_SNRS_DB = (-5, 0, 20)
 GRIDS = {"A": (1000, 5, 77), "H1": (6000, 4, 11)}
 QUALITY_SETS = ("A", "H1", "H2")
 RATES = (8000, 22050, 96000, 192000)
@@ -128,7 +133,7 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
     from pitchlab.audio_io import write_wav
     from pitchlab.estimators import parse_config_overrides
     from pitchlab.evaluation import ENSEMBLE_METHOD, synth_song, write_annotation
-    from pitchlab.noise import synthetic_noise_refs
+    from pitchlab.noise import SYNTH_KINDS, synthetic_noise_refs
 
     def save(name: str, text: str) -> None:
         path = out / name
@@ -146,6 +151,7 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
         return
     methods = [*REGISTRY, ENSEMBLE_METHOD]
     work = out / ".work"
+    mixes = []
     for seed in ESTIMATE_SEEDS:
         buffer, notes = synth_song(seed, 44100, 15.0)
         wav, sidecar = work / f"song_{seed}.wav", work / f"song_{seed}.notes"
@@ -154,6 +160,15 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
         write_annotation(sidecar, notes)
         for method in methods:
             save(f"estimate/{seed}/{method}", _cli(["estimate", str(wav), str(sidecar), "--method", method]))
+        for kind in SYNTH_KINDS:
+            for snr in MIX_SNRS_DB:
+                mixed = work / "mix.wav"
+                stdout = _cli(["mix", str(wav), f"synth:{kind}", "--snr", str(snr), "--seed", "77",
+                               "--out", str(mixed)])
+                digest = hashlib.sha256(mixed.read_bytes()).hexdigest()
+                mixes.append(f"{seed} {kind} {snr} dB: {' '.join(stdout.split())} sha256 {digest}")
+                mixed.unlink()
+    save("mix", "\n".join(mixes) + "\n")
     for grid, (seed, count, noise_seed) in GRIDS.items():
         config = work / f"bench_{grid}.json"
         config.write_text(json.dumps({"seed": seed, "songs": {"count": count},
