@@ -13,14 +13,15 @@ successful songs, or a bench or estimate whose worker process died before
 it finished or could not be started (bench writes no results, estimate
 prints no note line).
 
-estimate forks or stays serial. It spreads the song's notes over the CPUs
-the process may use (os.sched_getaffinity): the first run of notes in
-this process, each other run in a child forked from it, which returns its
-rows pickled over a pipe; there is no process pool. Where the platform
-cannot say how many CPUs it may use, or cannot fork, it estimates every
-note in this process. Its output and its errors do not depend on the
-number of CPUs. bench keeps a process pool: its tasks are many and long
-beside the pool's start-up.
+estimate and bench fork or stay serial; neither keeps a process pool.
+estimate spreads the song's notes over the CPUs the process may use
+(os.sched_getaffinity): the first run of notes in this process, each
+other run in a child forked from it, which returns its rows pickled over
+a pipe. Where the platform cannot say how many CPUs it may use, or cannot
+fork, it estimates every note in this process. Its output and its errors
+do not depend on the number of CPUs. bench --jobs N deals its tasks to
+up to N children forked the same way, and scores them all in this
+process at N = 1 or where the platform cannot fork.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def cmd_estimate(args) -> int:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
     except (PitchlabError, ValueError) as exc:
         return _fail(EX_ANNOTATION, f"the notes do not fit {args.audio}: {exc}")
-    except BrokenExecutor as exc:  # a child exited without a reply or could not fork
+    except BrokenExecutor as exc:  # a child exited without a reply or could not start
         return _fail(EX_NO_SONGS, f"an estimate worker process died or could not start: {exc}")
     for note, f0 in zip(annotation.notes, f0s):
         if f0 is not None:
@@ -283,7 +284,7 @@ def cmd_bench(args) -> int:
 
     try:
         report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=args.jobs)
-    except BrokenExecutor as exc:  # a pool worker died or could not fork
+    except BrokenExecutor as exc:  # a child exited without a reply or could not start
         return _fail(EX_NO_SONGS, f"a benchmark worker process died or could not start: {exc}")
 
     for failure in report.failures:

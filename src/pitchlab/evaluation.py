@@ -6,7 +6,6 @@ over its notes, with unvoiced estimates scored as 0 Hz.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import logging
 import math
@@ -298,15 +297,13 @@ def estimate_song(
 
     Where the platform can fork, the notes are cut into min(jobs, notes)
     runs (_runs): the caller estimates the first run, and a child forked
-    from it each other run, so the caller must run no other thread when
-    jobs > 1. There is no pool: each child inherits the song at the fork
-    and sends its rows back pickled over a pipe of its own (_forked_runs).
-    Where the platform cannot fork, the caller estimates every note. The
-    f0s, and the exception that the first failing note raises, do not
-    depend on jobs: a note with no sample in the audio raises
-    InvalidAnnotation. methods or jobs that check_run rejects raise
+    from it each other run (_forked), so the caller must run no other
+    thread when jobs > 1. Where the platform cannot fork, the caller
+    estimates every note. The f0s, and the exception that the first failing
+    note raises, do not depend on jobs: a note with no sample in the audio
+    raises InvalidAnnotation. methods or jobs that check_run rejects raise
     ValueError, and a child that exits without a reply, or cannot be
-    forked, raises concurrent.futures.process.BrokenProcessPool. No child
+    started, raises concurrent.futures.process.BrokenProcessPool. No child
     outlives the call.
     """
     check_run(methods, jobs)
@@ -314,19 +311,17 @@ def estimate_song(
     spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
     song = (buffer, notes, plain, spec, configs)
     runs = _runs(len(notes), jobs if hasattr(os, "fork") else 1)
-    if len(runs) < 2:
-        parts = [_estimate_run(song, *run) for run in runs]
-    else:
-        parts = _forked_runs(song, runs)
+    parts = _forked(functools.partial(_estimate_run, song), runs)
     return {name: [f0 for part in parts for f0 in part[name]] for name in methods}
 
 
-def _estimate_run(song: tuple, start: int, stop: int) -> dict[str, list[float | None]]:
-    """Per-note f0s of song's notes[start:stop], one list per row; song is
-    (buffer, notes, {plain method: config}, ensemble spec or None, configs)."""
+def _estimate_run(song: tuple, run: tuple[int, int]) -> dict[str, list[float | None]]:
+    """Per-note f0s of song's notes[start:stop] for run (start, stop), one
+    list per row; song is (buffer, notes, {plain method: config}, ensemble
+    spec or None, configs)."""
     buffer, notes, plain, spec, configs = song
     out: dict[str, list[float | None]] = {name: [] for name in [*plain, ENSEMBLE_METHOD]}
-    for note in notes[start:stop]:
+    for note in notes[slice(*run)]:
         audio = buffer.slice_seconds(note.onset, note.offset)
         if len(audio) == 0:
             raise InvalidAnnotation(
@@ -348,40 +343,44 @@ def _runs(n: int, k: int) -> list[tuple[int, int]]:
     return [(n * r // k, n * (r + 1) // k) for r in range(k)]
 
 
-def _forked_runs(song: tuple, runs: list[tuple[int, int]]) -> list[dict[str, list[float | None]]]:
-    """_estimate_run's rows for each of runs, in order: the caller estimates
-    runs[0], and one forked child each other run. A child writes its rows,
-    or the exception its first failing note raised, pickled to its own pipe,
-    and always leaves by os._exit, so it runs no cleanup of the caller's
-    and flushes no copy of its buffers. The caller reads the pipes in run
-    order and reaps each child; on every way out it kills and reaps the
-    children still running."""
+def _forked(fn, parts: list) -> list:
+    """[fn(part) for part in parts], in order (none when parts is empty):
+    the caller computes fn(parts[0]), and one forked child each later part,
+    so nothing is pickled on the way in. A child writes its result, or the
+    exception fn raised, pickled to its own pipe, and always leaves by
+    os._exit, so it runs no cleanup of the caller's and flushes no copy of
+    its buffers. The caller reads the pipes in order and reaps each child;
+    on every way out it kills and reaps the children still running. A pipe
+    that cannot be made (EMFILE, ENFILE), a fork that fails (EAGAIN,
+    ENOMEM) and a child that exits without a reply raise BrokenProcessPool."""
     children = {}  # pid: the read end of its pipe, until the child is reaped
     try:
-        for start, stop in runs[1:]:
-            read_end, write_end = os.pipe()
+        for part in parts[1:]:
+            ends = ()
             try:
+                ends = os.pipe()
                 pid = os.fork()
-            except OSError as exc:  # EAGAIN, ENOMEM
-                os.close(read_end)
-                os.close(write_end)
-                raise _broken_pool(f"os.fork failed: {exc}") from exc
+            except OSError as exc:
+                for fd in ends:
+                    os.close(fd)
+                raise _broken_pool(f"{'os.fork' if ends else 'os.pipe'} failed: {exc}") from exc
+            read_end, write_end = ends
             if pid == 0:
-                _child(song, start, stop, write_end)
+                _child(fn, part, write_end)
             os.close(write_end)
             children[pid] = open(read_end, "rb")
-        parts = [_estimate_run(song, *runs[0])]
+        results = [fn(part) for part in parts[:1]]
         for pid, pipe in list(children.items()):
             reply = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(pid).close()
             if code != 0 or not reply:
-                raise _broken_pool(f"estimate worker {pid} exited with code {code} and no reply")
-            part = pickle.loads(reply)
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
-        return parts
+                raise _broken_pool(f"worker process {pid} exited with code {code} and no reply")
+            result = pickle.loads(reply)
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
     finally:
         for pid, pipe in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -397,15 +396,15 @@ def _broken_pool(message: str) -> Exception:
     return BrokenProcessPool(message)
 
 
-def _child(song: tuple, start: int, stop: int, write_end: int) -> NoReturn:
-    """A forked child's whole life: estimate notes[start:stop] of song, send
-    the rows or the exception over write_end, and exit, 0 only if the whole
-    reply was written."""
+def _child(fn, part, write_end: int) -> NoReturn:
+    """A forked child's whole life: compute fn(part), send the result or the
+    exception over write_end, and exit, 0 only if the whole reply was
+    written."""
     status = 1
     try:
         try:
-            reply = _estimate_run(song, start, stop)
-        except Exception as exc:  # the caller raises it in this note's place
+            reply = fn(part)
+        except Exception as exc:  # the caller raises it in this part's place
             reply = exc
         with open(write_end, "wb") as pipe:
             pickle.dump(reply, pipe)
@@ -493,8 +492,13 @@ def run_benchmark(
     estimates of the plain methods of the same name. No method, a method named
     twice or unknown, or jobs < 1 raises ValueError (check_run). Results
     and failures come back in song-major order, so they are deterministic
-    for a fixed input regardless of jobs. A worker process that dies or
-    cannot start raises concurrent.futures.process.BrokenProcessPool.
+    for a fixed input regardless of jobs. Where the platform can fork, at
+    jobs > 1 with more than one task, the tasks are dealt round-robin to
+    min(jobs, tasks) children forked from the caller, which scores none of
+    them (_forked); otherwise the caller scores every task. A child that
+    dies or cannot be started raises
+    concurrent.futures.process.BrokenProcessPool, and no child outlives the
+    call.
     """
     check_run(methods, jobs)
     methods = list(methods)
@@ -509,22 +513,13 @@ def run_benchmark(
     tasks = [(src, ref, conditions, lo, songs[lo:hi])
              for src, (ref, conditions) in enumerate(sources) for lo, hi in runs]
     tasks.sort(key=lambda t: len(t[2]) * len(t[4]), reverse=True)  # largest first; stable
-    score = functools.partial(_benchmark_task, methods=methods, ensemble_spec=ensemble_spec)
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            try:
-                outputs = pool.map(score, tasks, chunksize=1)  # forks every worker
-            except OSError as exc:  # a worker could not be forked (EAGAIN, ENOMEM)
-                # the workers that did start wait for work that never comes, and
-                # would hold up the interpreter's exit; Python < 3.14 offers no
-                # public way to end them
-                for process in pool._processes.values():
-                    process.kill()
-                    process.join()
-                raise _broken_pool(f"os.fork failed: {exc}") from exc
-            results = list(outputs)
-    else:
-        results = [score(t) for t in tasks]
+    k = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    parts = [tasks] if k < 2 else [[], *(tasks[w::k] for w in range(k))]
+
+    def score(part):  # looks _benchmark_task up by name, in the child too
+        return [_benchmark_task(task, methods, ensemble_spec) for task in part]
+
+    results = [result for part in _forked(score, parts) for result in part]
     outcomes = {key: outcome for result in results for key, outcome in result.items()}
 
     # Each cell's errors over songs, in song order; failures in song-major order.

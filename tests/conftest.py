@@ -54,6 +54,22 @@ def fail_the_second_fork(monkeypatch):
     return calls
 
 
+def fail_the_second_pipe(monkeypatch):
+    """Make os.pipe make a pipe once, then raise EMFILE as it does when the
+    process is out of file descriptors; returns the ends of the one it made."""
+    real = os.pipe
+    made = []
+
+    def pipe():
+        if made:
+            raise OSError(errno.EMFILE, "Too many open files")
+        made.extend(real())
+        return tuple(made)
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    return made
+
+
 def wav_chunk(chunk_id, body):
     """One RIFF chunk, with the pad byte an odd-sized body takes."""
     return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import shlex
 import subprocess
@@ -29,7 +28,7 @@ from pitchlab.evaluation import write_annotation
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import fail_the_second_fork, sawtooth, wav_bytes
+from conftest import fail_the_second_fork, fail_the_second_pipe, sawtooth, wav_bytes
 
 # A 0.1 s float WAV: a 12-byte RIFF header, fmt (16-byte body) at 12, data at 36.
 VALID_WAV = wav_bytes(np.full(2205, 0.1, dtype=np.float32).tobytes(), rate=22050)
@@ -460,18 +459,29 @@ class TestEstimateOverCpus:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "worker process died" in err
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_worker_that_cannot_fork_is_exit_4_with_one_line(self, long_song, monkeypatch,
                                                                 capsys):
+        self.cannot_start(long_song, monkeypatch, capsys, fail_the_second_fork, "os.fork")
+
+    def test_a_worker_whose_pipe_cannot_be_made_is_exit_4_with_one_line(self, long_song,
+                                                                         monkeypatch, capsys):
+        self.cannot_start(long_song, monkeypatch, capsys, fail_the_second_pipe, "os.pipe")
+
+    def cannot_start(self, long_song, monkeypatch, capsys, fail, call):
+        """At 3 CPUs the first worker starts and the second cannot: fail
+        makes its call raise. estimate prints one line naming call, and
+        leaves no child."""
         wav, notes_path, _ = long_song
         use_cpus(monkeypatch, 3)
-        fail_the_second_fork(monkeypatch)
+        fail(monkeypatch)
         code, out, err = run_cli(capsys, "estimate", wav, notes_path, "--method", "yin")
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "could not start: os.fork failed" in err
+        assert f"could not start: {call} failed" in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -492,23 +502,30 @@ class TestEstimateOverCpus:
         ]
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
-    # bench loads it when it makes its pool; estimate's forked children
-    # need neither it nor concurrent.futures' pool module
+def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
+    # the forked children of estimate and bench need neither it nor
+    # concurrent.futures' pool module
     src = str(Path(pitchlab.__file__).resolve().parents[1])
     code = (
         "import sys, pitchlab.cli\n"
-        "from pitchlab.evaluation import estimate_song, synth_song\n"
+        "from pitchlab.evaluation import estimate_song, materialize_songs, run_benchmark\n"
+        "from pitchlab.evaluation import synth_song\n"
+        "from pitchlab.noise import NoiseRef, Scenario\n"
         "def pools(): return sorted(m for m in sys.modules\n"
         "                         if 'multiproc' in m or m == 'concurrent.futures.process')\n"
         "print(pools())\n"
         "buffer, notes = synth_song(36, 22050)\n"
         "assert len(estimate_song(buffer, notes[:4], ['yin'], {}, jobs=2)['yin']) == 4\n"
         "print(pools())\n"
+        f"songs = materialize_songs(1, 36, {str(tmp_path)!r}, sample_rate=8000)\n"
+        "refs = {'white': NoiseRef(synth_kind='white', seed=1)}\n"
+        "report = run_benchmark(songs, ['yin'], [Scenario('white', 10.0)], refs, jobs=2)\n"
+        "assert report.failures == () and len(report.cells) == 1\n"
+        "print(pools())\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={"PYTHONPATH": src}, timeout=60)
-    assert result.stdout.splitlines() == ["[]", "[]"]
+    assert result.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 class TestMix:
@@ -817,7 +834,7 @@ class TestBench:
         assert "warning" in err
 
     def test_a_dead_worker_is_exit_4_with_one_line(self, tmp_path, capsys, monkeypatch):
-        # a method that kills its worker process; the pool's workers fork
+        # a method that kills its worker process; the workers are forked
         # from this process, so they see the patched registry
         def die(analysis, cfg):
             os._exit(1)
@@ -833,15 +850,26 @@ class TestBench:
 
     def test_a_worker_that_cannot_fork_is_exit_4_with_one_line(self, tmp_path, capsys,
                                                                 monkeypatch):
-        fail_the_second_fork(monkeypatch)
+        self.cannot_start(tmp_path, capsys, monkeypatch, fail_the_second_fork, "os.fork")
+
+    def test_a_worker_whose_pipe_cannot_be_made_is_exit_4_with_one_line(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        self.cannot_start(tmp_path, capsys, monkeypatch, fail_the_second_pipe, "os.pipe")
+
+    def cannot_start(self, tmp_path, capsys, monkeypatch, fail, call):
+        """At --jobs 3 the first worker starts and the second cannot: fail
+        makes its call raise. bench prints one line naming call, writes no
+        results and leaves no child."""
+        fail(monkeypatch)
         path = self.bench_config(tmp_path, songs={"count": 2, "sample_rate": 8000})
         code, out, err = run_cli(capsys, "bench", str(path), "--jobs", "3")
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "could not start: os.fork failed" in err
+        assert f"could not start: {call} failed" in err
         assert not (tmp_path / "out" / "results.csv").exists()
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_out_that_is_a_file_is_exit_2_before_scoring(self, tmp_path, capsys, monkeypatch):
         song = materialize_songs(1, 17, tmp_path / "songs", sample_rate=22050)[0]

@@ -1,7 +1,6 @@
 import concurrent.futures
 import hashlib
 import math
-import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -42,7 +41,7 @@ from pitchlab.evaluation import (
 )
 from pitchlab.noise import NoiseRef, Scenario, scenario_grid
 
-from conftest import fail_the_second_fork
+from conftest import fail_the_second_fork, fail_the_second_pipe
 
 
 class TestHzMidi:
@@ -286,7 +285,7 @@ def test_estimate_song_rows_do_not_depend_on_jobs():
 @pytest.fixture
 def no_pool(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("estimate_song built a process pool")
+        raise AssertionError("a process pool was built")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
@@ -455,12 +454,92 @@ def test_run_benchmark_fails_a_nan_snr_per_condition(two_songs, stub_registry, j
 @needs_fork
 def test_run_benchmark_whose_worker_cannot_fork_is_a_broken_pool(two_songs, stub_registry,
                                                                   monkeypatch):
-    # the pool forks its 3 workers at once: the first starts, the second
-    # cannot, and the first must not be left waiting for work
+    # at jobs=3 the four tasks go to three children: the first starts, the
+    # second cannot, and the first is reaped
     fail_the_second_fork(monkeypatch)
     with pytest.raises(BrokenProcessPool, match="os.fork failed"):
         run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=3)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("run", ["estimate_song", "run_benchmark"])
+def test_a_pipe_that_cannot_be_made_is_a_broken_pool(two_songs, stub_registry, monkeypatch,
+                                                     run):
+    # at jobs=3 the first child's pipe is made and the second's is not: the
+    # first child is reaped and its pipe's two ends are closed
+    made = fail_the_second_pipe(monkeypatch)
+    with pytest.raises(BrokenProcessPool, match="os.pipe failed: .*Too many open files"):
+        if run == "estimate_song":
+            song = two_songs[0]
+            estimate_song(read_wav(song.audio_path), song.notes, ["hps"], {}, jobs=3)
+        else:
+            run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=3)
+    assert len(made) == 2
+    for fd in made:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("jobs, children", [(2, 2), (3, 3), (4, 4)])
+def test_run_benchmark_deals_its_tasks_to_children_only(two_songs, tmp_path, monkeypatch,
+                                                        jobs, children):
+    # two songs, clean and white: 2 tasks at jobs 2 and 4 at jobs 3 and 4,
+    # so min(jobs, tasks) children score every note and the caller none
+    log = tmp_path / "pids"
+
+    def recording(analysis, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return PitchEstimate(100.0)
+
+    monkeypatch.setitem(REGISTRY, "hps", NoteMethod(recording))
+    report = run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=jobs)
+    pids = log.read_text().split()
+    assert len(pids) == 2 * sum(len(song.notes) for song in two_songs)
+    assert str(os.getpid()) not in pids
+    assert len(set(pids)) == children
+    assert report.failures == () and set(report.cells) == {("hps", "white", 0.0)}
+
+
+@needs_fork
+@pytest.mark.parametrize("path", ["returns", "worker_exits"])
+def test_no_child_outlives_run_benchmark(two_songs, monkeypatch, path):
+    # at jobs=2 the white task, the larger, goes to the first child and the
+    # clean pass to the second; on "worker_exits" the first child exits once
+    # it has resolved the noise and the second sleeps, so a caller that
+    # waited for a busy child instead of killing it would take a minute
+    caller, resolve = os.getpid(), NoiseRef.resolve
+    resolved = []
+
+    def resolving(self, sample_rate):
+        resolved.append(sample_rate)
+        return resolve(self, sample_rate)
+
+    def exit_or_sleep_in_children(analysis, cfg):
+        if os.getpid() != caller and path == "worker_exits":
+            if resolved:
+                os._exit(1)
+            time.sleep(60)
+        return PitchEstimate(100.0)
+
+    monkeypatch.setattr(NoiseRef, "resolve", resolving)
+    monkeypatch.setitem(REGISTRY, "hps", NoteMethod(exit_or_sleep_in_children))
+    scenarios = [Scenario("white", 0.0), Scenario("white", 10.0)]
+    t0 = time.monotonic()
+    if path == "returns":
+        assert run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=2) == run_benchmark(
+            two_songs, ["hps"], scenarios, WHITE_REF)
+    else:
+        with pytest.raises(BrokenProcessPool, match="exited with code 1 and no reply"):
+            run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=2)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def counting_resolves(monkeypatch) -> list[tuple]:
@@ -486,10 +565,11 @@ def test_run_benchmark_resolves_each_noise_once_per_run(two_songs, stub_registry
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8])
-def test_run_benchmark_report_is_the_same_at_any_jobs(two_songs, stub_registry, tmp_path, jobs):
+def test_run_benchmark_report_is_the_same_at_any_jobs(two_songs, stub_registry, tmp_path,
+                                                      no_pool, jobs):
     # clean, white and a noise whose file is missing over three songs, one
     # unreadable: jobs 1-3 give one run of songs per source, jobs 4 two
-    # and jobs 8 three, and the clean pass goes to the pool last
+    # and jobs 8 three, and the clean pass is dealt last
     broken = SongAnnotation(
         "broken", str(tmp_path / "missing.wav"), (NoteSegment(0.0, 0.5, 220.0),)
     )

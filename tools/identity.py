@@ -18,8 +18,9 @@ The battery:
               the same songs in each synthetic noise (--seed 77) at -5, 0
               and 20 dB;
     bench     `pitchlab bench` results.csv, results.txt and stdout, all 9
-              rows, at --jobs 1 and 2, on grid A (5 songs from seed 1000,
+              rows, at --jobs 1, 2 and 3, on grid A (5 songs from seed 1000,
               noise seed 77) and grid H1 (4 songs from 6000, noise seed 11);
+              at --jobs 3 grid A's 5 tasks are dealt 2/2/1 to 3 children;
     quality   tools/quality.py --set A, H1 and H2;
     rates     per-note f0s of all 9 rows on song 31 at 8, 22.05, 96 and
               192 kHz, clean and in each synthetic noise (seed 77) at 0 dB;
@@ -173,7 +174,7 @@ def emit(tree: Path, out: Path, quick: bool) -> None:
         config = work / f"bench_{grid}.json"
         config.write_text(json.dumps({"seed": seed, "songs": {"count": count},
                                       "noises": {"seed": noise_seed}, "methods": methods}))
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             bench_out = work / f"bench_{grid}_{jobs}"
             stdout = _cli(["bench", str(config), "--jobs", str(jobs), "--out", str(bench_out)])
             save(f"bench/{grid}/jobs{jobs}/stdout", stdout)
