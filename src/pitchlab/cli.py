@@ -10,8 +10,8 @@ into a silent or empty signal, of a silent noise or too large for a WAV
 header, 3 invalid annotation (non-UTF-8 text
 included, or a note past the end of the audio), 4 benchmark with zero
 successful songs, or a bench or estimate whose worker process died before
-it finished or could not be started (bench writes no results, estimate
-prints no note line).
+it finished or could not be started (WorkerFailed, raised as soon as the
+death is seen; bench writes no results, estimate prints no note line).
 
 estimate and bench fork or stay serial; neither keeps a process pool.
 estimate spreads the song's notes over the CPUs the process may use
@@ -31,7 +31,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
@@ -40,7 +39,7 @@ from .ensemble import (
     ensemble_estimate,  # unused here, but perfbench's tracer patches it in this module
     load_ensemble_spec,
 )
-from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNoise
+from .errors import ConfigOutOfRange, InvalidAnnotation, PitchlabError, SilentNoise, WorkerFailed
 from .estimators import load_estimator_configs, read_json
 from .evaluation import (
     ENSEMBLE_METHOD,
@@ -116,10 +115,10 @@ def cmd_estimate(args) -> int:
         f0s = estimate_song(buffer, annotation.notes, [method], configs, spec, jobs=cpus)[method]
     except ConfigOutOfRange as exc:
         return _fail(EX_INPUT, f"the search range does not fit {args.audio}: {exc}")
+    except WorkerFailed as exc:  # before PitchlabError, which is exit 3
+        return _fail(EX_NO_SONGS, f"an estimate worker process died or could not start: {exc}")
     except (PitchlabError, ValueError) as exc:
         return _fail(EX_ANNOTATION, f"the notes do not fit {args.audio}: {exc}")
-    except BrokenExecutor as exc:  # a child exited without a reply or could not start
-        return _fail(EX_NO_SONGS, f"an estimate worker process died or could not start: {exc}")
     for note, f0 in zip(annotation.notes, f0s):
         if f0 is not None:
             f0_text = f"{f0:.6g}"
@@ -284,7 +283,7 @@ def cmd_bench(args) -> int:
 
     try:
         report = run_benchmark(songs, methods, scenarios, refs, ensemble_spec=spec, jobs=args.jobs)
-    except BrokenExecutor as exc:  # a child exited without a reply or could not start
+    except WorkerFailed as exc:
         return _fail(EX_NO_SONGS, f"a benchmark worker process died or could not start: {exc}")
 
     for failure in report.failures:

@@ -39,3 +39,7 @@ class NonPositiveFrequency(PitchlabError):
 
 class InvalidAnnotation(PitchlabError):
     """Raised when a note annotation file is malformed or inconsistent."""
+
+
+class WorkerFailed(PitchlabError):
+    """Raised when a forked worker process exits without a reply or cannot be started."""

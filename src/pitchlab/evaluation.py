@@ -11,6 +11,7 @@ import logging
 import math
 import os
 import pickle
+import selectors
 import signal
 import time
 from collections import defaultdict
@@ -26,7 +27,7 @@ from .ensemble import (
     ensemble_f0,
     fuse_votes,  # unused here, but perfbench's tracer patches it in this module
 )
-from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
+from .errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency, WorkerFailed
 from .estimators import REGISTRY, EstimatorConfig, NoteAnalysis, estimate_note_many
 from .noise import NoiseSource, Scenario, check_snr, mix_at_snr
 from .sigproc import AudioBuffer
@@ -295,31 +296,27 @@ def estimate_song(
     in configs, its default when configs has none, once per note. "ensemble"
     fuses spec's members (EnsembleSpec() when None) on the same NoteAnalysis.
 
-    Where the platform can fork, the notes are cut into min(jobs, notes)
-    runs (_runs): the caller estimates the first run, and a child forked
-    from it each other run (_forked), so the caller must run no other
-    thread when jobs > 1. Where the platform cannot fork, the caller
-    estimates every note. The f0s, and the exception that the first failing
-    note raises, do not depend on jobs: a note with no sample in the audio
-    raises InvalidAnnotation. methods or jobs that check_run rejects raise
+    The notes are cut into min(jobs, notes) runs (_runs), which _forked
+    computes: where the platform can fork, the caller estimates the first
+    run and a child forked from it each other run, so the caller must run
+    no other thread when jobs > 1; otherwise the caller estimates every
+    note. The f0s, and the exception that the first failing note raises, do
+    not depend on jobs: a note with no sample in the audio raises
+    InvalidAnnotation. methods or jobs that check_run rejects raise
     ValueError, and a child that exits without a reply, or cannot be
-    started, raises concurrent.futures.process.BrokenProcessPool. No child
-    outlives the call.
+    started, raises WorkerFailed. No child outlives the call.
     """
     check_run(methods, jobs)
     plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
     spec = (spec or EnsembleSpec()) if ENSEMBLE_METHOD in methods else None
-    song = (buffer, notes, plain, spec, configs)
-    runs = _runs(len(notes), jobs if hasattr(os, "fork") else 1)
-    parts = _forked(functools.partial(_estimate_run, song), runs)
+    per_run = functools.partial(_estimate_run, buffer, notes, plain, spec, configs)
+    parts = _forked(per_run, _runs(len(notes), jobs))
     return {name: [f0 for part in parts for f0 in part[name]] for name in methods}
 
 
-def _estimate_run(song: tuple, run: tuple[int, int]) -> dict[str, list[float | None]]:
-    """Per-note f0s of song's notes[start:stop] for run (start, stop), one
-    list per row; song is (buffer, notes, {plain method: config}, ensemble
-    spec or None, configs)."""
-    buffer, notes, plain, spec, configs = song
+def _estimate_run(buffer, notes, plain, spec, configs, run) -> dict[str, list[float | None]]:
+    """Per-note f0s of notes[start:stop] for run (start, stop), one list per
+    row; plain is {plain method: config}, spec the ensemble's or None."""
     out: dict[str, list[float | None]] = {name: [] for name in [*plain, ENSEMBLE_METHOD]}
     for note in notes[slice(*run)]:
         audio = buffer.slice_seconds(note.onset, note.offset)
@@ -344,15 +341,20 @@ def _runs(n: int, k: int) -> list[tuple[int, int]]:
 
 
 def _forked(fn, parts: list) -> list:
-    """[fn(part) for part in parts], in order (none when parts is empty):
-    the caller computes fn(parts[0]), and one forked child each later part,
-    so nothing is pickled on the way in. A child writes its result, or the
+    """[fn(part) for part in parts], in order. With two parts or more, where
+    the platform can fork, the caller computes fn(parts[0]) and one forked
+    child each later part, so nothing is pickled on the way in; otherwise
+    the caller computes every part. A child writes its result, or the
     exception fn raised, pickled to its own pipe, and always leaves by
     os._exit, so it runs no cleanup of the caller's and flushes no copy of
-    its buffers. The caller reads the pipes in order and reaps each child;
-    on every way out it kills and reaps the children still running. A pipe
-    that cannot be made (EMFILE, ENFILE), a fork that fails (EAGAIN,
-    ENOMEM) and a child that exits without a reply raise BrokenProcessPool."""
+    its buffers. The caller reads and reaps each child as soon as its pipe
+    is readable. It raises WorkerFailed at once for a child that exits
+    without a reply, and a part's exception once every part before it has
+    returned. On every way out it kills and reaps the children still
+    running. A pipe that cannot be made (EMFILE, ENFILE) and a fork that
+    fails (EAGAIN, ENOMEM) raise WorkerFailed too."""
+    if len(parts) < 2 or not hasattr(os, "fork"):
+        return [fn(part) for part in parts]
     children = {}  # pid: the read end of its pipe, until the child is reaped
     try:
         for part in parts[1:]:
@@ -363,37 +365,39 @@ def _forked(fn, parts: list) -> list:
             except OSError as exc:
                 for fd in ends:
                     os.close(fd)
-                raise _broken_pool(f"{'os.fork' if ends else 'os.pipe'} failed: {exc}") from exc
+                raise WorkerFailed(f"{'os.fork' if ends else 'os.pipe'} failed: {exc}") from exc
             read_end, write_end = ends
             if pid == 0:
                 _child(fn, part, write_end)
             os.close(write_end)
             children[pid] = open(read_end, "rb")
-        results = [fn(part) for part in parts[:1]]
-        for pid, pipe in list(children.items()):
-            reply = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(pid).close()
-            if code != 0 or not reply:
-                raise _broken_pool(f"worker process {pid} exited with code {code} and no reply")
-            result = pickle.loads(reply)
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
+        results, early = [fn(parts[0])], {}  # early: part index: a result before its turn
+        with selectors.DefaultSelector() as selector:
+            for i, (pid, pipe) in enumerate(children.items(), 1):
+                selector.register(pipe, selectors.EVENT_READ, (pid, i))
+            while len(results) < len(parts):
+                if len(results) in early:
+                    result = early.pop(len(results))
+                    if isinstance(result, Exception):
+                        raise result
+                    results.append(result)
+                    continue
+                for key, _ in selector.select():
+                    (pid, i), pipe = key.data, key.fileobj
+                    reply = pipe.read()  # readable: the child has finished its part, or died
+                    selector.unregister(pipe)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    children.pop(pid).close()
+                    if code != 0 or not reply:
+                        raise WorkerFailed(
+                            f"worker process {pid} exited with code {code} and no reply")
+                    early[i] = pickle.loads(reply)
         return results
     finally:
         for pid, pipe in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-
-
-def _broken_pool(message: str) -> Exception:
-    """A BrokenProcessPool; its module, which loads multiprocessing, is
-    imported only when a worker dies or cannot start."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return BrokenProcessPool(message)
 
 
 def _child(fn, part, write_end: int) -> NoReturn:
@@ -492,13 +496,12 @@ def run_benchmark(
     estimates of the plain methods of the same name. No method, a method named
     twice or unknown, or jobs < 1 raises ValueError (check_run). Results
     and failures come back in song-major order, so they are deterministic
-    for a fixed input regardless of jobs. Where the platform can fork, at
-    jobs > 1 with more than one task, the tasks are dealt round-robin to
-    min(jobs, tasks) children forked from the caller, which scores none of
-    them (_forked); otherwise the caller scores every task. A child that
-    dies or cannot be started raises
-    concurrent.futures.process.BrokenProcessPool, and no child outlives the
-    call.
+    for a fixed input regardless of jobs. At jobs > 1 with more than one
+    task, the tasks are dealt round-robin to min(jobs, tasks) parts after an
+    empty first one, which _forked computes: where the platform can fork,
+    one child forked from the caller scores each part, and the caller
+    none; otherwise the caller scores every task. A child that dies or
+    cannot be started raises WorkerFailed, and no child outlives the call.
     """
     check_run(methods, jobs)
     methods = list(methods)
@@ -513,7 +516,7 @@ def run_benchmark(
     tasks = [(src, ref, conditions, lo, songs[lo:hi])
              for src, (ref, conditions) in enumerate(sources) for lo, hi in runs]
     tasks.sort(key=lambda t: len(t[2]) * len(t[4]), reverse=True)  # largest first; stable
-    k = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    k = min(jobs, len(tasks))
     parts = [tasks] if k < 2 else [[], *(tasks[w::k] for w in range(k))]
 
     def score(part):  # looks _benchmark_task up by name, in the child too

@@ -504,15 +504,17 @@ class TestEstimateOverCpus:
 
 def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
     # the forked children of estimate and bench need neither it nor
-    # concurrent.futures' pool module
+    # concurrent.futures, not even when one of them dies
     src = str(Path(pitchlab.__file__).resolve().parents[1])
     code = (
-        "import sys, pitchlab.cli\n"
+        "import os, sys, pitchlab.cli\n"
+        "from pitchlab.errors import WorkerFailed\n"
+        "from pitchlab.estimators import REGISTRY, NoteMethod\n"
         "from pitchlab.evaluation import estimate_song, materialize_songs, run_benchmark\n"
         "from pitchlab.evaluation import synth_song\n"
         "from pitchlab.noise import NoiseRef, Scenario\n"
         "def pools(): return sorted(m for m in sys.modules\n"
-        "                         if 'multiproc' in m or m == 'concurrent.futures.process')\n"
+        "                         if 'multiproc' in m or m.startswith('concurrent'))\n"
         "print(pools())\n"
         "buffer, notes = synth_song(36, 22050)\n"
         "assert len(estimate_song(buffer, notes[:4], ['yin'], {}, jobs=2)['yin']) == 4\n"
@@ -522,10 +524,20 @@ def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
         "report = run_benchmark(songs, ['yin'], [Scenario('white', 10.0)], refs, jobs=2)\n"
         "assert report.failures == () and len(report.cells) == 1\n"
         "print(pools())\n"
+        "caller, yin = os.getpid(), REGISTRY['yin'].note_fn\n"
+        "def dies_in_children(analysis, cfg):\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(1)\n"
+        "    return yin(analysis, cfg)\n"
+        "REGISTRY['yin'] = NoteMethod(dies_in_children)\n"
+        "try:\n"
+        "    estimate_song(buffer, notes[:4], ['yin'], {}, jobs=2)\n"
+        "except WorkerFailed:\n"
+        "    print(pools())\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={"PYTHONPATH": src}, timeout=60)
-    assert result.stdout.splitlines() == ["[]", "[]", "[]"]
+    assert result.stdout.splitlines() == ["[]", "[]", "[]", "[]"]
 
 
 class TestMix:

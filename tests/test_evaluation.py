@@ -3,14 +3,13 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from pitchlab.audio_io import read_wav, write_wav
 from pitchlab.ensemble import EnsembleSpec, member_votes
-from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
+from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency, WorkerFailed
 from pitchlab.estimators import (
     REGISTRY,
     EstimatorConfig,
@@ -323,18 +322,26 @@ def test_estimate_song_forks_one_child_for_each_run_but_the_first(monkeypatch, n
 
 
 @needs_fork
-@pytest.mark.parametrize("path", ["returns", "caller_fails", "worker_fails", "worker_exits"])
+@pytest.mark.parametrize("path", ["returns", "caller_fails", "worker_fails", "worker_exits",
+                                  "later_worker_exits"])
 def test_no_child_outlives_estimate_song(monkeypatch, path):
     # at jobs=3 the caller estimates notes 0-1, the first child 2-3 and the
-    # second 4-5; "slow" sleeps in either child, so a caller that waited
-    # for a busy child instead of killing it would take a minute
+    # second 4-5; "slow" sleeps in either child, and on "later_worker_exits"
+    # the first child sleeps while the second exits, so a caller that waited
+    # for a busy child instead of killing it, or read the pipes in order,
+    # would take a minute
     buffer, notes = synth_song(36, 22050)
     notes = list(notes[:6])
     caller, yin = os.getpid(), REGISTRY["yin"].note_fn
     in_children = {"returns": None, "caller_fails": "slow", "worker_fails": "slow",
-                   "worker_exits": "exit"}[path]
+                   "worker_exits": "exit", "later_worker_exits": "later_exits"}[path]
+    last_run = {len(buffer.slice_seconds(note.onset, note.offset)) for note in notes[4:]}
 
     def yin_or_not_in_children(analysis, cfg):
+        if os.getpid() != caller and in_children == "later_exits":
+            if len(analysis.note) in last_run:
+                os._exit(1)
+            time.sleep(60)
         if os.getpid() != caller and in_children == "slow":
             time.sleep(60)
         if os.getpid() != caller and in_children == "exit":
@@ -350,8 +357,8 @@ def test_no_child_outlives_estimate_song(monkeypatch, path):
     if path == "returns":
         assert estimate_song(buffer, notes, ["yin"], {}, jobs=3) == estimate_song(
             buffer, notes, ["yin"], {})
-    elif path == "worker_exits":
-        with pytest.raises(BrokenProcessPool):
+    elif path in ("worker_exits", "later_worker_exits"):
+        with pytest.raises(WorkerFailed, match="exited with code 1 and no reply"):
             estimate_song(buffer, notes, ["yin"], {}, jobs=3)
     else:
         with pytest.raises(InvalidAnnotation) as serial:
@@ -381,7 +388,7 @@ def test_a_child_that_cannot_fork_is_a_broken_pool_and_leaves_nothing_open(monke
     real_pipe = os.pipe
     monkeypatch.setattr(os, "pipe", pipe)
     forks = fail_the_second_fork(monkeypatch)
-    with pytest.raises(BrokenProcessPool, match="os.fork failed: .*Resource temporarily"):
+    with pytest.raises(WorkerFailed, match="os.fork failed: .*Resource temporarily"):
         estimate_song(buffer, notes[:6], ["yin"], {}, jobs=3)
     assert len(forks) == 2 and len(pipes) == 4
     for fd in pipes:
@@ -457,7 +464,7 @@ def test_run_benchmark_whose_worker_cannot_fork_is_a_broken_pool(two_songs, stub
     # at jobs=3 the four tasks go to three children: the first starts, the
     # second cannot, and the first is reaped
     fail_the_second_fork(monkeypatch)
-    with pytest.raises(BrokenProcessPool, match="os.fork failed"):
+    with pytest.raises(WorkerFailed, match="os.fork failed"):
         run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -470,7 +477,7 @@ def test_a_pipe_that_cannot_be_made_is_a_broken_pool(two_songs, stub_registry, m
     # at jobs=3 the first child's pipe is made and the second's is not: the
     # first child is reaped and its pipe's two ends are closed
     made = fail_the_second_pipe(monkeypatch)
-    with pytest.raises(BrokenProcessPool, match="os.pipe failed: .*Too many open files"):
+    with pytest.raises(WorkerFailed, match="os.pipe failed: .*Too many open files"):
         if run == "estimate_song":
             song = two_songs[0]
             estimate_song(read_wav(song.audio_path), song.notes, ["hps"], {}, jobs=3)
@@ -507,12 +514,14 @@ def test_run_benchmark_deals_its_tasks_to_children_only(two_songs, tmp_path, mon
 
 
 @needs_fork
-@pytest.mark.parametrize("path", ["returns", "worker_exits"])
+@pytest.mark.parametrize("path", ["returns", "worker_exits", "later_worker_exits"])
 def test_no_child_outlives_run_benchmark(two_songs, monkeypatch, path):
     # at jobs=2 the white task, the larger, goes to the first child and the
     # clean pass to the second; on "worker_exits" the first child exits once
-    # it has resolved the noise and the second sleeps, so a caller that
-    # waited for a busy child instead of killing it would take a minute
+    # it has resolved the noise and the second sleeps, and on
+    # "later_worker_exits" the first sleeps and the second exits, so a
+    # caller that waited for a busy child instead of killing it, or read the
+    # pipes in order, would take a minute
     caller, resolve = os.getpid(), NoiseRef.resolve
     resolved = []
 
@@ -521,8 +530,8 @@ def test_no_child_outlives_run_benchmark(two_songs, monkeypatch, path):
         return resolve(self, sample_rate)
 
     def exit_or_sleep_in_children(analysis, cfg):
-        if os.getpid() != caller and path == "worker_exits":
-            if resolved:
+        if os.getpid() != caller and path != "returns":
+            if bool(resolved) == (path == "worker_exits"):
                 os._exit(1)
             time.sleep(60)
         return PitchEstimate(100.0)
@@ -535,7 +544,7 @@ def test_no_child_outlives_run_benchmark(two_songs, monkeypatch, path):
         assert run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=2) == run_benchmark(
             two_songs, ["hps"], scenarios, WHITE_REF)
     else:
-        with pytest.raises(BrokenProcessPool, match="exited with code 1 and no reply"):
+        with pytest.raises(WorkerFailed, match="exited with code 1 and no reply"):
             run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=2)
     assert time.monotonic() - t0 < 30
     with pytest.raises(ChildProcessError):
