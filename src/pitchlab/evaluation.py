@@ -13,6 +13,7 @@ import os
 import pickle
 import selectors
 import signal
+import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -303,8 +304,8 @@ def estimate_song(
     note. The f0s, and the exception that the first failing note raises, do
     not depend on jobs: a note with no sample in the audio raises
     InvalidAnnotation. methods or jobs that check_run rejects raise
-    ValueError, and a child that exits without a reply, or cannot be
-    started, raises WorkerFailed. No child outlives the call.
+    ValueError, and a child that dies or cannot start raises WorkerFailed.
+    No child outlives the call, or a SIGTERM or SIGHUP to it (_forked).
     """
     check_run(methods, jobs)
     plain = {name: configs.get(name) for name in methods if name != ENSEMBLE_METHOD}
@@ -352,11 +353,25 @@ def _forked(fn, parts: list) -> list:
     without a reply, and a part's exception once every part before it has
     returned. On every way out it kills and reaps the children still
     running. A pipe that cannot be made (EMFILE, ENFILE) and a fork that
-    fails (EAGAIN, ENOMEM) raise WorkerFailed too."""
+    fails (EAGAIN, ENOMEM) raise WorkerFailed too. On the main thread, a
+    SIGTERM or SIGHUP left at its default kills and reaps the children, then
+    the caller by that signal; off it, no handler is installed."""
     if len(parts) < 2 or not hasattr(os, "fork"):
         return [fn(part) for part in parts]
     children = {}  # pid: the read end of its pipe, until the child is reaped
+    owner = os.getpid()
+
+    def die(signum, frame):
+        if os.getpid() == owner:
+            _reap(children)
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL
+              and threading.current_thread() is threading.main_thread()]
     try:
+        for s in caught:
+            signal.signal(s, die)
         for part in parts[1:]:
             ends = ()
             try:
@@ -386,18 +401,27 @@ def _forked(fn, parts: list) -> list:
                     (pid, i), pipe = key.data, key.fileobj
                     reply = pipe.read()  # readable: the child has finished its part, or died
                     selector.unregister(pipe)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     children.pop(pid).close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     if code != 0 or not reply:
                         raise WorkerFailed(
                             f"worker process {pid} exited with code {code} and no reply")
                     early[i] = pickle.loads(reply)
         return results
     finally:
-        for pid, pipe in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+        _reap(children)
+        for s in caught:
+            signal.signal(s, signal.SIG_DFL)
+
+
+def _reap(children: dict) -> None:
+    """SIGKILL every child in children ({pid: its pipe}), then reap and forget each."""
+    for pid in children:
+        os.kill(pid, signal.SIGKILL)
+    while children:
+        pid, pipe = children.popitem()
+        os.waitpid(pid, 0)
+        pipe.close()
 
 
 def _child(fn, part, write_end: int) -> NoReturn:
@@ -501,7 +525,8 @@ def run_benchmark(
     empty first one, which _forked computes: where the platform can fork,
     one child forked from the caller scores each part, and the caller
     none; otherwise the caller scores every task. A child that dies or
-    cannot be started raises WorkerFailed, and no child outlives the call.
+    cannot be started raises WorkerFailed. No child outlives the call, or
+    a SIGTERM or SIGHUP to it (_forked).
     """
     check_run(methods, jobs)
     methods = list(methods)

@@ -1,5 +1,3 @@
-import errno
-import os
 import struct
 
 import numpy as np
@@ -36,38 +34,6 @@ def one_frame_estimate(method, samples, rate, cfg=None):
     assert len(samples) == FRAME_LEN
     analysis = NoteAnalysis(AudioBuffer(samples, rate))
     return estimate_note_many(analysis, {method: cfg})[method]
-
-
-def fail_the_second_fork(monkeypatch):
-    """Make os.fork fork for real once, then raise EAGAIN as it does when the
-    system is out of processes; no process is started for the failure."""
-    real = os.fork
-    calls = []
-
-    def fork():
-        calls.append(os.getpid())
-        if len(calls) == 2:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-def fail_the_second_pipe(monkeypatch):
-    """Make os.pipe make a pipe once, then raise EMFILE as it does when the
-    process is out of file descriptors; returns the ends of the one it made."""
-    real = os.pipe
-    made = []
-
-    def pipe():
-        if made:
-            raise OSError(errno.EMFILE, "Too many open files")
-        made.extend(real())
-        return tuple(made)
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    return made
 
 
 def wav_chunk(chunk_id, body):

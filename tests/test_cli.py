@@ -21,14 +21,14 @@ from pitchlab.ensemble import (
     ExternalEstimator,
     load_ensemble_spec,
 )
-from pitchlab.estimators import REGISTRY, NoteMethod, parse_config_overrides
+from pitchlab.estimators import REGISTRY, parse_config_overrides
 from pitchlab.evaluation import NoteSegment, estimate_song, hz_to_midi, is_gross, materialize_songs
-from pitchlab.evaluation import pitch_error, read_annotation, run_benchmark, synth_song
+from pitchlab.evaluation import pitch_error, run_benchmark, synth_song
 from pitchlab.evaluation import write_annotation
 from pitchlab.noise import mix_at_snr, synth_noise
 from pitchlab.sigproc import AudioBuffer
 
-from conftest import fail_the_second_fork, fail_the_second_pipe, sawtooth, wav_bytes
+from conftest import sawtooth, wav_bytes
 
 # A 0.1 s float WAV: a 12-byte RIFF header, fmt (16-byte body) at 12, data at 36.
 VALID_WAV = wav_bytes(np.full(2205, 0.1, dtype=np.float32).tobytes(), rate=22050)
@@ -441,50 +441,6 @@ class TestEstimateOverCpus:
         if case.startswith("first"):
             assert "note [100, 104]" in err
 
-    def test_a_dead_worker_is_exit_4_with_one_line(self, long_song, monkeypatch, capsys):
-        # yin dies in any process but this one; the workers fork from this
-        # process, so they see the patched registry
-        wav, notes_path, _ = long_song
-        caller, yin = os.getpid(), REGISTRY["yin"].note_fn
-
-        def die_in_a_worker(analysis, cfg):
-            if os.getpid() != caller:
-                os._exit(1)
-            return yin(analysis, cfg)
-
-        monkeypatch.setitem(REGISTRY, "yin", NoteMethod(die_in_a_worker))
-        use_cpus(monkeypatch, 2)
-        code, out, err = run_cli(capsys, "estimate", wav, notes_path, "--method", "yin")
-        assert code == 4
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "worker process died" in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_worker_that_cannot_fork_is_exit_4_with_one_line(self, long_song, monkeypatch,
-                                                                capsys):
-        self.cannot_start(long_song, monkeypatch, capsys, fail_the_second_fork, "os.fork")
-
-    def test_a_worker_whose_pipe_cannot_be_made_is_exit_4_with_one_line(self, long_song,
-                                                                         monkeypatch, capsys):
-        self.cannot_start(long_song, monkeypatch, capsys, fail_the_second_pipe, "os.pipe")
-
-    def cannot_start(self, long_song, monkeypatch, capsys, fail, call):
-        """At 3 CPUs the first worker starts and the second cannot: fail
-        makes its call raise. estimate prints one line naming call, and
-        leaves no child."""
-        wav, notes_path, _ = long_song
-        use_cpus(monkeypatch, 3)
-        fail(monkeypatch)
-        code, out, err = run_cli(capsys, "estimate", wav, notes_path, "--method", "yin")
-        assert code == 4
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert f"could not start: {call} failed" in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_each_line_is_printed_once_through_a_pipe(self, long_song):
         # stdout is block-buffered on a pipe: a forked worker that flushed a
         # copy of it would print the lines before the fork again
@@ -844,44 +800,6 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(path))
         assert code == 4
         assert "warning" in err
-
-    def test_a_dead_worker_is_exit_4_with_one_line(self, tmp_path, capsys, monkeypatch):
-        # a method that kills its worker process; the workers are forked
-        # from this process, so they see the patched registry
-        def die(analysis, cfg):
-            os._exit(1)
-
-        monkeypatch.setitem(REGISTRY, "yin", NoteMethod(die))
-        path = self.bench_config(tmp_path, songs={"count": 1, "sample_rate": 8000})
-        code, out, err = run_cli(capsys, "bench", str(path), "--jobs", "2")
-        assert code == 4
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "worker process died" in err
-        assert not (tmp_path / "out" / "results.csv").exists()
-
-    def test_a_worker_that_cannot_fork_is_exit_4_with_one_line(self, tmp_path, capsys,
-                                                                monkeypatch):
-        self.cannot_start(tmp_path, capsys, monkeypatch, fail_the_second_fork, "os.fork")
-
-    def test_a_worker_whose_pipe_cannot_be_made_is_exit_4_with_one_line(self, tmp_path, capsys,
-                                                                         monkeypatch):
-        self.cannot_start(tmp_path, capsys, monkeypatch, fail_the_second_pipe, "os.pipe")
-
-    def cannot_start(self, tmp_path, capsys, monkeypatch, fail, call):
-        """At --jobs 3 the first worker starts and the second cannot: fail
-        makes its call raise. bench prints one line naming call, writes no
-        results and leaves no child."""
-        fail(monkeypatch)
-        path = self.bench_config(tmp_path, songs={"count": 2, "sample_rate": 8000})
-        code, out, err = run_cli(capsys, "bench", str(path), "--jobs", "3")
-        assert code == 4
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert f"could not start: {call} failed" in err
-        assert not (tmp_path / "out" / "results.csv").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_out_that_is_a_file_is_exit_2_before_scoring(self, tmp_path, capsys, monkeypatch):
         song = materialize_songs(1, 17, tmp_path / "songs", sample_rate=22050)[0]

@@ -1,15 +1,12 @@
-import concurrent.futures
 import hashlib
 import math
-import os
-import time
 
 import numpy as np
 import pytest
 
-from pitchlab.audio_io import read_wav, write_wav
+from pitchlab.audio_io import read_wav
 from pitchlab.ensemble import EnsembleSpec, member_votes
-from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency, WorkerFailed
+from pitchlab.errors import CountMismatch, InvalidAnnotation, NonPositiveFrequency
 from pitchlab.estimators import (
     REGISTRY,
     EstimatorConfig,
@@ -39,8 +36,6 @@ from pitchlab.evaluation import (
     write_annotation,
 )
 from pitchlab.noise import NoiseRef, Scenario, scenario_grid
-
-from conftest import fail_the_second_fork, fail_the_second_pipe
 
 
 class TestHzMidi:
@@ -281,123 +276,6 @@ def test_estimate_song_rows_do_not_depend_on_jobs():
         estimate_song(buffer, notes, methods, {}, jobs=0)
 
 
-@pytest.fixture
-def no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was built")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-
-
-def test_estimate_song_stays_serial_where_the_platform_cannot_fork(monkeypatch, no_pool):
-    # the caller then estimates every note
-    buffer, notes = synth_song(36, 22050)
-    notes = notes[:4]
-    serial = estimate_song(buffer, notes, ["yin"], {})
-    monkeypatch.delattr(os, "fork")
-    assert estimate_song(buffer, notes, ["yin"], {}, jobs=2) == serial
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
-
-
-@needs_fork
-@pytest.mark.parametrize("jobs", [1, 2, 3, 9])
-def test_estimate_song_forks_one_child_for_each_run_but_the_first(monkeypatch, no_pool, jobs):
-    forks = []
-
-    def fork():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    buffer, notes = synth_song(36, 22050)
-    notes = notes[:4]
-    serial = estimate_song(buffer, notes, ["yin"], {})
-    real = os.fork
-    monkeypatch.setattr(os, "fork", fork)
-    assert estimate_song(buffer, notes, ["yin"], {}, jobs=jobs) == serial
-    assert len(forks) == min(jobs, len(notes)) - 1
-
-
-@needs_fork
-@pytest.mark.parametrize("path", ["returns", "caller_fails", "worker_fails", "worker_exits",
-                                  "later_worker_exits"])
-def test_no_child_outlives_estimate_song(monkeypatch, path):
-    # at jobs=3 the caller estimates notes 0-1, the first child 2-3 and the
-    # second 4-5; "slow" sleeps in either child, and on "later_worker_exits"
-    # the first child sleeps while the second exits, so a caller that waited
-    # for a busy child instead of killing it, or read the pipes in order,
-    # would take a minute
-    buffer, notes = synth_song(36, 22050)
-    notes = list(notes[:6])
-    caller, yin = os.getpid(), REGISTRY["yin"].note_fn
-    in_children = {"returns": None, "caller_fails": "slow", "worker_fails": "slow",
-                   "worker_exits": "exit", "later_worker_exits": "later_exits"}[path]
-    last_run = {len(buffer.slice_seconds(note.onset, note.offset)) for note in notes[4:]}
-
-    def yin_or_not_in_children(analysis, cfg):
-        if os.getpid() != caller and in_children == "later_exits":
-            if len(analysis.note) in last_run:
-                os._exit(1)
-            time.sleep(60)
-        if os.getpid() != caller and in_children == "slow":
-            time.sleep(60)
-        if os.getpid() != caller and in_children == "exit":
-            os._exit(1)
-        return yin(analysis, cfg)
-
-    if path == "caller_fails":  # a later note fails in the first child too
-        notes[1], notes[3] = NoteSegment(100.0, 101.0, 220.0), NoteSegment(105.0, 106.0, 220.0)
-    elif path == "worker_fails":  # in the first child, while the second is busy
-        notes[2] = NoteSegment(105.0, 106.0, 220.0)
-    monkeypatch.setitem(REGISTRY, "yin", NoteMethod(yin_or_not_in_children))
-    t0 = time.monotonic()
-    if path == "returns":
-        assert estimate_song(buffer, notes, ["yin"], {}, jobs=3) == estimate_song(
-            buffer, notes, ["yin"], {})
-    elif path in ("worker_exits", "later_worker_exits"):
-        with pytest.raises(WorkerFailed, match="exited with code 1 and no reply"):
-            estimate_song(buffer, notes, ["yin"], {}, jobs=3)
-    else:
-        with pytest.raises(InvalidAnnotation) as serial:
-            estimate_song(buffer, notes, ["yin"], {})
-        with pytest.raises(InvalidAnnotation) as forked:
-            estimate_song(buffer, notes, ["yin"], {}, jobs=3)
-        assert str(forked.value) == str(serial.value)
-        onset = "100" if path == "caller_fails" else "105"
-        assert str(forked.value).startswith(f"note [{onset}, ")
-    assert time.monotonic() - t0 < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_a_child_that_cannot_fork_is_a_broken_pool_and_leaves_nothing_open(monkeypatch):
-    # at jobs=3 the first child starts and the second cannot: its pipe's two
-    # ends are closed and the first child is reaped
-    buffer, notes = synth_song(36, 22050)
-    pipes = []
-
-    def pipe():
-        ends = real_pipe()
-        pipes.extend(ends)
-        return ends
-
-    real_pipe = os.pipe
-    monkeypatch.setattr(os, "pipe", pipe)
-    forks = fail_the_second_fork(monkeypatch)
-    with pytest.raises(WorkerFailed, match="os.fork failed: .*Resource temporarily"):
-        estimate_song(buffer, notes[:6], ["yin"], {}, jobs=3)
-    assert len(forks) == 2 and len(pipes) == 4
-    for fd in pipes:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("note", [NoteSegment(100.0, 101.0, 220.0),
                                   NoteSegment(0.1, 0.10001, 220.0)],
                          ids=["past-the-end", "under-one-sample"])
@@ -458,99 +336,6 @@ def test_run_benchmark_fails_a_nan_snr_per_condition(two_songs, stub_registry, j
     assert report.cells == {("hps", "white", 10.0): pytest.approx(expected)}
 
 
-@needs_fork
-def test_run_benchmark_whose_worker_cannot_fork_is_a_broken_pool(two_songs, stub_registry,
-                                                                  monkeypatch):
-    # at jobs=3 the four tasks go to three children: the first starts, the
-    # second cannot, and the first is reaped
-    fail_the_second_fork(monkeypatch)
-    with pytest.raises(WorkerFailed, match="os.fork failed"):
-        run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=3)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-@pytest.mark.parametrize("run", ["estimate_song", "run_benchmark"])
-def test_a_pipe_that_cannot_be_made_is_a_broken_pool(two_songs, stub_registry, monkeypatch,
-                                                     run):
-    # at jobs=3 the first child's pipe is made and the second's is not: the
-    # first child is reaped and its pipe's two ends are closed
-    made = fail_the_second_pipe(monkeypatch)
-    with pytest.raises(WorkerFailed, match="os.pipe failed: .*Too many open files"):
-        if run == "estimate_song":
-            song = two_songs[0]
-            estimate_song(read_wav(song.audio_path), song.notes, ["hps"], {}, jobs=3)
-        else:
-            run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=3)
-    assert len(made) == 2
-    for fd in made:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-@pytest.mark.parametrize("jobs, children", [(2, 2), (3, 3), (4, 4)])
-def test_run_benchmark_deals_its_tasks_to_children_only(two_songs, tmp_path, monkeypatch,
-                                                        jobs, children):
-    # two songs, clean and white: 2 tasks at jobs 2 and 4 at jobs 3 and 4,
-    # so min(jobs, tasks) children score every note and the caller none
-    log = tmp_path / "pids"
-
-    def recording(analysis, cfg):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return PitchEstimate(100.0)
-
-    monkeypatch.setitem(REGISTRY, "hps", NoteMethod(recording))
-    report = run_benchmark(two_songs, ["hps"], [Scenario("white", 0.0)], WHITE_REF, jobs=jobs)
-    pids = log.read_text().split()
-    assert len(pids) == 2 * sum(len(song.notes) for song in two_songs)
-    assert str(os.getpid()) not in pids
-    assert len(set(pids)) == children
-    assert report.failures == () and set(report.cells) == {("hps", "white", 0.0)}
-
-
-@needs_fork
-@pytest.mark.parametrize("path", ["returns", "worker_exits", "later_worker_exits"])
-def test_no_child_outlives_run_benchmark(two_songs, monkeypatch, path):
-    # at jobs=2 the white task, the larger, goes to the first child and the
-    # clean pass to the second; on "worker_exits" the first child exits once
-    # it has resolved the noise and the second sleeps, and on
-    # "later_worker_exits" the first sleeps and the second exits, so a
-    # caller that waited for a busy child instead of killing it, or read the
-    # pipes in order, would take a minute
-    caller, resolve = os.getpid(), NoiseRef.resolve
-    resolved = []
-
-    def resolving(self, sample_rate):
-        resolved.append(sample_rate)
-        return resolve(self, sample_rate)
-
-    def exit_or_sleep_in_children(analysis, cfg):
-        if os.getpid() != caller and path != "returns":
-            if bool(resolved) == (path == "worker_exits"):
-                os._exit(1)
-            time.sleep(60)
-        return PitchEstimate(100.0)
-
-    monkeypatch.setattr(NoiseRef, "resolve", resolving)
-    monkeypatch.setitem(REGISTRY, "hps", NoteMethod(exit_or_sleep_in_children))
-    scenarios = [Scenario("white", 0.0), Scenario("white", 10.0)]
-    t0 = time.monotonic()
-    if path == "returns":
-        assert run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=2) == run_benchmark(
-            two_songs, ["hps"], scenarios, WHITE_REF)
-    else:
-        with pytest.raises(WorkerFailed, match="exited with code 1 and no reply"):
-            run_benchmark(two_songs, ["hps"], scenarios, WHITE_REF, jobs=2)
-    assert time.monotonic() - t0 < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def counting_resolves(monkeypatch) -> list[tuple]:
     """Patch NoiseRef.resolve to record (the source's noise_id, sample_rate) per call."""
     calls = []
@@ -574,8 +359,7 @@ def test_run_benchmark_resolves_each_noise_once_per_run(two_songs, stub_registry
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8])
-def test_run_benchmark_report_is_the_same_at_any_jobs(two_songs, stub_registry, tmp_path,
-                                                      no_pool, jobs):
+def test_run_benchmark_report_is_the_same_at_any_jobs(two_songs, stub_registry, tmp_path, jobs):
     # clean, white and a noise whose file is missing over three songs, one
     # unreadable: jobs 1-3 give one run of songs per source, jobs 4 two
     # and jobs 8 three, and the clean pass is dealt last
