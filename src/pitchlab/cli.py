@@ -2,16 +2,13 @@
 
 estimate runs one config map, --config, for its method or the ensemble's
 members, and PITCHLAB_EXTERNAL is the external command of the one spec
-it builds. Exit codes: 0 success, 2 unreadable (JSON nested too deep
-included) or out-of-range input, an output path that cannot be written,
-an --ensemble-spec with a plain method, sample-rate mismatch, an external
-command (PITCHLAB_EXTERNAL or a spec's) that splits into no program, a mix
-into a silent or empty signal, of a silent noise or too large for a WAV
-header, 3 invalid annotation (non-UTF-8 text
-included, or a note past the end of the audio), 4 benchmark with zero
-successful songs, or a bench or estimate whose worker process died before
-it finished or could not be started (WorkerFailed, raised as soon as the
-death is seen; bench writes no results, estimate prints no note line).
+it builds. Each error exit prints one `error:` line to stderr; README's
+table of exit codes names every input that gives each code:
+  0  success
+  2  unreadable or out-of-range input, or an output that cannot be written
+  3  an invalid annotation, or a note that holds no sample of the audio
+  4  a benchmark with zero successful songs, or a worker process that died
+     or could not be started (WorkerFailed)
 
 estimate and bench fork or stay serial; neither keeps a process pool.
 estimate spreads the song's notes over the CPUs the process may use
@@ -257,11 +254,7 @@ def cmd_bench(args) -> int:
     else:
         refs = synthetic_noise_refs(seed=noises_cfg.get("seed", seed))
 
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(EX_INPUT, f"cannot create output directory {out_dir}: {exc}")
-
+    # every input is read before the output directory is made
     songs_cfg = config.get("songs", {})
     if "annotations" in songs_cfg:
         try:
@@ -270,7 +263,13 @@ def cmd_bench(args) -> int:
             return _fail(EX_INPUT, f"cannot read annotation: {exc}")
         except InvalidAnnotation as exc:
             return _fail(EX_ANNOTATION, str(exc))
-    else:
+
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(EX_INPUT, f"cannot create output directory {out_dir}: {exc}")
+
+    if "annotations" not in songs_cfg:
         count = songs_cfg.get("count", 5)
         rate = songs_cfg.get("sample_rate", 44100)
         try:

@@ -210,34 +210,23 @@ def test_external_conformant_stub(tmp_path):
     assert est.f0 == pytest.approx(441.0)
 
 
-def test_external_unvoiced_reply(tmp_path):
-    command = _stub(tmp_path, CHECKED_READER + 'print("UNVOICED")\n')
-    est = run_external(ExternalEstimator(command=command), sine_buffer(220.0, 0.05))
-    assert est.voiced is False
-
-
-def test_external_malformed_reply_is_unvoiced(tmp_path, caplog):
-    command = _stub(tmp_path, 'import sys; sys.stdin.buffer.read(); print("howdy")\n')
+@pytest.mark.parametrize("reply, timeout_s, cause", [
+    ('print("UNVOICED")', 10.0, None),
+    ("import time; time.sleep(5)", 0.5, "timed out"),
+    (None, 10.0, "failed to launch"),  # no such program
+    ("sys.exit(3)", 10.0, "exited with 3"),
+    ('print("F0 9999.0")', 10.0, "outside declared range"),
+    ('print("howdy")', 10.0, "malformed reply"),
+], ids=["unvoiced", "timeout", "missing_binary", "nonzero_exit", "out_of_range", "malformed"])
+def test_external_unvoiced_vote_and_its_warning(reply, timeout_s, cause, tmp_path, caplog):
+    # the stub reads the whole request first; only an UNVOICED reply warns of nothing
+    command = _stub(tmp_path, CHECKED_READER + reply) if reply else "/no/such/estimator --flag"
     with caplog.at_level("WARNING"):
-        est = run_external(ExternalEstimator(command=command), sine_buffer(220.0, 0.05))
+        est = run_external(ExternalEstimator(command, timeout_s=timeout_s), sine_buffer(220.0, 0.05))
     assert est.voiced is False
-    assert any("malformed" in r.message for r in caplog.records)
-
-
-def test_external_nonzero_exit_is_unvoiced(tmp_path, caplog):
-    command = _stub(tmp_path, 'import sys; sys.stdin.buffer.read(); sys.exit(3)\n')
-    with caplog.at_level("WARNING"):
-        est = run_external(ExternalEstimator(command=command), sine_buffer(220.0, 0.05))
-    assert est.voiced is False
-
-
-def test_external_timeout_is_unvoiced(tmp_path, caplog):
-    command = _stub(tmp_path, 'import time, sys; sys.stdin.buffer.read(); time.sleep(5)\n')
-    estimator = ExternalEstimator(command=command, timeout_s=0.5)
-    with caplog.at_level("WARNING"):
-        est = run_external(estimator, sine_buffer(220.0, 0.05))
-    assert est.voiced is False
-    assert any("timed out" in r.message for r in caplog.records)
+    logged = [(r.name, r.levelname) for r in caplog.records]
+    assert logged == ([] if cause is None else [("pitchlab.ensemble", "WARNING")])
+    assert cause is None or cause in caplog.records[0].getMessage()
 
 
 def _running(pid):
@@ -292,21 +281,6 @@ def test_a_plugin_is_heard_when_it_exits_though_a_child_holds_its_stdout(tmp_pat
     finally:
         if _running(pid):
             os.kill(pid, signal.SIGKILL)
-
-
-def test_external_out_of_range_is_unvoiced(tmp_path, caplog):
-    command = _stub(tmp_path, 'import sys; sys.stdin.buffer.read(); print("F0 9999.0")\n')
-    with caplog.at_level("WARNING"):
-        est = run_external(ExternalEstimator(command=command), sine_buffer(220.0, 0.05))
-    assert est.voiced is False
-    assert any("range" in r.message for r in caplog.records)
-
-
-def test_external_missing_binary_is_unvoiced(caplog):
-    estimator = ExternalEstimator(command="/no/such/estimator --flag")
-    with caplog.at_level("WARNING"):
-        est = run_external(estimator, sine_buffer(220.0, 0.05))
-    assert est.voiced is False
 
 
 # ---------------------------------------------------------------------------
