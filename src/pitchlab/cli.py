@@ -150,9 +150,9 @@ def cmd_mix(args) -> int:
         signal = read_wav(args.signal)
     except (OSError, ValueError) as exc:
         return _fail(EX_INPUT, f"cannot read signal {args.signal}: {exc}")
-    # before the noise: a synthetic one cannot be made at a length of 0
-    if len(signal) == 0:
-        return _fail(EX_INPUT, f"cannot mix into {args.signal}: the signal holds no samples")
+    # before the noise: a signal without power takes no noise at any SNR
+    if not signal.samples.any():
+        return _fail(EX_INPUT, f"cannot mix into {args.signal}: the signal holds no nonzero sample")
     try:
         noise = _resolve_noise(args.noise, len(signal.samples), signal.sample_rate, args.seed)
     except (OSError, ValueError, SilentNoise) as exc:
@@ -161,7 +161,6 @@ def cmd_mix(args) -> int:
     try:
         mixed = mix_at_snr(signal, noise, args.snr)
         del noise  # the achieved SNR is measured on the mix, not the noise
-        # a silent signal takes no noise at any SNR, and achieved_snr rejects that
         achieved = achieved_snr(signal, mixed)
     except PitchlabError as exc:
         return _fail(EX_INPUT, f"cannot mix at {args.snr:g} dB SNR: {exc}")
@@ -285,11 +284,14 @@ def cmd_bench(args) -> int:
     except WorkerFailed as exc:
         return _fail(EX_NO_SONGS, f"a benchmark worker process died or could not start: {exc}")
 
+    conditions = {}  # (song, message): the conditions it failed in, in the order seen
     for failure in report.failures:
         where = "clean" if failure.scenario is None else (
             f"{failure.scenario.noise_id}@{failure.scenario.snr_db:+g}dB"
         )
-        print(f"warning: {failure.song_id} ({where}): {failure.message}", file=sys.stderr)
+        conditions.setdefault((failure.song_id, failure.message), []).append(where)
+    for (song_id, message), wheres in conditions.items():
+        print(f"warning: {song_id} ({', '.join(wheres)}): {message}", file=sys.stderr)
 
     if not report.cells and not report.clean:
         return _fail(EX_NO_SONGS, "no songs could be evaluated")
@@ -297,10 +299,15 @@ def cmd_bench(args) -> int:
     csv_path = out_dir / "results.csv"
     table_path = out_dir / "results.txt"
     table = render_report(report, "text-table")
+    opened = []  # the results files this call has truncated, removed if a write fails
     try:
-        csv_path.write_text(render_long_csv(report), encoding="utf-8")
-        table_path.write_text(table, encoding="utf-8")
+        for path, text in ((csv_path, render_long_csv(report)), (table_path, table)):
+            with open(path, "w", encoding="utf-8") as file:
+                opened.append(path)
+                file.write(text)
     except OSError as exc:
+        for path in opened:
+            path.unlink()
         return _fail(EX_INPUT, f"cannot write the results into {out_dir}: {exc}")
     print(table, end="")
     print(f"wrote {csv_path} and {table_path}", file=sys.stderr)

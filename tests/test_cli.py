@@ -40,8 +40,6 @@ MALFORMED_WAVS = {
                           "chunk runs past the end of the file"),
     "zero_channels": (VALID_WAV[:22] + bytes(2) + VALID_WAV[24:], "fmt chunk gives 0 channels"),
 }
-ABOVE_NYQUIST = "Hz starts at or above the Nyquist frequency"
-TIMEOUT_RANGE = "timeout_s must be in (0, 1e+06] s"
 
 
 @pytest.fixture
@@ -154,83 +152,8 @@ class TestEstimate:
         printed = [line.split()[2] for line in out.splitlines()]
         assert printed == ["0" if f0 is None else f"{f0:.6g}" for f0 in f0s]
 
-    # Each bad input below is held by fails_soft to the contract that every
-    # row of tests/test_exit_codes.py is held to.
-
-    @pytest.mark.parametrize("spec", [  # each with what its error line says of it
-        ({"external": {"f_min": 50}}, '"external" needs a "command"'),
-        # member overrides come from --config, not from the spec
-        ({"configs": {"ml": {"f_max": 600}}}, "unknown keys in the top level: ['configs']"),
-        ([1], "the top level must be a JSON object"),
-        ({"members": "hps"}, "members must be a list"),
-        ({"members": ["hps"]}, "at least two voting members"),
-        ({"members": ["hps", "hps"]}, "ensemble members must be unique"),
-        ({"members": ["autotune", "hps"]}, "unknown ensemble members ['autotune']"),
-        ({"external": {"command": "true", "f_min": 500, "f_max": 100}}, "need 0 <= f_min < f_max"),
-        ({"external": {"command": "true", "timeout_s": float("nan")}}, TIMEOUT_RANGE),
-        ({"external": {"command": 3}}, "command must be a string"),
-        ({"external": {"command": "true", "timeout_s": 0}}, TIMEOUT_RANGE),
-        ({"external": {}}, '"external" needs a "command"'),
-        ({"external": {"command": "foo \"bar"}}, "cannot be split"),
-        # above 1e6 s: poll() takes the pipe wait in milliseconds as a C int
-        ({"external": {"command": "true", "timeout_s": 1e300}}, TIMEOUT_RANGE),
-        ({"external": {"command": "true", "timeout_s": 2.2e6}}, TIMEOUT_RANGE),
-    ])
-    def test_malformed_ensemble_spec_is_exit_2(self, spec, song, tmp_path, fails_soft):
-        spec, fragment = spec
-        fails_soft(Inputs(tmp_path, song).estimate("--method", "ensemble", spec=spec), 2,
-                   ("bad configuration", fragment))
-
-    @pytest.mark.parametrize("method", ["hps", "srh", "ensemble"])
-    def test_search_range_beyond_nyquist_is_exit_2(self, method, tmp_path, fails_soft):
-        # at 100 Hz the Nyquist frequency, 50 Hz, lies below every spectral f_min
-        t = Inputs(tmp_path)
-        argv = t.estimate("--method", method,
-                          wav=t.file("low.wav", AudioBuffer(np.full(100, 0.1), 100)),
-                          notes=t.file("low.notes", "0.0 0.9 220.0\n"))
-        searched = "srh: [80, 500]" if method == "srh" else "hps: [80, inf]"
-        fails_soft(argv, 2, f"{searched} {ABOVE_NYQUIST} 50 Hz")
-
-    @pytest.mark.parametrize("method, config", [
-        ("hps", {"hps": {"f_min": 30000}}),
-        ("ensemble", {"hps": {"f_min": 30000}}),
-        ("acf", {"acf": {"f_min": 0, "f_max": 1e-300}}),
-    ])
-    def test_range_that_cannot_fit_is_exit_2_on_a_silent_song(self, method, config, tmp_path,
-                                                              fails_soft):
-        # no frame of either note votes, yet the range is checked on each
-        t = Inputs(tmp_path)
-        argv = t.estimate("--method", method, config=config,
-                          wav=t.file("quiet.wav", AudioBuffer(np.zeros(44100), 44100)),
-                          notes=t.file("quiet.notes", "0.0 0.4 220.0\n0.5 0.9 220.0\n"))
-        fails_soft(argv, 2, f"hps: [30000, inf] {ABOVE_NYQUIST}" if "hps" in config
-                   else "acf: no usable lags")
-
-    @pytest.mark.parametrize("config", [  # each with what its error line says of it
-        ({"hps": 3}, "hps must be a JSON object"),
-        ([1], "the top level must be a JSON object"),
-        ({"hps": {"n_harmonic": 7}}, "unknown keys in hps: ['n_harmonic']"),
-        ({"hps": {"n_harmonics": 2.9}}, "hps.n_harmonics must be an integer"),
-        ({"hps": {"n_harmonics": True}}, "hps.n_harmonics must be an integer"),
-        ({"hps": {"f_min": "80"}}, "hps.f_min must be a number"),
-        ({"ml": {"f_max": False}}, "ml.f_max must be a number"),
-        # an entry for a method that does not run must still be well formed
-        ({"yin": {"n_harmonics": 7}}, "unknown keys in yin: ['n_harmonics']"),
-        ({"ensemble": {"f_max": 150}}, "unknown keys in the top level: ['ensemble']"),
-    ])
-    def test_malformed_config_with_the_ensemble_is_exit_2(self, config, song, tmp_path,
-                                                          fails_soft):
-        config, fragment = config
-        fails_soft(Inputs(tmp_path, song).estimate("--method", "ensemble", config=config), 2,
-                   ("bad configuration", fragment))
-
-    @pytest.mark.parametrize("method", ["acf", "nsdf", "yin", "cepstrum"])
-    def test_n_harmonics_outside_the_combs_is_exit_2(self, method, song, tmp_path, fails_soft):
-        # only hps, stft, ml and srh score harmonics; elsewhere the field did nothing
-        config = {method: {"n_harmonics": 7}}
-        fails_soft(Inputs(tmp_path, song).estimate("--method", method, config=config), 2,
-                   ("bad configuration", f"unknown keys in {method}: ['n_harmonics']"))
-
+    # held by fails_soft to the contract that every row of
+    # tests/test_exit_codes.py is held to
     @pytest.mark.parametrize("content", MALFORMED_WAVS.values(), ids=MALFORMED_WAVS)
     def test_malformed_wav_is_exit_2(self, content, song, tmp_path, fails_soft):
         content, fragment = content
@@ -420,22 +343,9 @@ class TestMix:
 
 
 class TestBench:
-    def bench_config(self, tmp_path, **overrides):
-        config = {
-            "songs": {"count": 1, "sample_rate": 22050},
-            "methods": ["yin"],
-            "snrs_db": [10],
-            "seed": 21,
-            "out": str(tmp_path / "out"),
-        }
-        config.update(overrides)
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(config))
-        return path
-
     def test_writes_reports_and_reruns_identically(self, tmp_path, capsys):
-        path = self.bench_config(tmp_path)
-        code, out, _ = run_cli(capsys, "bench", str(path))
+        argv = Inputs(tmp_path).bench()
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         csv_path = tmp_path / "out" / "results.csv"
         table_path = tmp_path / "out" / "results.txt"
@@ -443,17 +353,17 @@ class TestBench:
         assert table_path.exists()
         assert "yin" in out
 
-        code, _, _ = run_cli(capsys, "bench", str(path))
+        code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert csv_path.read_bytes() == first
 
     def test_jobs_do_not_change_results(self, tmp_path, capsys):
         # each run writes where its --out says, in place of the config's "out"
-        path = self.bench_config(tmp_path)
+        argv = Inputs(tmp_path).bench()
         results = []
         for jobs in ("1", "3"):
             out_dir = tmp_path / f"jobs{jobs}"
-            assert run_cli(capsys, "bench", str(path), "--jobs", jobs, "--out", str(out_dir))[0] == 0
+            assert run_cli(capsys, *argv, "--jobs", jobs, "--out", str(out_dir))[0] == 0
             results.append((out_dir / "results.csv").read_bytes())
         assert results[0] == results[1]
         assert not (tmp_path / "out").exists()
@@ -462,60 +372,23 @@ class TestBench:
         # the spectral members score the decimated band, yet every plain
         # method's row stays byte for byte the one kept in tests/data,
         # scored on the songs as read back from their sidecars
-        path = self.bench_config(tmp_path, songs={"count": 2, "sample_rate": 44100},
-                                 methods=list(REGISTRY), snrs_db=[0, 20], seed=55)
-        code, _, _ = run_cli(capsys, "bench", str(path))
+        argv = Inputs(tmp_path).bench(songs={"count": 2, "sample_rate": 44100},
+                                      methods=list(REGISTRY), snrs_db=[0, 20], seed=55)
+        code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         expected = (Path(__file__).parent / "data" / "bench_grid_10_plain_methods.csv").read_text()
         assert (tmp_path / "out" / "results.csv").read_text() == expected
 
     def test_songs_score_as_their_sidecars_do(self, tmp_path, capsys):
         # bench over songs.count and bench over the sidecars it wrote agree
-        path = self.bench_config(tmp_path, methods=["yin", "ensemble"])
-        assert run_cli(capsys, "bench", str(path))[0] == 0
+        t = Inputs(tmp_path)
+        assert run_cli(capsys, *t.bench(methods=["yin", "ensemble"]))[0] == 0
         sidecars = sorted(str(p) for p in (tmp_path / "out" / "songs").glob("*.notes"))
-        again = self.bench_config(tmp_path, songs={"annotations": sidecars},
-                                  methods=["yin", "ensemble"], out=str(tmp_path / "again"))
-        assert run_cli(capsys, "bench", str(again))[0] == 0
+        again = t.bench(songs={"annotations": sidecars}, methods=["yin", "ensemble"],
+                        out=t.path("again"))
+        assert run_cli(capsys, *again)[0] == 0
         results = [(tmp_path / d / "results.csv").read_text() for d in ("out", "again")]
         assert results[0] == results[1]
-
-    @pytest.mark.parametrize("overrides", [  # each with what its error line says of it
-        ({"songs": [1]}, "songs must be a JSON object"),
-        ({"noises": [1]}, "noises must be a JSON object"),
-        ({"jobs": "x"}, "unknown keys in the top level: ['jobs']"),  # --jobs sets it
-        ({"snrs_db": 5}, "snrs_db must be a list"),
-        ({"songs": {"count": "two"}}, "songs.count must be an integer"),
-        ({"seed": None}, "seed must be an integer"),
-        ({"seed": -1}, "seed and noises.seed must be non-negative"),
-        ({"songs": {"count": 1, "sample_rate": 0}}, "songs.sample_rate must be in [8000, 192000] Hz"),
-        ({"songs": {"count": 1, "sample_rate": 192001}},
-         "songs.sample_rate must be in [8000, 192000] Hz"),
-        ({"noises": {"seed": -3}}, "noises.seed must be non-negative"),
-        ({"snrs_db": [1e400]}, "SNR must be finite and in [-200, 200] dB, got inf"),
-        ({"snrs_db": [10, -1e400]}, "SNR must be finite"),
-        ({"snrs_db": [1e300]}, "SNR must be finite"),
-        ({"snrs_db": [-4000]}, "SNR must be finite"),
-        ({"snrs_db": [10, 0, 10]}, "snrs_db must not repeat an SNR"),
-        ({"songs": {"count": 0}}, "songs.count must be at least 1"),
-        ({"songs": {"count": -3}}, "songs.count must be at least 1"),
-        ({"songs": {"annotations": []}}, "annotations must name at least one file"),
-        ({"methods": []}, "each method once, got []"),
-        ({"methods": ["hps", "hps"]}, "each method once, got ['hps', 'hps']"),
-        ({"jobs": 0}, "unknown keys in the top level: ['jobs']"),
-        ({"jobs": -1}, "unknown keys in the top level: ['jobs']"),
-        # songs are read or synthesized, noises read or synthesized: not both
-        ({"songs": {"annotations": ["s.notes"], "count": 3, "sample_rate": 8000}},
-         "songs.annotations and songs.count exclude each other"),
-        ({"songs": {"annotations": ["s.notes"], "sample_rate": 8000}},
-         "songs.annotations and songs.sample_rate exclude each other"),
-        ({"noises": {"dir": "nd", "seed": 99}}, "noises.dir and noises.seed exclude each other"),
-    ])
-    def test_malformed_config_is_exit_2(self, overrides, tmp_path, fails_soft):
-        overrides, fragment = overrides
-        # the methods are checked with --jobs, once the config has been read
-        prefix = "cannot run the benchmark" if "methods" in overrides else "bad benchmark config"
-        fails_soft(Inputs(tmp_path).bench(**overrides), 2, (prefix, fragment))
 
     def test_help_lists_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -526,11 +399,11 @@ class TestBench:
 
     def test_clean_only_grid_prints_a_dash(self, tmp_path, capsys):
         # no noisy cell to average: the summary shows "-" where it showed nan
-        path = self.bench_config(tmp_path, snrs_db=[])
         csv_path = tmp_path / "out" / "results.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            runs = [run_cli(capsys, "bench", str(path)), run_cli(capsys, "report", str(csv_path))]
+            runs = [run_cli(capsys, *Inputs(tmp_path).bench(snrs_db=[])),
+                    run_cli(capsys, "report", str(csv_path))]
         assert caught == []
         for code, out, _ in runs:
             assert code == 0
@@ -563,8 +436,7 @@ class TestExternalEnv:
 
 class TestReport:
     def test_re_render_round_trip(self, tmp_path, capsys):
-        bench = TestBench().bench_config(tmp_path)
-        assert run_cli(capsys, "bench", str(bench))[0] == 0
+        assert run_cli(capsys, *Inputs(tmp_path).bench())[0] == 0
         csv_path = tmp_path / "out" / "results.csv"
         table_path = tmp_path / "out" / "results.txt"
 

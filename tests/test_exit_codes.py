@@ -18,6 +18,7 @@ from conftest import Inputs, wav_bytes
 PAST_THE_END = NoteSegment(100.0, 101.0, 220.0)
 RESULTS_CSV = "method,noise_id,snr_db,error\nhps,clean,,1.5\nhps,white,0,2.5\n"  # as report reads it
 NESTED = "[" * 100_000  # json gives up on it with RecursionError, which is no ValueError
+ABOVE_NYQUIST = "Hz starts at or above the Nyquist frequency"
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,11 @@ def huge_float64(t):
     return t.file("huge.wav", wav_bytes(scaled.astype("<f8").tobytes(), rate=22050, bits=64))
 
 
+def short_song(t, buffer, notes):
+    """estimate's wav and notes for a song of buffer annotated with notes."""
+    return {"wav": t.file("short.wav", buffer), "notes": t.file("short.notes", notes)}
+
+
 ROWS = [
     # ---- estimate ----
     Row("estimate-unknown-method-before-any-file", 2, "unknown method 'autotune'",
@@ -67,13 +73,33 @@ ROWS = [
               "--method", m, notes=t.sidecar("past", [*t.song.notes, PAST_THE_END])))
       for method in ("yin", "ensemble")),
     # with no member the external is the one voter
-    Row("estimate-spec-no-member-beside-the-env-external", 2, "at least two voting members",
+    Row("estimate-spec-no-member-beside-the-env-external", 2,
+        ("bad configuration", "at least two voting members"),
         lambda t: t.estimate(spec={"members": []}), env={EXTERNAL_ENV_VAR: "pitch-plugin --fast"}),
     # estimate and bench alike: an external command that names no program
     *(Row(f"{command}-env-external-{name}", 2, f"{EXTERNAL_ENV_VAR}: bad external estimator",
           lambda t, c=command: getattr(t, c)(), env={EXTERNAL_ENV_VAR: value})
       for command in ("estimate", "bench")
       for name, value in [("blank", "   "), ("unclosed-quote", "foo \"bar")]),
+    *(Row(f"estimate-spec-{name}", 2, ("bad configuration", fragment),
+          lambda t, s=spec: t.estimate(spec=s))
+      for name, spec, fragment in [
+          ("external-without-command", {"external": {"f_min": 50}}, '"external" needs a "command"'),
+          # member overrides come from --config, not from the spec
+          ("configs-key", {"configs": {"ml": {"f_max": 600}}},
+           "unknown keys in the top level: ['configs']"),
+          ("a-list", [1], "the top level must be a JSON object"),
+          ("members-a-string", {"members": "hps"}, "members must be a list"),
+          ("repeated-member", {"members": ["hps", "hps"]}, "ensemble members must be unique"),
+          ("unknown-member", {"members": ["autotune", "hps"]}, "unknown ensemble members ['autotune']"),
+          ("external-f_min-above-f_max", {"external": {"command": "true", "f_min": 500, "f_max": 100}},
+           "need 0 <= f_min < f_max"),
+          ("command-a-number", {"external": {"command": 3}}, "command must be a string"),
+          ("command-unclosed-quote", {"external": {"command": "foo \"bar"}}, "cannot be split"),
+          # above 1e6 s: poll() takes the pipe wait in milliseconds as a C int
+          *((f"timeout-{s:g}", {"external": {"command": "true", "timeout_s": s}},
+             "timeout_s must be in (0, 1e+06] s") for s in (float("nan"), 0, 2.2e6)),
+      ]),
     *(Row(f"estimate-{method}-config-{name}", 2, fragment,
           lambda t, m=method, c=config: t.estimate("--method", m, config=c))
       for method, name, config, fragment in [
@@ -82,6 +108,40 @@ ROWS = [
           ("acf", "subnormal-f_max", {"acf": {"f_min": 0, "f_max": 5e-324}}, "acf: no usable lags"),
           ("cepstrum", "subnormal-f_max", {"cepstrum": {"f_min": 0, "f_max": 1e-320}},
            "cepstrum: no usable lags"),
+      ]),
+    *(Row(f"estimate-ensemble-config-{name}", 2, ("bad configuration", fragment),
+          lambda t, c=config: t.estimate(config=c))
+      for name, config, fragment in [
+          ("hps-a-number", {"hps": 3}, "hps must be a JSON object"),
+          ("a-list", [1], "the top level must be a JSON object"),
+          ("misspelt-key", {"hps": {"n_harmonic": 7}}, "unknown keys in hps: ['n_harmonic']"),
+          *((f"n_harmonics-{n}", {"hps": {"n_harmonics": n}}, "hps.n_harmonics must be an integer")
+            for n in (2.9, True)),
+          ("f_min-text", {"hps": {"f_min": "80"}}, "hps.f_min must be a number"),
+          ("f_max-a-bool", {"ml": {"f_max": False}}, "ml.f_max must be a number"),
+          # an entry for a method that does not run must still be well formed
+          ("yin-n_harmonics", {"yin": {"n_harmonics": 7}}, "unknown keys in yin: ['n_harmonics']"),
+          ("ensemble-key", {"ensemble": {"f_max": 150}}, "unknown keys in the top level: ['ensemble']"),
+      ]),
+    # only hps, stft, ml and srh score harmonics; elsewhere the field did nothing
+    *(Row(f"estimate-{m}-config-n_harmonics", 2,
+          ("bad configuration", f"unknown keys in {m}: ['n_harmonics']"),
+          lambda t, m=m: t.estimate("--method", m, config={m: {"n_harmonics": 7}}))
+      for m in ("acf", "nsdf", "cepstrum")),
+    # at 100 Hz the Nyquist frequency, 50 Hz, lies below every spectral f_min
+    *(Row(f"estimate-{method}-range-above-a-50-Hz-nyquist", 2, f"{searched} {ABOVE_NYQUIST} 50 Hz",
+          lambda t, m=method: t.estimate("--method", m, **short_song(
+              t, AudioBuffer(np.full(100, 0.1), 100), "0.0 0.9 220.0\n")))
+      for method, searched in [("hps", "hps: [80, inf]"), ("srh", "srh: [80, 500]"),
+                               ("ensemble", "hps: [80, inf]")]),
+    # no frame of either note votes, yet the range is checked on each
+    *(Row(f"estimate-{method}-config-{name}-on-a-silent-song", 2, fragment,
+          lambda t, m=method, c=config: t.estimate("--method", m, config=c, **short_song(
+              t, AudioBuffer(np.zeros(44100), 44100), "0.0 0.4 220.0\n0.5 0.9 220.0\n")))
+      for method, name, config, fragment in [
+          *((m, "f_min-above-nyquist", {"hps": {"f_min": 30000}}, f"hps: [30000, inf] {ABOVE_NYQUIST}")
+            for m in ("hps", "ensemble")),
+          ("acf", "no-lags", {"acf": {"f_min": 0, "f_max": 1e-300}}, "acf: no usable lags"),
       ]),
     Row("estimate-spec-with-a-plain-method", 2,
         "--ensemble-spec applies only to --method ensemble; give hps overrides with --config",
@@ -100,13 +160,12 @@ ROWS = [
         lambda t: t.mix(noise=t.path("nothere.wav"))),
     Row("mix-rate-mismatch", 2, "cannot mix at 0 dB SNR: noise rate 44100 != signal rate 22050",
         lambda t: t.mix(noise=t.file("wrong_rate.wav", AudioBuffer(np.full(1000, 0.1), 44100)))),
-    # a zero-power signal takes a noise gain of 0, so no SNR can be reached
-    Row("mix-silent-signal", 2, "cannot mix at 0 dB SNR",
+    # a signal all zeros or without samples has no power to set an SNR
+    # against; the message blames the signal, not the noise it never needed
+    Row("mix-silent-signal", 2, ("cannot mix into", "silent.wav: the signal holds no nonzero sample"),
         lambda t: t.mix(signal=t.file("silent.wav", AudioBuffer(np.zeros(8000), 8000)))),
-    # a signal without samples has no power to set an SNR against; the
-    # message blames the signal, not the noise it never needed
     *(Row(f"mix-empty-signal-{name}-noise", 2,
-          ("cannot mix into", "empty.wav: the signal holds no samples"),
+          ("cannot mix into", "empty.wav: the signal holds no nonzero sample"),
           lambda t, n=noise: t.mix(signal=t.file("empty.wav", AudioBuffer(np.zeros(0), 22050)),
                                    noise=n or t.wav))
       for name, noise in [("song", None), ("synth", "synth:white")]),
@@ -135,9 +194,31 @@ ROWS = [
           ("out-nul-byte", {"out": "a\0b"}, "out holds a NUL byte"),
           ("annotation-nul-byte", {"songs": {"annotations": ["a\0b.notes"]}},
            "songs.annotations[0] holds a NUL byte"),
+          ("annotations-and-sample_rate", {"songs": {"annotations": ["s.notes"], "sample_rate": 8000}},
+           "songs.annotations and songs.sample_rate exclude each other"),
+          ("songs-a-list", {"songs": [1]}, "songs must be a JSON object"),
+          ("noises-a-list", {"noises": [1]}, "noises must be a JSON object"),
+          ("snrs_db-a-number", {"snrs_db": 5}, "snrs_db must be a list"),
+          ("count-text", {"songs": {"count": "two"}}, "songs.count must be an integer"),
+          ("count-0", {"songs": {"count": 0}}, "songs.count must be at least 1"),
+          ("no-annotations", {"songs": {"annotations": []}}, "annotations must name at least one file"),
+          *((f"sample_rate-{rate}", {"songs": {"count": 1, "sample_rate": rate}},
+             "songs.sample_rate must be in [8000, 192000] Hz") for rate in (0, 192001)),
+          ("seed-null", {"seed": None}, "seed must be an integer"),
+          ("seed-negative", {"seed": -1}, "seed and noises.seed must be non-negative"),
+          ("noises-seed-negative", {"noises": {"seed": -3}}, "noises.seed must be non-negative"),
+          ("snrs_db-inf", {"snrs_db": [1e400]}, "SNR must be finite and in [-200, 200] dB, got inf"),
+          *((f"snrs_db-{name}", {"snrs_db": snrs}, "SNR must be finite")
+            for name, snrs in [("second--inf", [10, -1e400]), ("1e300", [1e300]), ("-4000", [-4000])]),
+          ("snrs_db-repeat", {"snrs_db": [10, 0, 10]}, "snrs_db must not repeat an SNR"),
       ]),
+    # the methods are checked with --jobs, once the config has been read
+    *(Row(f"bench-methods-{name}", 2, ("cannot run the benchmark", f"each method once, got {methods}"),
+          lambda t, m=methods: t.bench(methods=m))
+      for name, methods in [("empty", []), ("repeated", ["hps", "hps"])]),
     # the noise directory exists, so the exclusion alone is at fault
-    Row("bench-config-existing-noise-dir-and-seed", 2, "noises.dir and noises.seed exclude each other",
+    Row("bench-config-existing-noise-dir-and-seed", 2,
+        ("bad benchmark config", "noises.dir and noises.seed exclude each other"),
         lambda t: t.bench(noises={"dir": t.path("noises"), "seed": 99}),
         before=lambda t: t.file("noises/01_white.wav", AudioBuffer(np.full(2000, 0.5), 22050))),
     *(Row(f"bench-jobs-option-{jobs}", 2, f"cannot run the benchmark: jobs must be >= 1, got {jobs}",
@@ -170,14 +251,17 @@ ROWS = [
     # ghost.notes has no audio, in the clean pass and at each noise
     Row("bench-no-song-scores", 4, "no songs could be evaluated",
         lambda t: t.bench(songs={"annotations": [t.file("ghost.notes", "0.0 0.5 220.0\n")]}),
-        warned=(5, "ghost.wav"), stage="scoring"),
+        warned=(1, "ghost (clean, white@+10dB, pink@+10dB, hum50@+10dB, babble@+10dB)"),
+        stage="scoring"),
     # the clean pass plus each of the four synthetic noises at 10 dB
     Row("bench-note-past-the-end-fails-each-condition", 4, "no songs could be evaluated",
         lambda t: t.bench(songs={"annotations": [t.sidecar("past", [*t.song.notes, PAST_THE_END])]}),
-        warned=(5, "InvalidAnnotation: note [100, 101]"), stage="scoring"),
-    Row("bench-results-csv-is-a-directory", 2, ("cannot write the results into", "Is a directory"),
-        lambda t: t.bench(songs={"annotations": [t.notes]}, snrs_db=[]),
-        before=lambda t: os.makedirs(t.path("out/results.csv")), stage="scoring"),
+        warned=(1, "InvalidAnnotation: note [100, 101]"), stage="scoring"),
+    # results.csv is written first: when results.txt cannot be, it is removed again
+    *(Row(f"bench-results-{ext}-is-a-directory", 2, ("cannot write the results into", "Is a directory"),
+          lambda t: t.bench(songs={"annotations": [t.notes]}, snrs_db=[]),
+          before=lambda t, e=ext: os.makedirs(t.path(f"out/results.{e}")), stage="scoring")
+      for ext in ("csv", "txt")),
     # ---- report ----
     Row("report-missing-csv", 2, ("cannot read results CSV", "No such file"),
         lambda t: t.report(t.path("no.csv"))),
@@ -187,6 +271,10 @@ ROWS = [
         lambda t: t.report(t.file("results.csv", RESULTS_CSV), out="file/table.txt"),
         before=lambda t: t.file("file", "")),
 ]
+
+
+def test_the_row_ids_are_unique():  # pytest would suffix a repeated one, without failing
+    assert len({row.id for row in ROWS}) == len(ROWS)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.id)
